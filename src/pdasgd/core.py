@@ -29,12 +29,14 @@ def _frozen_f64(a, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector: nonnegative entries summing to 1 (within 1e-12)."""
+    """Probability vector: finite nonnegative entries summing to 1 (within 1e-12)."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = _frozen_f64(self.weights, 1)
+        if not np.isfinite(w).all():
+            raise ValueError("distribution weights must be finite, got non-finite entries")
         if np.any(w < 0):
             raise ValueError("distribution weights must be nonnegative")
         total = float(w.sum())
@@ -53,7 +55,7 @@ class Distribution:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Square nonnegative cost matrix with its max entry cached."""
+    """Square finite nonnegative cost matrix with its max entry cached."""
 
     entries: np.ndarray
     max_abs: float = None  # filled in __post_init__
@@ -62,6 +64,8 @@ class CostMatrix:
         c = _frozen_f64(self.entries, 2)
         if c.shape[0] != c.shape[1]:
             raise ValueError(f"cost matrix must be square, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("cost entries must be finite, got non-finite entries")
         if np.any(c < 0):
             raise ValueError("cost entries must be nonnegative")
         object.__setattr__(self, "entries", c)

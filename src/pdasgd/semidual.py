@@ -13,13 +13,18 @@ and the gradient of G is exactly ``col_sums(x(v)) - beta``.  Dual points are
 plain float64 vectors.
 
 Every exponential goes through one max-subtracted logsumexp/softmax kernel:
-the raw formulas overflow for the small ``eta`` this package runs at.
+the raw formulas overflow for the small ``eta`` this package runs at.  One
+dense pass of that kernel, ``snapshot(v)``, yields G(v), its gradient and
+every component gradient at v, so a solver anchored at v pays for the
+exponentials once.
 
 The oracle is immutable and shareable across threads; gradient buffers are
 caller-owned.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -33,6 +38,27 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.exp(t - m)
     s = w.sum(axis=-1, keepdims=True)
     return np.squeeze(m + np.log(s), axis=-1), w / s
+
+
+@dataclass(frozen=True)
+class SemiDualSnapshot:
+    """G(v), grad G(v) and the softmax rows of one dense pass at v."""
+
+    value: float
+    gradient: np.ndarray
+    softmax: np.ndarray
+    beta: np.ndarray
+    scale: np.ndarray  # n alpha_i, the weight of component i
+
+    def anchor(self, i: int, out: np.ndarray) -> np.ndarray:
+        """grad g_i(v) = n alpha_i (softmax_i(v) - beta), written into ``out``.
+
+        Read from the kept softmax row without computing an exponential;
+        equals ``component_gradient(i, v)`` bit for bit.
+        """
+        np.subtract(self.softmax[i], self.beta, out=out)
+        out *= self.scale[i]
+        return out
 
 
 class SemiDualOracle:
@@ -61,6 +87,7 @@ class SemiDualOracle:
         # Row i of the softmax argument is v/eta + shift[i].
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
+        self._scale = self.n * self.alpha
 
     # -- finite-sum structure ------------------------------------------------
 
@@ -85,12 +112,20 @@ class SemiDualOracle:
             * (self.eta * lse - self.beta @ v - self.eta * self.log_alpha[i] + self.eta)
         )
 
+    def snapshot(self, v: np.ndarray) -> SemiDualSnapshot:
+        """G(v), grad G(v) and the component gradients at v from one dense pass."""
+        lse, sm = lse_softmax(v / self.eta + self._shift)
+        return SemiDualSnapshot(
+            value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
+            gradient=sm.T @ self.alpha - self.beta,
+            softmax=sm,
+            beta=self.beta,
+            scale=self._scale,
+        )
+
     def semidual_value(self, v: np.ndarray) -> float:
         """G(v), the mean of the component values."""
-        lse, _ = lse_softmax(v / self.eta + self._shift)
-        return float(
-            self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v
-        )
+        return self.snapshot(v).value
 
     def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Gradient of g_i at v, written into ``out`` (allocated if None).
@@ -110,8 +145,7 @@ class SemiDualOracle:
 
     def full_gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of G at v: col_sums(x(v)) - beta."""
-        _, sm = lse_softmax(v / self.eta + self._shift)
-        return sm.T @ self.alpha - self.beta
+        return self.snapshot(v).gradient
 
     def smoothness_constants(self) -> tuple[np.ndarray, float, float]:
         """(per-component L_i = n alpha_i / eta, average 1/eta, Linf 5/eta)."""

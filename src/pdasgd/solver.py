@@ -1,10 +1,13 @@
 """Primal-dual accelerated stochastic gradient descent with variance reduction.
 
 Minimizes a finite-sum dual objective ``phi(lam) = (1/h) sum_i phi_i(lam)``
-while averaging the associated primal iterates.  Each outer iteration s:
+while averaging the associated primal iterates.  The oracle evaluates the
+anchor ``lam_tilde`` once each time it is set, at init and after each reset,
+as a snapshot: ``phi(lam_tilde)`` for the record's gap, the full gradient
+``u = grad phi(lam_tilde)`` and every anchor component gradient
+``grad phi_i(lam_tilde)``.  Each outer iteration s:
 
-  * takes a full-gradient snapshot ``u = grad phi(lam_tilde)``,
-  * runs m inner steps of Katyusha-style momentum
+  * runs m inner steps of Katyusha-style momentum on the current snapshot
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
         g     <- u + (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i)
@@ -13,10 +16,14 @@ while averaging the associated primal iterates.  Each outer iteration s:
 
     with ``tau2 = 1/2``, ``tau1_s = 2/(s+4)``, ``gamma_s = 1/(9 tau1_s Lbar)``
     and component i drawn with probability ``p_i = L_i / (h Lbar)``,
-  * resets ``lam_tilde`` to the mean of the m produced y iterates, and
+  * resets ``lam_tilde`` to the mean of the m produced y iterates and takes
+    its snapshot, and
   * picks one of the m inner ``lam`` values uniformly at random, maps it to
     the primal, and folds it into the running weighted average
     ``x_s = D / Ccoef`` with weight ``1 / tau1_s``.
+
+An inner step thus computes one component gradient, at ``lam``; the anchor
+term comes from the snapshot.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -38,17 +45,30 @@ import numpy as np
 from .rng import CategoricalSampler, SplitMix64
 
 
+class Snapshot(Protocol):
+    """An oracle's evaluation at one anchor point lam_tilde.
+
+    ``value`` is phi(lam_tilde), ``gradient`` is grad phi(lam_tilde), and
+    ``anchor(i, out)`` writes grad phi_i(lam_tilde) into ``out``.
+    """
+
+    value: float
+    gradient: np.ndarray
+
+    def anchor(self, i: int, out: np.ndarray) -> np.ndarray: ...
+
+
 class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
     ``component_gradient(i, lam, out)`` writes grad phi_i(lam) into ``out``;
-    ``full_gradient(lam)`` returns grad phi(lam); ``sampling_weights()``
-    returns a probability vector (or a Distribution) positive wherever
-    L_i > 0; ``average_smoothness()`` returns Lbar; ``primal_map(lam)``
-    returns the primal point attached to lam.  The telemetry hooks
-    ``dual_value(lam)``, ``primal_objective(x)`` and
-    ``constraint_violation_l1(x)`` fill the run records.
+    ``snapshot(lam)`` returns the :class:`Snapshot` of lam;
+    ``sampling_weights()`` returns a probability vector (or a Distribution)
+    positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
+    ``primal_map(lam)`` returns the primal point attached to lam.  The
+    telemetry hooks ``primal_objective(x)`` and ``constraint_violation_l1(x)``
+    fill the run records.
     """
 
     component_count: int
@@ -56,15 +76,13 @@ class FiniteSumOracle(Protocol):
 
     def component_gradient(self, i: int, lam: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
-    def full_gradient(self, lam: np.ndarray) -> np.ndarray: ...
+    def snapshot(self, lam: np.ndarray) -> Snapshot: ...
 
     def sampling_weights(self): ...
 
     def average_smoothness(self) -> float: ...
 
     def primal_map(self, lam: np.ndarray) -> np.ndarray: ...
-
-    def dual_value(self, lam: np.ndarray) -> float: ...
 
     def primal_objective(self, x: np.ndarray) -> float: ...
 
@@ -128,7 +146,7 @@ class SolverState:
     z: np.ndarray
     lambda_tilde: np.ndarray
     lambda_cur: np.ndarray
-    full_grad_snapshot: np.ndarray
+    snapshot: Snapshot  # of lambda_tilde
     D: np.ndarray  # weighted primal accumulator, shape of primal_map output
     Ccoef: float
     s: int
@@ -177,7 +195,7 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         z=lam0.copy(),
         lambda_tilde=lam0.copy(),
         lambda_cur=lam0.copy(),
-        full_grad_snapshot=zeros(),
+        snapshot=oracle.snapshot(lam0),
         D=np.zeros(primal_shape),
         Ccoef=0.0,
         s=0,
@@ -197,30 +215,30 @@ def variance_reduced_gradient(
     oracle: FiniteSumOracle,
     i: int,
     lam: np.ndarray,
-    anchor: np.ndarray,
-    anchor_full_grad: np.ndarray,
+    snapshot: Snapshot,
     p_i: float,
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """u + (grad phi_i(lam) - grad phi_i(anchor)) / (h p_i), into ``out``.
+    """u + (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i), into ``out``.
 
-    The p_i-weighted average of this estimator over all components equals
-    grad phi(lam) exactly.
+    ``u`` and grad phi_i(lam_tilde) are read from the snapshot of the anchor
+    lam_tilde.  The p_i-weighted average of this estimator over all
+    components equals grad phi(lam) exactly.
     """
     h = oracle.component_count
     oracle.component_gradient(i, lam, out)
-    oracle.component_gradient(i, anchor, scratch)
-    out -= scratch
+    out -= snapshot.anchor(i, scratch)
     out /= h * p_i
-    out += anchor_full_grad
+    out += snapshot.gradient
     return out
 
 
 def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: SolverOptions) -> None:
     """One momentum + variance-reduced update of (lambda, z, y).
 
-    Charges one component-gradient pair to the operation counter.
+    Computes and charges one component gradient, at lambda; the anchor's is
+    read from the snapshot.
     """
     t1 = tau1(s)
     g_s = gamma(s, state.avg_smoothness)
@@ -235,8 +253,7 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: Sol
         oracle,
         i,
         state.lambda_cur,
-        state.lambda_tilde,
-        state.full_grad_snapshot,
+        state.snapshot,
         state.weights[i],
         state._vr_grad,
         state._grad_anchor,
@@ -249,11 +266,14 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: Sol
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
-    """Snapshot, m inner steps, anchor reset, and primal accumulation."""
+    """m inner steps, anchor reset and snapshot, and primal accumulation.
+
+    The full gradient is charged here, to the outer iteration that uses the
+    snapshot, which was taken when lambda_tilde was last set.
+    """
     s = state.s
     m = options.inner_iterations
     h = oracle.component_count
-    state.full_grad_snapshot = oracle.full_gradient(state.lambda_tilde)
     state.n_component_gradients += h
     state.n_full_gradients += 1
     # The primal average uses one uniformly chosen inner lambda; drawing the
@@ -276,6 +296,7 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
                 f"non-finite {name} after outer iteration {state.s} "
                 f"(max |z| = {np.abs(state.z).max():.3e})"
             )
+    state.snapshot = oracle.snapshot(state.lambda_tilde)
 
 
 @dataclass
@@ -295,7 +316,7 @@ def make_record(state: SolverState, oracle: FiniteSumOracle) -> tuple[RunRecord,
     x_s = state.primal_average()
     f_val = float(oracle.primal_objective(x_s))
     violation = float(oracle.constraint_violation_l1(x_s))
-    gap = f_val + float(oracle.dual_value(state.lambda_tilde))
+    gap = f_val + float(state.snapshot.value)
     record = RunRecord(
         outer_index=state.s,
         cumulative_component_gradients=state.n_component_gradients,

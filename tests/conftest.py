@@ -22,6 +22,18 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
+class QuadraticSnapshot:
+    """Value, gradient and (single) anchor component gradient of the quadratic."""
+
+    def __init__(self, gradient):
+        self.gradient = gradient
+        self.value = 0.5 * float((gradient**2).sum())
+
+    def anchor(self, i, out):
+        out[:] = self.gradient
+        return out
+
+
 class QuadraticOracle:
     """Single-component finite sum phi(lam) = |lam - target|^2 / 2."""
 
@@ -36,8 +48,8 @@ class QuadraticOracle:
         np.subtract(lam, self.target, out=out)
         return out
 
-    def full_gradient(self, lam):
-        return lam - self.target
+    def snapshot(self, lam):
+        return QuadraticSnapshot(lam - self.target)
 
     def sampling_weights(self):
         return np.array([1.0])
@@ -47,9 +59,6 @@ class QuadraticOracle:
 
     def primal_map(self, lam):
         return lam.copy()
-
-    def dual_value(self, lam):
-        return 0.5 * float(((lam - self.target) ** 2).sum())
 
     def primal_objective(self, x):
         return 0.0

@@ -113,10 +113,10 @@ def test_criterion_4_estimator_unbiasedness():
     for _ in range(100):
         lam = rng.normal(size=n)
         anchor = rng.normal(size=n)
-        u = oracle.full_gradient(anchor)
+        snap = oracle.snapshot(anchor)
         acc = np.zeros(n)
         for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, anchor, u, weights[i], out, scratch)
+            variance_reduced_gradient(oracle, i, lam, snap, weights[i], out, scratch)
             acc += weights[i] * out
         worst = max(worst, np.abs(acc - oracle.full_gradient(lam)).max())
     elapsed = time.perf_counter() - start

@@ -47,6 +47,18 @@ def test_cost_matrix_max_abs():
         CostMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Distribution(np.array([bad, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cost_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        CostMatrix(np.array([[bad, 1.0], [1.0, 0.0]]))
+
+
 def test_instance_dimension_check():
     with pytest.raises(ValueError):
         OTInstance(CostMatrix(np.zeros((3, 3))), Distribution(HALF), Distribution(HALF))

@@ -133,6 +133,21 @@ def test_full_gradient_is_mean_of_components(rng):
         assert np.allclose(o.full_gradient(v), mean, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 64, 400])
+@pytest.mark.parametrize("eta", [0.5, 0.05, 1e-3])
+def test_snapshot_matches_oracle_bitwise(rng, n, eta):
+    o = random_oracle(rng, n, eta=eta)
+    buf = np.empty(n)
+    # dual points on the cost scale and on the eta scale, where rows stay soft
+    for v in (rng.normal(size=n), eta * rng.normal(size=n)):
+        snap = o.snapshot(v)
+        assert np.array_equal(snap.value, o.semidual_value(v))
+        assert np.array_equal(snap.gradient, o.full_gradient(v))
+        for i in range(n):
+            assert snap.anchor(i, buf) is buf
+            assert np.array_equal(buf, o.component_gradient(i, v))
+
+
 def central_difference_gradient(fn, v, step=1e-6):
     g = np.empty_like(v)
     for j in range(v.size):

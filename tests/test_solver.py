@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import QuadraticOracle, random_oracle
+from conftest import QuadraticOracle, QuadraticSnapshot, random_instance, random_oracle
+from pdasgd.approx import ApproxConfig, approx_ot
+from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance
 from pdasgd.semidual import SemiDualOracle
 from pdasgd.solver import (
@@ -67,11 +71,12 @@ def test_variance_reduction_collapse(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     anchor = rng.normal(size=4)
     u = oracle.full_gradient(anchor)
+    snap = oracle.snapshot(anchor)
     out = np.empty(4)
     scratch = np.empty(4)
     for i in range(4):
         p_i = oracle.sampling_weights().weights[i]
-        got = variance_reduced_gradient(oracle, i, anchor, anchor, u, p_i, out, scratch)
+        got = variance_reduced_gradient(oracle, i, anchor, snap, p_i, out, scratch)
         assert np.allclose(got, u, atol=1e-15)
 
 
@@ -83,12 +88,12 @@ def test_estimator_unbiased_exhaustive(rng):
     for _ in range(50):
         lam = rng.normal(size=n)
         anchor = rng.normal(size=n)
-        u = oracle.full_gradient(anchor)
+        snap = oracle.snapshot(anchor)
         acc = np.zeros(n)
         out = np.empty(n)
         scratch = np.empty(n)
         for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, anchor, u, weights[i], out, scratch)
+            variance_reduced_gradient(oracle, i, lam, snap, weights[i], out, scratch)
             acc += weights[i] * out
         assert np.abs(acc - oracle.full_gradient(lam)).max() < 1e-12
 
@@ -101,7 +106,7 @@ def test_first_outer_mixing_drops_y(rng):
     state.y[:] = rng.normal(size=3)  # must not influence lambda_1
     state.z[:] = rng.normal(size=3)
     state.lambda_tilde[:] = rng.normal(size=3)
-    state.full_grad_snapshot = oracle.full_gradient(state.lambda_tilde)
+    state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
     inner_step(state, oracle, 0, options)
     assert np.allclose(state.lambda_cur, expected, atol=1e-15)
@@ -190,8 +195,8 @@ def test_divergence_detection(rng):
             out[:] = np.inf
             return out
 
-        def full_gradient(self, lam):
-            return np.full_like(lam, np.inf)
+        def snapshot(self, lam):
+            return QuadraticSnapshot(np.full_like(lam, np.inf))
 
     with pytest.raises(DivergenceError):
         run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
@@ -225,3 +230,49 @@ def test_record_metrics_match_oracle(rng):
     assert record.duality_gap == pytest.approx(
         oracle.primal_objective(x_s) + oracle.semidual_value(state.lambda_tilde)
     )
+
+
+def _counted(name):
+    def method(self, *args, **kwargs):
+        self.calls[name] += 1
+        return getattr(SemiDualOracle, name)(self, *args, **kwargs)
+
+    return method
+
+
+class CountingOracle(SemiDualOracle):
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.calls = Counter()
+
+
+for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value", "semidual_value"):
+    setattr(CountingOracle, _name, _counted(_name))
+
+
+def test_one_snapshot_per_outer_iteration(rng):
+    n, m, S = 6, 4, 5
+    oracle = CountingOracle(random_instance(rng, n, eta=0.3))
+    options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=3)
+    state = init_state(oracle, options)
+    # the init snapshot of lambda_tilde, and one primal map for the accumulator's shape
+    assert oracle.calls == Counter(snapshot=1, primal_map=1)
+    for _ in range(S):
+        before = oracle.calls.copy()
+        outer_iteration(state, oracle, options)
+        make_record(state, oracle)
+        assert oracle.calls - before == Counter(snapshot=1, primal_map=1, component_gradient=m)
+
+    oracle.calls = Counter()
+    run(oracle, options)
+    assert oracle.calls == Counter(snapshot=S + 1, primal_map=S + 1, component_gradient=S * m)
+
+
+def test_theory_profile_replay():
+    # stop index, op count and ot_value of a certified theory-profile solve
+    alpha, beta, cost = make_image_pair(0, 8, 0)
+    config = ApproxConfig(epsilon=0.05, solver_profile="theory", kappa=32, seed=0)
+    result = approx_ot(cost, alpha, beta, config)
+    assert result.outer_iterations == 565
+    assert result.op_counts["component_gradients"] == 72320
+    assert result.ot_value == pytest.approx(0.013563316950434157, abs=1e-12)
