@@ -20,12 +20,12 @@ inst = OTInstance(
 oracle = SemiDualOracle(inst)
 v = rng.normal(size=n)
 
-print(f"G(v)                = {oracle.semidual_value(v):.8f}")
+print(f"G(v)                = {oracle.dual_value(v):.8f}")
 print(f"mean of components  = {np.mean([oracle.component_value(i, v) for i in range(n)]):.8f}")
-print(f"G(v + 3)            = {oracle.semidual_value(v + 3.0):.8f}   (translation invariant)")
+print(f"G(v + 3)            = {oracle.dual_value(v + 3.0):.8f}   (translation invariant)")
 
 # the primal map's rows always match the row marginal exactly
-x = oracle.primal_matrix(v)
+x = oracle.primal_map(v)
 print(f"\nmax |row_sums(x(v)) - alpha| = {np.abs(x.sum(axis=1) - oracle.alpha).max():.2e}")
 
 # ... and the gradient of G is the column residual
@@ -35,13 +35,15 @@ print(f"max |grad G - (col_sums - beta)| = {np.abs(grad - (x.sum(axis=0) - oracl
 # sanity: central finite differences agree
 step = 1e-6
 fd = np.array([
-    (oracle.semidual_value(v + step * e) - oracle.semidual_value(v - step * e)) / (2 * step)
+    (oracle.dual_value(v + step * e) - oracle.dual_value(v - step * e)) / (2 * step)
     for e in np.eye(n)
 ])
 print(f"max |grad G - finite differences| = {np.abs(grad - fd).max():.2e}")
 
-# smoothness constants drive the solver's step sizes and sampling
-per_component, average, linf = oracle.smoothness_constants()
-print(f"\nper-component smoothness n*alpha_i/eta = {np.round(per_component, 3)}")
-print(f"average smoothness 1/eta = {average:.3f}, Linf smoothness 5/eta = {linf:.3f}")
-print(f"component sampling weights (= alpha): {np.round(oracle.sampling_weights().weights, 3)}")
+# component i is L_i-smooth with L_i = n alpha_i / eta; the solver samples
+# components with probability L_i / (n Lbar) and steps with Lbar = 1/eta
+weights = oracle.sampling_weights().weights
+average = oracle.average_smoothness()
+print(f"\nper-component smoothness n*alpha_i/eta = {np.round(n * average * weights, 3)}")
+print(f"average smoothness 1/eta = {average:.3f}")
+print(f"component sampling weights (= alpha): {np.round(weights, 3)}")

@@ -10,7 +10,6 @@ from .approx import (
     ApproxConfig,
     ApproxResult,
     approx_ot,
-    approx_ot_scaling,
     derive_parameters,
     resolve_profile,
     smooth_marginals,
@@ -29,7 +28,6 @@ from .core import (
 )
 from .exact import exact_ot_oracle
 from .images import (
-    CostModel,
     ImageInstance,
     gen_synthetic_image,
     grid_cost_matrix,
@@ -48,12 +46,7 @@ from .solver import (
     RunRecord,
     SolveResult,
     SolverOptions,
-    SolverState,
-    gamma,
-    inner_step,
-    outer_iteration,
     run,
-    tau1,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +56,6 @@ __all__ = [
     "ApproxResult",
     "BenchPlan",
     "CostMatrix",
-    "CostModel",
     "Distribution",
     "DivergenceError",
     "ImageInstance",
@@ -73,26 +65,21 @@ __all__ = [
     "SemiDualOracle",
     "SolveResult",
     "SolverOptions",
-    "SolverState",
     "SplitMix64",
     "TransportPlan",
     "approx_ot",
-    "approx_ot_scaling",
     "derive_parameters",
     "derive_seed",
     "entropy",
     "exact_ot_oracle",
-    "gamma",
     "gen_synthetic_image",
     "greenkhorn",
     "grid_cost_matrix",
     "image_to_instance",
-    "inner_step",
     "load_csv_matrix",
     "load_idx",
     "load_pgm",
     "marginal_distance",
-    "outer_iteration",
     "regularized_objective",
     "resolve_profile",
     "round_to_polytope",
@@ -101,7 +88,6 @@ __all__ = [
     "save_csv_matrix",
     "sinkhorn",
     "smooth_marginals",
-    "tau1",
     "theoretical_iteration_cap",
     "transport_cost",
 ]

@@ -1,17 +1,21 @@
 """End-to-end epsilon-approximation of optimal transport.
 
-Pipeline: derive the entropic penalty and the marginal budget from the
-target accuracy, mix the marginals toward uniform so both are strictly
-positive, minimize the semi-dual with the stochastic solver until a
-computable optimality certificate holds, reshape the averaged primal, and
-round it back onto the polytope of the *original* marginals.
+One pipeline serves every solver, the library call, the command line and
+the benchmark harness: validate the inputs, derive the entropic penalty and
+the marginal budget from the target accuracy, mix the marginals toward
+uniform so both are strictly positive, run the chosen solver on the
+smoothed problem, and round its plan back onto the polytope of the
+*original* marginals.  The solvers are the stochastic semi-dual method
+(``pdasgd``) and the Sinkhorn and Greenkhorn matrix-scaling baselines, so
+comparisons between them differ only in the solver.
 
-Stopping: the exact primal suboptimality is unobservable, so the solver
-stops on the weak-duality surrogate ``f(x_s) + G(lambda_tilde)`` (an upper
-bound on ``f(x_s) - f*``) together with the L1 marginal violation.  The
-fired criterion is recorded so theory-versus-practice divergence stays
-visible.  A single run certifies its own realized iterate, not an
-expectation over seeds; benchmarks report per-seed spread instead.
+Stopping: the exact primal suboptimality is unobservable, so by default
+the stochastic solver stops on the weak-duality surrogate
+``f(x_s) + G(lambda_tilde)`` (an upper bound on ``f(x_s) - f*``) together
+with the L1 marginal violation.  The fired criterion is recorded so
+theory-versus-practice divergence stays visible.  A single run certifies
+its own realized iterate, not an expectation over seeds; benchmarks report
+per-seed spread instead.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import baselines
 from .core import (
     CostMatrix,
     Distribution,
     OTInstance,
     TransportPlan,
-    as_matrix,
     as_weights,
+    marginal_distance,
     transport_cost,
 )
 from .rounding import RoundingReport, round_to_polytope
@@ -36,8 +41,17 @@ from .semidual import SemiDualOracle
 from .solver import RunRecord, SolverOptions, run
 
 PROFILES = ("theory", "benchmark")
+METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
+STOP_RULES = ("certificate", "accuracy")
+# The op_counts keys of each method's result.
+OP_COUNTS = {
+    "pdasgd": ("component_gradients", "inner_steps"),
+    "sinkhorn": ("sweeps",),
+    "greenkhorn": ("updates",),
+}
 
 STOP_CONVERGED = "gap+marginal"
+STOP_ACCURACY = "accuracy-reached"
 STOP_CAP = "iteration-cap"
 STOP_TRIVIAL = "trivial-zero-cost"
 
@@ -136,8 +150,8 @@ class ApproxResult:
         return self.stop_reason == STOP_CAP
 
 
-def _trivial_result(cost, a: np.ndarray, b: np.ndarray) -> ApproxResult:
-    plan = TransportPlan(np.outer(a, b))
+def _trivial_result(cost: CostMatrix, a: Distribution, b: Distribution, method: str) -> ApproxResult:
+    plan = TransportPlan(np.outer(a.weights, b.weights))
     return ApproxResult(
         plan=plan,
         ot_value=transport_cost(plan, cost),
@@ -147,91 +161,22 @@ def _trivial_result(cost, a: np.ndarray, b: np.ndarray) -> ApproxResult:
         eps_prime=0.0,
         unrounded=plan.entries,
         rounding_report=None,
-        solver="pdasgd",
+        solver=method,
         outer_iterations=0,
         inner_iterations=0,
-        op_counts={"component_gradients": 0, "inner_steps": 0},
+        op_counts=dict.fromkeys(OP_COUNTS[method], 0),
     )
 
 
-def approx_ot_scaling(cost, alpha, beta, config: ApproxConfig, method: str = "sinkhorn") -> ApproxResult:
-    """Same pipeline as :func:`approx_ot` with a matrix-scaling solver inside.
-
-    The baseline runs behind the identical smoothing and rounding, stopping
-    when the plan's L1 marginal distance to the smoothed targets falls to
-    eps'/2, so comparisons against the stochastic solver differ only in the
-    solver itself.
-    """
-    from .baselines import greenkhorn, sinkhorn  # local import, no cycle
-
-    if method not in ("sinkhorn", "greenkhorn"):
-        raise ValueError(f"unknown scaling method {method!r}")
-    c = as_matrix(cost)
-    a = as_weights(alpha)
-    b = as_weights(beta)
-    n = a.size
-    params = derive_parameters(config.epsilon, n, c)
-    if params is None:
-        result = _trivial_result(c, a, b)
-        result.solver = method
-        result.op_counts = {"sweeps" if method == "sinkhorn" else "updates": 0}
-        return result
-    eta, eps_prime = params
-    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
-    tol = eps_prime / 2.0
-    if config.max_outer is not None:
-        max_iter = config.max_outer
-    else:
-        # Sweep/update budget in the solver's own step currency; the scaling
-        # methods pay quadratically in 1/epsilon, hence the squared term.
-        base = math.ceil(config.kappa * math.log(max(n, 2)) * (1.0 / config.epsilon) ** 2)
-        max_iter = max(10_000, base) if method == "sinkhorn" else max(10_000, base) * n
-    runner = sinkhorn if method == "sinkhorn" else greenkhorn
-    plan, info = runner(c, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, log=True)
-    # Greenkhorn iterates carry total mass 1 only up to their marginal
-    # tolerance; renormalize so the rounding mass gate applies uniformly.
-    raw = plan.entries
-    rounded, report = round_to_polytope(raw / raw.sum(), a, b)
-    counts_key = "sweeps" if method == "sinkhorn" else "updates"
-    return ApproxResult(
-        plan=rounded,
-        ot_value=transport_cost(rounded, c),
-        records=[],
-        stop_reason=STOP_CONVERGED if info["converged"] else STOP_CAP,
-        eta=eta,
-        eps_prime=eps_prime,
-        unrounded=raw,
-        rounding_report=report,
-        solver=method,
-        outer_iterations=info["iterations"],
-        inner_iterations=0,
-        op_counts={counts_key: info[counts_key]},
-    )
-
-
-def approx_ot(cost, alpha, beta, config: ApproxConfig) -> ApproxResult:
-    """Feasible plan whose cost exceeds the optimum by at most epsilon.
-
-    The returned plan is feasible for the original (alpha, beta) to 1e-10.
-    If the iteration cap fires before the certificate, the best plan so far
-    is still returned with ``stop_reason`` set to the cap.
-    """
-    c = as_matrix(cost)
-    a = as_weights(alpha)
-    b = as_weights(beta)
-    n = a.size
-    params = derive_parameters(config.epsilon, n, c)
-    if params is None:
-        return _trivial_result(c, a, b)
-    eta, eps_prime = params
-    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
-    oracle = SemiDualOracle(OTInstance(CostMatrix(c), a_s, b_s, eta))
-
+def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
+    """Semi-dual solve; returns (raw plan, stop reason, fields of the result)."""
+    n = cost.n
+    oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
     if config.max_outer is not None:
         outer_cap = config.max_outer
     else:
-        total = theoretical_iteration_cap(config.epsilon, n, float(np.abs(c).max()), config.kappa)
+        total = theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa)
         outer_cap = max(1, math.ceil(total / m))
     options = SolverOptions(
         inner_iterations=m,
@@ -240,31 +185,124 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig) -> ApproxResult:
         z_step_multiplier=multiplier,
         checkpoint_stride=config.checkpoint_stride,
     )
-
     gap_budget = config.epsilon / 4.0
     violation_budget = eps_prime / 2.0
 
-    def certificate(record: RunRecord, x_s, lam_tilde) -> Optional[str]:
+    def stop(record: RunRecord, x_s, lam_tilde) -> Optional[str]:
+        if reached is not None:
+            return reached(x_s)
         if record.constraint_violation_l1 <= violation_budget and record.duality_gap <= gap_budget:
             return STOP_CONVERGED
         return None
 
-    result = run(oracle, options, stop=certificate)
-    rounded, report = round_to_polytope(result.primal, a, b)
+    result = run(oracle, options, stop=stop)
+    state = result.state
+    return result.primal, result.stop_reason, dict(
+        records=result.records,
+        outer_iterations=state.s,
+        inner_iterations=m,
+        op_counts={
+            "component_gradients": state.n_component_gradients,
+            "inner_steps": state.n_inner_steps,
+        },
+    )
+
+
+def _solve_scaling(method, cost, a_s, b_s, eta, eps_prime, config, reached):
+    """Sinkhorn or Greenkhorn solve, same return shape as :func:`_solve_pdasgd`."""
+    n = cost.n
+    if config.max_outer is not None:
+        max_iter = config.max_outer
+    else:
+        # Sweep/update budget in the solver's own step currency; the scaling
+        # methods pay quadratically in 1/epsilon, hence the squared term.
+        sweeps = max(10_000, math.ceil(config.kappa * math.log(n) * (1.0 / config.epsilon) ** 2))
+        max_iter = sweeps if method == "sinkhorn" else sweeps * n
+    if reached is None:
+        tol, stop = eps_prime / 2.0, None
+    else:
+        tol, stop = 0.0, lambda plan, iteration: reached(plan)
+    # Looked up on the module at call time, so wrappers installed there apply.
+    runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
+    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, log=True, stop=stop)
+    reason = STOP_CONVERGED if info["stop_reason"] == "marginal-tol" else info["stop_reason"]
+    (key,) = OP_COUNTS[method]
+    return plan.entries, reason, dict(
+        records=[],
+        outer_iterations=info["iterations"],
+        inner_iterations=0,
+        op_counts={key: info[key]},
+    )
+
+
+def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", stop: str = "certificate") -> ApproxResult:
+    """Feasible plan whose cost exceeds the optimum by at most epsilon.
+
+    One pipeline for every solver: validate the inputs, derive (eta, eps'),
+    smooth the marginals, solve with ``method`` (one of :data:`METHODS`),
+    and round the unrounded plan, renormalized to mass 1, onto the polytope
+    of the original marginals.  The returned plan is feasible for
+    (alpha, beta) to 1e-10.
+
+    ``stop`` picks the stopping rule:
+
+    * ``"certificate"``: pdasgd stops when the duality gap is at most
+      epsilon/4 and the marginal violation at most eps'/2; the scaling
+      methods stop when their plan is within eps'/2 in L1 of the smoothed
+      marginals.  Reason ``gap+marginal``.
+    * ``"accuracy"``: every method stops at the first checkpoint where the
+      unrounded plan is within epsilon in L1 of the *original* marginals.
+      Reason ``accuracy-reached``.
+
+    If the budget runs out first, the last plan is still rounded and
+    returned with ``stop_reason`` set to the cap.  The budget is
+    ceil(cap / m) outer iterations for pdasgd (see
+    :func:`theoretical_iteration_cap`), max(10^4, ceil(kappa ln n /
+    epsilon^2)) Sinkhorn sweeps, and n times that in Greenkhorn updates;
+    ``config.max_outer`` overrides all three.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if stop not in STOP_RULES:
+        raise ValueError(f"unknown stop rule {stop!r}; expected one of {STOP_RULES}")
+    c = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
+    a = alpha if isinstance(alpha, Distribution) else Distribution(alpha)
+    b = beta if isinstance(beta, Distribution) else Distribution(beta)
+    n = c.n
+    if a.n != n or b.n != n:
+        raise ValueError(f"marginal sizes must match the cost matrix: cost {n}, rows {a.n}, cols {b.n}")
+    params = derive_parameters(config.epsilon, n, c)
+    if params is None:
+        return _trivial_result(c, a, b, method)
+    eta, eps_prime = params
+    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
+
+    reached = None
+    if stop == "accuracy":
+
+        def reached(x) -> Optional[str]:
+            return STOP_ACCURACY if marginal_distance(x, a.weights, b.weights) <= config.epsilon else None
+
+    if method == "pdasgd":
+        raw, reason, fields = _solve_pdasgd(c, a_s, b_s, eta, eps_prime, config, reached)
+    else:
+        raw, reason, fields = _solve_scaling(method, c, a_s, b_s, eta, eps_prime, config, reached)
+    # Iterates carry total mass 1 only up to their marginal tolerance;
+    # renormalize so the rounding mass gate applies uniformly.
+    rounded, report = round_to_polytope(raw / raw.sum(), a, b)
     return ApproxResult(
         plan=rounded,
         ot_value=transport_cost(rounded, c),
-        records=result.records,
-        stop_reason=result.stop_reason or STOP_CAP,
+        stop_reason=reason or STOP_CAP,
         eta=eta,
         eps_prime=eps_prime,
-        unrounded=result.primal,
+        unrounded=raw,
         rounding_report=report,
-        solver="pdasgd",
-        outer_iterations=result.state.s,
-        inner_iterations=m,
-        op_counts={
-            "component_gradients": result.state.n_component_gradients,
-            "inner_steps": result.state.n_inner_steps,
-        },
+        solver=method,
+        **fields,
     )
+
+
+def approx_ot_scaling(cost, alpha, beta, config: ApproxConfig, method: str = "sinkhorn") -> ApproxResult:
+    """``approx_ot(cost, alpha, beta, config, method=method)`` under its older name."""
+    return approx_ot(cost, alpha, beta, config, method=method)

@@ -13,20 +13,11 @@ solver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import TransportPlan, as_matrix, as_weights
-
-
-@dataclass
-class ScalingState:
-    log_u: np.ndarray
-    log_v: np.ndarray
-    log_kernel: np.ndarray
-    iteration: int = 0
 
 
 StopCallback = Callable[[np.ndarray, int], Optional[str]]
@@ -62,21 +53,22 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, log=Fal
     log_k = -c / eta
     log_a = np.log(a)
     log_b = np.log(b)
-    state = ScalingState(np.zeros(a.size), np.zeros(b.size), log_k)
+    log_u, log_v = np.zeros(a.size), np.zeros(b.size)
+    iteration = 0
     d = np.inf
     reason = None
-    plan = np.exp(log_k + state.log_u[:, None] + state.log_v[None, :])
-    while state.iteration < max_iter:
-        state.log_u = log_a - _lse_rows(log_k + state.log_v[None, :])
-        state.log_v = log_b - _lse_rows((log_k + state.log_u[:, None]).T)
-        state.iteration += 1
-        plan = np.exp(log_k + state.log_u[:, None] + state.log_v[None, :])
+    plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
+    while iteration < max_iter:
+        log_u = log_a - _lse_rows(log_k + log_v[None, :])
+        log_v = log_b - _lse_rows((log_k + log_u[:, None]).T)
+        iteration += 1
+        plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
         d = float(np.abs(plan.sum(1) - a).sum() + np.abs(plan.sum(0) - b).sum())
         if d <= tol_marginal:
             reason = "marginal-tol"
             break
         if stop is not None:
-            reason = stop(plan, state.iteration)
+            reason = stop(plan, iteration)
             if reason is not None:
                 break
     converged = reason is not None
@@ -90,13 +82,13 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, log=Fal
     if not log:
         return result
     return result, {
-        "iterations": state.iteration,
-        "sweeps": state.iteration,
+        "iterations": iteration,
+        "sweeps": iteration,
         "converged": converged,
         "marginal_distance": d,
         "stop_reason": reason,
-        "log_u": state.log_u,
-        "log_v": state.log_v,
+        "log_u": log_u,
+        "log_v": log_v,
     }
 
 
@@ -126,36 +118,37 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, lo
     log_b = np.log(b)
     # Start from the mass-1 normalization of the kernel.
     shift = -_lse_rows(log_k.reshape(1, -1))[0]
-    state = ScalingState(np.full(n, shift), np.zeros(n), log_k)
-    plan = np.exp(log_k + state.log_u[:, None] + state.log_v[None, :])
+    log_u, log_v = np.full(n, shift), np.zeros(n)
+    iteration = 0
+    plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
     r = plan.sum(axis=1)
     col = plan.sum(axis=0)
     d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
     reason = None if d > tol_marginal else "marginal-tol"
-    while reason is None and state.iteration < max_iter:
+    while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
         cols = _line_scores(col, b)
         i = int(np.argmax(rows))
         j = int(np.argmax(cols))
         if rows[i] >= cols[j]:
-            state.log_u[i] = log_a[i] - _lse_rows((log_k[i] + state.log_v).reshape(1, -1))[0]
-            new_row = np.exp(log_k[i] + state.log_u[i] + state.log_v)
+            log_u[i] = log_a[i] - _lse_rows((log_k[i] + log_v).reshape(1, -1))[0]
+            new_row = np.exp(log_k[i] + log_u[i] + log_v)
             col += new_row - plan[i]
             plan[i] = new_row
             r[i] = new_row.sum()
         else:
-            state.log_v[j] = log_b[j] - _lse_rows((log_k[:, j] + state.log_u).reshape(1, -1))[0]
-            new_col = np.exp(log_k[:, j] + state.log_u + state.log_v[j])
+            log_v[j] = log_b[j] - _lse_rows((log_k[:, j] + log_u).reshape(1, -1))[0]
+            new_col = np.exp(log_k[:, j] + log_u + log_v[j])
             r += new_col - plan[:, j]
             plan[:, j] = new_col
             col[j] = new_col.sum()
-        state.iteration += 1
-        if state.iteration % n == 0:
+        iteration += 1
+        if iteration % n == 0:
             # Refresh incrementally maintained sums to shed rounding drift.
             r = plan.sum(axis=1)
             col = plan.sum(axis=0)
             if stop is not None:
-                reason = stop(plan, state.iteration)
+                reason = stop(plan, iteration)
                 if reason is not None:
                     break
         d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
@@ -172,11 +165,11 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, lo
     if not log:
         return result
     return result, {
-        "iterations": state.iteration,
-        "updates": state.iteration,
+        "iterations": iteration,
+        "updates": iteration,
         "converged": converged,
         "marginal_distance": d,
         "stop_reason": reason,
-        "log_u": state.log_u,
-        "log_v": state.log_v,
+        "log_u": log_u,
+        "log_v": log_v,
     }

@@ -1,12 +1,15 @@
 """Benchmark harness: synthetic image pairs, operation accounting, CSV output.
 
 For every (solver, image side, accuracy, pair) cell the harness builds the
-pair's transport instance, runs the shared smoothing pipeline with the
-target accuracy as the driving epsilon, and records the deterministic
-cost-unit count at the first checkpoint where the *unrounded* iterate's L1
-marginal distance to the original marginals drops to the accuracy target.
-The final plan is then rounded.  Efficiency is measured in cost units, not
-wall time, so curves are hardware-independent and reproducible:
+pair's transport instance and runs it through the same ``approx_ot``
+pipeline as the library and the command line, with the target accuracy as
+epsilon and the accuracy stop rule: the run stops at the first checkpoint
+where the *unrounded* iterate's L1 marginal distance to the original
+marginals drops to the accuracy target, and the final plan is then rounded.
+Iteration budgets are the pipeline's own, one rule per solver.  The
+result's op counts become deterministic cost units, so efficiency is
+measured in work, not wall time, and curves are hardware-independent and
+reproducible:
 
     pdasgd      4n units per component gradient (softmax + combination),
                 6n units per inner step (vector updates);
@@ -33,7 +36,6 @@ sidecar; the canonical wall_ms column is fixed at 0.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -43,25 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import (
-    derive_parameters,
-    resolve_profile,
-    smooth_marginals,
-    theoretical_iteration_cap,
-)
-from .baselines import greenkhorn, sinkhorn
-from .core import OTInstance, marginal_distance, transport_cost
+from .approx import METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
+from .core import marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
-from .rounding import round_to_polytope
-from .semidual import SemiDualOracle
-from .solver import SolverOptions, run
 
-SOLVERS = ("pdasgd", "sinkhorn", "greenkhorn")
 CSV_HEADER = "solver,n,accuracy,pair,seed,cost_units,wall_ms,ot_value,d_final,stop_reason"
-
-STOP_ACCURACY = "accuracy-reached"
-STOP_CAP = "iteration-cap"
 
 # Safety factor on the theoretical iteration cap; the cap's hidden constant
 # is unknown and a flagged (capped) run is worthless as a benchmark point.
@@ -115,62 +104,13 @@ def make_image_pair(plan_seed: int, side: int, pair: int):
     return alpha, beta, cost
 
 
-def _run_pdasgd(cost, alpha, beta, accuracy, profile, kappa, seed):
-    n = alpha.n
-    eta, eps_prime = derive_parameters(accuracy, n, cost)
-    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, n)
-    oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
-    m, multiplier = resolve_profile(profile, n)
-    outer_cap = max(1, math.ceil(theoretical_iteration_cap(accuracy, n, cost.max_abs, kappa) / m))
-    a_w, b_w = alpha.weights, beta.weights
-
-    def stop(record, x, lam_tilde):
-        if marginal_distance(x, a_w, b_w) <= accuracy:
-            return STOP_ACCURACY
-        return None
-
-    result = run(
-        oracle,
-        SolverOptions(
-            inner_iterations=m,
-            outer_iterations=outer_cap,
-            seed=seed,
-            z_step_multiplier=multiplier,
-        ),
-        stop=stop,
-    )
-    units = pdasgd_cost_units(n, result.state.n_component_gradients, result.state.n_inner_steps)
-    return result.primal, units, result.stop_reason or STOP_CAP
-
-
-def _run_scaling(kind, cost, alpha, beta, accuracy, kappa):
-    n = alpha.n
-    eta, eps_prime = derive_parameters(accuracy, n, cost)
-    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, n)
-    a_w, b_w = alpha.weights, beta.weights
-
-    def stop(plan, iteration):
-        if marginal_distance(plan, a_w, b_w) <= accuracy:
-            return STOP_ACCURACY
-        return None
-
-    cap_total = theoretical_iteration_cap(accuracy, n, cost.max_abs, kappa)
-    if kind == "sinkhorn":
-        # Iteration caps: the scaling methods pay n^2-ish per step, so give
-        # them the cap in their own step currency.
-        plan, info = sinkhorn(
-            cost, a_s, b_s, eta,
-            tol_marginal=0.0, max_iter=max(10, cap_total), log=True, stop=stop,
-        )
-        units = sinkhorn_cost_units(n, info["sweeps"])
-    else:
-        plan, info = greenkhorn(
-            cost, a_s, b_s, eta,
-            tol_marginal=0.0, max_iter=max(10, cap_total * n), log=True, stop=stop,
-        )
-        units = greenkhorn_cost_units(n, info["updates"])
-    reason = info["stop_reason"] or STOP_CAP
-    return plan.entries, units, reason
+def cost_units(solver: str, n: int, op_counts: dict) -> int:
+    """Cost units of one run from the op counts of its ``ApproxResult``."""
+    if solver == "pdasgd":
+        return pdasgd_cost_units(n, op_counts["component_gradients"], op_counts["inner_steps"])
+    if solver == "sinkhorn":
+        return sinkhorn_cost_units(n, op_counts["sweeps"])
+    return greenkhorn_cost_units(n, op_counts["updates"])
 
 
 @dataclass(frozen=True)
@@ -190,34 +130,25 @@ def execute_run(spec: RunSpec) -> dict:
     alpha, beta, cost = make_image_pair(spec.plan_seed, spec.side, spec.pair)
     n = alpha.n
     seed = derive_seed(spec.plan_seed, f"run/{spec.solver}/{spec.side}/{spec.accuracy!r}/{spec.pair}")
+    config = ApproxConfig(epsilon=spec.accuracy, solver_profile=spec.profile, seed=seed, kappa=spec.kappa)
     wall0 = time.perf_counter()
     # Capped runs are flagged through stop_reason; the solvers' own max_iter
     # warnings would just be noise here.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if spec.solver == "pdasgd":
-            raw, units, reason = _run_pdasgd(
-                cost, alpha, beta, spec.accuracy, spec.profile, spec.kappa, seed
-            )
-        else:
-            raw, units, reason = _run_scaling(
-                spec.solver, cost, alpha, beta, spec.accuracy, spec.kappa
-            )
-    # Greenkhorn iterates carry mass 1 only up to their stopping tolerance;
-    # renormalize so the rounding mass gate applies uniformly across solvers.
-    rounded, _ = round_to_polytope(raw / raw.sum(), alpha, beta)
+        result = approx_ot(cost, alpha, beta, config, method=spec.solver, stop="accuracy")
     wall_ms = (time.perf_counter() - wall0) * 1e3
-    d_final = marginal_distance(raw, alpha.weights, beta.weights)
+    raw, rounded = result.unrounded, result.plan
     row = {
         "solver": spec.solver,
         "n": n,
         "accuracy": spec.accuracy,
         "pair": spec.pair,
         "seed": seed,
-        "cost_units": units,
-        "ot_value": transport_cost(rounded, cost),
-        "d_final": d_final,
-        "stop_reason": reason,
+        "cost_units": cost_units(spec.solver, n, result.op_counts),
+        "ot_value": result.ot_value,
+        "d_final": marginal_distance(raw, alpha.weights, beta.weights),
+        "stop_reason": result.stop_reason,
         "wall_ms_measured": wall_ms,
     }
     if spec.dump_dir is not None:

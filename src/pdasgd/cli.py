@@ -19,7 +19,7 @@ from pathlib import Path
 
 
 from . import bench as bench_mod
-from .approx import ApproxConfig, approx_ot, approx_ot_scaling
+from .approx import ApproxConfig, approx_ot
 from .core import marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
@@ -77,10 +77,7 @@ def _cmd_solve(args) -> int:
         seed=derive_seed(args.seed, "cli/solve"),
         kappa=args.kappa,
     )
-    if args.solver == "pdasgd":
-        result = approx_ot(cost, alpha, beta, config)
-    else:
-        result = approx_ot_scaling(cost, alpha, beta, config, method=args.solver)
+    result = approx_ot(cost, alpha, beta, config, method=args.solver)
     n = alpha.n
     print(f"solver={args.solver}")
     print(f"n={n}")

@@ -21,6 +21,8 @@ FEASIBLE_MASS_ATOL = 1e-10
 
 def _frozen_f64(a, ndim: int) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
+    if out is a and a.flags.writeable:
+        out = out.copy()  # freeze our own copy, never the caller's array
     if out.ndim != ndim or out.size == 0:
         raise ValueError(f"expected a nonempty {ndim}-d float array")
     out.flags.writeable = False

@@ -56,16 +56,6 @@ class ImageInstance:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class CostModel:
-    kind: str = "squared-euclidean-grid"
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.kind != "squared-euclidean-grid":
-            raise ValueError(f"unknown cost model {self.kind!r}")
-
-
 def foreground_side(side: int) -> int:
     """Side of the bright square: floor(sqrt(0.2 * side^2))."""
     return int(np.floor(np.sqrt(0.2 * side * side)))
@@ -100,14 +90,14 @@ def grid_cost_matrix(height: int, width: int, normalize: bool = True) -> CostMat
     return CostMatrix(c)
 
 
-def image_to_instance(img: ImageInstance, cost_model: CostModel = CostModel()) -> tuple[Distribution, CostMatrix]:
+def image_to_instance(img: ImageInstance) -> tuple[Distribution, CostMatrix]:
     """Flattened, normalized intensity distribution plus the grid cost."""
     total = float(img.pixels.sum())
     if total <= 0:
         raise ValueError("image has no mass")
     weights = img.pixels.ravel() / total
     h, w = img.pixels.shape
-    return Distribution(weights), grid_cost_matrix(h, w, cost_model.normalize)
+    return Distribution(weights), grid_cost_matrix(h, w)
 
 
 # -- file loaders -------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .core import Distribution, OTInstance, TransportPlan
+from .core import Distribution, OTInstance
 
 
 def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +62,7 @@ class SemiDualSnapshot:
 
 
 class SemiDualOracle:
-    """Component values/gradients, primal map, and smoothness constants.
+    """Component values/gradients, snapshots, primal map and sampling weights.
 
     Requires a strictly positive row marginal (its logarithm enters the
     objective); the column marginal only needs to be nonnegative.  Callers
@@ -123,10 +123,6 @@ class SemiDualOracle:
             scale=self._scale,
         )
 
-    def semidual_value(self, v: np.ndarray) -> float:
-        """G(v), the mean of the component values."""
-        return self.snapshot(v).value
-
     def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Gradient of g_i at v, written into ``out`` (allocated if None).
 
@@ -147,30 +143,23 @@ class SemiDualOracle:
         """Gradient of G at v: col_sums(x(v)) - beta."""
         return self.snapshot(v).gradient
 
-    def smoothness_constants(self) -> tuple[np.ndarray, float, float]:
-        """(per-component L_i = n alpha_i / eta, average 1/eta, Linf 5/eta)."""
-        per_component = self.n * self.alpha / self.eta
-        return per_component, 1.0 / self.eta, 5.0 / self.eta
-
     def sampling_weights(self) -> Distribution:
-        """Component sampling probabilities L_i / (h Lbar); here just alpha."""
-        return Distribution(self.alpha.copy())
+        """Component sampling probabilities L_i / (h Lbar); here just alpha.
+
+        Component i is L_i-smooth with L_i = n alpha_i / eta.
+        """
+        return Distribution(self.alpha)
 
     def average_smoothness(self) -> float:
+        """Lbar = mean of the L_i = 1/eta."""
         return 1.0 / self.eta
 
     # -- primal recovery -----------------------------------------------------
 
-    def primal_matrix(self, v: np.ndarray) -> np.ndarray:
+    def primal_map(self, v: np.ndarray) -> np.ndarray:
         """Plan x(v): row i is alpha_i times the softmax of (v - C_i)/eta."""
         _, sm = lse_softmax(v / self.eta + self._shift)
         return self.alpha[:, None] * sm
-
-    def primal_from_dual(self, v: np.ndarray) -> TransportPlan:
-        return TransportPlan(self.primal_matrix(v))
-
-    def primal_map(self, v: np.ndarray) -> np.ndarray:
-        return self.primal_matrix(v)
 
     def u_from_v(self, v: np.ndarray) -> np.ndarray:
         """Eliminated row-dual block: u_i = eta (ln alpha_i - logsumexp row i)."""
@@ -180,7 +169,8 @@ class SemiDualOracle:
     # -- telemetry hooks used by the solver ----------------------------------
 
     def dual_value(self, v: np.ndarray) -> float:
-        return self.semidual_value(v)
+        """G(v), the mean of the component values."""
+        return self.snapshot(v).value
 
     def primal_objective(self, x: np.ndarray) -> float:
         """f(x) = <C, x> + eta sum x ln x for a plan matrix x."""

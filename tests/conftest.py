@@ -22,6 +22,11 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
+def component_smoothness(oracle):
+    """L_i = h Lbar p_i, read back from the sampling weights p_i = L_i / (h Lbar)."""
+    return oracle.component_count * oracle.average_smoothness() * oracle.sampling_weights().weights
+
+
 class QuadraticSnapshot:
     """Value, gradient and (single) anchor component gradient of the quadratic."""
 

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_oracle
-from pdasgd.approx import ApproxConfig, approx_ot, approx_ot_scaling
+from conftest import component_smoothness, random_oracle
+from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import BenchPlan, run_benchmark
 from pdasgd.baselines import greenkhorn, sinkhorn
 from pdasgd.core import marginal_distance
@@ -43,7 +43,7 @@ def test_criterion_1_gradient_correctness():
         for j in range(n):
             e = np.zeros(n)
             e[j] = step
-            fd[j] = (oracle.semidual_value(v + e) - oracle.semidual_value(v - e)) / (2 * step)
+            fd[j] = (oracle.dual_value(v + e) - oracle.dual_value(v - e)) / (2 * step)
         rel = np.abs(fd - grad).max() / max(np.abs(fd).max(), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -60,7 +60,7 @@ def test_criterion_2_primal_map_identities():
         oracle = random_oracle(rng, n, eta=float(rng.uniform(0.05, 0.5)))
         for _ in range(10):
             v = rng.normal(size=n) * 2
-            x = oracle.primal_matrix(v)
+            x = oracle.primal_map(v)
             worst_row = max(worst_row, np.abs(x.sum(axis=1) - oracle.alpha).max())
             resid = x.sum(axis=0) - oracle.beta
             worst_grad = max(worst_grad, np.abs(oracle.full_gradient(v) - resid).max())
@@ -77,7 +77,8 @@ def test_criterion_3_smoothness_constants():
     for block in range(10):
         n = int(rng.integers(2, 9))
         oracle = random_oracle(rng, n, eta=float(rng.uniform(0.05, 0.5)))
-        per, _, linf = oracle.smoothness_constants()
+        per = component_smoothness(oracle)
+        linf = 5.0 / oracle.eta  # l-infinity smoothness of G
         for _ in range(1000):
             i = int(rng.integers(n))
             v = rng.normal(size=n)
@@ -91,11 +92,11 @@ def test_criterion_3_smoothness_constants():
             v = rng.normal(size=n)
             w = v + rng.normal(size=n)
             model = (
-                oracle.semidual_value(v)
+                oracle.dual_value(v)
                 + oracle.full_gradient(v) @ (w - v)
                 + 0.5 * linf * np.abs(w - v).max() ** 2
             )
-            if oracle.semidual_value(w) > model + 1e-10:
+            if oracle.dual_value(w) > model + 1e-10:
                 ok = False
     elapsed = time.perf_counter() - start
     _report(3, "smoothness-constants", ok, f"min Lipschitz slack {worst_ratio_slack:.2e}", elapsed, 10.0)
@@ -227,7 +228,7 @@ def test_criterion_8_baseline_cross_check():
         _, opt = exact_ot_oracle(c, a, b)
         for epsilon in (0.05, 0.02):
             for method in ("sinkhorn", "greenkhorn"):
-                res = approx_ot_scaling(c, a, b, ApproxConfig(epsilon=epsilon), method=method)
+                res = approx_ot(c, a, b, ApproxConfig(epsilon=epsilon), method=method)
                 if res.ot_value - opt > epsilon or marginal_distance(res.plan, a, b) > 1e-10:
                     ok = False
     elapsed = time.perf_counter() - start

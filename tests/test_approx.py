@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdasgd.approx import (
+    METHODS,
     ApproxConfig,
     approx_ot,
     approx_ot_scaling,
@@ -13,6 +14,7 @@ from pdasgd.approx import (
     theoretical_iteration_cap,
 )
 from pdasgd.baselines import sinkhorn
+from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.semidual import SemiDualOracle
@@ -171,12 +173,57 @@ def test_scaling_pipeline_matches_contract(rng):
     b = rng.dirichlet(np.ones(n))
     _, opt = exact_ot_oracle(c, a, b)
     for method in ("sinkhorn", "greenkhorn"):
-        res = approx_ot_scaling(c, a, b, ApproxConfig(epsilon=0.05), method=method)
+        res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05), method=method)
         assert res.solver == method
         assert res.ot_value - opt <= 0.05
         assert marginal_distance(res.plan, a, b) <= 1e-10
+        # the older entry point is the same call
+        alias = approx_ot_scaling(c, a, b, ApproxConfig(epsilon=0.05), method=method)
+        assert np.array_equal(alias.plan.entries, res.plan.entries)
     with pytest.raises(ValueError):
-        approx_ot_scaling(c, a, b, ApproxConfig(epsilon=0.05), method="bogus")
+        approx_ot(c, a, b, ApproxConfig(epsilon=0.05), method="bogus")
+    with pytest.raises(ValueError):
+        approx_ot(c, a, b, ApproxConfig(epsilon=0.05), stop="never")
+
+
+@pytest.mark.parametrize(
+    "method, outer_iterations, op_counts, ot_value",
+    [
+        ("sinkhorn", 313, {"sweeps": 313}, 0.013391275388077144),
+        ("greenkhorn", 19684, {"updates": 19684}, 0.013349052643578966),
+    ],
+)
+def test_scaling_profile_replay(method, outer_iterations, op_counts, ot_value):
+    # stop index, op counts and ot_value of certified scaling solves
+    alpha, beta, cost = make_image_pair(0, 8, 0)
+    result = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, kappa=8), method=method)
+    assert result.stop_reason == "gap+marginal"
+    assert result.outer_iterations == outer_iterations
+    assert result.op_counts == op_counts
+    assert result.ot_value == pytest.approx(ot_value, abs=1e-12)
+
+
+def _bad_inputs():
+    c = np.array([[0.0, 0.4, 1.0], [0.4, 0.0, 0.6], [1.0, 0.6, 0.0]])
+    a = np.array([0.2, 0.3, 0.5])
+    b = np.array([0.6, 0.1, 0.3])
+    nan_cost = c.copy()
+    nan_cost[0, 1] = np.nan
+    return {
+        "negative-cost": ((-c, a, b), "nonnegative"),
+        "nan-cost": ((nan_cost, a, b), "non-finite"),
+        "alpha-sums-to-1.1": ((c, np.array([0.2, 0.3, 0.6]), b), r"sum to 1, got 1\.1"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_input_rejected_at_entry(method, case):
+    # every method rejects bad input before deriving parameters, and the
+    # message names the fault in the caller's own data
+    (cost, alpha, beta), message = _bad_inputs()[case]
+    with pytest.raises(ValueError, match=message):
+        approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05), method=method)
 
 
 def test_config_validation():

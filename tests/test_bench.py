@@ -25,6 +25,40 @@ SMALL_PLAN = dict(
 )
 
 
+# (solver, pair, seed, cost_units, stop_reason, ot_value, d_final) of the
+# SMALL_PLAN rows.  Bench output must not drift: these integers are exact,
+# the floats are held to 1e-12 so BLAS builds may differ in the last bits.
+PINNED_SMALL_ROWS = [
+    ("pdasgd", 0, 2926968311603053364, 6309888, "accuracy-reached", 0.02893309872011111, 0.01996900479648681),
+    ("pdasgd", 1, 5967068462785861760, 5484544, "accuracy-reached", 0.027572445916604793, 0.019950945383495174),
+    ("sinkhorn", 0, 7576950599943819899, 3481600, "accuracy-reached", 0.028810749392311392, 0.01976727823452769),
+    ("sinkhorn", 1, 12629430435529678840, 2424832, "accuracy-reached", 0.027762872530547086, 0.019760641183342365),
+]
+# One Greenkhorn cell of the acceptance determinism grid (seed 7).
+PINNED_GREENKHORN_ROW = ("greenkhorn", 1, 15153871873890508737, 2961408, "accuracy-reached", 0.032736101139944476, 0.019500389919341686)
+
+
+def _check_pinned(row, pinned):
+    solver, pair, seed, units, reason, ot_value, d_final = pinned
+    assert (row["solver"], row["pair"], row["seed"], row["cost_units"], row["stop_reason"]) == (
+        solver, pair, seed, units, reason
+    )
+    assert row["ot_value"] == pytest.approx(ot_value, abs=1e-12)
+    assert row["d_final"] == pytest.approx(d_final, abs=1e-12)
+
+
+def test_bench_rows_pinned(tmp_path):
+    result = run_benchmark(BenchPlan(**SMALL_PLAN), tmp_path)
+    assert len(result.rows) == len(PINNED_SMALL_ROWS)
+    for row, pinned in zip(result.rows, PINNED_SMALL_ROWS):
+        _check_pinned(row, pinned)
+    spec = RunSpec(
+        solver="greenkhorn", side=8, accuracy=0.02, pair=1,
+        plan_seed=7, profile="benchmark", kappa=8.0, dump_dir=None,
+    )
+    _check_pinned(execute_run(spec), PINNED_GREENKHORN_ROW)
+
+
 def test_cost_model_matches_instrumented_counters(rng):
     # the documented pdasgd accounting reproduces the instrumented counters
     n, m, S = 6, 3, 11

@@ -38,6 +38,15 @@ def test_containers_immutable():
         c.entries[0, 0] = 5.0
 
 
+def test_containers_leave_caller_arrays_writable():
+    weights, entries = HALF.copy(), SWAP_COST.copy()
+    Distribution(weights)
+    CostMatrix(entries)
+    TransportPlan(entries)
+    weights[0] = 0.9
+    entries[0, 0] = 5.0
+
+
 def test_cost_matrix_max_abs():
     c = CostMatrix(np.array([[0.0, 2.5], [1.0, 0.3]]))
     assert c.max_abs == 2.5

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdasgd.images import (
-    CostModel,
     IdxFormatError,
     ImageInstance,
     foreground_side,
@@ -89,11 +88,6 @@ def test_grid_cost_two_by_two():
     assert cost.max_abs == 1.0
     raw = grid_cost_matrix(2, 2, normalize=False)
     assert raw.entries[0, 3] == pytest.approx(2.0)
-
-
-def test_cost_model_validation():
-    with pytest.raises(ValueError):
-        CostModel(kind="euclidean")
 
 
 def _idx_bytes(count, h, w, payload=None):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_oracle
+from conftest import component_smoothness, random_oracle
 from pdasgd.baselines import sinkhorn
 from pdasgd.core import CostMatrix, Distribution, OTInstance
 from pdasgd.semidual import SemiDualOracle
@@ -50,7 +50,7 @@ def test_component_value_2x2_frozen():
     expected = 1.0064088680781681
     assert o.component_value(0, np.zeros(2)) == pytest.approx(expected, abs=1e-12)
     assert o.component_value(1, np.zeros(2)) == pytest.approx(expected, abs=1e-12)
-    assert o.semidual_value(np.zeros(2)) == pytest.approx(expected, abs=1e-9)
+    assert o.dual_value(np.zeros(2)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_translation_invariance(rng):
@@ -60,11 +60,11 @@ def test_translation_invariance(rng):
         v = rng.normal(size=n)
         k = float(rng.normal())
         shifted = v + k
-        assert o.semidual_value(shifted) == pytest.approx(o.semidual_value(v), abs=1e-9)
+        assert o.dual_value(shifted) == pytest.approx(o.dual_value(v), abs=1e-9)
         for i in range(n):
             assert o.component_value(i, shifted) == pytest.approx(o.component_value(i, v), abs=1e-9)
         assert np.allclose(o.full_gradient(shifted), o.full_gradient(v), atol=1e-12)
-        assert np.allclose(o.primal_matrix(shifted), o.primal_matrix(v), atol=1e-13)
+        assert np.allclose(o.primal_map(shifted), o.primal_map(v), atol=1e-13)
         assert np.allclose(o.u_from_v(shifted), o.u_from_v(v) - k, atol=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_value_is_mean_of_components(rng):
         o = random_oracle(rng, n, eta=0.2)
         v = rng.normal(size=n)
         mean = np.mean([o.component_value(i, v) for i in range(n)])
-        assert o.semidual_value(v) == pytest.approx(mean, abs=1e-11)
+        assert o.dual_value(v) == pytest.approx(mean, abs=1e-11)
 
 
 def test_full_dual_consistency(rng):
@@ -84,7 +84,7 @@ def test_full_dual_consistency(rng):
         o = random_oracle(rng, n, eta=float(rng.uniform(0.2, 1.0)))
         v = rng.normal(size=n)
         u = o.u_from_v(v)
-        assert full_dual_value(o, u, v) == pytest.approx(o.semidual_value(v), abs=1e-10)
+        assert full_dual_value(o, u, v) == pytest.approx(o.dual_value(v), abs=1e-10)
 
 
 def test_weak_duality_against_fine_solve(rng):
@@ -94,7 +94,7 @@ def test_weak_duality_against_fine_solve(rng):
         f_star = o.primal_objective(plan.entries)
         for _ in range(25):
             v = rng.normal(size=n) * 2
-            assert o.semidual_value(v) >= -f_star - 1e-9
+            assert o.dual_value(v) >= -f_star - 1e-9
 
 
 def test_component_gradient_closed_form():
@@ -141,7 +141,7 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
     # dual points on the cost scale and on the eta scale, where rows stay soft
     for v in (rng.normal(size=n), eta * rng.normal(size=n)):
         snap = o.snapshot(v)
-        assert np.array_equal(snap.value, o.semidual_value(v))
+        assert np.array_equal(snap.value, o.dual_value(v))
         assert np.array_equal(snap.gradient, o.full_gradient(v))
         for i in range(n):
             assert snap.anchor(i, buf) is buf
@@ -162,7 +162,7 @@ def test_gradients_match_finite_differences(rng):
         n = int(rng.integers(2, 17))
         o = random_oracle(rng, n, eta=float(rng.choice([0.05, 0.1, 0.5])))
         v = rng.normal(size=n)
-        fd = central_difference_gradient(o.semidual_value, v)
+        fd = central_difference_gradient(o.dual_value, v)
         g = o.full_gradient(v)
         rel = np.abs(fd - g).max() / max(np.abs(fd).max(), 1e-12)
         assert rel < 1e-5
@@ -183,7 +183,7 @@ def test_primal_rows_match_alpha(rng):
         n = int(rng.integers(2, 12))
         o = random_oracle(rng, n, eta=0.1)
         v = rng.normal(size=n) * 3
-        x = o.primal_matrix(v)
+        x = o.primal_map(v)
         assert np.abs(x.sum(axis=1) - o.alpha).max() < 1e-14
         assert x.min() >= 0
 
@@ -195,7 +195,7 @@ def test_primal_uniform_when_cost_zero(rng):
     o = SemiDualOracle(
         OTInstance(CostMatrix(np.zeros((n, n))), Distribution(a), Distribution(np.full(n, 1 / n)), eta=0.7)
     )
-    x = o.primal_matrix(np.zeros(n))
+    x = o.primal_map(np.zeros(n))
     assert np.allclose(x, a[:, None] / n, atol=1e-15)
 
 
@@ -204,7 +204,7 @@ def test_gradient_equals_column_residual(rng):
         n = int(rng.integers(2, 12))
         o = random_oracle(rng, n, eta=0.2)
         v = rng.normal(size=n)
-        x = o.primal_matrix(v)
+        x = o.primal_map(v)
         assert np.abs(o.full_gradient(v) - (x.sum(axis=0) - o.beta)).max() < 1e-12
 
 
@@ -212,7 +212,7 @@ def test_columns_converge_at_optimum(rng):
     o = random_oracle(rng, 4, eta=0.2)
     plan, info = sinkhorn(o.cost, o.alpha, o.beta, o.eta, tol_marginal=1e-10, max_iter=100000, log=True)
     v_star = o.eta * info["log_v"]
-    x = o.primal_matrix(v_star)
+    x = o.primal_map(v_star)
     assert np.abs(x.sum(axis=0) - o.beta).max() < 1e-4
     assert np.abs(o.full_gradient(v_star)).max() < 1e-4
 
@@ -225,7 +225,7 @@ def test_u_from_v_dual_consistency(rng):
         u = o.u_from_v(v)
         # x(v) written via the eliminated block matches the primal map
         x_direct = np.exp((u[:, None] + v[None, :] - o.cost - o.eta) / o.eta)
-        assert np.allclose(x_direct, o.primal_matrix(v), atol=1e-13)
+        assert np.allclose(x_direct, o.primal_map(v), atol=1e-13)
 
 
 def test_smoothness_constants():
@@ -238,10 +238,7 @@ def test_smoothness_constants():
             eta=0.5,
         )
     )
-    per, avg, linf = o.smoothness_constants()
-    assert np.allclose(per, 2.0)
-    assert avg == pytest.approx(2.0)
-    assert linf == pytest.approx(10.0)
+    assert np.allclose(component_smoothness(o), 2.0)
     assert o.average_smoothness() == pytest.approx(2.0)
 
 
@@ -249,13 +246,12 @@ def test_smoothness_average_identity(rng):
     for _ in range(10):
         n = int(rng.integers(2, 9))
         o = random_oracle(rng, n, eta=float(rng.uniform(0.05, 1.0)))
-        per, avg, _ = o.smoothness_constants()
-        assert per.mean() == pytest.approx(avg, rel=1e-12)
+        assert component_smoothness(o).mean() == pytest.approx(o.average_smoothness(), rel=1e-12)
 
 
 def test_empirical_lipschitz_bound(rng):
     o = random_oracle(rng, 6, eta=0.1)
-    per, _, _ = o.smoothness_constants()
+    per = component_smoothness(o)
     for _ in range(1000):
         i = int(rng.integers(6))
         v = rng.normal(size=6)
@@ -281,9 +277,9 @@ def test_sampling_weights():
     w = skew.sampling_weights().weights
     assert np.allclose(w, [0.2, 0.8])
     assert w.sum() == pytest.approx(1.0)
-    # p_i = L_i / (h Lbar) algebraically
-    per, avg, _ = skew.smoothness_constants()
-    assert np.allclose(w, per / (2 * avg), atol=1e-15)
+    # p_i = L_i / (h Lbar) algebraically, with L_i = n alpha_i / eta
+    per = 2 * np.array([0.2, 0.8]) / skew.eta
+    assert np.allclose(w, per / (2 * skew.average_smoothness()), atol=1e-15)
 
 
 def test_convexity_midpoint(rng):
@@ -292,20 +288,20 @@ def test_convexity_midpoint(rng):
         o = random_oracle(rng, n, eta=0.3)
         v = rng.normal(size=n)
         w = rng.normal(size=n)
-        mid = o.semidual_value(0.5 * (v + w))
-        assert mid <= 0.5 * o.semidual_value(v) + 0.5 * o.semidual_value(w) + 1e-12
+        mid = o.dual_value(0.5 * (v + w))
+        assert mid <= 0.5 * o.dual_value(v) + 0.5 * o.dual_value(w) + 1e-12
 
 
 def test_linf_smoothness_upper_model(rng):
     for _ in range(50):
         n = int(rng.integers(2, 8))
         o = random_oracle(rng, n, eta=0.2)
-        _, _, linf = o.smoothness_constants()
+        linf = 5.0 / o.eta  # l-infinity smoothness of G
         v = rng.normal(size=n)
         w = v + rng.normal(size=n) * 0.5
-        lhs = o.semidual_value(w)
+        lhs = o.dual_value(w)
         rhs = (
-            o.semidual_value(v)
+            o.dual_value(v)
             + o.full_gradient(v) @ (w - v)
             + 0.5 * linf * np.abs(w - v).max() ** 2
         )
@@ -321,8 +317,8 @@ def test_extreme_eta_stability():
     c = rng.random((n, n)); c /= c.max()
     o = SemiDualOracle(OTInstance(CostMatrix(c), Distribution(a), Distribution(b), eta=1e-4))
     v = rng.normal(size=n)
-    assert np.isfinite(o.semidual_value(v))
+    assert np.isfinite(o.dual_value(v))
     assert np.isfinite(o.full_gradient(v)).all()
-    x = o.primal_matrix(v)
+    x = o.primal_map(v)
     assert np.isfinite(x).all()
     assert np.abs(x.sum(axis=1) - a).max() < 1e-14

@@ -228,7 +228,7 @@ def test_record_metrics_match_oracle(rng):
     assert record.primal_objective == pytest.approx(oracle.primal_objective(x_s))
     assert record.constraint_violation_l1 == pytest.approx(oracle.constraint_violation_l1(x_s))
     assert record.duality_gap == pytest.approx(
-        oracle.primal_objective(x_s) + oracle.semidual_value(state.lambda_tilde)
+        oracle.primal_objective(x_s) + oracle.dual_value(state.lambda_tilde)
     )
 
 
@@ -246,7 +246,7 @@ class CountingOracle(SemiDualOracle):
         self.calls = Counter()
 
 
-for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value", "semidual_value"):
+for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value"):
     setattr(CountingOracle, _name, _counted(_name))
 
 
