@@ -55,6 +55,11 @@ STOP_ACCURACY = "accuracy-reached"
 STOP_CAP = "iteration-cap"
 STOP_TRIVIAL = "trivial-zero-cost"
 
+# Safety factor on the theoretical iteration cap; the cap's hidden constant
+# is unknown and a flagged (capped) run certifies nothing.  At 1, small
+# instances run out of budget before the certificate holds.
+DEFAULT_KAPPA = 8.0
+
 
 def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, float]]:
     """Entropic penalty and marginal budget for a target accuracy.
@@ -95,7 +100,8 @@ def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: fl
     """Total-iteration budget ceil(kappa * n |C|_inf sqrt(ln n) / epsilon).
 
     The hidden constant of the complexity bound is not pinned down anywhere,
-    so ``kappa`` is configuration (default 1).  The cap counts inner
+    so ``kappa`` is configuration: 1 here gives the bare bound, and
+    :class:`ApproxConfig` defaults to :data:`DEFAULT_KAPPA`.  The cap counts inner
     iterations; divide by the inner loop length for an outer-loop budget.
     """
     if epsilon <= 0 or n < 2 or max_cost <= 0:
@@ -120,7 +126,7 @@ class ApproxConfig:
     solver_profile: str = "theory"
     max_outer: Optional[int] = None
     seed: int = 0
-    kappa: float = 1.0
+    kappa: float = DEFAULT_KAPPA
     checkpoint_stride: int = 1
 
     def __post_init__(self):

@@ -45,16 +45,12 @@ from typing import Optional
 
 import numpy as np
 
-from .approx import METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
+from .approx import DEFAULT_KAPPA, METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
 from .core import marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
 
 CSV_HEADER = "solver,n,accuracy,pair,seed,cost_units,wall_ms,ot_value,d_final,stop_reason"
-
-# Safety factor on the theoretical iteration cap; the cap's hidden constant
-# is unknown and a flagged (capped) run is worthless as a benchmark point.
-DEFAULT_BENCH_KAPPA = 8.0
 
 
 def pdasgd_cost_units(n: int, component_gradients: int, inner_steps: int) -> int:
@@ -77,7 +73,7 @@ class BenchPlan:
     pairs: int = 5
     seed: int = 0
     profile: str = "benchmark"
-    kappa: float = DEFAULT_BENCH_KAPPA
+    kappa: float = DEFAULT_KAPPA
     workers: int = 1
     dump_plans: bool = False
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 
 from . import bench as bench_mod
-from .approx import ApproxConfig, approx_ot
+from .approx import DEFAULT_KAPPA, ApproxConfig, approx_ot
 from .core import marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=0.01)
     solve.add_argument("--solver", choices=bench_mod.SOLVERS, default="pdasgd")
     solve.add_argument("--profile", choices=("theory", "benchmark"), default="benchmark")
-    solve.add_argument("--kappa", type=float, default=bench_mod.DEFAULT_BENCH_KAPPA)
+    solve.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     solve.add_argument("--max-outer", type=int, default=None)
     solve.add_argument("--image-a", default=None, help="load the source image from a file")
     solve.add_argument("--image-b", default=None, help="load the target image from a file")
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--solver", action="append", choices=bench_mod.SOLVERS, default=None, help="repeat to select solvers (default: all)")
     bench.add_argument("--profile", choices=("theory", "benchmark"), default="benchmark")
-    bench.add_argument("--kappa", type=float, default=bench_mod.DEFAULT_BENCH_KAPPA)
+    bench.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--dump-plans", action="store_true")
     bench.add_argument("--out", required=True, help="output directory")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 SIMPLEX_ATOL = 1e-12
 FEASIBLE_MASS_ATOL = 1e-10
@@ -157,6 +156,19 @@ def transport_cost(plan, cost) -> float:
     return float(np.sum(c * x))
 
 
+def sum_xlogx(x: np.ndarray) -> float:
+    """sum_ij x_ij ln x_ij with the convention 0 ln 0 = 0.
+
+    Takes the vectorised ``np.log`` of the nonzero entries, which is several
+    times faster than ``scipy.special.xlogy``'s scalar calls at n = 256; the
+    two may differ in the last ulp of a few entries.  A NaN entry gives NaN.
+    """
+    buf = np.zeros_like(x)
+    np.log(x, out=buf, where=x != 0)
+    buf *= x
+    return float(buf.sum())
+
+
 def entropy(plan) -> float:
     """Plan entropy -sum_ij X_ij ln X_ij with the convention 0 ln 0 = 0.
 
@@ -165,7 +177,7 @@ def entropy(plan) -> float:
     x = as_matrix(plan)
     if np.any(x < 0):
         raise ValueError("entropy requires nonnegative entries")
-    return float(-xlogy(x, x).sum())
+    return -sum_xlogx(x)
 
 
 def regularized_objective(plan, inst: OTInstance) -> float:
@@ -176,7 +188,7 @@ def regularized_objective(plan, inst: OTInstance) -> float:
     c = inst.cost.entries
     if x.shape != c.shape:
         raise ValueError(f"shape mismatch: plan {x.shape}, cost {c.shape}")
-    return float(np.sum(c * x) + inst.eta * xlogy(x, x).sum())
+    return float(np.sum(c * x) + inst.eta * sum_xlogx(x))
 
 
 def marginal_distance(plan, alpha, beta) -> float:

@@ -72,7 +72,20 @@ class SplitMix64:
         return min(int(self.next_double() * bound), bound - 1)
 
     def doubles(self, count: int) -> np.ndarray:
-        return np.array([self.next_double() for _ in range(count)])
+        """The next ``count`` doubles, as ``count`` calls of :meth:`next_double`.
+
+        Computed in wrapping uint64 arithmetic; the values and the final
+        state are the same bits as the scalar calls.
+        """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def split(self, label: str) -> "SplitMix64":
         """Independent child generator keyed by a text label."""
@@ -105,3 +118,8 @@ class CategoricalSampler:
     def draw(self, rng: SplitMix64) -> int:
         u = rng.next_double()
         return min(int(np.searchsorted(self._cum, u, side="right")), self._n - 1)
+
+    def draws(self, rng: SplitMix64, count: int) -> np.ndarray:
+        """``count`` draws in one search; the same indices as ``count`` :meth:`draw` calls."""
+        idx = np.searchsorted(self._cum, rng.doubles(count), side="right")
+        return np.minimum(idx, self._n - 1)

@@ -27,17 +27,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .core import Distribution, OTInstance
+from .core import Distribution, OTInstance, sum_xlogx
 
 
 def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (logsumexp, softmax) of the trailing axis, max-subtracted."""
+    """Row-wise (logsumexp, softmax) of the trailing axis, max-subtracted.
+
+    Works in place: ``t`` is overwritten and returned as the softmax, so
+    callers pass a fresh array they no longer need.  The arithmetic is that
+    of ``w = exp(t - max); w / w.sum()`` op for op, so the results are the
+    same bits as the allocating form.
+    """
     m = t.max(axis=-1, keepdims=True)
-    w = np.exp(t - m)
-    s = w.sum(axis=-1, keepdims=True)
-    return np.squeeze(m + np.log(s), axis=-1), w / s
+    t -= m
+    np.exp(t, out=t)
+    s = t.sum(axis=-1, keepdims=True)
+    t /= s
+    return np.squeeze(m + np.log(s), axis=-1), t
 
 
 @dataclass(frozen=True)
@@ -157,9 +164,13 @@ class SemiDualOracle:
     # -- primal recovery -----------------------------------------------------
 
     def primal_map(self, v: np.ndarray) -> np.ndarray:
-        """Plan x(v): row i is alpha_i times the softmax of (v - C_i)/eta."""
+        """Plan x(v): row i is alpha_i times the softmax of (v - C_i)/eta.
+
+        Returns a fresh array that the caller owns.
+        """
         _, sm = lse_softmax(v / self.eta + self._shift)
-        return self.alpha[:, None] * sm
+        sm *= self.alpha[:, None]
+        return sm
 
     def u_from_v(self, v: np.ndarray) -> np.ndarray:
         """Eliminated row-dual block: u_i = eta (ln alpha_i - logsumexp row i)."""
@@ -174,7 +185,7 @@ class SemiDualOracle:
 
     def primal_objective(self, x: np.ndarray) -> float:
         """f(x) = <C, x> + eta sum x ln x for a plan matrix x."""
-        return float(np.sum(self.cost * x) + self.eta * xlogy(x, x).sum())
+        return float(np.sum(self.cost * x) + self.eta * sum_xlogx(x))
 
     def constraint_violation_l1(self, x: np.ndarray) -> float:
         """L1 distance of x's marginals to this oracle's own marginals."""

@@ -31,8 +31,10 @@ benchmark profile uses 15.
 Randomness: each run owns a SplitMix64 stream seeded from the options.  Per
 outer iteration the draw order is (1) the uniform inner index whose ``lam``
 feeds the primal average, then (2) one categorical component draw per inner
-step.  Two runs with equal seeds and options produce bitwise-identical
-iterates and records.
+step.  The m component draws are made in one batch at the start of the
+outer iteration, in that same stream order, so batching changes no index.
+Two runs with equal seeds and options produce bitwise-identical iterates
+and records.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class FiniteSumOracle(Protocol):
     ``snapshot(lam)`` returns the :class:`Snapshot` of lam;
     ``sampling_weights()`` returns a probability vector (or a Distribution)
     positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
-    ``primal_map(lam)`` returns the primal point attached to lam.  The
+    ``primal_map(lam)`` returns the primal point attached to lam, as a fresh
+    array the solver may overwrite.  The
     telemetry hooks ``primal_objective(x)`` and ``constraint_violation_l1(x)``
     fill the run records.
     """
@@ -234,8 +237,8 @@ def variance_reduced_gradient(
     return out
 
 
-def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: SolverOptions) -> None:
-    """One momentum + variance-reduced update of (lambda, z, y).
+def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: SolverOptions, i: int) -> None:
+    """One momentum + variance-reduced update of (lambda, z, y) on component i.
 
     Computes and charges one component gradient, at lambda; the anchor's is
     read from the snapshot.
@@ -248,7 +251,6 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: Sol
     w_y = 1.0 - t1 - TAU2
     if w_y != 0.0:
         state.lambda_cur += w_y * state.y
-    i = state.sampler.draw(state.rng)
     variance_reduced_gradient(
         oracle,
         i,
@@ -279,15 +281,18 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     # The primal average uses one uniformly chosen inner lambda; drawing the
     # index up front lets us keep a single snapshot instead of all m iterates.
     state._pick_index = state.rng.next_index(m)
+    components = state.sampler.draws(state.rng, m).tolist()
     state._y_sum[:] = 0.0
-    for j in range(m):
-        inner_step(state, oracle, s, options)
+    for j, i in enumerate(components):
+        inner_step(state, oracle, s, options, i)
         state._y_sum += state.y
         if j == state._pick_index:
             state._picked_lambda[:] = state.lambda_cur
     np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
     t1 = tau1(s)
-    state.D += oracle.primal_map(state._picked_lambda) / t1
+    picked = oracle.primal_map(state._picked_lambda)
+    picked /= t1
+    state.D += picked
     state.Ccoef += 1.0 / t1
     state.s = s + 1
     for name, vec in (("lambda_tilde", state.lambda_tilde), ("z", state.z), ("y", state.y)):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import xlogy
 
 from pdasgd.core import (
     CostMatrix,
@@ -11,6 +14,7 @@ from pdasgd.core import (
     entropy,
     marginal_distance,
     regularized_objective,
+    sum_xlogx,
     transport_cost,
 )
 
@@ -108,6 +112,30 @@ def test_entropy_range_random_plans(rng):
         x = rng.random((n, n))
         x /= x.sum()
         assert -1e-12 <= entropy(x) <= 2 * math.log(n) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        elements=st.one_of(st.just(0.0), st.floats(1e-310, 1.0)),
+    )
+)
+def test_sum_xlogx_matches_xlogy(raw):
+    if raw.sum() == 0:
+        raw[0, 0] = 1.0
+    x = raw / raw.sum()
+    ref = float(xlogy(x, x).sum())
+    assert abs(sum_xlogx(x) - ref) <= 1e-15 * abs(ref)
+
+
+def test_sum_xlogx_point_mass_and_nan():
+    point = np.zeros((4, 4))
+    point[2, 1] = 1.0
+    assert sum_xlogx(point) == 0.0
+    point[0, 0] = np.nan
+    assert math.isnan(sum_xlogx(point))
 
 
 def test_regularized_objective_examples():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pdasgd.rng import CategoricalSampler, SplitMix64, derive_seed, fnv1a64
 
@@ -45,6 +47,19 @@ def test_determinism_and_split_independence():
     assert not np.allclose(a, b)
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 300))
+def test_doubles_equal_scalar_calls(seed, count):
+    batched, scalar = SplitMix64(seed), SplitMix64(seed)
+    xs = batched.doubles(count)
+    ref = np.array([scalar.next_double() for _ in range(count)])
+    assert xs.dtype == np.float64 and xs.tobytes() == ref.tobytes()
+    # same final state: the streams continue identically
+    assert batched.next_uint64() == scalar.next_uint64()
+    with pytest.raises(ValueError):
+        batched.doubles(-1)
+
+
 def test_derive_seed_stable():
     s1 = derive_seed(5, "img/8/0/a")
     assert s1 == derive_seed(5, "img/8/0/a")
@@ -81,3 +96,35 @@ def test_categorical_sampler_validation():
         CategoricalSampler(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         CategoricalSampler(np.array([-0.1, 1.1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    raw=arrays(np.float64, st.integers(1, 12), elements=st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.1, 0.5, 1.0, 7.0])),
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 200),
+)
+def test_batched_draws_equal_scalar_draws(raw, seed, count):
+    raw[-1] += 1.0  # positive mass; zero weights stay elsewhere
+    sampler = CategoricalSampler(raw / raw.sum())
+    batched, scalar = SplitMix64(seed), SplitMix64(seed)
+    idx = sampler.draws(batched, count)
+    assert idx.tolist() == [sampler.draw(scalar) for _ in range(count)]
+    assert batched.next_uint64() == scalar.next_uint64()
+    assert np.all(raw[idx] > 0)  # zero-weight categories are never drawn
+
+
+def test_draws_clamp_past_rounded_total():
+    # cumsum of ten 0.1 weights ends just below 1; a uniform above it must
+    # still map to the last category, in the batched and the scalar draw
+    class TopOfInterval:
+        u = 1.0 - 2.0**-53
+
+        def next_double(self):
+            return self.u
+
+        def doubles(self, count):
+            return np.full(count, self.u)
+
+    sampler = CategoricalSampler(np.full(10, 0.1))
+    assert sampler.draws(TopOfInterval(), 3).tolist() == [sampler.draw(TopOfInterval())] * 3 == [9] * 3

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import component_smoothness, random_oracle
+from conftest import component_smoothness, random_instance, random_oracle
 from pdasgd.baselines import sinkhorn
 from pdasgd.core import CostMatrix, Distribution, OTInstance
-from pdasgd.semidual import SemiDualOracle
+from pdasgd.semidual import SemiDualOracle, lse_softmax
 
 
 def symmetric_2x2(eta=1.0):
@@ -146,6 +148,54 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
         for i in range(n):
             assert snap.anchor(i, buf) is buf
             assert np.array_equal(buf, o.component_gradient(i, v))
+
+
+def allocating_lse_softmax(t):
+    """The kernel's formula with fresh temporaries, as a bitwise reference."""
+    m = t.max(axis=-1, keepdims=True)
+    w = np.exp(t - m)
+    s = w.sum(axis=-1, keepdims=True)
+    return np.squeeze(m + np.log(s), axis=-1), w / s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 40)),
+        elements=st.floats(-1000.0, 1000.0),
+    )
+)
+# exp(-720) is denormal and exp(-800) underflows to 0
+@example(np.array([[0.0, -720.0, -800.0, -5.0], [3.0, 3.0, -740.0, -1e3]]))
+def test_in_place_lse_softmax_is_bitwise_the_allocating_formula(t):
+    ref_lse, ref_sm = allocating_lse_softmax(t)
+    work = t.copy()
+    lse, sm = lse_softmax(work)
+    assert sm is work  # the argument is overwritten and returned
+    assert lse.tobytes() == ref_lse.tobytes()
+    assert sm.tobytes() == ref_sm.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    eta=st.sampled_from([1.0, 0.05, 1e-3]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+# at eta = 1e-3 unit costs spread a row over ~1000, so rows hold both
+# denormal and zero entries
+@example(seed=0, n=24, eta=1e-3, scale=1e-3)
+def test_primal_map_is_bitwise_the_allocating_formula(seed, n, eta, scale):
+    rng = np.random.default_rng(seed)
+    o = SemiDualOracle(random_instance(rng, n, eta))
+    v = scale * rng.normal(size=n)
+    _, sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
+    ref = o.alpha[:, None] * sm
+    x = o.primal_map(v)
+    assert x.tobytes() == ref.tobytes()
+    assert x.flags.writeable  # a fresh array the caller owns
 
 
 def central_difference_gradient(fn, v, step=1e-6):

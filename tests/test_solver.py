@@ -108,7 +108,7 @@ def test_first_outer_mixing_drops_y(rng):
     state.lambda_tilde[:] = rng.normal(size=3)
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
-    inner_step(state, oracle, 0, options)
+    inner_step(state, oracle, 0, options, state.sampler.draw(state.rng))
     assert np.allclose(state.lambda_cur, expected, atol=1e-15)
 
 
@@ -276,3 +276,15 @@ def test_theory_profile_replay():
     assert result.outer_iterations == 565
     assert result.op_counts["component_gradients"] == 72320
     assert result.ot_value == pytest.approx(0.013563316950434157, abs=1e-12)
+
+
+def test_benchmark_profile_replay():
+    # the dense path's trajectory: stop index, op count, final gap and ot_value
+    alpha, beta, cost = make_image_pair(0, 8, 0)
+    config = ApproxConfig(epsilon=0.05, solver_profile="benchmark", kappa=8, seed=0)
+    result = approx_ot(cost, alpha, beta, config)
+    assert result.stop_reason == "gap+marginal"
+    assert result.outer_iterations == 292
+    assert result.op_counts["component_gradients"] == 23360
+    assert result.records[-1].duality_gap == pytest.approx(-0.00013520071328123294, abs=1e-12)
+    assert result.ot_value == pytest.approx(0.013555110721631031, abs=1e-12)
