@@ -29,6 +29,9 @@ def _validate(cost, alpha, beta, eta):
     b = as_weights(beta)
     if c.shape != (a.size, b.size):
         raise ValueError("cost and marginal shapes disagree")
+    for name, x in (("cost", c), ("alpha", a), ("beta", b)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} entries must be finite, got non-finite entries")
     if a.min() <= 0 or b.min() <= 0:
         raise ValueError("scaling baselines require strictly positive marginals")
     if eta <= 0:
@@ -124,7 +127,8 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, lo
     r = plan.sum(axis=1)
     col = plan.sum(axis=0)
     d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
-    reason = None if d > tol_marginal else "marginal-tol"
+    # written so that a NaN distance never reads as converged
+    reason = "marginal-tol" if d <= tol_marginal else None
     while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
         cols = _line_scores(col, b)

@@ -8,7 +8,8 @@ Subcommands:
     oracle  exact value of a tiny instance by vertex enumeration
 
 Exit codes: 0 on success, 2 when any run hit its iteration cap before its
-target (flagged), 1 on errors.
+target (flagged), 3 when ``solve``'s solver diverged to a non-finite
+iterate, 1 on errors.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .images import (
     save_csv_matrix,
 )
 from .rng import derive_seed
+from .solver import DivergenceError
 
 
 def _parse_floats(text: str) -> tuple:
@@ -77,7 +79,11 @@ def _cmd_solve(args) -> int:
         seed=derive_seed(args.seed, "cli/solve"),
         kappa=args.kappa,
     )
-    result = approx_ot(cost, alpha, beta, config, method=args.solver)
+    try:
+        result = approx_ot(cost, alpha, beta, config, method=args.solver)
+    except DivergenceError as exc:
+        print(f"error: solver diverged: {exc}", file=sys.stderr)
+        return 3
     n = alpha.n
     print(f"solver={args.solver}")
     print(f"n={n}")

@@ -15,8 +15,8 @@ plain float64 vectors.
 Every exponential goes through one max-subtracted logsumexp/softmax kernel:
 the raw formulas overflow for the small ``eta`` this package runs at.  One
 dense pass of that kernel, ``snapshot(v)``, yields G(v), its gradient and
-every component gradient at v, so a solver anchored at v pays for the
-exponentials once.
+the component gradients at v, read in batches of rows, so a solver
+anchored at v pays for the exponentials once.
 
 The oracle is immutable and shareable across threads; gradient buffers are
 caller-owned.
@@ -57,15 +57,17 @@ class SemiDualSnapshot:
     beta: np.ndarray
     scale: np.ndarray  # n alpha_i, the weight of component i
 
-    def anchor(self, i: int, out: np.ndarray) -> np.ndarray:
-        """grad g_i(v) = n alpha_i (softmax_i(v) - beta), written into ``out``.
+    def anchors(self, indices) -> np.ndarray:
+        """Rows grad g_i(v) = n alpha_i (softmax_i(v) - beta) for i in ``indices``.
 
-        Read from the kept softmax row without computing an exponential;
-        equals ``component_gradient(i, v)`` bit for bit.
+        Returns a fresh (len(indices), n) array, read from the kept softmax
+        rows without computing an exponential; row k equals
+        ``component_gradient(indices[k], v)`` bit for bit.
         """
-        np.subtract(self.softmax[i], self.beta, out=out)
-        out *= self.scale[i]
-        return out
+        rows = self.softmax[indices]
+        rows -= self.beta
+        rows *= self.scale[indices, None]
+        return rows
 
 
 class SemiDualOracle:
@@ -95,6 +97,9 @@ class SemiDualOracle:
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
         self._scale = self.n * self.alpha
+        # component_gradient's scalar operands are 0-d arrays, which ufuncs
+        # take faster than Python floats, with the same values.
+        self._eta = np.array(self.eta)
 
     # -- finite-sum structure ------------------------------------------------
 
@@ -134,16 +139,21 @@ class SemiDualOracle:
         """Gradient of g_i at v, written into ``out`` (allocated if None).
 
         Equals ``n alpha_i (softmax_i(v) - beta)``; its entries sum to zero.
+        Every step works in ``out``, with the ops of the allocating form
+        ``exp(t - max t) / sum`` for ``t = v/eta + shift_i``, so the result
+        is the same bits.
         """
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         if out is None:
             out = np.empty(self.n)
-        t = v / self.eta + self._shift[i]
-        np.exp(t - t.max(), out=out)
-        out /= out.sum()
+        np.divide(v, self._eta, out=out)
+        out += self._shift[i]
+        out -= np.maximum.reduce(out)
+        np.exp(out, out=out)
+        out /= np.add.reduce(out)
         out -= self.beta
-        out *= self.n * self.alpha[i]
+        out *= self._scale[i, ...]
         return out
 
     def full_gradient(self, v: np.ndarray) -> np.ndarray:

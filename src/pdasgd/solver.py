@@ -4,9 +4,13 @@ Minimizes a finite-sum dual objective ``phi(lam) = (1/h) sum_i phi_i(lam)``
 while averaging the associated primal iterates.  The oracle evaluates the
 anchor ``lam_tilde`` once each time it is set, at init and after each reset,
 as a snapshot: ``phi(lam_tilde)`` for the record's gap, the full gradient
-``u = grad phi(lam_tilde)`` and every anchor component gradient
+``u = grad phi(lam_tilde)`` and the anchor component gradients
 ``grad phi_i(lam_tilde)``.  Each outer iteration s:
 
+  * computes the constants its inner steps share (``tau1_s``, the y weight
+    ``1 - tau1_s - tau2``, the z and y step coefficients and
+    ``tau2 lam_tilde``), draws its m components and reads their anchor
+    gradients from the snapshot as one (m, d) batch,
   * runs m inner steps of Katyusha-style momentum on the current snapshot
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
@@ -23,7 +27,8 @@ as a snapshot: ``phi(lam_tilde)`` for the record's gap, the full gradient
     ``x_s = D / Ccoef`` with weight ``1 / tau1_s``.
 
 An inner step thus computes one component gradient, at ``lam``; the anchor
-term comes from the snapshot.
+term comes from the snapshot.  The divisors ``h p_i`` are fixed for the
+whole run and made once, at init.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -51,21 +56,24 @@ class Snapshot(Protocol):
     """An oracle's evaluation at one anchor point lam_tilde.
 
     ``value`` is phi(lam_tilde), ``gradient`` is grad phi(lam_tilde), and
-    ``anchor(i, out)`` writes grad phi_i(lam_tilde) into ``out``.
+    ``anchors(indices)`` returns a fresh (len(indices), d) array whose row k
+    is grad phi_{indices[k]}(lam_tilde).  The solver asks once per outer
+    iteration, for the m components it drew up front.
     """
 
     value: float
     gradient: np.ndarray
 
-    def anchor(self, i: int, out: np.ndarray) -> np.ndarray: ...
+    def anchors(self, indices: np.ndarray) -> np.ndarray: ...
 
 
 class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
-    ``component_gradient(i, lam, out)`` writes grad phi_i(lam) into ``out``;
-    ``snapshot(lam)`` returns the :class:`Snapshot` of lam;
+    ``component_gradient(i, lam, out)`` writes grad phi_i(lam) into ``out``,
+    once per inner step; ``snapshot(lam)`` returns the :class:`Snapshot` of
+    lam, whose batched anchor rows the inner steps subtract;
     ``sampling_weights()`` returns a probability vector (or a Distribution)
     positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
     ``primal_map(lam)`` returns the primal point attached to lam, as a fresh
@@ -155,14 +163,12 @@ class SolverState:
     s: int
     rng: SplitMix64
     sampler: CategoricalSampler
-    weights: np.ndarray
+    divisors: tuple  # h p_i of each component, as 0-d arrays (see StepConstants)
     avg_smoothness: float
     n_component_gradients: int = 0
     n_full_gradients: int = 0
     n_inner_steps: int = 0
     # scratch buffers for the allocation-free inner loop
-    _grad_new: np.ndarray = None
-    _grad_anchor: np.ndarray = None
     _vr_grad: np.ndarray = None
     _y_sum: np.ndarray = None
     _picked_lambda: np.ndarray = None
@@ -172,6 +178,40 @@ class SolverState:
         if self.Ccoef <= 0:
             raise RuntimeError("no primal iterate accumulated yet")
         return self.D / self.Ccoef
+
+
+@dataclass(frozen=True)
+class StepConstants:
+    """What every inner step of one outer iteration shares.
+
+    Scalars are 0-d float64 arrays: a ufunc takes a 0-d array operand
+    faster than a Python float or an ``np.float64``, with the same value.
+    """
+
+    tau1: np.ndarray  # 2 / (s + 4)
+    y_weight: np.ndarray  # 1 - tau1 - tau2
+    mix_y: bool  # y_weight != 0; at s = 0 the y term is skipped, not added as 0
+    tau2_anchor: np.ndarray  # tau2 lambda_tilde
+    z_coef: np.ndarray  # multiplier gamma_s / 2
+    y_coef: np.ndarray  # -1 / (9 Lbar)
+    gradient: np.ndarray  # u = grad phi(lambda_tilde), from the snapshot
+
+
+def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
+    """The :class:`StepConstants` of outer iteration ``state.s``."""
+    t1 = tau1(state.s)
+    w_y = 1.0 - t1 - TAU2
+    z_coef = options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0
+    scalar = lambda x: np.array(x, dtype=np.float64)
+    return StepConstants(
+        tau1=scalar(t1),
+        y_weight=scalar(w_y),
+        mix_y=w_y != 0.0,
+        tau2_anchor=TAU2 * state.lambda_tilde,
+        z_coef=scalar(z_coef),
+        y_coef=scalar(-1.0 / (9.0 * state.avg_smoothness)),
+        gradient=state.snapshot.gradient,
+    )
 
 
 def _weights_array(w) -> np.ndarray:
@@ -193,6 +233,7 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
             raise ValueError(f"initial dual must have shape ({d},)")
     zeros = lambda: np.zeros(d)
     primal_shape = np.asarray(oracle.primal_map(lam0)).shape
+    divisors = h * weights
     return SolverState(
         y=lam0.copy(),
         z=lam0.copy(),
@@ -204,10 +245,8 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         s=0,
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
-        weights=weights,
+        divisors=tuple(divisors[i, ...] for i in range(h)),
         avg_smoothness=float(oracle.average_smoothness()),
-        _grad_new=zeros(),
-        _grad_anchor=zeros(),
         _vr_grad=zeros(),
         _y_sum=zeros(),
         _picked_lambda=lam0.copy(),
@@ -218,76 +257,75 @@ def variance_reduced_gradient(
     oracle: FiniteSumOracle,
     i: int,
     lam: np.ndarray,
-    snapshot: Snapshot,
-    p_i: float,
+    anchor: np.ndarray,
+    divisor,
+    gradient: np.ndarray,
     out: np.ndarray,
-    scratch: np.ndarray,
 ) -> np.ndarray:
     """u + (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i), into ``out``.
 
-    ``u`` and grad phi_i(lam_tilde) are read from the snapshot of the anchor
-    lam_tilde.  The p_i-weighted average of this estimator over all
-    components equals grad phi(lam) exactly.
+    ``anchor`` is grad phi_i(lam_tilde) and ``gradient`` is u, both read from
+    the snapshot of the anchor lam_tilde; ``divisor`` is h p_i.  The
+    p_i-weighted average of this estimator over all components equals
+    grad phi(lam) exactly.
     """
-    h = oracle.component_count
     oracle.component_gradient(i, lam, out)
-    out -= snapshot.anchor(i, scratch)
-    out /= h * p_i
-    out += snapshot.gradient
+    out -= anchor
+    out /= divisor
+    out += gradient
     return out
 
 
-def inner_step(state: SolverState, oracle: FiniteSumOracle, s: int, options: SolverOptions, i: int) -> None:
+def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, i: int, anchor: np.ndarray) -> None:
     """One momentum + variance-reduced update of (lambda, z, y) on component i.
 
-    Computes and charges one component gradient, at lambda; the anchor's is
-    read from the snapshot.
+    ``step`` holds the outer iteration's constants and ``anchor`` is
+    grad phi_i(lambda_tilde), a row of the snapshot's batched anchors.
+    Computes one component gradient, at lambda, and runs only ufunc calls
+    into the state's buffers; :func:`outer_iteration` charges the work.
     """
-    t1 = tau1(s)
-    g_s = gamma(s, state.avg_smoothness)
-    # lambda <- tau1 z + tau2 lambda_tilde + (1 - tau1 - tau2) y
-    np.multiply(state.z, t1, out=state.lambda_cur)
-    state.lambda_cur += TAU2 * state.lambda_tilde
-    w_y = 1.0 - t1 - TAU2
-    if w_y != 0.0:
-        state.lambda_cur += w_y * state.y
-    variance_reduced_gradient(
-        oracle,
-        i,
-        state.lambda_cur,
-        state.snapshot,
-        state.weights[i],
-        state._vr_grad,
-        state._grad_anchor,
-    )
-    state.z -= (options.z_step_multiplier * g_s / 2.0) * state._vr_grad
-    np.multiply(state._vr_grad, -1.0 / (9.0 * state.avg_smoothness), out=state.y)
-    state.y += state.lambda_cur
-    state.n_component_gradients += 1
-    state.n_inner_steps += 1
+    lam = state.lambda_cur
+    g = state._vr_grad
+    # lambda <- tau1 z + tau2 lambda_tilde + (1 - tau1 - tau2) y; g is free
+    # scratch until the gradient is written into it
+    np.multiply(state.z, step.tau1, out=lam)
+    lam += step.tau2_anchor
+    if step.mix_y:
+        np.multiply(state.y, step.y_weight, out=g)
+        lam += g
+    variance_reduced_gradient(oracle, i, lam, anchor, state.divisors[i], step.gradient, g)
+    # y before z, so that g can then be scaled in place for the z step
+    np.multiply(g, step.y_coef, out=state.y)
+    state.y += lam
+    g *= step.z_coef
+    state.z -= g
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
     """m inner steps, anchor reset and snapshot, and primal accumulation.
 
-    The full gradient is charged here, to the outer iteration that uses the
-    snapshot, which was taken when lambda_tilde was last set.
+    Charges the m inner steps and their component gradients, and the full
+    gradient of the snapshot they use, which was taken when lambda_tilde was
+    last set.
     """
     s = state.s
     m = options.inner_iterations
     h = oracle.component_count
-    state.n_component_gradients += h
-    state.n_full_gradients += 1
+    step = step_constants(state, options)
     # The primal average uses one uniformly chosen inner lambda; drawing the
     # index up front lets us keep a single snapshot instead of all m iterates.
     state._pick_index = state.rng.next_index(m)
-    components = state.sampler.draws(state.rng, m).tolist()
+    components = state.sampler.draws(state.rng, m)
+    anchors = state.snapshot.anchors(components)
     state._y_sum[:] = 0.0
-    for j, i in enumerate(components):
-        inner_step(state, oracle, s, options, i)
+    for j, (i, anchor) in enumerate(zip(components.tolist(), anchors)):
+        inner_step(state, oracle, step, i, anchor)
         state._y_sum += state.y
         if j == state._pick_index:
             state._picked_lambda[:] = state.lambda_cur
+    state.n_component_gradients += h + m
+    state.n_full_gradients += 1
+    state.n_inner_steps += m
     np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
     t1 = tau1(s)
     picked = oracle.primal_map(state._picked_lambda)

@@ -34,9 +34,8 @@ class QuadraticSnapshot:
         self.gradient = gradient
         self.value = 0.5 * float((gradient**2).sum())
 
-    def anchor(self, i, out):
-        out[:] = self.gradient
-        return out
+    def anchors(self, indices):
+        return np.tile(self.gradient, (len(indices), 1))
 
 
 class QuadraticOracle:

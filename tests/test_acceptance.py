@@ -110,14 +110,14 @@ def test_criterion_4_estimator_unbiasedness():
     oracle = random_oracle(rng, n, eta=0.2)
     weights = oracle.sampling_weights().weights
     out = np.empty(n)
-    scratch = np.empty(n)
     for _ in range(100):
         lam = rng.normal(size=n)
         anchor = rng.normal(size=n)
         snap = oracle.snapshot(anchor)
+        rows = snap.anchors(np.arange(n))
         acc = np.zeros(n)
         for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, snap, weights[i], out, scratch)
+            variance_reduced_gradient(oracle, i, lam, rows[i], n * weights[i], snap.gradient, out)
             acc += weights[i] * out
         worst = max(worst, np.abs(acc - oracle.full_gradient(lam)).max())
     elapsed = time.perf_counter() - start

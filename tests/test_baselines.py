@@ -54,6 +54,34 @@ def test_sinkhorn_validation_and_flagging(rng):
     assert not info["converged"]
 
 
+@pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
+@pytest.mark.parametrize("field", ["cost", "alpha", "beta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scaling_rejects_non_finite_input(rng, solver, field, bad):
+    # before: greenkhorn returned an all-NaN plan flagged "marginal-tol"
+    # after 0 updates, and sinkhorn ran every sweep to an all-NaN plan
+    n = 4
+    a, b = positive_pair(rng, n)
+    args = {"cost": rng.random((n, n)), "alpha": a, "beta": b}
+    args[field] = args[field].copy()
+    args[field][1] = bad
+    with pytest.raises(ValueError, match=f"{field} entries must be finite, got non-finite"):
+        solver(args["cost"], args["alpha"], args["beta"], eta=0.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_greenkhorn_nan_distance_is_not_converged():
+    # a finite cost whose kernel underflows everywhere makes the plan NaN;
+    # the NaN marginal distance must not pass the tolerance test
+    half = np.array([0.5, 0.5])
+    with pytest.warns(RuntimeWarning, match="max_iter"):
+        _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10, max_iter=5, log=True)
+    assert info["stop_reason"] is None
+    assert not info["converged"]
+    assert info["updates"] == 5
+
+
 def test_greenkhorn_zero_cost_fixed_point(rng):
     # the product coupling is the fixed point; greedy interleaving can take a
     # few more than 2n updates because each update perturbs the other axis

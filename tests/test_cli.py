@@ -1,6 +1,8 @@
 import numpy as np
 
+import pdasgd.approx
 from pdasgd.cli import main
+from pdasgd.solver import DivergenceError
 from pdasgd.images import load_csv_matrix
 
 
@@ -111,3 +113,14 @@ def test_bench_subcommand(tmp_path, capsys):
     kv = parse_kv(out)
     assert kv["runs"] == "1"
     assert (tmp_path / "bench" / "runs.csv").exists()
+
+
+def test_solve_divergence_exit_code(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("non-finite z after outer iteration 7 (max |z| = inf)")
+
+    monkeypatch.setattr(pdasgd.approx, "run", diverge)
+    code, out, err = run_cli(capsys, "solve", "--size", "4", "--seed", "1", "--epsilon", "0.05")
+    assert code == 3
+    assert out == ""
+    assert err == "error: solver diverged: non-finite z after outer iteration 7 (max |z| = inf)\n"

@@ -139,15 +139,14 @@ def test_full_gradient_is_mean_of_components(rng):
 @pytest.mark.parametrize("eta", [0.5, 0.05, 1e-3])
 def test_snapshot_matches_oracle_bitwise(rng, n, eta):
     o = random_oracle(rng, n, eta=eta)
-    buf = np.empty(n)
     # dual points on the cost scale and on the eta scale, where rows stay soft
     for v in (rng.normal(size=n), eta * rng.normal(size=n)):
         snap = o.snapshot(v)
         assert np.array_equal(snap.value, o.dual_value(v))
         assert np.array_equal(snap.gradient, o.full_gradient(v))
+        rows = snap.anchors(np.arange(n))
         for i in range(n):
-            assert snap.anchor(i, buf) is buf
-            assert np.array_equal(buf, o.component_gradient(i, v))
+            assert np.array_equal(rows[i], o.component_gradient(i, v))
 
 
 def allocating_lse_softmax(t):
@@ -372,3 +371,52 @@ def test_extreme_eta_stability():
     x = o.primal_map(v)
     assert np.isfinite(x).all()
     assert np.abs(x.sum(axis=1) - a).max() < 1e-14
+
+
+def allocating_component_gradient(o, i, v):
+    """The component gradient's formula with fresh temporaries, as a bitwise reference."""
+    t = v / o.eta + (-o.cost[i] / o.eta - 1.0)
+    w = np.exp(t - t.max())
+    return (w / w.sum() - o.beta) * (o.n * o.alpha[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    eta=st.sampled_from([1.0, 0.05, 1e-3]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+# at eta = 1e-3 the exponentials of these rows hold 30 denormals and 126 zeros
+@example(seed=0, n=24, eta=1e-3, scale=1e-3)
+def test_component_gradient_is_bitwise_the_allocating_formula(seed, n, eta, scale):
+    rng = np.random.default_rng(seed)
+    o = SemiDualOracle(random_instance(rng, n, eta))
+    v = scale * rng.normal(size=n)
+    v_before = v.copy()
+    out = np.empty(n)
+    for i in range(n):
+        ref = allocating_component_gradient(o, i, v).tobytes()
+        assert o.component_gradient(i, v, out) is out
+        assert out.tobytes() == ref
+        assert o.component_gradient(i, v).tobytes() == ref  # the out=None path
+    assert np.array_equal(v, v_before)
+    with pytest.raises(IndexError):
+        o.component_gradient(n, v, out)
+
+
+def test_anchors_are_bitwise_the_per_row_formula(rng):
+    n = 9
+    o = random_oracle(rng, n, eta=0.05)
+    v = rng.normal(size=n)
+    snap = o.snapshot(v)
+    idx = np.array([7, 2, 2, 0, 8, 7, 7, 3])  # repeated and unsorted
+    rows = snap.anchors(idx)
+    assert rows.shape == (idx.size, n)
+    for k, i in enumerate(idx):
+        ref = (snap.softmax[i] - o.beta) * (o.n * o.alpha[i])
+        assert rows[k].tobytes() == ref.tobytes()
+    # a fresh array: writing to it leaves the snapshot alone
+    rows[:] = 0.0
+    assert snap.anchors(idx).tobytes() != rows.tobytes()
+    assert snap.anchors(list(idx)).tobytes() == snap.anchors(idx).tobytes()

@@ -3,10 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, random_instance, random_oracle
 from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance
+from pdasgd.rng import CategoricalSampler, SplitMix64
 from pdasgd.semidual import SemiDualOracle
 from pdasgd.solver import (
     DivergenceError,
@@ -17,6 +19,7 @@ from pdasgd.solver import (
     make_record,
     outer_iteration,
     run,
+    step_constants,
     tau1,
     variance_reduced_gradient,
 )
@@ -72,11 +75,11 @@ def test_variance_reduction_collapse(rng):
     anchor = rng.normal(size=4)
     u = oracle.full_gradient(anchor)
     snap = oracle.snapshot(anchor)
+    rows = snap.anchors(np.arange(4))
     out = np.empty(4)
-    scratch = np.empty(4)
     for i in range(4):
         p_i = oracle.sampling_weights().weights[i]
-        got = variance_reduced_gradient(oracle, i, anchor, snap, p_i, out, scratch)
+        got = variance_reduced_gradient(oracle, i, anchor, rows[i], 4 * p_i, snap.gradient, out)
         assert np.allclose(got, u, atol=1e-15)
 
 
@@ -89,11 +92,11 @@ def test_estimator_unbiased_exhaustive(rng):
         lam = rng.normal(size=n)
         anchor = rng.normal(size=n)
         snap = oracle.snapshot(anchor)
+        rows = snap.anchors(np.arange(n))
         acc = np.zeros(n)
         out = np.empty(n)
-        scratch = np.empty(n)
         for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, snap, weights[i], out, scratch)
+            variance_reduced_gradient(oracle, i, lam, rows[i], n * weights[i], snap.gradient, out)
             acc += weights[i] * out
         assert np.abs(acc - oracle.full_gradient(lam)).max() < 1e-12
 
@@ -108,8 +111,33 @@ def test_first_outer_mixing_drops_y(rng):
     state.lambda_tilde[:] = rng.normal(size=3)
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
-    inner_step(state, oracle, 0, options, state.sampler.draw(state.rng))
+    i = state.sampler.draw(state.rng)
+    inner_step(state, oracle, step_constants(state, options), i, state.snapshot.anchors([i])[0])
     assert np.allclose(state.lambda_cur, expected, atol=1e-15)
+
+
+def test_inner_step_called_once_per_step(rng, monkeypatch):
+    # through the module global, so a wrapper (a profiler's span) sees every
+    # step, with the components in stream order
+    seen = []
+    original = pdasgd.solver.inner_step
+
+    def counting(state, oracle, step, i, anchor):
+        seen.append(i)
+        return original(state, oracle, step, i, anchor)
+
+    monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
+    m, S, seed = 3, 5, 2
+    oracle = random_oracle(rng, 6, eta=0.3)
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+    assert len(seen) == res.state.n_inner_steps == S * m
+    stream = SplitMix64(seed)
+    sampler = CategoricalSampler(oracle.sampling_weights().weights)
+    expected = []
+    for _ in range(S):
+        stream.next_index(m)
+        expected += [sampler.draw(stream) for _ in range(m)]
+    assert seen == expected
 
 
 def test_quadratic_oracle_converges():
