@@ -6,15 +6,7 @@ variance-reduced accelerated stochastic solver over it, polytope rounding,
 Sinkhorn/Greenkhorn baselines, and a reproducible benchmark harness.
 """
 
-from .approx import (
-    ApproxConfig,
-    ApproxResult,
-    approx_ot,
-    derive_parameters,
-    resolve_profile,
-    smooth_marginals,
-    theoretical_iteration_cap,
-)
+from .approx import ApproxConfig, ApproxResult, approx_ot
 from .baselines import greenkhorn, sinkhorn
 from .core import (
     CostMatrix,
@@ -41,13 +33,7 @@ from .bench import BenchPlan, run_benchmark
 from .rng import SplitMix64, derive_seed
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import (
-    DivergenceError,
-    RunRecord,
-    SolveResult,
-    SolverOptions,
-    run,
-)
+from .solver import DivergenceError, SolverOptions, run
 
 __version__ = "0.1.0"
 
@@ -61,14 +47,11 @@ __all__ = [
     "ImageInstance",
     "OTInstance",
     "RoundingReport",
-    "RunRecord",
     "SemiDualOracle",
-    "SolveResult",
     "SolverOptions",
     "SplitMix64",
     "TransportPlan",
     "approx_ot",
-    "derive_parameters",
     "derive_seed",
     "entropy",
     "exact_ot_oracle",
@@ -81,13 +64,10 @@ __all__ = [
     "load_pgm",
     "marginal_distance",
     "regularized_objective",
-    "resolve_profile",
     "round_to_polytope",
     "run",
     "run_benchmark",
     "save_csv_matrix",
     "sinkhorn",
-    "smooth_marginals",
-    "theoretical_iteration_cap",
     "transport_cost",
 ]

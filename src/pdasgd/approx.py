@@ -53,7 +53,7 @@ OP_COUNTS = {
 STOP_CONVERGED = "gap+marginal"
 STOP_ACCURACY = "accuracy-reached"
 STOP_CAP = "iteration-cap"
-STOP_TRIVIAL = "trivial-zero-cost"
+STOP_TRIVIAL = "trivial"
 
 # Safety factor on the theoretical iteration cap; the cap's hidden constant
 # is unknown and a flagged (capped) run certifies nothing.  At 1, small
@@ -65,19 +65,25 @@ def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, flo
     """Entropic penalty and marginal budget for a target accuracy.
 
     Returns ``(eta, eps_prime) = (epsilon / (8 ln n), epsilon / (6 |C|_inf))``.
-    A zero cost matrix makes eps_prime undefined but also makes every
-    feasible plan optimal, so that case returns None as a trivial-instance
-    signal instead of raising.
+    When ``epsilon >= 48 |C|_inf`` (eps_prime >= 8, a zero cost included)
+    every feasible plan costs at most |C|_inf <= epsilon / 48 more than the
+    optimum, so that case returns None as a trivial-instance signal instead
+    of raising.  Raises when |C|_inf / eta overflows or eps_prime underflows
+    to 0: the solvers' kernels could not represent the instance.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n < 2:
         raise ValueError("parameter derivation requires n >= 2")
     max_cost = cost.max_abs if isinstance(cost, CostMatrix) else float(np.abs(np.asarray(cost)).max())
-    if max_cost == 0.0:
+    eps_prime = epsilon / (6.0 * max_cost) if max_cost > 0 else math.inf
+    if eps_prime >= 8.0:
         return None
     eta = epsilon / (8.0 * math.log(n))
-    eps_prime = epsilon / (6.0 * max_cost)
+    if not math.isfinite(max_cost / eta) or eps_prime == 0.0:
+        raise ValueError(
+            f"cost scale |C|_inf = {max_cost:.6g} is out of float range at epsilon = {epsilon:.6g}; rescale the cost"
+        )
     return eta, eps_prime
 
 
@@ -103,12 +109,16 @@ def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: fl
     so ``kappa`` is configuration: 1 here gives the bare bound, and
     :class:`ApproxConfig` defaults to :data:`DEFAULT_KAPPA`.  The cap counts inner
     iterations; divide by the inner loop length for an outer-loop budget.
+    Raises when the cap is not a finite float.
     """
     if epsilon <= 0 or n < 2 or max_cost <= 0:
         raise ValueError("cap requires epsilon > 0, n >= 2 and a positive max cost")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return math.ceil(kappa * n * max_cost * math.sqrt(math.log(n)) / epsilon)
+    cap = kappa * n * max_cost * math.sqrt(math.log(n)) / epsilon
+    if not math.isfinite(cap):
+        raise ValueError(f"the iteration cap overflows at |C|_inf = {max_cost:.6g}, epsilon = {epsilon:.6g}; set max_outer")
+    return math.ceil(cap)
 
 
 def resolve_profile(profile: str, n: int) -> tuple[int, float]:
@@ -127,7 +137,6 @@ class ApproxConfig:
     max_outer: Optional[int] = None
     seed: int = 0
     kappa: float = DEFAULT_KAPPA
-    checkpoint_stride: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -146,9 +155,7 @@ class ApproxResult:
     eps_prime: float
     unrounded: np.ndarray
     rounding_report: Optional[RoundingReport]
-    solver: str
     outer_iterations: int
-    inner_iterations: int
     op_counts: dict
 
     @property
@@ -167,9 +174,7 @@ def _trivial_result(cost: CostMatrix, a: Distribution, b: Distribution, method: 
         eps_prime=0.0,
         unrounded=plan.entries,
         rounding_report=None,
-        solver=method,
         outer_iterations=0,
-        inner_iterations=0,
         op_counts=dict.fromkeys(OP_COUNTS[method], 0),
     )
 
@@ -189,7 +194,6 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
         outer_iterations=outer_cap,
         seed=config.seed,
         z_step_multiplier=multiplier,
-        checkpoint_stride=config.checkpoint_stride,
     )
     gap_budget = config.epsilon / 4.0
     violation_budget = eps_prime / 2.0
@@ -206,7 +210,6 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
     return result.primal, result.stop_reason, dict(
         records=result.records,
         outer_iterations=state.s,
-        inner_iterations=m,
         op_counts={
             "component_gradients": state.n_component_gradients,
             "inner_steps": state.n_inner_steps,
@@ -230,14 +233,13 @@ def _solve_scaling(method, cost, a_s, b_s, eta, eps_prime, config, reached):
         tol, stop = 0.0, lambda plan, iteration: reached(plan)
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, log=True, stop=stop)
+    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, stop=stop)
     reason = STOP_CONVERGED if info["stop_reason"] == "marginal-tol" else info["stop_reason"]
     (key,) = OP_COUNTS[method]
     return plan.entries, reason, dict(
         records=[],
         outer_iterations=info["iterations"],
-        inner_iterations=0,
-        op_counts={key: info[key]},
+        op_counts={key: info["iterations"]},
     )
 
 
@@ -260,9 +262,11 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
       unrounded plan is within epsilon in L1 of the *original* marginals.
       Reason ``accuracy-reached``.
 
-    If the budget runs out first, the last plan is still rounded and
-    returned with ``stop_reason`` set to the cap.  The budget is
-    ceil(cap / m) outer iterations for pdasgd (see
+    An instance with epsilon >= 48 |C|_inf is trivial (see
+    :func:`derive_parameters`): the product plan is returned with reason
+    ``trivial``.  If the budget runs out first, the last plan is still
+    rounded and returned with ``stop_reason`` set to the cap.  The budget
+    is ceil(cap / m) outer iterations for pdasgd (see
     :func:`theoretical_iteration_cap`), max(10^4, ceil(kappa ln n /
     epsilon^2)) Sinkhorn sweeps, and n times that in Greenkhorn updates;
     ``config.max_outer`` overrides all three.
@@ -304,7 +308,6 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
         eps_prime=eps_prime,
         unrounded=raw,
         rounding_report=report,
-        solver=method,
         **fields,
     )
 

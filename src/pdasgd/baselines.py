@@ -7,11 +7,14 @@ column updates; Greenkhorn updates the single row or column with the worst
 marginal-violation score.  Both stop when the plan's L1 marginal distance
 drops below a tolerance, and both plug into the same smoothing and rounding
 pipeline as the stochastic solver so benchmark curves differ only in the
-solver.
+solver.  Both stop at once, with reason ``"non-finite"``, when the
+marginal distance is not finite: a kernel that overflows or underflows
+everywhere gives a NaN plan that no further update can repair.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Optional
 
@@ -21,6 +24,7 @@ from .core import TransportPlan, as_matrix, as_weights
 
 
 StopCallback = Callable[[np.ndarray, int], Optional[str]]
+NON_FINITE = "non-finite"
 
 
 def _validate(cost, alpha, beta, eta):
@@ -39,18 +43,44 @@ def _validate(cost, alpha, beta, eta):
     return c, a, b
 
 
+def _distance_reason(d: float, tol: float) -> Optional[str]:
+    # written so that a NaN distance never reads as converged
+    if d <= tol:
+        return "marginal-tol"
+    return None if math.isfinite(d) else NON_FINITE
+
+
+def _finish(name: str, plan: np.ndarray, iteration: int, max_iter: int, d: float, reason, log_u, log_v):
+    """The (plan, info) pair of a scaling run; warns unless it stopped on its tolerance or callback."""
+    if reason is None or reason == NON_FINITE:
+        warnings.warn(
+            f"{name} stopped after {iteration} of max_iter={max_iter} steps with marginal distance {d:.3e}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return TransportPlan(plan), {
+        "iterations": iteration,
+        "marginal_distance": d,
+        "stop_reason": reason,
+        "log_u": log_u,
+        "log_v": log_v,
+    }
+
+
 def _lse_rows(t: np.ndarray) -> np.ndarray:
     m = t.max(axis=1)
     return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
 
 
-def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, log=False, stop: StopCallback = None):
+def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: StopCallback = None):
     """Alternating log-domain row/column scaling of exp(-C/eta).
 
     Runs until the current plan's marginal distance to (alpha, beta) falls
-    below ``tol_marginal`` or ``max_iter`` sweeps elapse (flagged with a
-    warning).  Returns the unrounded plan, plus an info dict when ``log``
-    is true (iterations, converged flag, final distance, duals, stop reason).
+    below ``tol_marginal``, the distance is not finite, the stop callback
+    returns a reason, or ``max_iter`` sweeps elapse; the last two of these
+    warn.  Returns ``(plan, info)``: the unrounded plan and a dict of the
+    sweep count ``iterations``, the final ``marginal_distance``, the duals
+    ``log_u`` and ``log_v``, and ``stop_reason`` (None at the cap).
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     log_k = -c / eta
@@ -67,32 +97,14 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, log=Fal
         iteration += 1
         plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
         d = float(np.abs(plan.sum(1) - a).sum() + np.abs(plan.sum(0) - b).sum())
-        if d <= tol_marginal:
-            reason = "marginal-tol"
+        reason = _distance_reason(d, tol_marginal)
+        if reason is not None:
             break
         if stop is not None:
             reason = stop(plan, iteration)
             if reason is not None:
                 break
-    converged = reason is not None
-    if not converged:
-        warnings.warn(
-            f"sinkhorn hit max_iter={max_iter} with marginal distance {d:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    result = TransportPlan(plan)
-    if not log:
-        return result
-    return result, {
-        "iterations": iteration,
-        "sweeps": iteration,
-        "converged": converged,
-        "marginal_distance": d,
-        "stop_reason": reason,
-        "log_u": log_u,
-        "log_v": log_v,
-    }
+    return _finish("sinkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -106,13 +118,14 @@ def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
         return target * (x - np.log1p(x))
 
 
-def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, log=False, stop: StopCallback = None):
+def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, stop: StopCallback = None):
     """Greedy coordinate version of Sinkhorn.
 
     Each step rescales the single row or column with the largest
     distance-to-marginal score so that its sum matches the target exactly.
     ``max_iter`` counts coordinate updates; the stop callback is polled every
-    n updates.
+    n updates.  Stops and returns ``(plan, info)`` as :func:`sinkhorn` does,
+    with ``iterations`` counting updates.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     n = a.size
@@ -127,8 +140,7 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, lo
     r = plan.sum(axis=1)
     col = plan.sum(axis=0)
     d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
-    # written so that a NaN distance never reads as converged
-    reason = "marginal-tol" if d <= tol_marginal else None
+    reason = _distance_reason(d, tol_marginal)
     while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
         cols = _line_scores(col, b)
@@ -156,24 +168,5 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, lo
                 if reason is not None:
                     break
         d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
-        if d <= tol_marginal:
-            reason = "marginal-tol"
-    converged = reason is not None
-    if not converged:
-        warnings.warn(
-            f"greenkhorn hit max_iter={max_iter} with marginal distance {d:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    result = TransportPlan(plan)
-    if not log:
-        return result
-    return result, {
-        "iterations": iteration,
-        "updates": iteration,
-        "converged": converged,
-        "marginal_distance": d,
-        "stop_reason": reason,
-        "log_u": log_u,
-        "log_v": log_v,
-    }
+        reason = _distance_reason(d, tol_marginal)
+    return _finish("greenkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)

@@ -50,7 +50,13 @@ from .core import marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
 
-CSV_HEADER = "solver,n,accuracy,pair,seed,cost_units,wall_ms,ot_value,d_final,stop_reason"
+# Columns of the CSV outputs.  The canonical runs.csv writes wall_ms as 0;
+# timings.csv holds the measured value.
+RUN_COLUMNS = ("solver", "n", "accuracy", "pair", "seed", "cost_units", "wall_ms", "ot_value", "d_final", "stop_reason")
+TIMING_COLUMNS = ("solver", "n", "accuracy", "pair", "seed", "wall_ms")
+STATS = ("cost_units", "ot_value", "d_final")  # mean and sample std per cell
+AGGREGATE_COLUMNS = ("solver", "n", "accuracy", "runs") + tuple(f"{p}_{k}" for k in STATS for p in ("mean", "std"))
+PLOT_COLUMNS = ("series", "x_kind", "x", "y_mean", "y_std")
 
 
 def pdasgd_cost_units(n: int, component_gradients: int, inner_steps: int) -> int:
@@ -161,34 +167,11 @@ class BenchResult:
     out_dir: Path
 
 
-def _write_rows(path: Path, rows: list) -> None:
-    lines = [CSV_HEADER]
+def _write_csv(path: Path, columns: tuple, rows) -> None:
+    """A header, then each row's values in column order; floats via :func:`_fmt`."""
+    lines = [",".join(columns)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r["solver"],
-                    str(r["n"]),
-                    _fmt(r["accuracy"]),
-                    str(r["pair"]),
-                    str(r["seed"]),
-                    str(r["cost_units"]),
-                    _fmt(0.0),
-                    _fmt(r["ot_value"]),
-                    _fmt(r["d_final"]),
-                    r["stop_reason"],
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_timings(path: Path, rows: list) -> None:
-    lines = ["solver,n,accuracy,pair,seed,wall_ms"]
-    for r in rows:
-        lines.append(
-            f'{r["solver"]},{r["n"]},{_fmt(r["accuracy"])},{r["pair"]},{r["seed"]},{_fmt(r["wall_ms_measured"])}'
-        )
+        lines.append(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -199,7 +182,7 @@ def _aggregate(rows: list) -> list:
     out = []
     for (solver, n, accuracy), group in sorted(cells.items()):
         stats = {}
-        for key in ("cost_units", "ot_value", "d_final"):
+        for key in STATS:
             vals = np.array([g[key] for g in group], dtype=np.float64)
             stats[f"mean_{key}"] = float(vals.mean())
             stats[f"std_{key}"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
@@ -207,44 +190,23 @@ def _aggregate(rows: list) -> list:
     return out
 
 
-def _write_aggregate(path: Path, cells: list) -> None:
-    lines = [
-        "solver,n,accuracy,runs,mean_cost_units,std_cost_units,"
-        "mean_ot_value,std_ot_value,mean_d_final,std_d_final"
+def _plot_points(cells: list) -> list:
+    """Each solver's mean cost units over accuracy at fixed n, then over n at fixed accuracy."""
+
+    def point(c, series, x_kind, x):
+        return {
+            "series": series,
+            "x_kind": x_kind,
+            "x": x,
+            "y_mean": c["mean_cost_units"],
+            "y_std": c["std_cost_units"],
+        }
+
+    by_accuracy = sorted(cells, key=lambda c: (c["solver"], c["n"], c["accuracy"]))
+    by_size = sorted(cells, key=lambda c: (c["solver"], c["accuracy"], c["n"]))
+    return [point(c, f'{c["solver"]}:n={c["n"]}', "accuracy", c["accuracy"]) for c in by_accuracy] + [
+        point(c, f'{c["solver"]}:accuracy={_fmt(c["accuracy"])}', "size", c["n"]) for c in by_size
     ]
-    for c in cells:
-        lines.append(
-            ",".join(
-                [
-                    c["solver"],
-                    str(c["n"]),
-                    _fmt(c["accuracy"]),
-                    str(c["runs"]),
-                    _fmt(c["mean_cost_units"]),
-                    _fmt(c["std_cost_units"]),
-                    _fmt(c["mean_ot_value"]),
-                    _fmt(c["std_ot_value"]),
-                    _fmt(c["mean_d_final"]),
-                    _fmt(c["std_d_final"]),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_plotdata(path: Path, cells: list) -> None:
-    lines = ["series,x_kind,x,y_mean,y_std"]
-    for c in sorted(cells, key=lambda c: (c["solver"], c["n"], c["accuracy"])):
-        lines.append(
-            f'{c["solver"]}:n={c["n"]},accuracy,{_fmt(c["accuracy"])},'
-            f'{_fmt(c["mean_cost_units"])},{_fmt(c["std_cost_units"])}'
-        )
-    for c in sorted(cells, key=lambda c: (c["solver"], c["accuracy"], c["n"])):
-        lines.append(
-            f'{c["solver"]}:accuracy={_fmt(c["accuracy"])},size,{c["n"]},'
-            f'{_fmt(c["mean_cost_units"])},{_fmt(c["std_cost_units"])}'
-        )
-    path.write_text("\n".join(lines) + "\n")
 
 
 def run_benchmark(plan: BenchPlan, out_dir) -> BenchResult:
@@ -278,10 +240,10 @@ def run_benchmark(plan: BenchPlan, out_dir) -> BenchResult:
     else:
         rows = [execute_run(spec) for spec in specs]
     rows.sort(key=lambda r: (r["solver"], r["n"], r["accuracy"], r["pair"]))
-    _write_rows(out / "runs.csv", rows)
+    _write_csv(out / "runs.csv", RUN_COLUMNS, [{**r, "wall_ms": 0.0} for r in rows])
     cells = _aggregate(rows)
-    _write_aggregate(out / "aggregate.csv", cells)
-    _write_plotdata(out / "plotdata.csv", cells)
-    _write_timings(out / "timings.csv", rows)
+    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, cells)
+    _write_csv(out / "plotdata.csv", PLOT_COLUMNS, _plot_points(cells))
+    _write_csv(out / "timings.csv", TIMING_COLUMNS, [{**r, "wall_ms": r["wall_ms_measured"]} for r in rows])
     flagged = any(r["stop_reason"] == STOP_CAP for r in rows)
     return BenchResult(rows=rows, flagged=flagged, out_dir=out)

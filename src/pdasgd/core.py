@@ -95,15 +95,6 @@ class TransportPlan:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
-
-    def total_mass(self) -> float:
-        return float(self.entries.sum())
-
 
 @dataclass(frozen=True)
 class OTInstance:

@@ -38,7 +38,6 @@ class ImageInstance:
     """Nonnegative intensity grid with at least one positive pixel."""
 
     pixels: np.ndarray
-    source: str = "synthetic"
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.pixels, dtype=np.float64)
@@ -74,7 +73,7 @@ def gen_synthetic_image(side: int, seed: int) -> ImageInstance:
     pixels = rng.doubles(side * side).reshape(side, side)
     fg_vals = 10.0 * rng.doubles(fg * fg).reshape(fg, fg)
     pixels[row0 : row0 + fg, col0 : col0 + fg] = fg_vals
-    return ImageInstance(pixels, source="synthetic")
+    return ImageInstance(pixels)
 
 
 def grid_cost_matrix(height: int, width: int, normalize: bool = True) -> CostMatrix:
@@ -121,7 +120,7 @@ def load_idx(path) -> list[ImageInstance]:
         )
     data = np.frombuffer(raw, dtype=np.uint8, count=count * height * width, offset=16)
     stack = data.reshape(count, height, width).astype(np.float64)
-    return [ImageInstance(stack[k], source="file") for k in range(count)]
+    return [ImageInstance(stack[k]) for k in range(count)]
 
 
 def load_pgm(path) -> ImageInstance:
@@ -154,7 +153,7 @@ def load_pgm(path) -> ImageInstance:
     if available < count:
         raise ValueError(f"truncated PGM payload: expected {count} samples, got {available}")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    return ImageInstance(data.reshape(height, width).astype(np.float64), source="file")
+    return ImageInstance(data.reshape(height, width).astype(np.float64))
 
 
 def load_csv_matrix(path) -> np.ndarray:
@@ -169,7 +168,7 @@ def load_image_file(path) -> ImageInstance:
     """Load a single image by extension: .csv, .pgm, or IDX (first image)."""
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
-        return ImageInstance(load_csv_matrix(path), source="file")
+        return ImageInstance(load_csv_matrix(path))
     if suffix == ".pgm":
         return load_pgm(path)
     return load_idx(path)[0]

@@ -11,7 +11,7 @@ reimplementations in other languages.  The algorithm, in full:
     output  <- z XOR (z >> 31)
 
 Doubles are produced as ``(output >> 11) * 2**-53`` and lie in [0, 1).
-Derived (split) seeds are produced by hashing a text label with FNV-1a 64
+Derived seeds are produced by hashing a text label with FNV-1a 64
 and passing ``root XOR hash`` through the mix function above.
 """
 
@@ -50,7 +50,7 @@ def derive_seed(root: int, label: str) -> int:
 
 
 class SplitMix64:
-    """Counter-based SplitMix64 generator (seedable, splittable)."""
+    """Counter-based SplitMix64 generator; child streams come from :func:`derive_seed`."""
 
     __slots__ = ("_state",)
 
@@ -86,10 +86,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def split(self, label: str) -> "SplitMix64":
-        """Independent child generator keyed by a text label."""
-        return SplitMix64(derive_seed(self._state, label))
 
 
 class CategoricalSampler:

@@ -34,6 +34,8 @@ def round_to_polytope(plan, alpha, beta) -> tuple[TransportPlan, RoundingReport]
     b = as_weights(beta)
     if f.shape != (a.size, b.size):
         raise ValueError(f"shape mismatch: plan {f.shape}, marginals ({a.size}, {b.size})")
+    if not np.isfinite(f).all():
+        raise ValueError("rounding input must be finite, got non-finite entries")
     if f.min() < 0:
         raise ValueError("rounding input must be entrywise nonnegative")
     mass = float(f.sum())

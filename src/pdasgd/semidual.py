@@ -182,11 +182,6 @@ class SemiDualOracle:
         sm *= self.alpha[:, None]
         return sm
 
-    def u_from_v(self, v: np.ndarray) -> np.ndarray:
-        """Eliminated row-dual block: u_i = eta (ln alpha_i - logsumexp row i)."""
-        lse, _ = lse_softmax(v / self.eta + self._shift)
-        return self.eta * (self.log_alpha - lse)
-
     # -- telemetry hooks used by the solver ----------------------------------
 
     def dual_value(self, v: np.ndarray) -> float:

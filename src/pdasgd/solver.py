@@ -127,7 +127,6 @@ class SolverOptions:
     outer_iterations: int
     seed: int = 0
     z_step_multiplier: float = 1.0
-    checkpoint_stride: int = 1
     initial_dual: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -137,15 +136,12 @@ class SolverOptions:
             raise ValueError("outer_iterations must be >= 1")
         if self.z_step_multiplier <= 0:
             raise ValueError("z_step_multiplier must be positive")
-        if self.checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
 
 
 @dataclass
 class RunRecord:
     outer_index: int
     cumulative_component_gradients: int
-    cumulative_full_gradients: int
     primal_objective: float
     constraint_violation_l1: float
     duality_gap: float
@@ -166,7 +162,6 @@ class SolverState:
     divisors: tuple  # h p_i of each component, as 0-d arrays (see StepConstants)
     avg_smoothness: float
     n_component_gradients: int = 0
-    n_full_gradients: int = 0
     n_inner_steps: int = 0
     # scratch buffers for the allocation-free inner loop
     _vr_grad: np.ndarray = None
@@ -324,7 +319,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
         if j == state._pick_index:
             state._picked_lambda[:] = state.lambda_cur
     state.n_component_gradients += h + m
-    state.n_full_gradients += 1
     state.n_inner_steps += m
     np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
     t1 = tau1(s)
@@ -363,7 +357,6 @@ def make_record(state: SolverState, oracle: FiniteSumOracle) -> tuple[RunRecord,
     record = RunRecord(
         outer_index=state.s,
         cumulative_component_gradients=state.n_component_gradients,
-        cumulative_full_gradients=state.n_full_gradients,
         primal_objective=f_val,
         constraint_violation_l1=violation,
         duality_gap=gap,
@@ -378,25 +371,22 @@ def run(
 ) -> SolveResult:
     """Run outer iterations until the budget or the stopping rule fires.
 
-    The stopping rule is evaluated on each checkpoint record (every
-    ``checkpoint_stride`` outer iterations and at the end) together with the
-    averaged primal and the current dual anchor; returning a string stops the
-    run with that reason.  Deterministic given (seed, oracle, options).
+    Every outer iteration is a checkpoint: its record is appended and the
+    stopping rule is evaluated on it together with the averaged primal and
+    the current dual anchor; returning a string stops the run with that
+    reason.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
     stop_reason = None
-    S = options.outer_iterations
-    stride = options.checkpoint_stride
-    for _ in range(S):
+    for _ in range(options.outer_iterations):
         outer_iteration(state, oracle, options)
-        if state.s % stride == 0 or state.s == S:
-            record, x_s = make_record(state, oracle)
-            records.append(record)
-            if stop is not None:
-                stop_reason = stop(record, x_s, state.lambda_tilde)
-                if stop_reason is not None:
-                    break
+        record, x_s = make_record(state, oracle)
+        records.append(record)
+        if stop is not None:
+            stop_reason = stop(record, x_s, state.lambda_tilde)
+            if stop_reason is not None:
+                break
     return SolveResult(
         primal=state.primal_average(),
         dual=state.lambda_tilde.copy(),

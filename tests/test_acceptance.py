@@ -191,7 +191,7 @@ def test_criterion_7_convergence_rate():
     for seed in range(20):
         res = run(
             oracle,
-            SolverOptions(inner_iterations=n, outer_iterations=200, seed=seed, checkpoint_stride=50),
+            SolverOptions(inner_iterations=n, outer_iterations=200, seed=seed),
         )
         by_index = {r.outer_index: abs(r.duality_gap) for r in res.records}
         gaps_50.append(by_index[50])
@@ -213,8 +213,8 @@ def test_criterion_8_baseline_cross_check():
         c /= c.max()
         a = rng.dirichlet(np.ones(n)); a = (a + 0.02) / (1 + n * 0.02)
         b = rng.dirichlet(np.ones(n)); b = (b + 0.02) / (1 + n * 0.02)
-        ps = sinkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**6)
-        pg = greenkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**7)
+        ps, _ = sinkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**6)
+        pg, _ = greenkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**7)
         l1 = float(np.abs(ps.entries - pg.entries).sum())
         worst_l1 = max(worst_l1, l1)
         if l1 > 1e-6:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from pdasgd.approx import (
     METHODS,
+    STOP_CAP,
+    STOP_TRIVIAL,
     ApproxConfig,
     approx_ot,
     approx_ot_scaling,
@@ -37,6 +41,12 @@ def test_derive_parameters_errors_and_trivial():
     with pytest.raises(ValueError):
         derive_parameters(-0.1, 4, np.ones((2, 2)))
     assert derive_parameters(0.1, 4, np.zeros((4, 4))) is None
+    # epsilon >= 48 |C|_inf: any feasible plan is within |C|_inf <= epsilon/48
+    assert derive_parameters(0.048, 4, np.full((4, 4), 1e-3)) is None
+    assert derive_parameters(0.047, 4, np.full((4, 4), 1e-3)) is not None
+    # |C|_inf / eta overflows
+    with pytest.raises(ValueError, match=r"\|C\|_inf = 1\.5e\+307 .* epsilon = 0\.05"):
+        derive_parameters(0.05, 2, np.full((2, 2), 1.5e307))
 
 
 def test_smooth_marginals_examples():
@@ -74,6 +84,9 @@ def test_iteration_cap_examples():
     assert theoretical_iteration_cap(0.01, 128, 1.0) == pytest.approx(2 * log_factor * base, rel=1e-3)
     assert theoretical_iteration_cap(0.005, 64, 1.0) == pytest.approx(2 * base, rel=1e-3)
     assert theoretical_iteration_cap(0.1, 100, 1.0, kappa=2.0) == 2 * 2146
+    # before: OverflowError from math.ceil of an infinite cap
+    with pytest.raises(ValueError, match="overflows at"):
+        theoretical_iteration_cap(0.05, 2, 1e306, kappa=8.0)
 
 
 def test_resolve_profile():
@@ -88,7 +101,7 @@ def test_trivial_instance_zero_cost(rng):
     a = rng.dirichlet(np.ones(3))
     b = rng.dirichlet(np.ones(3))
     res = approx_ot(np.zeros((3, 3)), a, b, ApproxConfig(epsilon=0.1))
-    assert res.stop_reason == "trivial-zero-cost"
+    assert res.stop_reason == STOP_TRIVIAL
     assert res.ot_value == 0.0
     assert np.allclose(res.plan.entries, np.outer(a, b), atol=1e-15)
 
@@ -159,7 +172,7 @@ def test_gap_surrogate_lower_bound(rng):
     eta, eps_prime = derive_parameters(0.05, n, c)
     a_s, b_s = smooth_marginals(a, b, eps_prime, n)
     oracle = SemiDualOracle(OTInstance(CostMatrix(c), a_s, b_s, eta))
-    _, info = sinkhorn(c, a_s.weights, b_s.weights, eta, tol_marginal=1e-9, max_iter=10**6, log=True)
+    _, info = sinkhorn(c, a_s.weights, b_s.weights, eta, tol_marginal=1e-9, max_iter=10**6)
     dual_scale = np.abs(eta * info["log_v"]).max()
     for record in res.records:
         floor = -(dual_scale + 1.0) * record.constraint_violation_l1 - 1e-9
@@ -174,7 +187,6 @@ def test_scaling_pipeline_matches_contract(rng):
     _, opt = exact_ot_oracle(c, a, b)
     for method in ("sinkhorn", "greenkhorn"):
         res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05), method=method)
-        assert res.solver == method
         assert res.ot_value - opt <= 0.05
         assert marginal_distance(res.plan, a, b) <= 1e-10
         # the older entry point is the same call
@@ -231,3 +243,76 @@ def test_config_validation():
         ApproxConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ApproxConfig(epsilon=0.1, solver_profile="warp")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_small_scale_cost_is_trivial(rng, method):
+    # before: eps' = epsilon / (6 |C|_inf) = 8.3 >= 8 raised
+    # "eps_prime must lie in (0, 8)" on this valid input
+    a = rng.dirichlet(np.ones(4))
+    b = rng.dirichlet(np.ones(4))
+    c = 1e-3 * rng.random((4, 4))
+    c[0, 1] = 1e-3
+    res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05), method=method)
+    assert res.stop_reason == STOP_TRIVIAL
+    assert np.array_equal(res.plan.entries, np.outer(a, b))
+    assert res.ot_value <= 1e-3
+    assert set(res.op_counts.values()) == {0}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cost_out_of_float_range_rejected(method):
+    # before: the scaling methods ran their whole budget to an all-NaN plan
+    # flagged "iteration-cap", and pdasgd raised OverflowError
+    half = np.array([0.5, 0.5])
+    cost = 1.5e307 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"\|C\|_inf = 1\.5e\+307 is out of float range"):
+        approx_ot(cost, half, half, ApproxConfig(epsilon=0.05), method=method)
+
+
+def _lp_optimum(cost, a, b) -> float:
+    n = a.size
+    rows = np.kron(np.eye(n), np.ones((1, n)))
+    cols = np.kron(np.ones((1, n)), np.eye(n))
+    res = linprog(cost.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@st.composite
+def small_instances(draw):
+    """n in [2, 5], marginals that may contain zeros, |C|_inf up to 10^scale."""
+    n = draw(st.integers(2, 5))
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    marginal = st.lists(mass, min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    a = np.array(draw(marginal))
+    b = np.array(draw(marginal))
+    scale = 10.0 ** draw(st.floats(-4.0, 2.0))
+    cost = scale * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    return cost, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.filterwarnings("ignore:.*stopped after:RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(instance=small_instances(), seed=st.integers(0, 2**32 - 1))
+def test_pipeline_properties(instance, seed):
+    # The paper's guarantees for every method.  At epsilon = 0.5 the scale
+    # range covers the trivial case epsilon >= 48 |C|_inf.  A capped run is
+    # flagged and certifies nothing, so the epsilon bound is asserted on
+    # every result that is not flagged.
+    cost, a, b = instance
+    epsilon = 0.5
+    optimum = _lp_optimum(cost, a, b)
+    for method in METHODS:
+        config = ApproxConfig(epsilon=epsilon, seed=seed)
+        res = approx_ot(cost, a, b, config, method=method)
+        plan = res.plan.entries
+        assert plan.min() >= 0
+        assert marginal_distance(plan, a, b) <= 1e-10
+        if res.stop_reason != STOP_CAP:
+            assert res.ot_value - optimum <= epsilon
+        if res.rounding_report is not None:
+            report = res.rounding_report
+            assert report.l1_change <= 2 * report.input_marginal_gap + 1e-12
+        again = approx_ot(cost, a, b, config, method=method)
+        assert again.plan.entries.tobytes() == plan.tobytes()

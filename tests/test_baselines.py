@@ -17,7 +17,7 @@ def positive_pair(rng, n):
 def test_sinkhorn_zero_cost_one_sweep(rng):
     n = 4
     a, b = positive_pair(rng, n)
-    plan, info = sinkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-12, max_iter=5, log=True)
+    plan, info = sinkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-12, max_iter=5)
     assert info["iterations"] == 1
     assert np.abs(plan.entries - np.outer(a, b)).max() < 1e-15
 
@@ -27,7 +27,7 @@ def test_sinkhorn_preserves_symmetry(rng):
     c = rng.random((n, n))
     c = 0.5 * (c + c.T)
     a, _ = positive_pair(rng, n)
-    plan = sinkhorn(c, a, a, eta=0.2, tol_marginal=1e-10, max_iter=100000)
+    plan, _ = sinkhorn(c, a, a, eta=0.2, tol_marginal=1e-10, max_iter=100000)
     assert np.abs(plan.entries - plan.entries.T).max() < 1e-10
 
 
@@ -36,7 +36,7 @@ def test_sinkhorn_rounded_value_near_oracle(rng):
     c = rng.random((n, n)); c /= c.max()
     a, b = positive_pair(rng, n)
     _, opt = exact_ot_oracle(c, a, b)
-    plan = sinkhorn(c, a, b, eta=0.05, tol_marginal=1e-6, max_iter=10**6)
+    plan, _ = sinkhorn(c, a, b, eta=0.05, tol_marginal=1e-6, max_iter=10**6)
     rounded, _ = round_to_polytope(plan.entries, a, b)
     assert float((rounded.entries * c).sum()) - opt <= 0.05
 
@@ -50,8 +50,8 @@ def test_sinkhorn_validation_and_flagging(rng):
         sinkhorn(np.ones((n, n)), a, b, eta=0.0)
     c = rng.random((n, n))
     with pytest.warns(RuntimeWarning, match="max_iter"):
-        _, info = sinkhorn(c, a, b, eta=0.01, tol_marginal=1e-14, max_iter=2, log=True)
-    assert not info["converged"]
+        _, info = sinkhorn(c, a, b, eta=0.01, tol_marginal=1e-14, max_iter=2)
+    assert info["stop_reason"] is None
 
 
 @pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
@@ -73,13 +73,24 @@ def test_scaling_rejects_non_finite_input(rng, solver, field, bad):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_greenkhorn_nan_distance_is_not_converged():
     # a finite cost whose kernel underflows everywhere makes the plan NaN;
-    # the NaN marginal distance must not pass the tolerance test
+    # the NaN marginal distance must not pass the tolerance test, and the
+    # run stops before its first update instead of running all 10^6
     half = np.array([0.5, 0.5])
     with pytest.warns(RuntimeWarning, match="max_iter"):
-        _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10, max_iter=5, log=True)
-    assert info["stop_reason"] is None
-    assert not info["converged"]
-    assert info["updates"] == 5
+        _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
+    assert info["stop_reason"] == "non-finite"
+    assert info["iterations"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_sinkhorn_nan_distance_is_not_converged():
+    # the same NaN plan stops Sinkhorn after its first sweep, not 10^4
+    half = np.array([0.5, 0.5])
+    with pytest.warns(RuntimeWarning, match="max_iter"):
+        _, info = sinkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
+    assert info["stop_reason"] == "non-finite"
+    assert info["iterations"] == 1
 
 
 def test_greenkhorn_zero_cost_fixed_point(rng):
@@ -87,8 +98,8 @@ def test_greenkhorn_zero_cost_fixed_point(rng):
     # few more than 2n updates because each update perturbs the other axis
     for n in (2, 3, 4):
         a, b = positive_pair(rng, n)
-        plan, info = greenkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-10, max_iter=1000, log=True)
-        assert info["converged"]
+        plan, info = greenkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-10, max_iter=1000)
+        assert info["stop_reason"] == "marginal-tol"
         assert info["iterations"] <= 8 * n
         assert np.abs(plan.entries - np.outer(a, b)).max() < 1e-12
 
@@ -99,8 +110,8 @@ def test_greenkhorn_updated_line_sums_exactly(rng):
     a, b = positive_pair(rng, n)
     # after convergence at a tight tolerance every line is near its target;
     # check single-update exactness on a coarse run by re-running one step
-    plan, info = greenkhorn(c, a, b, eta=0.3, tol_marginal=1e-9, max_iter=10**6, log=True)
-    assert info["converged"]
+    plan, info = greenkhorn(c, a, b, eta=0.3, tol_marginal=1e-9, max_iter=10**6)
+    assert info["stop_reason"] == "marginal-tol"
     r = plan.entries.sum(axis=1)
     col = plan.entries.sum(axis=0)
     assert min(np.abs(r - a).max(), np.abs(col - b).max()) < 1e-9
@@ -110,8 +121,8 @@ def test_greenkhorn_agrees_with_sinkhorn(rng):
     for n in (4, 8, 16):
         c = rng.random((n, n)); c /= c.max()
         a, b = positive_pair(rng, n)
-        ps = sinkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**6)
-        pg = greenkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**7)
+        ps, _ = sinkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**6)
+        pg, _ = greenkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**7)
         assert np.abs(ps.entries - pg.entries).sum() < 1e-6
 
 
@@ -119,8 +130,8 @@ def test_plans_strictly_positive(rng):
     n = 6
     c = rng.random((n, n))
     a, b = positive_pair(rng, n)
-    ps, si = sinkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**5, log=True)
-    pg, gi = greenkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**6, log=True)
+    ps, si = sinkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**5)
+    pg, gi = greenkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**6)
     assert ps.entries.min() > 0
     assert pg.entries.min() > 0
 
@@ -135,10 +146,10 @@ def test_stop_callback(rng):
         seen.append(iteration)
         return "poked" if iteration >= 3 else None
 
-    _, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, log=True, stop=stop)
+    _, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
     assert info["stop_reason"] == "poked"
     assert info["iterations"] == 3
 
-    _, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, log=True, stop=lambda p, i: "poked" if i >= 2 * n else None)
+    _, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=lambda p, i: "poked" if i >= 2 * n else None)
     assert ginfo["stop_reason"] == "poked"
     assert ginfo["iterations"] == 2 * n

@@ -42,8 +42,8 @@ def test_doubles_in_unit_interval():
 
 def test_determinism_and_split_independence():
     assert SplitMix64(42).doubles(16).tolist() == SplitMix64(42).doubles(16).tolist()
-    a = SplitMix64(42).split("a").doubles(16)
-    b = SplitMix64(42).split("b").doubles(16)
+    a = SplitMix64(derive_seed(42, "a")).doubles(16)
+    b = SplitMix64(derive_seed(42, "b")).doubles(16)
     assert not np.allclose(a, b)
 
 

@@ -79,3 +79,11 @@ def test_input_validation():
         round_to_polytope(np.full((2, 2), 0.5), HALF, HALF)
     with pytest.raises(ValueError, match="shape"):
         round_to_polytope(np.full((2, 2), 0.25), HALF, np.array([0.2, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    # before: a NaN plan passed both the sign and the mass check
+    f = np.full((2, 2), bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        round_to_polytope(f, HALF, HALF)

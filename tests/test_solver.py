@@ -62,7 +62,7 @@ def test_operation_counter(rng):
     oracle = random_oracle(rng, n, eta=0.5)
     res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=0))
     assert res.state.n_component_gradients == S * (n + m)
-    assert res.state.n_full_gradients == S
+    assert res.state.s == S  # one snapshot (full gradient) per outer iteration
     assert res.state.n_inner_steps == S * m
     counts = [r.cumulative_component_gradients for r in res.records]
     assert counts == sorted(counts)
@@ -197,10 +197,10 @@ def test_stopping_rule_fires(rng):
     assert calls == [1, 2, 3]
 
 
-def test_checkpoint_stride(rng):
+def test_every_outer_iteration_is_a_checkpoint(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=10, seed=0, checkpoint_stride=4))
-    assert [r.outer_index for r in res.records] == [4, 8, 10]
+    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=10, seed=0))
+    assert [r.outer_index for r in res.records] == list(range(1, 11))
 
 
 def test_initial_dual_option(rng):
@@ -238,7 +238,7 @@ def test_convergence_rate_consistency(rng):
     for seed in range(20):
         res = run(
             oracle,
-            SolverOptions(inner_iterations=n, outer_iterations=200, seed=seed, checkpoint_stride=50),
+            SolverOptions(inner_iterations=n, outer_iterations=200, seed=seed),
         )
         by_index = {r.outer_index: abs(r.duality_gap) for r in res.records}
         gaps_50.append(by_index[50])
