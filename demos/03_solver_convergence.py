@@ -1,7 +1,8 @@
 """Watch the accelerated stochastic solver close the duality gap.
 
 The run records carry the primal objective, the L1 marginal violation of
-the averaged primal, and the gap surrogate f(x_s) + G(lambda_tilde).  The
+the averaged primal, and the gap surrogate f(x_s) + G(lambda_tilde); a run
+without a stopping rule evaluates all three at every checkpoint.  The
 |gap| shrinks roughly like 1/S^2 in the outer iteration count S.
 """
 

@@ -45,6 +45,7 @@ and records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -78,8 +79,8 @@ class FiniteSumOracle(Protocol):
     positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
     ``primal_map(lam)`` returns the primal point attached to lam, as a fresh
     array the solver may overwrite.  The
-    telemetry hooks ``primal_objective(x)`` and ``constraint_violation_l1(x)``
-    fill the run records.
+    telemetry hooks fill the run records: ``constraint_violation_l1(x)`` at
+    every checkpoint, ``primal_objective(x)`` at certified ones.
     """
 
     component_count: int
@@ -140,11 +141,18 @@ class SolverOptions:
 
 @dataclass
 class RunRecord:
+    """Telemetry of one checkpoint, the averaged primal x_s of one outer iteration.
+
+    ``primal_objective`` is f(x_s) and ``duality_gap`` is f(x_s) +
+    phi(lambda_tilde); both are None unless the checkpoint's certificate was
+    evaluated (see :func:`run`).
+    """
+
     outer_index: int
     cumulative_component_gradients: int
-    primal_objective: float
+    primal_objective: Optional[float]
     constraint_violation_l1: float
-    duality_gap: float
+    duality_gap: Optional[float]
 
 
 @dataclass
@@ -345,23 +353,37 @@ class SolveResult:
     state: SolverState
 
 
-StoppingRule = Callable[[RunRecord, np.ndarray, np.ndarray], Optional[str]]
+StoppingRule = Callable[[RunRecord, np.ndarray, Callable[[], float]], Optional[str]]
 
 
 def make_record(state: SolverState, oracle: FiniteSumOracle) -> tuple[RunRecord, np.ndarray]:
-    """Telemetry for the current averaged primal; returns (record, x_s)."""
+    """The current averaged primal x_s and its record; returns (record, x_s).
+
+    Fills the marginal violation only; :func:`certify` adds the primal
+    objective and the duality gap.
+    """
     x_s = state.primal_average()
-    f_val = float(oracle.primal_objective(x_s))
-    violation = float(oracle.constraint_violation_l1(x_s))
-    gap = f_val + float(state.snapshot.value)
     record = RunRecord(
         outer_index=state.s,
         cumulative_component_gradients=state.n_component_gradients,
-        primal_objective=f_val,
-        constraint_violation_l1=violation,
-        duality_gap=gap,
+        primal_objective=None,
+        constraint_violation_l1=float(oracle.constraint_violation_l1(x_s)),
+        duality_gap=None,
     )
     return record, x_s
+
+
+def certify(record: RunRecord, x_s: np.ndarray, dual_value: float, oracle: FiniteSumOracle) -> float:
+    """The duality gap f(x_s) + phi(lambda_tilde) of a record, evaluated once.
+
+    ``dual_value`` is phi(lambda_tilde), read from the snapshot of the
+    record's outer iteration.  The first call writes f(x_s) and the gap into
+    the record; later calls return the recorded gap.
+    """
+    if record.duality_gap is None:
+        record.primal_objective = float(oracle.primal_objective(x_s))
+        record.duality_gap = record.primal_objective + float(dual_value)
+    return record.duality_gap
 
 
 def run(
@@ -372,9 +394,13 @@ def run(
     """Run outer iterations until the budget or the stopping rule fires.
 
     Every outer iteration is a checkpoint: its record is appended and the
-    stopping rule is evaluated on it together with the averaged primal and
-    the current dual anchor; returning a string stops the run with that
-    reason.  Deterministic given (seed, oracle, options).
+    stopping rule is called as ``stop(record, x_s, gap)`` with the averaged
+    primal x_s and a zero-argument ``gap`` that evaluates the duality gap
+    (:func:`certify`, an n^2 pass) on its first call; returning a string
+    stops the run with that reason.  A record carries ``primal_objective``
+    and ``duality_gap`` only if the rule called ``gap``.  Without a rule,
+    every checkpoint is certified, so the records are complete.
+    Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
@@ -383,10 +409,13 @@ def run(
         outer_iteration(state, oracle, options)
         record, x_s = make_record(state, oracle)
         records.append(record)
-        if stop is not None:
-            stop_reason = stop(record, x_s, state.lambda_tilde)
-            if stop_reason is not None:
-                break
+        gap = partial(certify, record, x_s, state.snapshot.value, oracle)
+        if stop is None:
+            gap()
+            continue
+        stop_reason = stop(record, x_s, gap)
+        if stop_reason is not None:
+            break
     return SolveResult(
         primal=state.primal_average(),
         dual=state.lambda_tilde.copy(),

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from pdasgd.approx import (
     METHODS,
+    STOP_ACCURACY,
     STOP_CAP,
+    STOP_CONVERGED,
     STOP_TRIVIAL,
     ApproxConfig,
     approx_ot,
@@ -21,7 +23,9 @@ from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance, marginal_distance
 from pdasgd.exact import exact_ot_oracle
+from pdasgd.rounding import round_to_polytope
 from pdasgd.semidual import SemiDualOracle
+from pdasgd.solver import SolverOptions, run
 
 
 def test_derive_parameters_examples():
@@ -161,6 +165,70 @@ def test_iteration_cap_flags_result(rng):
     assert marginal_distance(res.plan, a, b) <= 1e-10  # still rounded and feasible
 
 
+def _pipeline_solver(cost, a, b, config):
+    """The oracle and solver options ``approx_ot`` builds for pdasgd."""
+    n = a.size
+    eta, eps_prime = derive_parameters(config.epsilon, n, cost)
+    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
+    oracle = SemiDualOracle(OTInstance(CostMatrix(cost), a_s, b_s, eta))
+    m, multiplier = resolve_profile(config.solver_profile, n)
+    outer = config.max_outer or math.ceil(theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa) / m)
+    options = SolverOptions(inner_iterations=m, outer_iterations=outer, seed=config.seed, z_step_multiplier=multiplier)
+    return oracle, options
+
+
+@pytest.mark.parametrize("profile, kappa", [("benchmark", 8.0), ("theory", 32.0)])
+def test_lazy_certificate_matches_full_records(profile, kappa):
+    # The certificate rule evaluates the gap only where the violation half
+    # passes; applying the whole AND to fully certified records afterwards
+    # must pick the same stop index, op counts and plans.
+    alpha, beta, cost = make_image_pair(0, 4, 1)
+    a, b, c = alpha.weights, beta.weights, cost.entries
+    config = ApproxConfig(epsilon=0.05, solver_profile=profile, kappa=kappa, seed=7)
+    res = approx_ot(c, a, b, config)
+    assert res.stop_reason == STOP_CONVERGED
+    oracle, options = _pipeline_solver(c, a, b, config)
+    full = run(oracle, options)
+    assert all(r.duality_gap is not None for r in full.records)
+    first = next(
+        r for r in full.records
+        if r.constraint_violation_l1 <= res.eps_prime / 2 and r.duality_gap <= config.epsilon / 4
+    )
+    assert first.outer_index == res.outer_iterations
+    assert first.cumulative_component_gradients == res.op_counts["component_gradients"]
+    assert first == res.records[-1]
+    assert all(r.duality_gap is None for r in res.records if r.constraint_violation_l1 > res.eps_prime / 2)
+    options.outer_iterations = first.outer_index
+    capped = run(oracle, options)
+    assert capped.primal.tobytes() == res.unrounded.tobytes()
+    rounded, _ = round_to_polytope(capped.primal / capped.primal.sum(), alpha, beta)
+    assert rounded.entries.tobytes() == res.plan.entries.tobytes()
+
+
+def test_certificate_evaluated_once(monkeypatch):
+    # x ln x is paid at the checkpoint whose violation passed, and here
+    # that is only the stop checkpoint; the accuracy rule never pays it
+    calls = []
+    primal_objective = SemiDualOracle.primal_objective
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return primal_objective(self, x)
+
+    monkeypatch.setattr(SemiDualOracle, "primal_objective", counted)
+    alpha, beta, cost = make_image_pair(0, 8, 0)
+    config = ApproxConfig(epsilon=0.05, solver_profile="benchmark", kappa=8, seed=0)
+    res = approx_ot(cost, alpha, beta, config)
+    assert res.stop_reason == STOP_CONVERGED
+    assert len(calls) == 1
+    assert [i for i, r in enumerate(res.records) if r.duality_gap is not None] == [len(res.records) - 1]
+    calls.clear()
+    res = approx_ot(cost, alpha, beta, config, stop="accuracy")
+    assert res.stop_reason == STOP_ACCURACY
+    assert calls == []
+    assert all(r.primal_objective is None and r.duality_gap is None for r in res.records)
+
+
 def test_gap_surrogate_lower_bound(rng):
     # the surrogate upper-bounds primal suboptimality; its negative part is
     # bounded by the dual scale times the marginal violation
@@ -168,13 +236,17 @@ def test_gap_surrogate_lower_bound(rng):
     c = rng.random((n, n)); c /= c.max()
     a = rng.dirichlet(np.ones(n)); a = (a + 0.01) / (1 + n * 0.01)
     b = rng.dirichlet(np.ones(n)); b = (b + 0.01) / (1 + n * 0.01)
-    res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05, solver_profile="benchmark", max_outer=100000, seed=2))
-    eta, eps_prime = derive_parameters(0.05, n, c)
-    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
-    oracle = SemiDualOracle(OTInstance(CostMatrix(c), a_s, b_s, eta))
-    _, info = sinkhorn(c, a_s.weights, b_s.weights, eta, tol_marginal=1e-9, max_iter=10**6)
+    config = ApproxConfig(epsilon=0.05, solver_profile="benchmark", max_outer=100000, seed=2)
+    res = approx_ot(c, a, b, config)
+    # the same trajectory, certified at every checkpoint
+    oracle, options = _pipeline_solver(c, a, b, config)
+    options.outer_iterations = res.outer_iterations
+    full = run(oracle, options)
+    assert [r.constraint_violation_l1 for r in full.records] == [r.constraint_violation_l1 for r in res.records]
+    eta, a_s, b_s = oracle.eta, oracle.alpha, oracle.beta
+    _, info = sinkhorn(c, a_s, b_s, eta, tol_marginal=1e-9, max_iter=10**6)
     dual_scale = np.abs(eta * info["log_v"]).max()
-    for record in res.records:
+    for record in full.records:
         floor = -(dual_scale + 1.0) * record.constraint_violation_l1 - 1e-9
         assert record.duality_gap >= floor
 
@@ -316,3 +388,53 @@ def test_pipeline_properties(instance, seed):
             assert report.l1_change <= 2 * report.input_marginal_gap + 1e-12
         again = approx_ot(cost, a, b, config, method=method)
         assert again.plan.entries.tobytes() == plan.tobytes()
+
+
+def test_scaling_budget_scales_with_cost():
+    # At |C|_inf ~ 23.2 and epsilon = 0.05, a budget without the |C|_inf^2
+    # factor (10^4 sweeps, 5 * 10^4 Greenkhorn updates) stops both methods
+    # on the cap before their certificate holds.
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        c = rng.random((5, 5)) * 24
+        a = rng.dirichlet(np.ones(5))
+        b = rng.dirichlet(np.ones(5))
+    optimum = _lp_optimum(c, a, b)
+    for method, old_budget in (("sinkhorn", 10_000), ("greenkhorn", 50_000)):
+        res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05), method=method)
+        assert res.stop_reason == STOP_CONVERGED
+        assert res.outer_iterations > old_budget
+        assert res.ot_value - optimum <= 0.05
+
+
+@st.composite
+def smoothed_problems(draw):
+    """A smoothed pipeline problem: n in [2, 5], |C|_inf <= 1, epsilon in [0.25, 1]."""
+    n = draw(st.integers(2, 5))
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    marginal = st.lists(mass, min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    a = np.array(draw(marginal))
+    b = np.array(draw(marginal))
+    cost = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    assume(cost.max() >= 0.01)  # smaller costs are trivial at these epsilons
+    config = ApproxConfig(
+        epsilon=draw(st.floats(0.25, 1.0)),
+        solver_profile=draw(st.sampled_from(["theory", "benchmark"])),
+        max_outer=30,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cost, a / a.sum(), b / b.sum(), config
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=smoothed_problems())
+def test_gap_bounds_smoothed_suboptimality(problem):
+    # Weak duality: -G(lambda) <= f*_eta for every lambda, so the recorded
+    # gap f(x_s) + G(lambda_tilde) bounds f(x_s) - f*_eta at every checkpoint.
+    cost, a, b, config = problem
+    oracle, options = _pipeline_solver(cost, a, b, config)
+    plan, info = sinkhorn(cost, oracle.alpha, oracle.beta, oracle.eta, tol_marginal=1e-12, max_iter=10**6)
+    assert info["stop_reason"] == "marginal-tol"
+    f_star = oracle.primal_objective(plan.entries)
+    for record in run(oracle, options).records:
+        assert record.duality_gap >= record.primal_objective - f_star - 1e-9

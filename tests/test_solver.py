@@ -13,6 +13,7 @@ from pdasgd.semidual import SemiDualOracle
 from pdasgd.solver import (
     DivergenceError,
     SolverOptions,
+    certify,
     gamma,
     init_state,
     inner_step,
@@ -187,14 +188,19 @@ def test_stopping_rule_fires(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     calls = []
 
-    def stop(record, x, lam):
+    def stop(record, x, gap):
         calls.append(record.outer_index)
+        if record.outer_index == 2:
+            assert gap() == gap() == record.duality_gap
         return "enough" if record.outer_index >= 3 else None
 
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=50, seed=0), stop=stop)
     assert res.stop_reason == "enough"
     assert res.state.s == 3
     assert calls == [1, 2, 3]
+    # only the checkpoint whose rule asked for the gap carries it
+    assert [r.duality_gap is not None for r in res.records] == [False, True, False]
+    assert [r.primal_objective is not None for r in res.records] == [False, True, False]
 
 
 def test_every_outer_iteration_is_a_checkpoint(rng):
@@ -253,6 +259,8 @@ def test_record_metrics_match_oracle(rng):
     for _ in range(4):
         outer_iteration(state, oracle, options)
     record, x_s = make_record(state, oracle)
+    assert record.primal_objective is None and record.duality_gap is None
+    assert certify(record, x_s, state.snapshot.value, oracle) == record.duality_gap
     assert record.primal_objective == pytest.approx(oracle.primal_objective(x_s))
     assert record.constraint_violation_l1 == pytest.approx(oracle.constraint_violation_l1(x_s))
     assert record.duality_gap == pytest.approx(
