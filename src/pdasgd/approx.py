@@ -37,7 +37,7 @@ from .core import (
     OTInstance,
     TransportPlan,
     as_weights,
-    marginal_distance,
+    marginal_residual,
     transport_cost,
 )
 from .rounding import RoundingReport, round_to_polytope
@@ -202,9 +202,9 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
     gap_budget = config.epsilon / 4.0
     violation_budget = eps_prime / 2.0
 
-    def stop(record: RunRecord, x_s, gap) -> Optional[str]:
+    def stop(record: RunRecord, marginals, gap) -> Optional[str]:
         if reached is not None:
-            return reached(x_s)
+            return reached(*marginals)
         # The violation half first: only then is the gap's n^2 pass paid.
         if record.constraint_violation_l1 <= violation_budget and gap() <= gap_budget:
             return STOP_CONVERGED
@@ -235,7 +235,7 @@ def _solve_scaling(method, cost, a_s, b_s, eta, eps_prime, config, reached):
     if reached is None:
         tol, stop = eps_prime / 2.0, None
     else:
-        tol, stop = 0.0, lambda plan, iteration: reached(plan)
+        tol, stop = 0.0, lambda plan, iteration: reached(plan.sum(axis=1), plan.sum(axis=0))
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
     plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, stop=stop)
@@ -295,8 +295,8 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     reached = None
     if stop == "accuracy":
 
-        def reached(x) -> Optional[str]:
-            return STOP_ACCURACY if marginal_distance(x, a.weights, b.weights) <= config.epsilon else None
+        def reached(rows, cols) -> Optional[str]:
+            return STOP_ACCURACY if marginal_residual(rows, cols, a.weights, b.weights) <= config.epsilon else None
 
     if method == "pdasgd":
         raw, reason, fields = _solve_pdasgd(c, a_s, b_s, eta, eps_prime, config, reached)

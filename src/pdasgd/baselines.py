@@ -72,6 +72,21 @@ def _lse_rows(t: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
 
 
+def _lse_in_place(t: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted logsumexp of ``t`` along ``axis``; overwrites ``t``."""
+    m = t.max(axis=axis)
+    t -= np.expand_dims(m, axis)
+    np.exp(t, out=t)
+    return m + np.log(t.sum(axis=axis))
+
+
+def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(log_k + log_u[:, None] + log_v[None, :]), written into ``out``."""
+    np.add(log_k, log_u[:, None], out=out)
+    out += log_v
+    return np.exp(out, out=out)
+
+
 def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: StopCallback = None):
     """Alternating log-domain row/column scaling of exp(-C/eta).
 
@@ -81,6 +96,10 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: S
     warn.  Returns ``(plan, info)``: the unrounded plan and a dict of the
     sweep count ``iterations``, the final ``marginal_distance``, the duals
     ``log_u`` and ``log_v``, and ``stop_reason`` (None at the cap).
+
+    A sweep allocates no n^2 array: it works in one preallocated array and
+    rewrites the plan in place, so the callback must not keep the plan it
+    is passed.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     log_k = -c / eta
@@ -90,12 +109,15 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: S
     iteration = 0
     d = np.inf
     reason = None
-    plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
+    work = np.empty_like(log_k)
+    plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
     while iteration < max_iter:
-        log_u = log_a - _lse_rows(log_k + log_v[None, :])
-        log_v = log_b - _lse_rows((log_k + log_u[:, None]).T)
+        np.add(log_k, log_v, out=work)
+        log_u = log_a - _lse_in_place(work, axis=1)
+        np.add(log_k, log_u[:, None], out=work)
+        log_v = log_b - _lse_in_place(work, axis=0)
         iteration += 1
-        plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
+        _scaled_plan(log_k, log_u, log_v, plan)
         d = float(np.abs(plan.sum(1) - a).sum() + np.abs(plan.sum(0) - b).sum())
         reason = _distance_reason(d, tol_marginal)
         if reason is not None:

@@ -195,6 +195,9 @@ def marginal_distance(plan, alpha, beta) -> float:
         raise ValueError(
             f"shape mismatch: plan {x.shape}, marginals ({a.size}, {b.size})"
         )
-    return float(
-        np.abs(x.sum(axis=1) - a).sum() + np.abs(x.sum(axis=0) - b).sum()
-    )
+    return marginal_residual(x.sum(axis=1), x.sum(axis=0), a, b)
+
+
+def marginal_residual(rows, cols, alpha, beta) -> float:
+    """``|rows - alpha|_1 + |cols - beta|_1`` for a plan's row and column sums."""
+    return float(np.abs(rows - alpha).sum() + np.abs(cols - beta).sum())

@@ -12,14 +12,33 @@ the softmax of ``(v - C_i) / eta``, so its row sums always match ``alpha``
 and the gradient of G is exactly ``col_sums(x(v)) - beta``.  Dual points are
 plain float64 vectors.
 
-Every exponential goes through one max-subtracted logsumexp/softmax kernel:
-the raw formulas overflow for the small ``eta`` this package runs at.  One
-dense pass of that kernel, ``snapshot(v)``, yields G(v), its gradient and
-the component gradients at v, read in batches of rows, so a solver
-anchored at v pays for the exponentials once.
+Every n^2 exponential goes through one max-subtracted exp
+(:func:`max_subtracted_exp`): the raw formulas overflow for the small
+``eta`` this package runs at.  One dense pass of it, ``snapshot(v)``,
+yields G(v), its gradient and the component gradients at v, read in
+batches of rows.  These reference methods stay as they are; the solver
+reaches the same quantities through a :class:`KernelWorkspace`.
 
-The oracle is immutable and shareable across threads; gradient buffers are
-caller-owned.
+A solver run's dual moves little on the eta scale between outer
+iterations, so the workspace keeps the kernel instead of the softmax
+(the absorption trick of stabilized log-domain scaling, Schmitzer 2019).
+At a base point v0 it holds the row maxima m0 of ``(v0 - C)/eta - 1`` and
+``K = exp((v0 - C)/eta - 1 - m0)``, whose rows each have an entry of 1.
+At v, with ``d = (v - v0)/eta``, ``c = max d`` and ``e = exp(d - c)``,
+softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp is
+``m0_i + c + log r_i``: a snapshot costs two matrix-vector products and n
+exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
+of d exceeds :data:`REBASE_SPAN`; below it e >= exp(-REBASE_SPAN), so r
+never underflows.  The workspace also keeps the solver's weighted sum of
+primal maps in factors: the map of v times w is ``K * outer(w alpha / r,
+e)``, so it appends that pair and updates the sum's row and column sums
+with one more matrix-vector product.  The pairs are folded into a dense
+sum by one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of
+them are held; reading the sum leaves it unchanged, so the sum's bits do
+not depend on when it was read.
+
+The oracle is immutable and shareable across threads; gradient buffers and
+workspaces are caller-owned.
 """
 
 from __future__ import annotations
@@ -28,7 +47,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, OTInstance, sum_xlogx
+from .core import Distribution, OTInstance, marginal_residual, sum_xlogx
+
+# Spread of (v - v0)/eta beyond which a workspace rebuilds its kernel at v.
+REBASE_SPAN = 30.0
+# Factor pairs a workspace holds before folding them into its dense sum.
+# It bounds their memory and the matrix product that reading the sum
+# costs; a dense solve runs up to ~300 outer iterations between rebuilds.
+PENDING_PAIRS = 32
+
+
+def max_subtracted_exp(t: np.ndarray) -> np.ndarray:
+    """Overwrite ``t`` with ``exp(t - max)`` row-wise; returns the row maxima.
+
+    The maxima keep the reduced axis, so every row of the result has an
+    entry of exactly 1.
+    """
+    m = t.max(axis=-1, keepdims=True)
+    t -= m
+    np.exp(t, out=t)
+    return m
 
 
 def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,9 +77,7 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``w = exp(t - max); w / w.sum()`` op for op, so the results are the
     same bits as the allocating form.
     """
-    m = t.max(axis=-1, keepdims=True)
-    t -= m
-    np.exp(t, out=t)
+    m = max_subtracted_exp(t)
     s = t.sum(axis=-1, keepdims=True)
     t /= s
     return np.squeeze(m + np.log(s), axis=-1), t
@@ -65,6 +101,28 @@ class SemiDualSnapshot:
         ``component_gradient(indices[k], v)`` bit for bit.
         """
         rows = self.softmax[indices]
+        rows -= self.beta
+        rows *= self.scale[indices, None]
+        return rows
+
+
+@dataclass(frozen=True)
+class KernelSnapshot:
+    """G(v) and grad G(v) from a workspace kernel, with what its anchor rows need."""
+
+    value: float
+    gradient: np.ndarray
+    kernel: np.ndarray  # K of the base point, not written after the snapshot
+    weights: np.ndarray  # e = exp((v - v0)/eta - c)
+    norms: np.ndarray  # r = K e
+    beta: np.ndarray
+    scale: np.ndarray  # n alpha_i, the weight of component i
+
+    def anchors(self, indices) -> np.ndarray:
+        """Rows grad g_i(v) = n alpha_i (K_i e / r_i - beta) for i in ``indices``, freshly allocated."""
+        rows = self.kernel[indices]
+        rows *= self.weights
+        rows /= self.norms[indices, None]
         rows -= self.beta
         rows *= self.scale[indices, None]
         return rows
@@ -156,6 +214,10 @@ class SemiDualOracle:
         out *= self._scale[i, ...]
         return out
 
+    def workspace(self) -> "KernelWorkspace":
+        """A fresh :class:`KernelWorkspace` over this oracle, for one solver run."""
+        return KernelWorkspace(self)
+
     def full_gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of G at v: col_sums(x(v)) - beta."""
         return self.snapshot(v).gradient
@@ -194,7 +256,108 @@ class SemiDualOracle:
 
     def constraint_violation_l1(self, x: np.ndarray) -> float:
         """L1 distance of x's marginals to this oracle's own marginals."""
-        return float(
-            np.abs(x.sum(axis=1) - self.alpha).sum()
-            + np.abs(x.sum(axis=0) - self.beta).sum()
+        return marginal_residual(x.sum(axis=1), x.sum(axis=0), self.alpha, self.beta)
+
+
+class KernelWorkspace:
+    """One solver run's re-based kernel and weighted primal sum (see the module docstring).
+
+    ``snapshot(v)`` and ``accumulate(v, weight)`` re-base the kernel at v
+    first when v has drifted more than :data:`REBASE_SPAN` on the eta
+    scale from the base point; the first call builds it.  A rebuild
+    allocates a new kernel, so snapshots taken before it stay valid.
+    """
+
+    def __init__(self, oracle: SemiDualOracle):
+        self.oracle = oracle
+        n = oracle.n
+        self.kernel = None
+        self.offsets = None  # m0, the row maxima of (v0 - C)/eta - 1
+        self.base = None  # v0
+        self._dense = np.zeros((n, n))  # the pairs folded in so far
+        # (w alpha / r, e) of the primal maps since the last fold, one per row
+        self._left = np.empty((PENDING_PAIRS, n))
+        self._right = np.empty((PENDING_PAIRS, n))
+        self._pending_count = 0
+        self._row_sums = np.zeros(n)
+        self._col_sums = np.zeros(n)
+
+    def rebuild(self, v: np.ndarray) -> None:
+        """Fold the pending pairs into the dense sum and re-base the kernel at v."""
+        self._fold()
+        kernel = v / self.oracle.eta + self.oracle._shift
+        self.offsets = np.squeeze(max_subtracted_exp(kernel), axis=-1)
+        self.kernel = kernel
+        self.base = v.copy()
+
+    def _weights(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """(e, c) of v against the base point, re-basing at v first if needed."""
+        d = None if self.base is None else (v - self.base) / self.oracle.eta
+        if d is None or d.max() - d.min() > REBASE_SPAN:
+            self.rebuild(v)
+            d = np.zeros_like(v)
+        c = d.max()
+        d -= c
+        np.exp(d, out=d)
+        return d, c
+
+    def _pending(self) -> np.ndarray:
+        """K * sum_k outer(a_k, e_k) over the pending pairs: one matrix product."""
+        k = self._pending_count
+        total = self._left[:k].T @ self._right[:k]
+        total *= self.kernel
+        return total
+
+    def _fold(self) -> None:
+        if self._pending_count:
+            self._dense += self._pending()
+            self._pending_count = 0
+
+    def snapshot(self, v: np.ndarray) -> KernelSnapshot:
+        """G(v), grad G(v) and the anchor rows at v; equals ``oracle.snapshot(v)`` to rounding."""
+        o = self.oracle
+        e, c = self._weights(v)
+        r = self.kernel @ e
+        lse = self.offsets + c + np.log(r)
+        gradient = (o.alpha / r) @ self.kernel
+        gradient *= e
+        gradient -= o.beta
+        return KernelSnapshot(
+            value=float(o.eta * o.alpha @ (lse - o.log_alpha + 1.0) - o.beta @ v),
+            gradient=gradient,
+            kernel=self.kernel,
+            weights=e,
+            norms=r,
+            beta=o.beta,
+            scale=o._scale,
         )
+
+    def accumulate(self, v: np.ndarray, weight: float) -> None:
+        """Add ``weight * oracle.primal_map(v)`` to the sum, as one factor pair."""
+        e, _ = self._weights(v)
+        r = self.kernel @ e
+        k = self._pending_count
+        a = np.multiply(self.oracle.alpha, weight, out=self._left[k])
+        a /= r
+        self._right[k] = e
+        self._pending_count = k + 1
+        self._row_sums += a * r
+        self._col_sums += e * (a @ self.kernel)
+        if self._pending_count == PENDING_PAIRS:
+            self._fold()
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column sums of the sum, as fresh arrays."""
+        return self._row_sums.copy(), self._col_sums.copy()
+
+    def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float:
+        """L1 distance of a plan's row and column sums to the oracle's marginals."""
+        return marginal_residual(rows, cols, self.oracle.alpha, self.oracle.beta)
+
+    def primal_sum(self) -> np.ndarray:
+        """The weighted sum of primal maps, as a fresh array; the sum itself is unchanged."""
+        if not self._pending_count:
+            return self._dense.copy()
+        total = self._pending()
+        total += self._dense
+        return total

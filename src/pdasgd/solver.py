@@ -1,11 +1,13 @@
 """Primal-dual accelerated stochastic gradient descent with variance reduction.
 
 Minimizes a finite-sum dual objective ``phi(lam) = (1/h) sum_i phi_i(lam)``
-while averaging the associated primal iterates.  The oracle evaluates the
-anchor ``lam_tilde`` once each time it is set, at init and after each reset,
-as a snapshot: ``phi(lam_tilde)`` for the record's gap, the full gradient
-``u = grad phi(lam_tilde)`` and the anchor component gradients
-``grad phi_i(lam_tilde)``.  Each outer iteration s:
+while averaging the associated primal iterates.  Each run owns a workspace
+from ``oracle.workspace()``, which keeps the run's dense state: it
+evaluates the anchor ``lam_tilde`` once each time it is set, at init and
+after each reset, as a snapshot (``phi(lam_tilde)`` for the record's gap,
+the full gradient ``u = grad phi(lam_tilde)`` and the anchor component
+gradients ``grad phi_i(lam_tilde)``), and it keeps the weighted sum of
+primal maps with its row and column sums.  Each outer iteration s:
 
   * computes the constants its inner steps share (``tau1_s``, the y weight
     ``1 - tau1_s - tau2``, the z and y step coefficients and
@@ -20,11 +22,16 @@ as a snapshot: ``phi(lam_tilde)`` for the record's gap, the full gradient
 
     with ``tau2 = 1/2``, ``tau1_s = 2/(s+4)``, ``gamma_s = 1/(9 tau1_s Lbar)``
     and component i drawn with probability ``p_i = L_i / (h Lbar)``,
-  * resets ``lam_tilde`` to the mean of the m produced y iterates and takes
-    its snapshot, and
-  * picks one of the m inner ``lam`` values uniformly at random, maps it to
-    the primal, and folds it into the running weighted average
-    ``x_s = D / Ccoef`` with weight ``1 / tau1_s``.
+  * resets ``lam_tilde`` to the mean of the m produced y iterates,
+  * adds the primal map of one of the m inner ``lam`` values, picked
+    uniformly at random, with weight ``1 / tau1_s`` to the workspace's sum
+    D, whose average is ``x_s = D / Ccoef``, and
+  * takes the snapshot of the new ``lam_tilde``.
+
+A checkpoint reads only x_s's row and column sums; x_s itself is built
+where the certificate needs it and for the result.  The semi-dual
+oracle's workspace keeps a re-based kernel, so its snapshots and
+accumulations are matrix-vector products (see :mod:`pdasgd.semidual`).
 
 An inner step thus computes one component gradient, at ``lam``; the anchor
 term comes from the snapshot.  The divisors ``h p_i`` are fixed for the
@@ -68,19 +75,39 @@ class Snapshot(Protocol):
     def anchors(self, indices: np.ndarray) -> np.ndarray: ...
 
 
+class Workspace(Protocol):
+    """One run's dense state over an oracle, owned by the solver.
+
+    ``snapshot(lam)`` returns the :class:`Snapshot` of lam, whose batched
+    anchor rows the inner steps subtract; ``accumulate(lam, weight)`` adds
+    weight times the primal point attached to lam to a running sum;
+    ``marginals()`` returns that sum's row and column sums as fresh arrays;
+    ``constraint_violation_l1(rows, cols)`` is the L1 distance of given row
+    and column sums to the oracle's marginals; ``primal_sum()`` returns the
+    sum as a fresh array and leaves it unchanged.
+    """
+
+    def snapshot(self, lam: np.ndarray) -> Snapshot: ...
+
+    def accumulate(self, lam: np.ndarray, weight: float) -> None: ...
+
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]: ...
+
+    def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float: ...
+
+    def primal_sum(self) -> np.ndarray: ...
+
+
 class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
     ``component_gradient(i, lam, out)`` writes grad phi_i(lam) into ``out``,
-    once per inner step; ``snapshot(lam)`` returns the :class:`Snapshot` of
-    lam, whose batched anchor rows the inner steps subtract;
+    once per inner step; ``workspace()`` returns a fresh :class:`Workspace`
+    for one run, which takes the snapshots and keeps the primal sum;
     ``sampling_weights()`` returns a probability vector (or a Distribution)
     positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
-    ``primal_map(lam)`` returns the primal point attached to lam, as a fresh
-    array the solver may overwrite.  The
-    telemetry hooks fill the run records: ``constraint_violation_l1(x)`` at
-    every checkpoint, ``primal_objective(x)`` at certified ones.
+    ``primal_objective(x)`` fills the records of certified checkpoints.
     """
 
     component_count: int
@@ -88,17 +115,13 @@ class FiniteSumOracle(Protocol):
 
     def component_gradient(self, i: int, lam: np.ndarray, out: np.ndarray) -> np.ndarray: ...
 
-    def snapshot(self, lam: np.ndarray) -> Snapshot: ...
+    def workspace(self) -> Workspace: ...
 
     def sampling_weights(self): ...
 
     def average_smoothness(self) -> float: ...
 
-    def primal_map(self, lam: np.ndarray) -> np.ndarray: ...
-
     def primal_objective(self, x: np.ndarray) -> float: ...
-
-    def constraint_violation_l1(self, x: np.ndarray) -> float: ...
 
 
 class DivergenceError(RuntimeError):
@@ -161,9 +184,9 @@ class SolverState:
     z: np.ndarray
     lambda_tilde: np.ndarray
     lambda_cur: np.ndarray
+    workspace: Workspace  # holds the weighted primal sum D
     snapshot: Snapshot  # of lambda_tilde
-    D: np.ndarray  # weighted primal accumulator, shape of primal_map output
-    Ccoef: float
+    Ccoef: float  # the sum of the primal weights
     s: int
     rng: SplitMix64
     sampler: CategoricalSampler
@@ -178,9 +201,12 @@ class SolverState:
     _pick_index: int = -1
 
     def primal_average(self) -> np.ndarray:
+        """x_s = D / Ccoef, built as a fresh array."""
         if self.Ccoef <= 0:
             raise RuntimeError("no primal iterate accumulated yet")
-        return self.D / self.Ccoef
+        x = self.workspace.primal_sum()
+        x /= self.Ccoef
+        return x
 
 
 @dataclass(frozen=True)
@@ -235,15 +261,15 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
     zeros = lambda: np.zeros(d)
-    primal_shape = np.asarray(oracle.primal_map(lam0)).shape
     divisors = h * weights
+    workspace = oracle.workspace()
     return SolverState(
         y=lam0.copy(),
         z=lam0.copy(),
         lambda_tilde=lam0.copy(),
         lambda_cur=lam0.copy(),
-        snapshot=oracle.snapshot(lam0),
-        D=np.zeros(primal_shape),
+        workspace=workspace,
+        snapshot=workspace.snapshot(lam0),
         Ccoef=0.0,
         s=0,
         rng=SplitMix64(options.seed),
@@ -305,11 +331,12 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants,
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
-    """m inner steps, anchor reset and snapshot, and primal accumulation.
+    """m inner steps, anchor reset, primal accumulation and snapshot.
 
     Charges the m inner steps and their component gradients, and the full
     gradient of the snapshot they use, which was taken when lambda_tilde was
-    last set.
+    last set.  Raises :class:`DivergenceError` on a non-finite iterate
+    before the workspace sees it.
     """
     s = state.s
     m = options.inner_iterations
@@ -329,11 +356,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     state.n_component_gradients += h + m
     state.n_inner_steps += m
     np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
-    t1 = tau1(s)
-    picked = oracle.primal_map(state._picked_lambda)
-    picked /= t1
-    state.D += picked
-    state.Ccoef += 1.0 / t1
     state.s = s + 1
     for name, vec in (("lambda_tilde", state.lambda_tilde), ("z", state.z), ("y", state.y)):
         if not np.isfinite(vec).all():
@@ -341,7 +363,10 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
                 f"non-finite {name} after outer iteration {state.s} "
                 f"(max |z| = {np.abs(state.z).max():.3e})"
             )
-    state.snapshot = oracle.snapshot(state.lambda_tilde)
+    weight = 1.0 / tau1(s)
+    state.workspace.accumulate(state._picked_lambda, weight)
+    state.Ccoef += weight
+    state.snapshot = state.workspace.snapshot(state.lambda_tilde)
 
 
 @dataclass
@@ -353,36 +378,40 @@ class SolveResult:
     state: SolverState
 
 
-StoppingRule = Callable[[RunRecord, np.ndarray, Callable[[], float]], Optional[str]]
+Marginals = tuple[np.ndarray, np.ndarray]
+StoppingRule = Callable[[RunRecord, Marginals, Callable[[], float]], Optional[str]]
 
 
-def make_record(state: SolverState, oracle: FiniteSumOracle) -> tuple[RunRecord, np.ndarray]:
-    """The current averaged primal x_s and its record; returns (record, x_s).
+def make_record(state: SolverState) -> tuple[RunRecord, Marginals]:
+    """The record of the current averaged primal x_s; returns (record, (rows, cols)).
 
-    Fills the marginal violation only; :func:`certify` adds the primal
-    objective and the duality gap.
+    Reads x_s's row and column sums from the workspace, without building
+    x_s, and fills the marginal violation only; :func:`certify` adds the
+    primal objective and the duality gap.
     """
-    x_s = state.primal_average()
+    rows, cols = state.workspace.marginals()
+    rows /= state.Ccoef
+    cols /= state.Ccoef
     record = RunRecord(
         outer_index=state.s,
         cumulative_component_gradients=state.n_component_gradients,
         primal_objective=None,
-        constraint_violation_l1=float(oracle.constraint_violation_l1(x_s)),
+        constraint_violation_l1=float(state.workspace.constraint_violation_l1(rows, cols)),
         duality_gap=None,
     )
-    return record, x_s
+    return record, (rows, cols)
 
 
-def certify(record: RunRecord, x_s: np.ndarray, dual_value: float, oracle: FiniteSumOracle) -> float:
-    """The duality gap f(x_s) + phi(lambda_tilde) of a record, evaluated once.
+def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> float:
+    """The duality gap f(x_s) + phi(lambda_tilde) of the state's current record, evaluated once.
 
-    ``dual_value`` is phi(lambda_tilde), read from the snapshot of the
-    record's outer iteration.  The first call writes f(x_s) and the gap into
-    the record; later calls return the recorded gap.
+    The first call builds x_s and writes f(x_s) and the gap, with
+    phi(lambda_tilde) read from the current snapshot, into the record;
+    later calls return the recorded gap.
     """
     if record.duality_gap is None:
-        record.primal_objective = float(oracle.primal_objective(x_s))
-        record.duality_gap = record.primal_objective + float(dual_value)
+        record.primal_objective = float(oracle.primal_objective(state.primal_average()))
+        record.duality_gap = record.primal_objective + float(state.snapshot.value)
     return record.duality_gap
 
 
@@ -394,9 +423,10 @@ def run(
     """Run outer iterations until the budget or the stopping rule fires.
 
     Every outer iteration is a checkpoint: its record is appended and the
-    stopping rule is called as ``stop(record, x_s, gap)`` with the averaged
-    primal x_s and a zero-argument ``gap`` that evaluates the duality gap
-    (:func:`certify`, an n^2 pass) on its first call; returning a string
+    stopping rule is called as ``stop(record, (rows, cols), gap)`` with the
+    row and column sums of the averaged primal x_s and a zero-argument
+    ``gap`` that builds x_s and evaluates the duality gap (:func:`certify`,
+    n^2 passes) on its first call; returning a string
     stops the run with that reason.  A record carries ``primal_objective``
     and ``duality_gap`` only if the rule called ``gap``.  Without a rule,
     every checkpoint is certified, so the records are complete.
@@ -407,13 +437,13 @@ def run(
     stop_reason = None
     for _ in range(options.outer_iterations):
         outer_iteration(state, oracle, options)
-        record, x_s = make_record(state, oracle)
+        record, marginals = make_record(state)
         records.append(record)
-        gap = partial(certify, record, x_s, state.snapshot.value, oracle)
+        gap = partial(certify, record, state, oracle)
         if stop is None:
             gap()
             continue
-        stop_reason = stop(record, x_s, gap)
+        stop_reason = stop(record, marginals, gap)
         if stop_reason is not None:
             break
     return SolveResult(

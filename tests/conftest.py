@@ -64,11 +64,38 @@ class QuadraticOracle:
     def primal_map(self, lam):
         return lam.copy()
 
+    def workspace(self):
+        return DenseWorkspace(self)
+
     def primal_objective(self, x):
         return 0.0
 
-    def constraint_violation_l1(self, x):
+
+class DenseWorkspace:
+    """A solver workspace over a test oracle's own snapshot and primal map.
+
+    The primal points are the dual vectors themselves, so they carry no
+    marginals: both sums are the sum itself and the violation is 0.
+    """
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.total = 0.0
+
+    def snapshot(self, lam):
+        return self.oracle.snapshot(lam)
+
+    def accumulate(self, lam, weight):
+        self.total = self.total + weight * self.oracle.primal_map(lam)
+
+    def marginals(self):
+        return np.array(self.total), np.array(self.total)
+
+    def constraint_violation_l1(self, rows, cols):
         return 0.0
+
+    def primal_sum(self):
+        return np.array(self.total)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import component_smoothness, random_instance, random_oracle
 from pdasgd.baselines import sinkhorn
 from pdasgd.core import CostMatrix, Distribution, OTInstance
-from pdasgd.semidual import SemiDualOracle, lse_softmax
+from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle, lse_softmax
 
 
 def symmetric_2x2(eta=1.0):
@@ -199,6 +199,59 @@ def test_primal_map_is_bitwise_the_allocating_formula(seed, n, eta, scale):
     x = o.primal_map(v)
     assert x.tobytes() == ref.tobytes()
     assert x.flags.writeable  # a fresh array the caller owns
+
+
+def assert_close(got, ref, scale):
+    """|got - ref| <= 1e-12 scale, entrywise; ``scale`` is the size of the terms."""
+    assert np.all(np.abs(np.asarray(got) - ref) <= 1e-12 * np.asarray(scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    eta=st.sampled_from([1.0, 0.05, 1e-3]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+# at eta = 1e-3 a cost of scale 30 spreads a row over ~3e4, so the kernel
+# holds subnormal and zero entries
+@example(seed=0, n=24, eta=1e-3, scale=30.0)
+def test_workspace_matches_the_reference(seed, n, eta, scale):
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, n, eta)
+    o = SemiDualOracle(OTInstance(CostMatrix(scale * base.cost.entries), base.row_marginal, base.col_marginal, eta))
+    ws = o.workspace()
+    v0 = scale * rng.normal(size=n)
+    ws.snapshot(v0)  # builds the kernel at v0
+    kernel = ws.kernel
+    # drifts from v0 whose spread on the eta scale reaches the span, short
+    # of it by more than the rounding of (v - v0) / eta
+    for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
+        drift = rng.random(n)
+        drift = (drift - drift.min()) / np.ptp(drift) if np.ptp(drift) > 0 else drift
+        v = v0 + eta * spread * drift
+        got, ref = ws.snapshot(v), o.snapshot(v)
+        assert ws.kernel is kernel  # no rebuild within the span
+        assert_close(got.value, ref.value, abs(ref.value) + np.abs(v).max() + scale + eta)
+        assert_close(got.gradient, ref.gradient, 1.0)
+        rows = np.arange(n)
+        assert_close(got.anchors(rows), ref.anchors(rows), o.n * o.alpha[:, None])
+    # the factored sum, across folds of full pending blocks and, at every
+    # 10th point, a drift wide enough to force a rebuild
+    total = np.zeros((n, n))
+    weight_sum = 0.0
+    for k in range(2 * PENDING_PAIRS + 3):
+        v = v0 + eta * (2 if k % 10 == 9 else 0.5) * REBASE_SPAN * rng.random(n)
+        weight = (k + 4) / 2.0
+        ws.accumulate(v, weight)
+        total += weight * o.primal_map(v)
+        weight_sum += weight
+        rows, cols = ws.marginals()
+        assert_close(ws.primal_sum(), total, weight_sum)
+        assert_close(rows, total.sum(axis=1), weight_sum)
+        assert_close(cols, total.sum(axis=0), weight_sum)
+    # reading the sum does not change it
+    assert ws.primal_sum().tobytes() == ws.primal_sum().tobytes()
 
 
 def central_difference_gradient(fn, v, step=1e-6):

@@ -9,7 +9,7 @@ from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance
 from pdasgd.rng import CategoricalSampler, SplitMix64
-from pdasgd.semidual import SemiDualOracle
+from pdasgd.semidual import KernelWorkspace, SemiDualOracle
 from pdasgd.solver import (
     DivergenceError,
     SolverOptions,
@@ -188,7 +188,7 @@ def test_stopping_rule_fires(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     calls = []
 
-    def stop(record, x, gap):
+    def stop(record, marginals, gap):
         calls.append(record.outer_index)
         if record.outer_index == 2:
             assert gap() == gap() == record.duality_gap
@@ -258,9 +258,12 @@ def test_record_metrics_match_oracle(rng):
     state = init_state(oracle, options)
     for _ in range(4):
         outer_iteration(state, oracle, options)
-    record, x_s = make_record(state, oracle)
+    record, (rows, cols) = make_record(state)
     assert record.primal_objective is None and record.duality_gap is None
-    assert certify(record, x_s, state.snapshot.value, oracle) == record.duality_gap
+    assert certify(record, state, oracle) == record.duality_gap
+    x_s = state.primal_average()
+    assert np.allclose(rows, x_s.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(cols, x_s.sum(axis=0), rtol=0, atol=1e-15)
     assert record.primal_objective == pytest.approx(oracle.primal_objective(x_s))
     assert record.constraint_violation_l1 == pytest.approx(oracle.constraint_violation_l1(x_s))
     assert record.duality_gap == pytest.approx(
@@ -276,13 +279,26 @@ def _counted(name):
     return method
 
 
+class CountingWorkspace(KernelWorkspace):
+    def snapshot(self, v):
+        self.oracle.calls["workspace.snapshot"] += 1
+        return super().snapshot(v)
+
+    def accumulate(self, v, weight):
+        self.oracle.calls["workspace.accumulate"] += 1
+        return super().accumulate(v, weight)
+
+
 class CountingOracle(SemiDualOracle):
     def __init__(self, instance):
         super().__init__(instance)
         self.calls = Counter()
 
+    def workspace(self):
+        return CountingWorkspace(self)
 
-for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value"):
+
+for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value", "constraint_violation_l1"):
     setattr(CountingOracle, _name, _counted(_name))
 
 
@@ -291,17 +307,41 @@ def test_one_snapshot_per_outer_iteration(rng):
     oracle = CountingOracle(random_instance(rng, n, eta=0.3))
     options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=3)
     state = init_state(oracle, options)
-    # the init snapshot of lambda_tilde, and one primal map for the accumulator's shape
-    assert oracle.calls == Counter(snapshot=1, primal_map=1)
+    # the init snapshot of lambda_tilde, taken by the run's workspace
+    assert oracle.calls == Counter({"workspace.snapshot": 1})
     for _ in range(S):
         before = oracle.calls.copy()
         outer_iteration(state, oracle, options)
-        make_record(state, oracle)
-        assert oracle.calls - before == Counter(snapshot=1, primal_map=1, component_gradient=m)
+        make_record(state)
+        # no dense oracle pass: the workspace snapshots and accumulates
+        assert oracle.calls - before == Counter(
+            {"workspace.snapshot": 1, "workspace.accumulate": 1, "component_gradient": m}
+        )
 
     oracle.calls = Counter()
     run(oracle, options)
-    assert oracle.calls == Counter(snapshot=S + 1, primal_map=S + 1, component_gradient=S * m)
+    assert oracle.calls == Counter(
+        {"workspace.snapshot": S + 1, "workspace.accumulate": S, "component_gradient": S * m}
+    )
+
+
+def test_kernel_rebuilds_are_rare(monkeypatch):
+    # a certified 64-point solve re-bases its kernel in at most a tenth of
+    # its outer iterations
+    rebuilds = []
+    rebuild = KernelWorkspace.rebuild
+
+    def counted(self, v):
+        rebuilds.append(v.copy())
+        return rebuild(self, v)
+
+    monkeypatch.setattr(KernelWorkspace, "rebuild", counted)
+    alpha, beta, cost = make_image_pair(0, 8, 0)
+    for profile, kappa in (("benchmark", 8), ("theory", 32)):
+        rebuilds.clear()
+        result = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, solver_profile=profile, kappa=kappa, seed=0))
+        assert result.stop_reason == "gap+marginal"
+        assert 1 <= len(rebuilds) <= result.outer_iterations / 10
 
 
 def test_theory_profile_replay():
