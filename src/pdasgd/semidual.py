@@ -34,8 +34,9 @@ primal maps in factors: the map of v times w is ``K * outer(w alpha / r,
 e)``, so it appends that pair and updates the sum's row and column sums
 with one more matrix-vector product.  The pairs are folded into a dense
 sum by one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of
-them are held; reading the sum leaves it unchanged, so the sum's bits do
-not depend on when it was read.
+them are held, in place of the three n^2 passes that adding each map
+densely would cost; reading the sum leaves it unchanged, so the sum's bits
+do not depend on when it was read.
 
 The oracle is immutable and shareable across threads; gradient buffers and
 workspaces are caller-owned.

@@ -407,9 +407,16 @@ def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> f
 
     The first call builds x_s and writes f(x_s) and the gap, with
     phi(lambda_tilde) read from the current snapshot, into the record;
-    later calls return the recorded gap.
+    later calls return the recorded gap.  A first call after the state has
+    moved past the record's outer iteration raises, since x_s and
+    lambda_tilde are then another iteration's.
     """
     if record.duality_gap is None:
+        if record.outer_index != state.s:
+            raise RuntimeError(
+                f"cannot certify the record of outer iteration {record.outer_index} "
+                f"at outer iteration {state.s}"
+            )
         record.primal_objective = float(oracle.primal_objective(state.primal_average()))
         record.duality_gap = record.primal_objective + float(state.snapshot.value)
     return record.duality_gap
@@ -426,7 +433,8 @@ def run(
     stopping rule is called as ``stop(record, (rows, cols), gap)`` with the
     row and column sums of the averaged primal x_s and a zero-argument
     ``gap`` that builds x_s and evaluates the duality gap (:func:`certify`,
-    n^2 passes) on its first call; returning a string
+    n^2 passes) on its first call, which must come before the next outer
+    iteration; returning a string
     stops the run with that reason.  A record carries ``primal_objective``
     and ``duality_gap`` only if the rule called ``gap``.  Without a rule,
     every checkpoint is certified, so the records are complete.

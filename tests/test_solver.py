@@ -203,6 +203,24 @@ def test_stopping_rule_fires(rng):
     assert [r.primal_objective is not None for r in res.records] == [False, True, False]
 
 
+def test_stale_gap_raises(rng):
+    # a gap kept past its checkpoint would read the next iteration's x_s
+    oracle = random_oracle(rng, 4, eta=0.3)
+    kept = []
+
+    def stop(record, marginals, gap):
+        if kept:
+            with pytest.raises(RuntimeError, match="outer iteration 1 at outer iteration 2"):
+                kept[0]()
+            return "checked"
+        kept.append(gap)
+        return None
+
+    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), stop=stop)
+    assert res.stop_reason == "checked"
+    assert [r.duality_gap for r in res.records] == [None, None]
+
+
 def test_every_outer_iteration_is_a_checkpoint(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=10, seed=0))
