@@ -25,6 +25,7 @@ per-seed spread instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +64,9 @@ STOP_TRIVIAL = "trivial"
 # is unknown and a flagged (capped) run certifies nothing.  At 1, small
 # instances run out of budget before the certificate holds.
 DEFAULT_KAPPA = 8.0
+# Floor of every method's default budget in its own step currency: the
+# asymptotic caps are far too small for tiny instances.
+MIN_BUDGET = 10_000
 
 
 def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, float]]:
@@ -143,10 +147,15 @@ class ApproxConfig:
     kappa: float = DEFAULT_KAPPA
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # written so that NaN fails every check; epsilon = inf is a trivial instance
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.solver_profile not in PROFILES:
-            raise ValueError(f"solver_profile must be one of {PROFILES}")
+            raise ValueError(f"solver_profile must be one of {PROFILES}, got {self.solver_profile!r}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+        if self.max_outer is not None and not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
+            raise ValueError(f"max_outer must be None or an integer >= 1, got {self.max_outer!r}")
 
 
 @dataclass
@@ -191,8 +200,8 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
     if config.max_outer is not None:
         outer_cap = config.max_outer
     else:
-        total = theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa)
-        outer_cap = max(1, math.ceil(total / m))
+        total = max(MIN_BUDGET, theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa))
+        outer_cap = math.ceil(total / m)
     options = SolverOptions(
         inner_iterations=m,
         outer_iterations=outer_cap,
@@ -230,15 +239,12 @@ def _solve_scaling(method, cost, a_s, b_s, eta, eps_prime, config, reached):
     else:
         # Sweep/update budget in the solver's own step currency; the scaling
         # methods pay quadratically in |C|_inf / epsilon, hence the squared term.
-        sweeps = max(10_000, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2))
+        sweeps = max(MIN_BUDGET, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2))
         max_iter = sweeps if method == "sinkhorn" else sweeps * n
-    if reached is None:
-        tol, stop = eps_prime / 2.0, None
-    else:
-        tol, stop = 0.0, lambda plan, iteration: reached(plan.sum(axis=1), plan.sum(axis=0))
+    tol = eps_prime / 2.0 if reached is None else 0.0
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, stop=stop)
+    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, stop=reached)
     reason = STOP_CONVERGED if info["stop_reason"] == "marginal-tol" else info["stop_reason"]
     (key,) = OP_COUNTS[method]
     return plan.entries, reason, dict(
@@ -271,10 +277,11 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     :func:`derive_parameters`): the product plan is returned with reason
     ``trivial``.  If the budget runs out first, the last plan is still
     rounded and returned with ``stop_reason`` set to the cap.  The budget
-    is ceil(cap / m) outer iterations for pdasgd (see
+    is ceil(max(10^4, cap) / m) outer iterations for pdasgd (see
     :func:`theoretical_iteration_cap`), max(10^4, ceil(kappa ln n
     |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and n times that in Greenkhorn
-    updates; ``config.max_outer`` overrides all three.
+    updates; the 10^4 is :data:`MIN_BUDGET`.  ``config.max_outer``
+    overrides all three.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -10,6 +10,10 @@ pipeline as the stochastic solver so benchmark curves differ only in the
 solver.  Both stop at once, with reason ``"non-finite"``, when the
 marginal distance is not finite: a kernel that overflows or underflows
 everywhere gives a NaN plan that no further update can repair.
+
+A stop callback is passed the row and column sums the marginal distance
+was just computed from, so a caller's rule on the marginals costs no
+further pass over the plan.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TransportPlan, as_matrix, as_weights
+from .core import TransportPlan, as_matrix, as_weights, logsumexp, marginal_residual
 
-
-StopCallback = Callable[[np.ndarray, int], Optional[str]]
+# Called with the current plan's row and column sums; a returned string
+# stops the run with that reason.
+StopCallback = Callable[[np.ndarray, np.ndarray], Optional[str]]
 NON_FINITE = "non-finite"
 
 
@@ -67,19 +72,6 @@ def _finish(name: str, plan: np.ndarray, iteration: int, max_iter: int, d: float
     }
 
 
-def _lse_rows(t: np.ndarray) -> np.ndarray:
-    m = t.max(axis=1)
-    return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
-
-
-def _lse_in_place(t: np.ndarray, axis: int) -> np.ndarray:
-    """Max-subtracted logsumexp of ``t`` along ``axis``; overwrites ``t``."""
-    m = t.max(axis=axis)
-    t -= np.expand_dims(m, axis)
-    np.exp(t, out=t)
-    return m + np.log(t.sum(axis=axis))
-
-
 def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(log_k + log_u[:, None] + log_v[None, :]), written into ``out``."""
     np.add(log_k, log_u[:, None], out=out)
@@ -93,13 +85,14 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: S
     Runs until the current plan's marginal distance to (alpha, beta) falls
     below ``tol_marginal``, the distance is not finite, the stop callback
     returns a reason, or ``max_iter`` sweeps elapse; the last two of these
-    warn.  Returns ``(plan, info)``: the unrounded plan and a dict of the
-    sweep count ``iterations``, the final ``marginal_distance``, the duals
-    ``log_u`` and ``log_v``, and ``stop_reason`` (None at the cap).
+    warn.  The callback is called as ``stop(rows, cols)`` after every
+    sweep that has not met the tolerance.  Returns ``(plan, info)``: the
+    unrounded plan and a dict of the sweep count ``iterations``, the final
+    ``marginal_distance``, the duals ``log_u`` and ``log_v``, and
+    ``stop_reason`` (None at the cap).
 
     A sweep allocates no n^2 array: it works in one preallocated array and
-    rewrites the plan in place, so the callback must not keep the plan it
-    is passed.
+    rewrites the plan in place.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     log_k = -c / eta
@@ -113,17 +106,18 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: S
     plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
     while iteration < max_iter:
         np.add(log_k, log_v, out=work)
-        log_u = log_a - _lse_in_place(work, axis=1)
+        log_u = log_a - logsumexp(work, axis=1)
         np.add(log_k, log_u[:, None], out=work)
-        log_v = log_b - _lse_in_place(work, axis=0)
+        log_v = log_b - logsumexp(work, axis=0)
         iteration += 1
         _scaled_plan(log_k, log_u, log_v, plan)
-        d = float(np.abs(plan.sum(1) - a).sum() + np.abs(plan.sum(0) - b).sum())
+        rows, cols = plan.sum(1), plan.sum(0)
+        d = marginal_residual(rows, cols, a, b)
         reason = _distance_reason(d, tol_marginal)
         if reason is not None:
             break
         if stop is not None:
-            reason = stop(plan, iteration)
+            reason = stop(rows, cols)
             if reason is not None:
                 break
     return _finish("sinkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)
@@ -146,8 +140,9 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
     Each step rescales the single row or column with the largest
     distance-to-marginal score so that its sum matches the target exactly.
     ``max_iter`` counts coordinate updates; the stop callback is polled every
-    n updates.  Stops and returns ``(plan, info)`` as :func:`sinkhorn` does,
-    with ``iterations`` counting updates.
+    n updates, as ``stop(rows, cols)`` with the freshly summed marginals.
+    Stops and returns ``(plan, info)`` as :func:`sinkhorn` does, with
+    ``iterations`` counting updates.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     n = a.size
@@ -155,13 +150,13 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
     log_a = np.log(a)
     log_b = np.log(b)
     # Start from the mass-1 normalization of the kernel.
-    shift = -_lse_rows(log_k.reshape(1, -1))[0]
+    shift = -logsumexp(log_k.flatten())
     log_u, log_v = np.full(n, shift), np.zeros(n)
     iteration = 0
-    plan = np.exp(log_k + log_u[:, None] + log_v[None, :])
+    plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
     r = plan.sum(axis=1)
     col = plan.sum(axis=0)
-    d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
+    d = marginal_residual(r, col, a, b)
     reason = _distance_reason(d, tol_marginal)
     while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
@@ -169,13 +164,13 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
         i = int(np.argmax(rows))
         j = int(np.argmax(cols))
         if rows[i] >= cols[j]:
-            log_u[i] = log_a[i] - _lse_rows((log_k[i] + log_v).reshape(1, -1))[0]
+            log_u[i] = log_a[i] - logsumexp(log_k[i] + log_v)
             new_row = np.exp(log_k[i] + log_u[i] + log_v)
             col += new_row - plan[i]
             plan[i] = new_row
             r[i] = new_row.sum()
         else:
-            log_v[j] = log_b[j] - _lse_rows((log_k[:, j] + log_u).reshape(1, -1))[0]
+            log_v[j] = log_b[j] - logsumexp(log_k[:, j] + log_u)
             new_col = np.exp(log_k[:, j] + log_u + log_v[j])
             r += new_col - plan[:, j]
             plan[:, j] = new_col
@@ -186,9 +181,9 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
             r = plan.sum(axis=1)
             col = plan.sum(axis=0)
             if stop is not None:
-                reason = stop(plan, iteration)
+                reason = stop(r, col)
                 if reason is not None:
                     break
-        d = float(np.abs(r - a).sum() + np.abs(col - b).sum())
+        d = marginal_residual(r, col, a, b)
         reason = _distance_reason(d, tol_marginal)
     return _finish("greenkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)

@@ -147,6 +147,23 @@ def transport_cost(plan, cost) -> float:
     return float(np.sum(c * x))
 
 
+def max_subtracted_exp(t: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Overwrite ``t`` with ``exp(t - max)`` along ``axis``; returns the maxima, keeping the axis.
+
+    Every line of the result along ``axis`` has an entry of exactly 1.
+    """
+    m = t.max(axis=axis, keepdims=True)
+    t -= m
+    np.exp(t, out=t)
+    return m
+
+
+def logsumexp(t: np.ndarray, axis: int = -1):
+    """Max-subtracted ``log(sum(exp(t)))`` along ``axis``; overwrites ``t``."""
+    m = max_subtracted_exp(t, axis)
+    return np.squeeze(m, axis=axis) + np.log(t.sum(axis=axis))
+
+
 def sum_xlogx(x: np.ndarray) -> float:
     """sum_ij x_ij ln x_ij with the convention 0 ln 0 = 0.
 

@@ -12,11 +12,12 @@ the softmax of ``(v - C_i) / eta``, so its row sums always match ``alpha``
 and the gradient of G is exactly ``col_sums(x(v)) - beta``.  Dual points are
 plain float64 vectors.
 
-Every n^2 exponential goes through one max-subtracted exp
-(:func:`max_subtracted_exp`): the raw formulas overflow for the small
-``eta`` this package runs at.  One dense pass of it, ``snapshot(v)``,
-yields G(v), its gradient and the component gradients at v, read in
-batches of rows.  These reference methods stay as they are; the solver
+Every n^2 exponential goes through the package's one max-subtracted exp
+(:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
+the small ``eta`` this package runs at.  One dense pass of it,
+``snapshot(v)``, yields G(v), its gradient and the component gradients at
+v, read in batches of rows, as a :class:`KernelSnapshot` whose kernel is
+the softmax itself.  These reference methods stay as they are; the solver
 reaches the same quantities through a :class:`KernelWorkspace`.
 
 A solver run's dual moves little on the eta scale between outer
@@ -36,7 +37,8 @@ with one more matrix-vector product.  The pairs are folded into a dense
 sum by one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of
 them are held, in place of the three n^2 passes that adding each map
 densely would cost; reading the sum leaves it unchanged, so the sum's bits
-do not depend on when it was read.
+do not depend on when it was read.  The workspace also keeps the sum's
+total weight, so it hands out the weighted average and its marginals.
 
 The oracle is immutable and shareable across threads; gradient buffers and
 workspaces are caller-owned.
@@ -48,7 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, OTInstance, marginal_residual, sum_xlogx
+from .core import (
+    Distribution,
+    OTInstance,
+    logsumexp,
+    marginal_distance,
+    marginal_residual,
+    max_subtracted_exp,
+    regularized_objective,
+)
 
 # Spread of (v - v0)/eta beyond which a workspace rebuilds its kernel at v.
 REBASE_SPAN = 30.0
@@ -56,18 +66,6 @@ REBASE_SPAN = 30.0
 # It bounds their memory and the matrix product that reading the sum
 # costs; a dense solve runs up to ~300 outer iterations between rebuilds.
 PENDING_PAIRS = 32
-
-
-def max_subtracted_exp(t: np.ndarray) -> np.ndarray:
-    """Overwrite ``t`` with ``exp(t - max)`` row-wise; returns the row maxima.
-
-    The maxima keep the reduced axis, so every row of the result has an
-    entry of exactly 1.
-    """
-    m = t.max(axis=-1, keepdims=True)
-    t -= m
-    np.exp(t, out=t)
-    return m
 
 
 def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,36 +83,18 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SemiDualSnapshot:
-    """G(v), grad G(v) and the softmax rows of one dense pass at v."""
-
-    value: float
-    gradient: np.ndarray
-    softmax: np.ndarray
-    beta: np.ndarray
-    scale: np.ndarray  # n alpha_i, the weight of component i
-
-    def anchors(self, indices) -> np.ndarray:
-        """Rows grad g_i(v) = n alpha_i (softmax_i(v) - beta) for i in ``indices``.
-
-        Returns a fresh (len(indices), n) array, read from the kept softmax
-        rows without computing an exponential; row k equals
-        ``component_gradient(indices[k], v)`` bit for bit.
-        """
-        rows = self.softmax[indices]
-        rows -= self.beta
-        rows *= self.scale[indices, None]
-        return rows
-
-
-@dataclass(frozen=True)
 class KernelSnapshot:
-    """G(v) and grad G(v) from a workspace kernel, with what its anchor rows need."""
+    """G(v) and grad G(v), with what the anchor rows at v need.
+
+    Softmax row i at v is ``K_i e / r_i`` for r = K e.  K is a workspace's
+    base kernel, or the softmax rows themselves with e = r = 1, which change
+    no bits.
+    """
 
     value: float
     gradient: np.ndarray
-    kernel: np.ndarray  # K of the base point, not written after the snapshot
-    weights: np.ndarray  # e = exp((v - v0)/eta - c)
+    kernel: np.ndarray  # K, not written after the snapshot
+    weights: np.ndarray  # e = exp((v - v0)/eta - c), or ones
     norms: np.ndarray  # r = K e
     beta: np.ndarray
     scale: np.ndarray  # n alpha_i, the weight of component i
@@ -174,22 +154,23 @@ class SemiDualOracle:
         """Value of the i-th component g_i at the dual point v."""
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
-        t = v / self.eta + self._shift[i]
-        m = float(t.max())
-        lse = m + np.log(np.exp(t - m).sum())
+        lse = logsumexp(v / self.eta + self._shift[i])
         return float(
             self.n
             * self.alpha[i]
             * (self.eta * lse - self.beta @ v - self.eta * self.log_alpha[i] + self.eta)
         )
 
-    def snapshot(self, v: np.ndarray) -> SemiDualSnapshot:
+    def snapshot(self, v: np.ndarray) -> KernelSnapshot:
         """G(v), grad G(v) and the component gradients at v from one dense pass."""
         lse, sm = lse_softmax(v / self.eta + self._shift)
-        return SemiDualSnapshot(
+        ones = np.ones(self.n)
+        return KernelSnapshot(
             value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
             gradient=sm.T @ self.alpha - self.beta,
-            softmax=sm,
+            kernel=sm,
+            weights=ones,
+            norms=ones,
             beta=self.beta,
             scale=self._scale,
         )
@@ -253,15 +234,15 @@ class SemiDualOracle:
 
     def primal_objective(self, x: np.ndarray) -> float:
         """f(x) = <C, x> + eta sum x ln x for a plan matrix x."""
-        return float(np.sum(self.cost * x) + self.eta * sum_xlogx(x))
+        return regularized_objective(x, self.instance)
 
     def constraint_violation_l1(self, x: np.ndarray) -> float:
         """L1 distance of x's marginals to this oracle's own marginals."""
-        return marginal_residual(x.sum(axis=1), x.sum(axis=0), self.alpha, self.beta)
+        return marginal_distance(x, self.alpha, self.beta)
 
 
 class KernelWorkspace:
-    """One solver run's re-based kernel and weighted primal sum (see the module docstring).
+    """One solver run's re-based kernel and weighted primal average (see the module docstring).
 
     ``snapshot(v)`` and ``accumulate(v, weight)`` re-base the kernel at v
     first when v has drifted more than :data:`REBASE_SPAN` on the eta
@@ -282,6 +263,7 @@ class KernelWorkspace:
         self._pending_count = 0
         self._row_sums = np.zeros(n)
         self._col_sums = np.zeros(n)
+        self.weight = 0.0  # the total weight accumulated so far
 
     def rebuild(self, v: np.ndarray) -> None:
         """Fold the pending pairs into the dense sum and re-base the kernel at v."""
@@ -334,7 +316,7 @@ class KernelWorkspace:
         )
 
     def accumulate(self, v: np.ndarray, weight: float) -> None:
-        """Add ``weight * oracle.primal_map(v)`` to the sum, as one factor pair."""
+        """Add ``weight * oracle.primal_map(v)`` to the sum, as one factor pair, and weight to the total."""
         e, _ = self._weights(v)
         r = self.kernel @ e
         k = self._pending_count
@@ -344,21 +326,26 @@ class KernelWorkspace:
         self._pending_count = k + 1
         self._row_sums += a * r
         self._col_sums += e * (a @ self.kernel)
+        self.weight += weight
         if self._pending_count == PENDING_PAIRS:
             self._fold()
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column sums of the sum, as fresh arrays."""
-        return self._row_sums.copy(), self._col_sums.copy()
+        """Row and column sums of the average, as fresh arrays."""
+        return self._row_sums / self.weight, self._col_sums / self.weight
 
     def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float:
         """L1 distance of a plan's row and column sums to the oracle's marginals."""
         return marginal_residual(rows, cols, self.oracle.alpha, self.oracle.beta)
 
-    def primal_sum(self) -> np.ndarray:
-        """The weighted sum of primal maps, as a fresh array; the sum itself is unchanged."""
-        if not self._pending_count:
-            return self._dense.copy()
-        total = self._pending()
-        total += self._dense
+    def average(self) -> np.ndarray:
+        """The weighted average of the primal maps, as a fresh array; the sum itself is unchanged."""
+        if self.weight <= 0:
+            raise RuntimeError("no primal iterate accumulated yet")
+        if self._pending_count:
+            total = self._pending()
+            total += self._dense
+        else:
+            total = self._dense.copy()
+        total /= self.weight
         return total

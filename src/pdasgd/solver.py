@@ -6,8 +6,9 @@ from ``oracle.workspace()``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
 after each reset, as a snapshot (``phi(lam_tilde)`` for the record's gap,
 the full gradient ``u = grad phi(lam_tilde)`` and the anchor component
-gradients ``grad phi_i(lam_tilde)``), and it keeps the weighted sum of
-primal maps with its row and column sums.  Each outer iteration s:
+gradients ``grad phi_i(lam_tilde)``), and it keeps the weighted average
+of primal maps, its total weight and its row and column sums.  Each outer
+iteration s:
 
   * computes the constants its inner steps share (``tau1_s``, the y weight
     ``1 - tau1_s - tau2``, the z and y step coefficients and
@@ -24,8 +25,8 @@ primal maps with its row and column sums.  Each outer iteration s:
     and component i drawn with probability ``p_i = L_i / (h Lbar)``,
   * resets ``lam_tilde`` to the mean of the m produced y iterates,
   * adds the primal map of one of the m inner ``lam`` values, picked
-    uniformly at random, with weight ``1 / tau1_s`` to the workspace's sum
-    D, whose average is ``x_s = D / Ccoef``, and
+    uniformly at random, with weight ``1 / tau1_s`` to the workspace's
+    average x_s, and
   * takes the snapshot of the new ``lam_tilde``.
 
 A checkpoint reads only x_s's row and column sums; x_s itself is built
@@ -57,6 +58,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
+from .core import as_weights
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -80,12 +82,16 @@ class Workspace(Protocol):
 
     ``snapshot(lam)`` returns the :class:`Snapshot` of lam, whose batched
     anchor rows the inner steps subtract; ``accumulate(lam, weight)`` adds
-    weight times the primal point attached to lam to a running sum;
-    ``marginals()`` returns that sum's row and column sums as fresh arrays;
+    weight times the primal point attached to lam to a running weighted
+    average and weight to its total ``weight``; ``marginals()`` returns the
+    average's row and column sums as fresh arrays;
     ``constraint_violation_l1(rows, cols)`` is the L1 distance of given row
-    and column sums to the oracle's marginals; ``primal_sum()`` returns the
-    sum as a fresh array and leaves it unchanged.
+    and column sums to the oracle's marginals; ``average()`` returns the
+    average as a fresh array, leaves it unchanged and raises while nothing
+    has been accumulated.
     """
+
+    weight: float
 
     def snapshot(self, lam: np.ndarray) -> Snapshot: ...
 
@@ -95,7 +101,7 @@ class Workspace(Protocol):
 
     def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float: ...
 
-    def primal_sum(self) -> np.ndarray: ...
+    def average(self) -> np.ndarray: ...
 
 
 class FiniteSumOracle(Protocol):
@@ -184,9 +190,8 @@ class SolverState:
     z: np.ndarray
     lambda_tilde: np.ndarray
     lambda_cur: np.ndarray
-    workspace: Workspace  # holds the weighted primal sum D
+    workspace: Workspace  # holds the weighted primal average x_s
     snapshot: Snapshot  # of lambda_tilde
-    Ccoef: float  # the sum of the primal weights
     s: int
     rng: SplitMix64
     sampler: CategoricalSampler
@@ -199,14 +204,6 @@ class SolverState:
     _y_sum: np.ndarray = None
     _picked_lambda: np.ndarray = None
     _pick_index: int = -1
-
-    def primal_average(self) -> np.ndarray:
-        """x_s = D / Ccoef, built as a fresh array."""
-        if self.Ccoef <= 0:
-            raise RuntimeError("no primal iterate accumulated yet")
-        x = self.workspace.primal_sum()
-        x /= self.Ccoef
-        return x
 
 
 @dataclass(frozen=True)
@@ -243,13 +240,9 @@ def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
     )
 
 
-def _weights_array(w) -> np.ndarray:
-    return np.ascontiguousarray(getattr(w, "weights", w), dtype=np.float64)
-
-
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     """All-zero dual sequences unless an initial dual is supplied."""
-    weights = _weights_array(oracle.sampling_weights())
+    weights = as_weights(oracle.sampling_weights())
     h = oracle.component_count
     if weights.size != h:
         raise ValueError("sampling weights must have one entry per component")
@@ -270,7 +263,6 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         lambda_cur=lam0.copy(),
         workspace=workspace,
         snapshot=workspace.snapshot(lam0),
-        Ccoef=0.0,
         s=0,
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
@@ -363,9 +355,7 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
                 f"non-finite {name} after outer iteration {state.s} "
                 f"(max |z| = {np.abs(state.z).max():.3e})"
             )
-    weight = 1.0 / tau1(s)
-    state.workspace.accumulate(state._picked_lambda, weight)
-    state.Ccoef += weight
+    state.workspace.accumulate(state._picked_lambda, 1.0 / tau1(s))
     state.snapshot = state.workspace.snapshot(state.lambda_tilde)
 
 
@@ -390,8 +380,6 @@ def make_record(state: SolverState) -> tuple[RunRecord, Marginals]:
     primal objective and the duality gap.
     """
     rows, cols = state.workspace.marginals()
-    rows /= state.Ccoef
-    cols /= state.Ccoef
     record = RunRecord(
         outer_index=state.s,
         cumulative_component_gradients=state.n_component_gradients,
@@ -417,7 +405,7 @@ def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> f
                 f"cannot certify the record of outer iteration {record.outer_index} "
                 f"at outer iteration {state.s}"
             )
-        record.primal_objective = float(oracle.primal_objective(state.primal_average()))
+        record.primal_objective = float(oracle.primal_objective(state.workspace.average()))
         record.duality_gap = record.primal_objective + float(state.snapshot.value)
     return record.duality_gap
 
@@ -434,11 +422,12 @@ def run(
     row and column sums of the averaged primal x_s and a zero-argument
     ``gap`` that builds x_s and evaluates the duality gap (:func:`certify`,
     n^2 passes) on its first call, which must come before the next outer
-    iteration; returning a string
-    stops the run with that reason.  A record carries ``primal_objective``
-    and ``duality_gap`` only if the rule called ``gap``.  Without a rule,
-    every checkpoint is certified, so the records are complete.
-    Deterministic given (seed, oracle, options).
+    iteration; returning a string stops the run with that reason.  A record
+    carries ``primal_objective`` and ``duality_gap`` only if the rule called
+    ``gap``.  Without a rule, every checkpoint is certified, so the records
+    are complete.  The result's ``primal`` is x_s of the last outer
+    iteration, read from the workspace, which owns the average and its
+    total weight.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
@@ -455,7 +444,7 @@ def run(
         if stop_reason is not None:
             break
     return SolveResult(
-        primal=state.primal_average(),
+        primal=state.workspace.average(),
         dual=state.lambda_tilde.copy(),
         records=records,
         stop_reason=stop_reason,

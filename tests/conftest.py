@@ -75,27 +75,29 @@ class DenseWorkspace:
     """A solver workspace over a test oracle's own snapshot and primal map.
 
     The primal points are the dual vectors themselves, so they carry no
-    marginals: both sums are the sum itself and the violation is 0.
+    marginals: both sums are the average itself and the violation is 0.
     """
 
     def __init__(self, oracle):
         self.oracle = oracle
         self.total = 0.0
+        self.weight = 0.0
 
     def snapshot(self, lam):
         return self.oracle.snapshot(lam)
 
     def accumulate(self, lam, weight):
         self.total = self.total + weight * self.oracle.primal_map(lam)
+        self.weight += weight
 
     def marginals(self):
-        return np.array(self.total), np.array(self.total)
+        return self.average(), self.average()
 
     def constraint_violation_l1(self, rows, cols):
         return 0.0
 
-    def primal_sum(self):
-        return np.array(self.total)
+    def average(self):
+        return np.array(self.total) / self.weight
 
 
 @pytest.fixture

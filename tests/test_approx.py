@@ -7,6 +7,7 @@ from scipy.optimize import linprog, minimize
 
 from pdasgd.approx import (
     METHODS,
+    MIN_BUDGET,
     STOP_ACCURACY,
     STOP_CAP,
     STOP_CONVERGED,
@@ -108,6 +109,8 @@ def test_trivial_instance_zero_cost(rng):
     assert res.stop_reason == STOP_TRIVIAL
     assert res.ot_value == 0.0
     assert np.allclose(res.plan.entries, np.outer(a, b), atol=1e-15)
+    # an infinite epsilon is trivial at any cost, not a bad value
+    assert approx_ot(rng.random((3, 3)), a, b, ApproxConfig(epsilon=math.inf)).stop_reason == STOP_TRIVIAL
 
 
 def test_equal_marginals_zero_diagonal(rng):
@@ -172,7 +175,8 @@ def _pipeline_solver(cost, a, b, config):
     a_s, b_s = smooth_marginals(a, b, eps_prime, n)
     oracle = SemiDualOracle(OTInstance(CostMatrix(cost), a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
-    outer = config.max_outer or math.ceil(theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa) / m)
+    cap = theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa)
+    outer = config.max_outer or math.ceil(max(MIN_BUDGET, cap) / m)
     options = SolverOptions(inner_iterations=m, outer_iterations=outer, seed=config.seed, z_step_multiplier=multiplier)
     return oracle, options
 
@@ -315,6 +319,45 @@ def test_config_validation():
         ApproxConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         ApproxConfig(epsilon=0.1, solver_profile="warp")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", math.nan),
+        ("kappa", -1.0),
+        ("kappa", math.nan),
+        ("kappa", math.inf),
+        ("max_outer", 0),
+        ("max_outer", -3),
+        ("max_outer", 2.5),
+    ],
+)
+def test_config_rejects_bad_values_at_entry(field, value):
+    # before: NaN epsilon raised a cost-scale message, kappa = -1 ran
+    # Sinkhorn on the floor budget, NaN kappa failed in int(), max_outer
+    # = 0 returned a 0-sweep plan
+    with pytest.raises(ValueError, match=rf"^{field} .*got {value!r}$"):
+        ApproxConfig(**{"epsilon": 0.05, field: value})
+
+
+@pytest.mark.parametrize("seed, n", [(11, 2), (0, 5)])
+def test_default_config_certifies_small_instances(seed, n):
+    # Uniform [0, 1) costs, Dirichlet marginals with a zero entry, epsilon =
+    # 0.05.  The bare cap ceil(kappa n |C|_inf sqrt(ln n) / epsilon) is a few
+    # hundred inner iterations here: the default config stopped at it after
+    # 81 (n = 2) and 190 (n = 5) outer iterations; the MIN_BUDGET floor lets
+    # the certificate hold.
+    rng = np.random.default_rng(seed)
+    assert int(rng.integers(2, 6)) == n
+    c = rng.random((n, n))
+    a = rng.dirichlet(np.ones(n))
+    b = rng.dirichlet(np.ones(n))
+    a[int(rng.integers(n))] = 0.0
+    a /= a.sum()
+    res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05))
+    assert res.stop_reason == STOP_CONVERGED
+    assert res.ot_value - _lp_optimum(c, a, b) <= 0.05
 
 
 @pytest.mark.parametrize("method", METHODS)

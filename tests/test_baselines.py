@@ -142,14 +142,21 @@ def test_stop_callback(rng):
     a, b = positive_pair(rng, n)
     seen = []
 
-    def stop(plan, iteration):
-        seen.append(iteration)
-        return "poked" if iteration >= 3 else None
+    def stop(rows, cols):
+        seen.append((rows.copy(), cols.copy()))
+        return "poked" if len(seen) >= 3 else None
 
-    _, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
+    plan, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
     assert info["stop_reason"] == "poked"
     assert info["iterations"] == 3
+    # the callback is passed the sums of the plan it stopped on
+    assert seen[-1][0].tobytes() == plan.entries.sum(axis=1).tobytes()
+    assert seen[-1][1].tobytes() == plan.entries.sum(axis=0).tobytes()
 
-    _, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=lambda p, i: "poked" if i >= 2 * n else None)
+    seen.clear()
+    plan, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
     assert ginfo["stop_reason"] == "poked"
-    assert ginfo["iterations"] == 2 * n
+    # polled every n updates
+    assert ginfo["iterations"] == 3 * n
+    assert seen[-1][0].tobytes() == plan.entries.sum(axis=1).tobytes()
+    assert seen[-1][1].tobytes() == plan.entries.sum(axis=0).tobytes()

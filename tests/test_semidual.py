@@ -246,12 +246,13 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         ws.accumulate(v, weight)
         total += weight * o.primal_map(v)
         weight_sum += weight
+        assert ws.weight == weight_sum
         rows, cols = ws.marginals()
-        assert_close(ws.primal_sum(), total, weight_sum)
-        assert_close(rows, total.sum(axis=1), weight_sum)
-        assert_close(cols, total.sum(axis=0), weight_sum)
-    # reading the sum does not change it
-    assert ws.primal_sum().tobytes() == ws.primal_sum().tobytes()
+        assert_close(ws.average(), total / weight_sum, 1.0)
+        assert_close(rows, total.sum(axis=1) / weight_sum, 1.0)
+        assert_close(cols, total.sum(axis=0) / weight_sum, 1.0)
+    # reading the average does not change it
+    assert ws.average().tobytes() == ws.average().tobytes()
 
 
 def central_difference_gradient(fn, v, step=1e-6):
@@ -471,7 +472,7 @@ def test_anchors_are_bitwise_the_per_row_formula(rng):
     rows = snap.anchors(idx)
     assert rows.shape == (idx.size, n)
     for k, i in enumerate(idx):
-        ref = (snap.softmax[i] - o.beta) * (o.n * o.alpha[i])
+        ref = (snap.kernel[i] - o.beta) * (o.n * o.alpha[i])
         assert rows[k].tobytes() == ref.tobytes()
     # a fresh array: writing to it leaves the snapshot alone
     rows[:] = 0.0

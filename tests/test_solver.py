@@ -55,7 +55,7 @@ def test_schedule_identities():
 def test_ccoef_accumulation(rng):
     oracle = random_oracle(rng, 3, eta=0.5)
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
-    assert res.state.Ccoef == pytest.approx(2 + 2.5 + 3)
+    assert res.state.workspace.weight == pytest.approx(2 + 2.5 + 3)
 
 
 def test_operation_counter(rng):
@@ -146,6 +146,11 @@ def test_quadratic_oracle_converges():
     res = run(oracle, SolverOptions(inner_iterations=10, outer_iterations=200, seed=1))
     assert np.linalg.norm(res.dual - oracle.target) <= 1e-3
     assert np.linalg.norm(res.primal - oracle.target) <= 1e-3
+    # the workspace owns the average: its total weight, the average and its sums
+    ws = res.state.workspace
+    assert ws.weight == pytest.approx(sum(1.0 / tau1(s) for s in range(200)))
+    assert res.primal.tobytes() == ws.average().tobytes()
+    assert all(m.tobytes() == res.primal.tobytes() for m in ws.marginals())
 
 
 def test_stationary_start_keeps_gap_tiny():
@@ -279,7 +284,7 @@ def test_record_metrics_match_oracle(rng):
     record, (rows, cols) = make_record(state)
     assert record.primal_objective is None and record.duality_gap is None
     assert certify(record, state, oracle) == record.duality_gap
-    x_s = state.primal_average()
+    x_s = state.workspace.average()
     assert np.allclose(rows, x_s.sum(axis=1), rtol=0, atol=1e-15)
     assert np.allclose(cols, x_s.sum(axis=0), rtol=0, atol=1e-15)
     assert record.primal_objective == pytest.approx(oracle.primal_objective(x_s))
