@@ -23,7 +23,7 @@ print(f"exact optimum (vertex enumeration): {optimum:.6f}")
 for epsilon in (0.1, 0.05, 0.02):
     result = approx_ot(
         cost, alpha, beta,
-        ApproxConfig(epsilon=epsilon, solver_profile="benchmark", max_outer=200_000, seed=1),
+        ApproxConfig(epsilon=epsilon, max_outer=200_000, seed=1),
     )
     print(
         f"epsilon={epsilon:<5}: value={result.ot_value:.6f} "

@@ -25,7 +25,6 @@ per-seed spread instead.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +42,7 @@ from .core import (
 )
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import RunRecord, SolverOptions, run
+from .solver import RunRecord, SolverOptions, is_count, run
 
 PROFILES = ("theory", "benchmark")
 METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
@@ -64,8 +63,9 @@ STOP_TRIVIAL = "trivial"
 # is unknown and a flagged (capped) run certifies nothing.  At 1, small
 # instances run out of budget before the certificate holds.
 DEFAULT_KAPPA = 8.0
-# Floor of every method's default budget in its own step currency: the
-# asymptotic caps are far too small for tiny instances.
+# Floor of every method's default budget in dense passes: pdasgd's outer
+# iterations, Sinkhorn's sweeps, or rounds of n Greenkhorn updates.  The
+# asymptotic caps are far too small for small instances.
 MIN_BUDGET = 10_000
 
 
@@ -116,7 +116,7 @@ def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: fl
     The hidden constant of the complexity bound is not pinned down anywhere,
     so ``kappa`` is configuration: 1 here gives the bare bound, and
     :class:`ApproxConfig` defaults to :data:`DEFAULT_KAPPA`.  The cap counts inner
-    iterations; divide by the inner loop length for an outer-loop budget.
+    iterations; ``approx_ot`` divides it by the inner loop length m.
     Raises when the cap is not a finite float.
     """
     if epsilon <= 0 or n < 2 or max_cost <= 0:
@@ -141,7 +141,7 @@ def resolve_profile(profile: str, n: int) -> tuple[int, float]:
 @dataclass
 class ApproxConfig:
     epsilon: float
-    solver_profile: str = "theory"
+    solver_profile: str = "benchmark"
     max_outer: Optional[int] = None
     seed: int = 0
     kappa: float = DEFAULT_KAPPA
@@ -154,7 +154,7 @@ class ApproxConfig:
             raise ValueError(f"solver_profile must be one of {PROFILES}, got {self.solver_profile!r}")
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
-        if self.max_outer is not None and not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
+        if self.max_outer is not None and not is_count(self.max_outer):
             raise ValueError(f"max_outer must be None or an integer >= 1, got {self.max_outer!r}")
 
 
@@ -197,11 +197,9 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
     n = cost.n
     oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
-    if config.max_outer is not None:
-        outer_cap = config.max_outer
-    else:
-        total = max(MIN_BUDGET, theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa))
-        outer_cap = math.ceil(total / m)
+    outer_cap = config.max_outer or max(
+        MIN_BUDGET, math.ceil(theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa) / m)
+    )
     options = SolverOptions(
         inner_iterations=m,
         outer_iterations=outer_cap,
@@ -277,11 +275,12 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     :func:`derive_parameters`): the product plan is returned with reason
     ``trivial``.  If the budget runs out first, the last plan is still
     rounded and returned with ``stop_reason`` set to the cap.  The budget
-    is ceil(max(10^4, cap) / m) outer iterations for pdasgd (see
-    :func:`theoretical_iteration_cap`), max(10^4, ceil(kappa ln n
-    |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and n times that in Greenkhorn
-    updates; the 10^4 is :data:`MIN_BUDGET`.  ``config.max_outer``
-    overrides all three.
+    is max(10^4, ceil(cap / m)) outer iterations for pdasgd, with cap from
+    :func:`theoretical_iteration_cap` and m the profile's inner loop length,
+    max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and
+    n times that in Greenkhorn updates.  So every method gets at least
+    10^4 (:data:`MIN_BUDGET`) dense passes.  ``config.max_outer`` overrides
+    all three.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -9,13 +9,25 @@ marginals drops to the accuracy target, and the final plan is then rounded.
 Iteration budgets are the pipeline's own, one rule per solver.  The
 result's op counts become deterministic cost units, so efficiency is
 measured in work, not wall time, and curves are hardware-independent and
-reproducible:
+reproducible.  This is the one statement of the cost-unit model:
 
     pdasgd      4n units per component gradient (softmax + combination),
                 6n units per inner step (vector updates);
-                a run totals S(n+m) gradients and S*m inner steps.
+                a run totals S(n+m) gradients and S*m inner steps:
+                one per inner step and n per snapshot.
     sinkhorn    2n^2 units per sweep.
     greenkhorn  3n units per coordinate update.
+
+The formulas are kept so that units stay comparable across versions, but
+since pdasgd's solver keeps a kernel workspace they depart from its work.
+A snapshot is charged 4n^2 units but costs two matrix-vector products and
+n exps.  Not charged are the kernel rebuilds (an n^2 exp pass each, only
+when the dual drifts), the primal accumulation (two matrix-vector products
+per outer iteration, and a matrix product per 32 of them and per rebuild
+to fold them in), and the certificate's n^2 ``x ln x`` gap, paid only where
+the marginal half passes (never under the accuracy rule).  A Sinkhorn
+sweep is charged 2n^2 but computes three n^2 exp passes and the plan's
+row and column sums.
 
 Outputs in ``out_dir``:
 
@@ -36,16 +48,17 @@ sidecar; the canonical wall_ms column is fixed at 0.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .approx import DEFAULT_KAPPA, METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
+from .approx import METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
 from .core import marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
@@ -78,8 +91,8 @@ class BenchPlan:
     accuracies: tuple = (0.005, 0.01, 0.015, 0.02)
     pairs: int = 5
     seed: int = 0
-    profile: str = "benchmark"
-    kappa: float = DEFAULT_KAPPA
+    profile: str = ApproxConfig.solver_profile
+    kappa: float = ApproxConfig.kappa
     workers: int = 1
     dump_plans: bool = False
 
@@ -115,48 +128,36 @@ def cost_units(solver: str, n: int, op_counts: dict) -> int:
     return greenkhorn_cost_units(n, op_counts["updates"])
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    solver: str
-    side: int
-    accuracy: float
-    pair: int
-    plan_seed: int
-    profile: str
-    kappa: float
-    dump_dir: Optional[str]
-
-
-def execute_run(spec: RunSpec) -> dict:
-    """One benchmark cell; a pure function of its RunSpec, safe in a worker."""
-    alpha, beta, cost = make_image_pair(spec.plan_seed, spec.side, spec.pair)
+def execute_run(plan: BenchPlan, solver: str, side: int, accuracy: float, pair: int, dump_dir=None) -> dict:
+    """One benchmark cell of ``plan``; a pure function of its arguments, safe in a worker."""
+    alpha, beta, cost = make_image_pair(plan.seed, side, pair)
     n = alpha.n
-    seed = derive_seed(spec.plan_seed, f"run/{spec.solver}/{spec.side}/{spec.accuracy!r}/{spec.pair}")
-    config = ApproxConfig(epsilon=spec.accuracy, solver_profile=spec.profile, seed=seed, kappa=spec.kappa)
+    seed = derive_seed(plan.seed, f"run/{solver}/{side}/{accuracy!r}/{pair}")
+    config = ApproxConfig(epsilon=accuracy, solver_profile=plan.profile, seed=seed, kappa=plan.kappa)
     wall0 = time.perf_counter()
     # Capped runs are flagged through stop_reason; the solvers' own max_iter
     # warnings would just be noise here.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = approx_ot(cost, alpha, beta, config, method=spec.solver, stop="accuracy")
+        result = approx_ot(cost, alpha, beta, config, method=solver, stop="accuracy")
     wall_ms = (time.perf_counter() - wall0) * 1e3
     raw, rounded = result.unrounded, result.plan
     row = {
-        "solver": spec.solver,
+        "solver": solver,
         "n": n,
-        "accuracy": spec.accuracy,
-        "pair": spec.pair,
+        "accuracy": accuracy,
+        "pair": pair,
         "seed": seed,
-        "cost_units": cost_units(spec.solver, n, result.op_counts),
+        "cost_units": cost_units(solver, n, result.op_counts),
         "ot_value": result.ot_value,
         "d_final": marginal_distance(raw, alpha.weights, beta.weights),
         "stop_reason": result.stop_reason,
         "wall_ms_measured": wall_ms,
     }
-    if spec.dump_dir is not None:
-        stem = f"{spec.solver}_n{n}_acc{_fmt(spec.accuracy)}_pair{spec.pair}"
-        save_csv_matrix(Path(spec.dump_dir) / f"{stem}_raw.csv", raw)
-        save_csv_matrix(Path(spec.dump_dir) / f"{stem}_rounded.csv", rounded.entries)
+    if dump_dir is not None:
+        stem = f"{solver}_n{n}_acc{_fmt(accuracy)}_pair{pair}"
+        save_csv_matrix(Path(dump_dir) / f"{stem}_raw.csv", raw)
+        save_csv_matrix(Path(dump_dir) / f"{stem}_rounded.csv", rounded.entries)
     return row
 
 
@@ -218,27 +219,14 @@ def run_benchmark(plan: BenchPlan, out_dir) -> BenchResult:
     if plan.dump_plans:
         dump_dir = out / "plans"
         dump_dir.mkdir(exist_ok=True)
-    specs = [
-        RunSpec(
-            solver=solver,
-            side=side,
-            accuracy=accuracy,
-            pair=pair,
-            plan_seed=plan.seed,
-            profile=plan.profile,
-            kappa=plan.kappa,
-            dump_dir=str(dump_dir) if dump_dir else None,
-        )
-        for solver in plan.solvers
-        for side in plan.sides
-        for accuracy in plan.accuracies
-        for pair in range(plan.pairs)
-    ]
+    # one column per argument of execute_run: solvers, sides, accuracies, pairs
+    grid = zip(*itertools.product(plan.solvers, plan.sides, plan.accuracies, range(plan.pairs)))
+    run_cell = partial(execute_run, plan, dump_dir=dump_dir)
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(execute_run, specs))
+            rows = list(pool.map(run_cell, *grid))
     else:
-        rows = [execute_run(spec) for spec in specs]
+        rows = list(map(run_cell, *grid))
     rows.sort(key=lambda r: (r["solver"], r["n"], r["accuracy"], r["pair"]))
     _write_csv(out / "runs.csv", RUN_COLUMNS, [{**r, "wall_ms": 0.0} for r in rows])
     cells = _aggregate(rows)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 
 from . import bench as bench_mod
-from .approx import DEFAULT_KAPPA, ApproxConfig, approx_ot
+from .approx import DEFAULT_KAPPA, PROFILES, ApproxConfig, approx_ot
 from .core import marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--epsilon", type=float, default=0.01)
     solve.add_argument("--solver", choices=bench_mod.SOLVERS, default="pdasgd")
-    solve.add_argument("--profile", choices=("theory", "benchmark"), default="benchmark")
+    solve.add_argument("--profile", choices=PROFILES, default=ApproxConfig.solver_profile)
     solve.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     solve.add_argument("--max-outer", type=int, default=None)
     solve.add_argument("--image-a", default=None, help="load the source image from a file")
@@ -184,14 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=_cmd_oracle)
 
     bench = sub.add_parser("bench", help="run the benchmark grid")
-    bench.add_argument("--size", type=_parse_ints, default=(8, 12, 16, 20), help="comma list of image sides")
-    bench.add_argument("--accuracy-grid", type=_parse_floats, default=(0.005, 0.01, 0.015, 0.02))
-    bench.add_argument("--pairs", type=int, default=5)
-    bench.add_argument("--seed", type=int, default=0)
+    defaults = bench_mod.BenchPlan  # the grid and run defaults live on the plan
+    bench.add_argument("--size", type=_parse_ints, default=defaults.sides, help="comma list of image sides")
+    bench.add_argument("--accuracy-grid", type=_parse_floats, default=defaults.accuracies)
+    bench.add_argument("--pairs", type=int, default=defaults.pairs)
+    bench.add_argument("--seed", type=int, default=defaults.seed)
     bench.add_argument("--solver", action="append", choices=bench_mod.SOLVERS, default=None, help="repeat to select solvers (default: all)")
-    bench.add_argument("--profile", choices=("theory", "benchmark"), default="benchmark")
-    bench.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--profile", choices=PROFILES, default=defaults.profile)
+    bench.add_argument("--kappa", type=float, default=defaults.kappa)
+    bench.add_argument("--workers", type=int, default=defaults.workers)
     bench.add_argument("--dump-plans", action="store_true")
     bench.add_argument("--out", required=True, help="output directory")
     bench.set_defaults(func=_cmd_bench)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_ATOL = 1e-12
-FEASIBLE_MASS_ATOL = 1e-10
 
 
 def _frozen_f64(a, ndim: int) -> np.ndarray:

@@ -52,6 +52,8 @@ and records.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Protocol
@@ -151,6 +153,11 @@ def gamma(s: int, avg_smoothness: float) -> float:
     return (s + 4) / (18.0 * avg_smoothness)
 
 
+def is_count(x) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass
 class SolverOptions:
     inner_iterations: int
@@ -160,12 +167,13 @@ class SolverOptions:
     initial_dual: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.inner_iterations < 1:
-            raise ValueError("inner_iterations must be >= 1")
-        if self.outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1")
-        if self.z_step_multiplier <= 0:
-            raise ValueError("z_step_multiplier must be positive")
+        for name in ("inner_iterations", "outer_iterations"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # written so that NaN fails it
+        if not 0 < self.z_step_multiplier < math.inf:
+            raise ValueError(f"z_step_multiplier must be positive and finite, got {self.z_step_multiplier!r}")
 
 
 @dataclass

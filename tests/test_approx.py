@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
+import pdasgd.approx
 from pdasgd.approx import (
+    DEFAULT_KAPPA,
     METHODS,
     MIN_BUDGET,
     STOP_ACCURACY,
@@ -176,7 +178,7 @@ def _pipeline_solver(cost, a, b, config):
     oracle = SemiDualOracle(OTInstance(CostMatrix(cost), a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
     cap = theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa)
-    outer = config.max_outer or math.ceil(max(MIN_BUDGET, cap) / m)
+    outer = config.max_outer or max(MIN_BUDGET, math.ceil(cap / m))
     options = SolverOptions(inner_iterations=m, outer_iterations=outer, seed=config.seed, z_step_multiplier=multiplier)
     return oracle, options
 
@@ -331,6 +333,7 @@ def test_config_validation():
         ("max_outer", 0),
         ("max_outer", -3),
         ("max_outer", 2.5),
+        ("max_outer", True),
     ],
 )
 def test_config_rejects_bad_values_at_entry(field, value):
@@ -358,6 +361,47 @@ def test_default_config_certifies_small_instances(seed, n):
     res = approx_ot(c, a, b, ApproxConfig(epsilon=0.05))
     assert res.stop_reason == STOP_CONVERGED
     assert res.ot_value - _lp_optimum(c, a, b) <= 0.05
+
+
+# (side, pair) of make_image_pair(0, side, pair) -> outer iterations at
+# which the theory profile certifies at the default kappa.
+THEORY_STOPS = {(4, 0): 798, (4, 1): 864, (5, 0): 736, (5, 1): 641, (8, 0): 565, (8, 1): 594}
+
+
+@pytest.mark.parametrize("side, pair", sorted(THEORY_STOPS))
+def test_default_config_certifies_image_pairs(side, pair):
+    # before: the default config ran the theory profile under a floor of
+    # ceil(10^4 / m) outer iterations and stopped on the cap at 625 (n = 16),
+    # 400 (n = 25) and 327 (n = 64) on every pair
+    alpha, beta, cost = make_image_pair(0, side, pair)
+    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05))
+    assert res.stop_reason == STOP_CONVERGED
+    assert res.ot_value - _lp_optimum(cost.entries, alpha.weights, beta.weights) <= 0.05
+    # the theory profile certifies too, where uncapped runs stop: the floor
+    # of 10^4 outer iterations moved only the cap
+    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, solver_profile="theory"))
+    assert res.stop_reason == STOP_CONVERGED
+    assert res.outer_iterations == THEORY_STOPS[side, pair]
+
+
+def test_pdasgd_budget_floors_outer_iterations(monkeypatch):
+    # MIN_BUDGET counts outer iterations, as it counts Sinkhorn's sweeps:
+    # the pipeline hands the solver max(10^4, ceil(cap / m)) of them
+    budgets = []
+
+    def capture(oracle, options, stop):
+        budgets.append(options.outer_iterations)
+        options.outer_iterations = 1
+        return run(oracle, options, stop=stop)
+
+    monkeypatch.setattr(pdasgd.approx, "run", capture)
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    m, _ = resolve_profile(ApproxConfig.solver_profile, alpha.n)
+    cap = theoretical_iteration_cap(1e-3, alpha.n, cost.max_abs, DEFAULT_KAPPA)
+    assert math.ceil(cap / m) > MIN_BUDGET
+    for epsilon in (0.05, 1e-3):
+        approx_ot(cost, alpha, beta, ApproxConfig(epsilon=epsilon))
+    assert budgets == [MIN_BUDGET, math.ceil(cap / m)]
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -3,7 +3,6 @@ import pytest
 
 from pdasgd.bench import (
     BenchPlan,
-    RunSpec,
     execute_run,
     greenkhorn_cost_units,
     make_image_pair,
@@ -52,11 +51,7 @@ def test_bench_rows_pinned(tmp_path):
     assert len(result.rows) == len(PINNED_SMALL_ROWS)
     for row, pinned in zip(result.rows, PINNED_SMALL_ROWS):
         _check_pinned(row, pinned)
-    spec = RunSpec(
-        solver="greenkhorn", side=8, accuracy=0.02, pair=1,
-        plan_seed=7, profile="benchmark", kappa=8.0, dump_dir=None,
-    )
-    _check_pinned(execute_run(spec), PINNED_GREENKHORN_ROW)
+    _check_pinned(execute_run(BenchPlan(seed=7), "greenkhorn", 8, 0.02, 1), PINNED_GREENKHORN_ROW)
 
 
 def test_cost_model_matches_instrumented_counters(rng):
@@ -83,11 +78,7 @@ def test_image_pair_shared_across_cells():
 
 
 def test_execute_run_reaches_accuracy(tmp_path):
-    spec = RunSpec(
-        solver="pdasgd", side=8, accuracy=0.02, pair=0,
-        plan_seed=5, profile="benchmark", kappa=8.0, dump_dir=str(tmp_path),
-    )
-    row = execute_run(spec)
+    row = execute_run(BenchPlan(seed=5), "pdasgd", 8, 0.02, 0, dump_dir=tmp_path)
     assert row["stop_reason"] == "accuracy-reached"
     assert row["d_final"] <= 0.02
     assert row["cost_units"] > 0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import pdasgd.approx
@@ -124,3 +129,31 @@ def test_solve_divergence_exit_code(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: solver diverged: non-finite z after outer iteration 7 (max |z| = inf)\n"
+
+
+# Imports pdasgd, runs every method through approx_ot and the solve
+# subcommand, then lists the scipy modules that got loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import pdasgd
+from pdasgd import cli
+rng = np.random.default_rng(0)
+cost, beta = rng.random((4, 4)), rng.dirichlet(np.ones(4))
+for method in pdasgd.approx.METHODS:
+    pdasgd.approx_ot(cost, np.full(4, 0.25), beta, pdasgd.ApproxConfig(epsilon=0.05), method=method)
+assert cli.main(["solve", "--size", "4", "--epsilon", "0.05"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_library_and_cli_do_not_import_scipy():
+    # scipy is not a dependency of the package; importing it would cost about
+    # 17 MB of peak RSS and 0.3 s of setup.  The tests import scipy
+    # themselves, so this runs in a fresh interpreter.
+    src = str(Path(pdasgd.approx.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "stop_reason=gap+marginal" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -42,6 +43,29 @@ def test_gamma_values():
         assert gamma(s, 3.0) * tau1(s) * 9 * 3.0 == pytest.approx(1.0)
     with pytest.raises(ValueError):
         gamma(1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("inner_iterations", 2.5),
+        ("inner_iterations", True),
+        ("inner_iterations", 0),
+        ("outer_iterations", 2.5),
+        ("outer_iterations", False),
+        ("outer_iterations", -1),
+        ("z_step_multiplier", math.nan),
+        ("z_step_multiplier", math.inf),
+        ("z_step_multiplier", 0.0),
+    ],
+)
+def test_options_reject_bad_values_at_entry(field, value):
+    # before: inner_iterations = 2.5 raised a TypeError in the index draw,
+    # outer_iterations = 2.5 a TypeError in range(), z_step_multiplier = NaN
+    # a DivergenceError after outer iteration 1, and True was run as 1
+    options = {"inner_iterations": 2, "outer_iterations": 3, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} .*got {value!r}$"):
+        SolverOptions(**options)
 
 
 def test_schedule_identities():
