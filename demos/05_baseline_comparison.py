@@ -7,23 +7,20 @@ the solver.  Efficiency is counted in deterministic cost units; the
 leaves out.
 """
 
-import numpy as np
-
-from pdasgd import gen_synthetic_image, image_to_instance
-from pdasgd.bench import BenchPlan, execute_run
+from pdasgd.bench import BenchPlan, execute_run, make_image_pair
 
 side = 8
 accuracy = 0.01
+plan = BenchPlan(seed=21)
 
-alpha_img = gen_synthetic_image(side, seed=21)
-beta_img = gen_synthetic_image(side, seed=22)
-alpha, cost = image_to_instance(alpha_img)
+# The pair that execute_run solves: pair 0 of the plan's seed.
+alpha, _, cost = make_image_pair(plan.seed, side, 0)
 print(f"image side {side} -> n = {alpha.n} atoms, |C|_inf = {cost.max_abs}")
 print(f"target marginal distance: {accuracy}\n")
 
 print(f"{'solver':>12} {'cost units':>14} {'ot value':>10} {'d final':>10} {'stop':>18}")
 for solver in ("pdasgd", "sinkhorn", "greenkhorn"):
-    row = execute_run(BenchPlan(seed=21), solver, side, accuracy, pair=0)
+    row = execute_run(plan, solver, side, accuracy, pair=0)
     print(
         f"{solver:>12} {row['cost_units']:14,d} {row['ot_value']:10.5f} "
         f"{row['d_final']:10.5f} {row['stop_reason']:>18}"

@@ -9,17 +9,15 @@ smoothed problem, and round its plan back onto the polytope of the
 (``pdasgd``) and the Sinkhorn and Greenkhorn matrix-scaling baselines, so
 comparisons between them differ only in the solver.
 
-Stopping: the exact primal suboptimality is unobservable, so by default
-the stochastic solver stops on the weak-duality surrogate
-``f(x_s) + G(lambda_tilde)`` (an upper bound on ``f(x_s) - f*``) together
-with the L1 marginal violation.  The rule is an AND whose violation half
-is checked first, at every outer iteration; the surrogate, an n^2
-``x ln x`` pass, is evaluated only where the violation passes, so the
-pdasgd records carry it only there.  The ``"accuracy"`` rule never
-evaluates it.  The fired criterion is recorded so
-theory-versus-practice divergence stays visible.  A single run certifies
-its own realized iterate, not an expectation over seeds; benchmarks report
-per-seed spread instead.
+Stopping: the named rule is built once, and every solver calls the same
+object as ``stop(checkpoint)`` once per dense pass.  The exact primal
+suboptimality is unobservable, so the default certificate is the L1
+marginal violation and, for pdasgd, the weak-duality surrogate
+``f(x_s) + G(lambda_tilde)``, an upper bound on ``f(x_s) - f*``.  The
+surrogate, an n^2 ``x ln x`` pass, is evaluated only where the violation
+passes, so the pdasgd records carry it only there.  The fired criterion is
+recorded.  A single run certifies its own realized iterate, not an
+expectation over seeds; benchmarks report per-seed spread instead.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .core import (
     CostMatrix,
     Distribution,
     OTInstance,
+    StoppingRule,
     TransportPlan,
     as_weights,
     marginal_residual,
@@ -42,7 +41,7 @@ from .core import (
 )
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import RunRecord, SolverOptions, is_count, run
+from .solver import SolverOptions, is_count, run
 
 PROFILES = ("theory", "benchmark")
 METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
@@ -192,7 +191,21 @@ def _trivial_result(cost: CostMatrix, a: Distribution, b: Distribution, method: 
     )
 
 
-def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
+def stopping_rule(stop: str, a: np.ndarray, b: np.ndarray, epsilon: float, eps_prime: float) -> StoppingRule:
+    """The named rule on the original marginals (a, b), one object for every method; see :func:`approx_ot`."""
+    if stop == "accuracy":
+        return lambda point: STOP_ACCURACY if marginal_residual(point.rows, point.cols, a, b) <= epsilon else None
+
+    def certificate(point) -> Optional[str]:
+        # The violation half first: only then is the gap's n^2 pass paid.
+        if point.violation <= eps_prime / 2.0 and (point.gap is None or point.gap() <= epsilon / 4.0):
+            return STOP_CONVERGED
+        return None
+
+    return certificate
+
+
+def _solve_pdasgd(cost, a_s, b_s, eta, config, rule):
     """Semi-dual solve; returns (raw plan, stop reason, fields of the result)."""
     n = cost.n
     oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
@@ -206,18 +219,7 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
         seed=config.seed,
         z_step_multiplier=multiplier,
     )
-    gap_budget = config.epsilon / 4.0
-    violation_budget = eps_prime / 2.0
-
-    def stop(record: RunRecord, marginals, gap) -> Optional[str]:
-        if reached is not None:
-            return reached(*marginals)
-        # The violation half first: only then is the gap's n^2 pass paid.
-        if record.constraint_violation_l1 <= violation_budget and gap() <= gap_budget:
-            return STOP_CONVERGED
-        return None
-
-    result = run(oracle, options, stop=stop)
+    result = run(oracle, options, stop=rule)
     state = result.state
     return result.primal, result.stop_reason, dict(
         records=result.records,
@@ -229,23 +231,20 @@ def _solve_pdasgd(cost, a_s, b_s, eta, eps_prime, config, reached):
     )
 
 
-def _solve_scaling(method, cost, a_s, b_s, eta, eps_prime, config, reached):
+def _solve_scaling(method, cost, a_s, b_s, eta, config, rule):
     """Sinkhorn or Greenkhorn solve, same return shape as :func:`_solve_pdasgd`."""
     n = cost.n
-    if config.max_outer is not None:
-        max_iter = config.max_outer
-    else:
-        # Sweep/update budget in the solver's own step currency; the scaling
-        # methods pay quadratically in |C|_inf / epsilon, hence the squared term.
-        sweeps = max(MIN_BUDGET, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2))
-        max_iter = sweeps if method == "sinkhorn" else sweeps * n
-    tol = eps_prime / 2.0 if reached is None else 0.0
+    # Budget in dense passes, Greenkhorn's being rounds of n updates; the scaling
+    # methods pay quadratically in |C|_inf / epsilon, hence the squared term.
+    passes = config.max_outer or max(
+        MIN_BUDGET, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2)
+    )
+    max_iter = passes if method == "sinkhorn" else passes * n
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    plan, info = runner(cost, a_s, b_s, eta, tol_marginal=tol, max_iter=max_iter, stop=reached)
-    reason = STOP_CONVERGED if info["stop_reason"] == "marginal-tol" else info["stop_reason"]
+    plan, info = runner(cost, a_s, b_s, eta, max_iter=max_iter, stop=rule)
     (key,) = OP_COUNTS[method]
-    return plan.entries, reason, dict(
+    return plan.entries, info["stop_reason"], dict(
         records=[],
         outer_iterations=info["iterations"],
         op_counts={key: info["iterations"]},
@@ -261,15 +260,14 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     of the original marginals.  The returned plan is feasible for
     (alpha, beta) to 1e-10.
 
-    ``stop`` picks the stopping rule:
+    ``stop`` names the rule, one object that every method calls at each
+    checkpoint: an outer iteration, a sweep, or a round of n updates.
 
-    * ``"certificate"``: pdasgd stops when the marginal violation is at
-      most eps'/2 and the duality gap at most epsilon/4; the scaling
-      methods stop when their plan is within eps'/2 in L1 of the smoothed
-      marginals.  Reason ``gap+marginal``.
-    * ``"accuracy"``: every method stops at the first checkpoint where the
-      unrounded plan is within epsilon in L1 of the *original* marginals.
-      Reason ``accuracy-reached``.
+    * ``"certificate"``: the plan is within eps'/2 in L1 of the smoothed
+      marginals and, for pdasgd, the duality gap is at most epsilon/4.
+      Reason ``gap+marginal``.
+    * ``"accuracy"``: the unrounded plan is within epsilon in L1 of the
+      *original* marginals.  Reason ``accuracy-reached``.
 
     An instance with epsilon >= 48 |C|_inf is trivial (see
     :func:`derive_parameters`): the product plan is returned with reason
@@ -280,7 +278,7 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and
     n times that in Greenkhorn updates.  So every method gets at least
     10^4 (:data:`MIN_BUDGET`) dense passes.  ``config.max_outer`` overrides
-    all three.
+    that count of checkpoints for all three.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -298,16 +296,11 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     eta, eps_prime = params
     a_s, b_s = smooth_marginals(a, b, eps_prime, n)
 
-    reached = None
-    if stop == "accuracy":
-
-        def reached(rows, cols) -> Optional[str]:
-            return STOP_ACCURACY if marginal_residual(rows, cols, a.weights, b.weights) <= config.epsilon else None
-
+    rule = stopping_rule(stop, a.weights, b.weights, config.epsilon, eps_prime)
     if method == "pdasgd":
-        raw, reason, fields = _solve_pdasgd(c, a_s, b_s, eta, eps_prime, config, reached)
+        raw, reason, fields = _solve_pdasgd(c, a_s, b_s, eta, config, rule)
     else:
-        raw, reason, fields = _solve_scaling(method, c, a_s, b_s, eta, eps_prime, config, reached)
+        raw, reason, fields = _solve_scaling(method, c, a_s, b_s, eta, config, rule)
     # Iterates carry total mass 1 only up to their marginal tolerance;
     # renormalize so the rounding mass gate applies uniformly.
     rounded, report = round_to_polytope(raw / raw.sum(), a, b)

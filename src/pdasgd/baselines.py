@@ -4,31 +4,28 @@ Both scale the kernel ``exp(-C/eta)`` toward the target marginals; the
 naive kernel underflows at the penalties this package runs at, so all
 scaling state lives in the log domain.  Sinkhorn alternates full row and
 column updates; Greenkhorn updates the single row or column with the worst
-marginal-violation score.  Both stop when the plan's L1 marginal distance
-drops below a tolerance, and both plug into the same smoothing and rounding
+marginal-violation score.  Both plug into the same smoothing and rounding
 pipeline as the stochastic solver so benchmark curves differ only in the
-solver.  Both stop at once, with reason ``"non-finite"``, when the
-marginal distance is not finite: a kernel that overflows or underflows
-everywhere gives a NaN plan that no further update can repair.
+solver.
 
-A stop callback is passed the row and column sums the marginal distance
-was just computed from, so a caller's rule on the marginals costs no
-further pass over the plan.
+Both call their stopping rule as the stochastic solver does, as
+``stop(checkpoint)`` once per dense pass (see :func:`sinkhorn` and
+:func:`greenkhorn`).  Before the rule, both stop with reason
+``"non-finite"`` when the violation is not finite: a kernel that overflows
+or underflows everywhere gives a NaN plan that no update can repair.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import TransportPlan, as_matrix, as_weights, logsumexp, marginal_residual
+from .core import Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights, logsumexp
+from .core import marginal_distance, marginal_residual
 
-# Called with the current plan's row and column sums; a returned string
-# stops the run with that reason.
-StopCallback = Callable[[np.ndarray, np.ndarray], Optional[str]]
 NON_FINITE = "non-finite"
 
 
@@ -48,15 +45,21 @@ def _validate(cost, alpha, beta, eta):
     return c, a, b
 
 
-def _distance_reason(d: float, tol: float) -> Optional[str]:
-    # written so that a NaN distance never reads as converged
-    if d <= tol:
-        return "marginal-tol"
-    return None if math.isfinite(d) else NON_FINITE
+def _checkpoint(stop: StoppingRule, index: int, plan: np.ndarray, a, b) -> tuple[Checkpoint, Optional[str]]:
+    """The checkpoint of ``plan`` after ``index`` steps and its stop reason, ``"non-finite"`` before the rule's."""
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    point = Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
+    # written so that a NaN violation never reaches the rule
+    return point, stop(point) if math.isfinite(point.violation) else NON_FINITE
 
 
-def _finish(name: str, plan: np.ndarray, iteration: int, max_iter: int, d: float, reason, log_u, log_v):
-    """The (plan, info) pair of a scaling run; warns unless it stopped on its tolerance or callback."""
+def _rule(stop: Optional[StoppingRule], tol: float) -> StoppingRule:
+    return stop if stop is not None else lambda point: "marginal-tol" if point.violation <= tol else None
+
+
+def _finish(name: str, plan: np.ndarray, iteration: int, max_iter: int, reason, a, b, log_u, log_v):
+    """The (plan, info) pair of a scaling run; warns unless its rule stopped it."""
+    d = marginal_distance(plan, a, b)
     if reason is None or reason == NON_FINITE:
         warnings.warn(
             f"{name} stopped after {iteration} of max_iter={max_iter} steps with marginal distance {d:.3e}",
@@ -79,48 +82,40 @@ def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: n
     return np.exp(out, out=out)
 
 
-def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: StopCallback = None):
+def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: Optional[StoppingRule] = None):
     """Alternating log-domain row/column scaling of exp(-C/eta).
 
-    Runs until the current plan's marginal distance to (alpha, beta) falls
-    below ``tol_marginal``, the distance is not finite, the stop callback
-    returns a reason, or ``max_iter`` sweeps elapse; the last two of these
-    warn.  The callback is called as ``stop(rows, cols)`` after every
-    sweep that has not met the tolerance.  Returns ``(plan, info)``: the
-    unrounded plan and a dict of the sweep count ``iterations``, the final
-    ``marginal_distance``, the duals ``log_u`` and ``log_v``, and
-    ``stop_reason`` (None at the cap).
+    After every sweep the rule is called as ``stop(checkpoint)``, with the
+    sweep count as ``index``.  ``tol_marginal`` only builds the rule used
+    without one, which stops with reason ``"marginal-tol"`` once the plan
+    is within it in L1 of (alpha, beta).  A non-finite violation or
+    ``max_iter`` sweeps also stop the run, with a warning.  Returns
+    ``(plan, info)``: the unrounded plan and a dict of the sweep count
+    ``iterations``, the returned plan's ``marginal_distance``, the duals
+    ``log_u`` and ``log_v``, and ``stop_reason`` (None at the cap).
 
     A sweep allocates no n^2 array: it works in one preallocated array and
     rewrites the plan in place.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
+    stop = _rule(stop, tol_marginal)
     log_k = -c / eta
     log_a = np.log(a)
     log_b = np.log(b)
     log_u, log_v = np.zeros(a.size), np.zeros(b.size)
     iteration = 0
-    d = np.inf
     reason = None
     work = np.empty_like(log_k)
     plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
-    while iteration < max_iter:
+    while reason is None and iteration < max_iter:
         np.add(log_k, log_v, out=work)
         log_u = log_a - logsumexp(work, axis=1)
         np.add(log_k, log_u[:, None], out=work)
         log_v = log_b - logsumexp(work, axis=0)
         iteration += 1
         _scaled_plan(log_k, log_u, log_v, plan)
-        rows, cols = plan.sum(1), plan.sum(0)
-        d = marginal_residual(rows, cols, a, b)
-        reason = _distance_reason(d, tol_marginal)
-        if reason is not None:
-            break
-        if stop is not None:
-            reason = stop(rows, cols)
-            if reason is not None:
-                break
-    return _finish("sinkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)
+        _, reason = _checkpoint(stop, iteration, plan, a, b)
+    return _finish("sinkhorn", plan, iteration, max_iter, reason, a, b, log_u, log_v)
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -134,17 +129,18 @@ def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
         return target * (x - np.log1p(x))
 
 
-def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, stop: StopCallback = None):
+def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, stop: Optional[StoppingRule] = None):
     """Greedy coordinate version of Sinkhorn.
 
-    Each step rescales the single row or column with the largest
+    Each update rescales the single row or column with the largest
     distance-to-marginal score so that its sum matches the target exactly.
-    ``max_iter`` counts coordinate updates; the stop callback is polled every
-    n updates, as ``stop(rows, cols)`` with the freshly summed marginals.
-    Stops and returns ``(plan, info)`` as :func:`sinkhorn` does, with
-    ``iterations`` counting updates.
+    The rule is called as in :func:`sinkhorn`, but once per round of n
+    updates, on sums re-summed from the plan, with the update count as
+    ``index``; ``max_iter`` and ``iterations`` count updates.  A non-finite
+    plan stops the run before its first update.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
+    stop = _rule(stop, tol_marginal)
     n = a.size
     log_k = -c / eta
     log_a = np.log(a)
@@ -154,10 +150,8 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
     log_u, log_v = np.full(n, shift), np.zeros(n)
     iteration = 0
     plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
-    r = plan.sum(axis=1)
-    col = plan.sum(axis=0)
-    d = marginal_residual(r, col, a, b)
-    reason = _distance_reason(d, tol_marginal)
+    r, col = plan.sum(axis=1), plan.sum(axis=0)
+    reason = None if math.isfinite(marginal_residual(r, col, a, b)) else NON_FINITE
     while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
         cols = _line_scores(col, b)
@@ -177,13 +171,7 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
             col[j] = new_col.sum()
         iteration += 1
         if iteration % n == 0:
-            # Refresh incrementally maintained sums to shed rounding drift.
-            r = plan.sum(axis=1)
-            col = plan.sum(axis=0)
-            if stop is not None:
-                reason = stop(r, col)
-                if reason is not None:
-                    break
-        d = marginal_residual(r, col, a, b)
-        reason = _distance_reason(d, tol_marginal)
-    return _finish("greenkhorn", plan, iteration, max_iter, d, reason, log_u, log_v)
+            # Re-summing sheds the incremental sums' drift; updates change copies.
+            point, reason = _checkpoint(stop, iteration, plan, a, b)
+            r, col = point.rows.copy(), point.cols.copy()
+    return _finish("greenkhorn", plan, iteration, max_iter, reason, a, b, log_u, log_v)

@@ -27,7 +27,8 @@ per outer iteration, and a matrix product per 32 of them and per rebuild
 to fold them in), and the certificate's n^2 ``x ln x`` gap, paid only where
 the marginal half passes (never under the accuracy rule).  A Sinkhorn
 sweep is charged 2n^2 but computes three n^2 exp passes and the plan's
-row and column sums.
+row and column sums, and Greenkhorn's re-summing of the plan's n^2 entries
+once per round of n updates is not charged either.
 
 Outputs in ``out_dir``:
 

@@ -11,6 +11,7 @@ across threads; the functionals below are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -121,6 +122,28 @@ class OTInstance:
     @property
     def n(self) -> int:
         return self.cost.n
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """What a solver's stopping rule sees once per dense pass.
+
+    ``index`` counts the solver's steps so far: pdasgd's outer iterations,
+    Sinkhorn's sweeps or Greenkhorn's updates.  ``rows`` and ``cols`` are
+    the current plan's row and column sums, and ``violation`` is their L1
+    distance to the marginals the solver was given.  ``gap`` is pdasgd's
+    zero-argument duality gap, an n^2 pass paid on its first call, and None
+    for the scaling methods.  A rule returns a reason to stop, or None.
+    """
+
+    index: int
+    rows: np.ndarray
+    cols: np.ndarray
+    violation: float
+    gap: Optional[Callable[[], float]] = None
+
+
+StoppingRule = Callable[[Checkpoint], Optional[str]]
 
 
 def as_weights(x) -> np.ndarray:

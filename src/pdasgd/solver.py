@@ -56,11 +56,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import as_weights
+from .core import Checkpoint, StoppingRule, as_weights
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -376,11 +376,7 @@ class SolveResult:
     state: SolverState
 
 
-Marginals = tuple[np.ndarray, np.ndarray]
-StoppingRule = Callable[[RunRecord, Marginals, Callable[[], float]], Optional[str]]
-
-
-def make_record(state: SolverState) -> tuple[RunRecord, Marginals]:
+def make_record(state: SolverState) -> tuple[RunRecord, tuple[np.ndarray, np.ndarray]]:
     """The record of the current averaged primal x_s; returns (record, (rows, cols)).
 
     Reads x_s's row and column sums from the workspace, without building
@@ -425,30 +421,29 @@ def run(
 ) -> SolveResult:
     """Run outer iterations until the budget or the stopping rule fires.
 
-    Every outer iteration is a checkpoint: its record is appended and the
-    stopping rule is called as ``stop(record, (rows, cols), gap)`` with the
-    row and column sums of the averaged primal x_s and a zero-argument
-    ``gap`` that builds x_s and evaluates the duality gap (:func:`certify`,
-    n^2 passes) on its first call, which must come before the next outer
-    iteration; returning a string stops the run with that reason.  A record
-    carries ``primal_objective`` and ``duality_gap`` only if the rule called
-    ``gap``.  Without a rule, every checkpoint is certified, so the records
-    are complete.  The result's ``primal`` is x_s of the last outer
-    iteration, read from the workspace, which owns the average and its
-    total weight.  Deterministic given (seed, oracle, options).
+    Every outer iteration that does not raise :class:`DivergenceError` is a
+    checkpoint: its record is appended and the rule is called as
+    ``stop(checkpoint)`` with the outer index, x_s's sums and violation,
+    and a ``gap`` that builds x_s and evaluates the duality gap
+    (:func:`certify`, n^2 passes) on its first call, which must come before
+    the next outer iteration.  A record carries ``primal_objective`` and
+    ``duality_gap`` only if the rule called ``gap``; without a rule, every
+    checkpoint is certified.  The result's ``primal`` is x_s of the last
+    outer iteration, read from the workspace, which owns the average and
+    its total weight.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
     stop_reason = None
     for _ in range(options.outer_iterations):
         outer_iteration(state, oracle, options)
-        record, marginals = make_record(state)
+        record, (rows, cols) = make_record(state)
         records.append(record)
         gap = partial(certify, record, state, oracle)
         if stop is None:
             gap()
             continue
-        stop_reason = stop(record, marginals, gap)
+        stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
         if stop_reason is not None:
             break
     return SolveResult(

@@ -22,7 +22,7 @@ from pdasgd.approx import (
     smooth_marginals,
     theoretical_iteration_cap,
 )
-from pdasgd.baselines import sinkhorn
+from pdasgd.baselines import greenkhorn, sinkhorn
 from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance, marginal_distance
 from pdasgd.exact import exact_ot_oracle
@@ -280,7 +280,9 @@ def test_scaling_pipeline_matches_contract(rng):
     "method, outer_iterations, op_counts, ot_value",
     [
         ("sinkhorn", 313, {"sweeps": 313}, 0.013391275388077144),
-        ("greenkhorn", 19684, {"updates": 19684}, 0.013349052643578966),
+        # Greenkhorn checks its certificate once per round of n = 64
+        # updates; it stopped at update 19684 when it checked after each.
+        ("greenkhorn", 19712, {"updates": 19712}, 0.013345617981215262),
     ],
 )
 def test_scaling_profile_replay(method, outer_iterations, op_counts, ot_value):
@@ -291,6 +293,59 @@ def test_scaling_profile_replay(method, outer_iterations, op_counts, ot_value):
     assert result.outer_iterations == outer_iterations
     assert result.op_counts == op_counts
     assert result.ot_value == pytest.approx(ot_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_stopping_rule_for_every_method(method):
+    # one rule object, called once per dense pass with a Checkpoint of the
+    # plan's sums; it stops every method on its third call
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, alpha.n)
+    seen = []
+
+    def rule(point):
+        seen.append(point)
+        return "third" if len(seen) == 3 else None
+
+    if method == "pdasgd":
+        oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
+        res = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=10, seed=0), stop=rule)
+        reason, plan, step = res.stop_reason, res.primal, 1
+    else:
+        solver = sinkhorn if method == "sinkhorn" else greenkhorn
+        out, info = solver(cost, a_s, b_s, eta, max_iter=100 * alpha.n, stop=rule)
+        reason, plan, step = info["stop_reason"], out.entries, 1 if method == "sinkhorn" else alpha.n
+    assert reason == "third"
+    assert [p.index for p in seen] == [step, 2 * step, 3 * step]
+    assert all(callable(p.gap) if method == "pdasgd" else p.gap is None for p in seen)
+    last = seen[-1]
+    if method == "pdasgd":
+        # the workspace keeps the average's sums apart from the average
+        assert np.allclose(last.rows, plan.sum(axis=1), rtol=0, atol=1e-15)
+        assert np.allclose(last.cols, plan.sum(axis=0), rtol=0, atol=1e-15)
+        assert last.violation == pytest.approx(marginal_distance(plan, a_s, b_s), abs=1e-14)
+    else:
+        assert last.rows.tobytes() == plan.sum(axis=1).tobytes()
+        assert last.cols.tobytes() == plan.sum(axis=0).tobytes()
+        assert last.violation == marginal_distance(plan, a_s, b_s)
+
+
+@pytest.mark.filterwarnings("ignore:greenkhorn stopped after:RuntimeWarning")
+def test_greenkhorn_max_outer_counts_rounds():
+    # max_outer counts checkpoints, and a Greenkhorn checkpoint is a round
+    # of n updates; before, max_outer = 2 gave it 2 updates
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    n = alpha.n
+    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, max_outer=2), method="greenkhorn")
+    assert res.stop_reason == STOP_CAP
+    assert res.outer_iterations == res.op_counts["updates"] == 2 * n
+    # a cap part-way through a round reports the returned plan's distance
+    eta, eps_prime = derive_parameters(0.05, n, cost)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, n)
+    plan, info = greenkhorn(cost, a_s, b_s, eta, tol_marginal=0.0, max_iter=n + 3)
+    assert info["stop_reason"] is None and info["iterations"] == n + 3
+    assert info["marginal_distance"] == marginal_distance(plan, a_s, b_s)
 
 
 def _bad_inputs():

@@ -142,8 +142,8 @@ def test_stop_callback(rng):
     a, b = positive_pair(rng, n)
     seen = []
 
-    def stop(rows, cols):
-        seen.append((rows.copy(), cols.copy()))
+    def stop(point):
+        seen.append((point.rows.copy(), point.cols.copy()))
         return "poked" if len(seen) >= 3 else None
 
     plan, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)

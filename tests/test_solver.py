@@ -215,18 +215,19 @@ def test_primal_average_row_feasible(rng):
 
 def test_stopping_rule_fires(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
-    calls = []
+    calls, gaps = [], []
 
-    def stop(record, marginals, gap):
-        calls.append(record.outer_index)
-        if record.outer_index == 2:
-            assert gap() == gap() == record.duality_gap
-        return "enough" if record.outer_index >= 3 else None
+    def stop(point):
+        calls.append(point.index)
+        if point.index == 2:
+            gaps.extend((point.gap(), point.gap()))
+        return "enough" if point.index >= 3 else None
 
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=50, seed=0), stop=stop)
     assert res.stop_reason == "enough"
     assert res.state.s == 3
     assert calls == [1, 2, 3]
+    assert gaps[0] == gaps[1] == res.records[1].duality_gap
     # only the checkpoint whose rule asked for the gap carries it
     assert [r.duality_gap is not None for r in res.records] == [False, True, False]
     assert [r.primal_objective is not None for r in res.records] == [False, True, False]
@@ -237,12 +238,12 @@ def test_stale_gap_raises(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     kept = []
 
-    def stop(record, marginals, gap):
+    def stop(point):
         if kept:
             with pytest.raises(RuntimeError, match="outer iteration 1 at outer iteration 2"):
                 kept[0]()
             return "checked"
-        kept.append(gap)
+        kept.append(point.gap)
         return None
 
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), stop=stop)
