@@ -239,14 +239,15 @@ def _solve_scaling(method, cost, a_s, b_s, eta, config, rule):
     passes = config.max_outer or max(
         MIN_BUDGET, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2)
     )
-    max_iter = passes if method == "sinkhorn" else passes * n
+    # Updates per checkpoint: a Sinkhorn sweep, or a round of n Greenkhorn updates.
+    stride = 1 if method == "sinkhorn" else n
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    plan, info = runner(cost, a_s, b_s, eta, max_iter=max_iter, stop=rule)
+    plan, info = runner(cost, a_s, b_s, eta, max_iter=passes * stride, stop=rule)
     (key,) = OP_COUNTS[method]
     return plan.entries, info["stop_reason"], dict(
         records=[],
-        outer_iterations=info["iterations"],
+        outer_iterations=info["iterations"] // stride,
         op_counts={key: info["iterations"]},
     )
 

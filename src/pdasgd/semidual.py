@@ -15,10 +15,14 @@ plain float64 vectors.
 Every n^2 exponential goes through the package's one max-subtracted exp
 (:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
 the small ``eta`` this package runs at.  One dense pass of it,
-``snapshot(v)``, yields G(v), its gradient and the component gradients at
-v, read in batches of rows, as a :class:`KernelSnapshot` whose kernel is
-the softmax itself.  These reference methods stay as they are; the solver
-reaches the same quantities through a :class:`KernelWorkspace`.
+``snapshot(v)``, yields G(v), its gradient u and the solver's corrections
+at v, read in batches of rows, as a :class:`KernelSnapshot` whose kernel
+is the softmax itself.  These reference methods stay as they are; the
+solver reaches the same quantities through a :class:`KernelWorkspace`.
+
+Component i is sampled with probability alpha_i, so the solver's per-step
+``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
+beta``; ``component_gradient`` is that row, minus beta, times n alpha_i.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -84,7 +88,7 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KernelSnapshot:
-    """G(v) and grad G(v), with what the anchor rows at v need.
+    """G(v) and grad G(v), with what the solver's corrections at v need.
 
     Softmax row i at v is ``K_i e / r_i`` for r = K e.  K is a workspace's
     base kernel, or the softmax rows themselves with e = r = 1, which change
@@ -96,16 +100,13 @@ class KernelSnapshot:
     kernel: np.ndarray  # K, not written after the snapshot
     weights: np.ndarray  # e = exp((v - v0)/eta - c), or ones
     norms: np.ndarray  # r = K e
-    beta: np.ndarray
-    scale: np.ndarray  # n alpha_i, the weight of component i
 
-    def anchors(self, indices) -> np.ndarray:
-        """Rows grad g_i(v) = n alpha_i (K_i e / r_i - beta) for i in ``indices``, freshly allocated."""
+    def corrections(self, indices) -> np.ndarray:
+        """Rows grad G(v) - softmax_i(v) for i in ``indices``, freshly allocated."""
         rows = self.kernel[indices]
         rows *= self.weights
         rows /= self.norms[indices, None]
-        rows -= self.beta
-        rows *= self.scale[indices, None]
+        np.subtract(self.gradient, rows, out=rows)
         return rows
 
 
@@ -135,8 +136,9 @@ class SemiDualOracle:
         # Row i of the softmax argument is v/eta + shift[i].
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
+        self._shift_rows = tuple(self._shift)  # views, made once rather than per step
         self._scale = self.n * self.alpha
-        # component_gradient's scalar operands are 0-d arrays, which ufuncs
+        # importance_gradient's scalar operands are 0-d arrays, which ufuncs
         # take faster than Python floats, with the same values.
         self._eta = np.array(self.eta)
 
@@ -171,9 +173,22 @@ class SemiDualOracle:
             kernel=sm,
             weights=ones,
             norms=ones,
-            beta=self.beta,
-            scale=self._scale,
         )
+
+    def importance_gradient(self, i: int, v: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+        """Softmax row i of ``(v - C)/eta`` into ``out``: grad g_i(v) / (n alpha_i) + beta.
+
+        Max and sum reduce into ``scalar``, a caller-owned 0-d buffer; i is
+        not range-checked, as the solver draws it.
+        """
+        np.divide(v, self._eta, out=out)
+        out += self._shift_rows[i]
+        np.maximum.reduce(out, out=scalar)
+        out -= scalar
+        np.exp(out, out=out)
+        np.add.reduce(out, out=scalar)
+        out /= scalar
+        return out
 
     def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Gradient of g_i at v, written into ``out`` (allocated if None).
@@ -187,11 +202,7 @@ class SemiDualOracle:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         if out is None:
             out = np.empty(self.n)
-        np.divide(v, self._eta, out=out)
-        out += self._shift[i]
-        out -= np.maximum.reduce(out)
-        np.exp(out, out=out)
-        out /= np.add.reduce(out)
+        self.importance_gradient(i, v, out, np.empty(()))
         out -= self.beta
         out *= self._scale[i, ...]
         return out
@@ -311,8 +322,6 @@ class KernelWorkspace:
             kernel=self.kernel,
             weights=e,
             norms=r,
-            beta=o.beta,
-            scale=o._scale,
         )
 
     def accumulate(self, v: np.ndarray, weight: float) -> None:

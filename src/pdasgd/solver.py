@@ -5,15 +5,12 @@ while averaging the associated primal iterates.  Each run owns a workspace
 from ``oracle.workspace()``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
 after each reset, as a snapshot (``phi(lam_tilde)`` for the record's gap,
-the full gradient ``u = grad phi(lam_tilde)`` and the anchor component
-gradients ``grad phi_i(lam_tilde)``), and it keeps the weighted average
-of primal maps, its total weight and its row and column sums.  Each outer
-iteration s:
+the full gradient ``u = grad phi(lam_tilde)`` and the corrections below),
+and it keeps the weighted average of primal maps, its total weight and its
+row and column sums.  Each outer iteration s:
 
-  * computes the constants its inner steps share (``tau1_s``, the y weight
-    ``1 - tau1_s - tau2``, the z and y step coefficients and
-    ``tau2 lam_tilde``), draws its m components and reads their anchor
-    gradients from the snapshot as one (m, d) batch,
+  * computes the constants its inner steps share, draws its m components
+    and reads their corrections from the snapshot as one (m, d) batch,
   * runs m inner steps of Katyusha-style momentum on the current snapshot
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
@@ -34,9 +31,16 @@ where the certificate needs it and for the result.  The semi-dual
 oracle's workspace keeps a re-based kernel, so its snapshots and
 accumulations are matrix-vector products (see :mod:`pdasgd.semidual`).
 
-An inner step thus computes one component gradient, at ``lam``; the anchor
-term comes from the snapshot.  The divisors ``h p_i`` are fixed for the
-whole run and made once, at init.
+The inner step runs these lines in an equal, cheaper form.  The oracle's
+``importance_gradient(i, lam)`` is ``grad phi_i(lam) / (h p_i)`` plus a
+vector that does not depend on lam, and the snapshot's corrections are
+the rows ``u - importance_gradient(i, lam_tilde)``, so g is their sum:
+that vector, h p_i and u cancel.  The step carries ``p = tau1_s z + tau2
+lam_tilde`` in place of z, moved by ``-tau1_s multiplier gamma_s g / 2``,
+and z is recovered from p once per outer iteration.  So a step is the
+oracle's row (seven ufunc calls for the semi-dual) and eight more: two
+for lam = p + w y (a copy where the y weight w is 0, as at s = 0), one
+for g += correction, two each for y and p, and one for the y sum.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -67,23 +71,24 @@ from .rng import CategoricalSampler, SplitMix64
 class Snapshot(Protocol):
     """An oracle's evaluation at one anchor point lam_tilde.
 
-    ``value`` is phi(lam_tilde), ``gradient`` is grad phi(lam_tilde), and
-    ``anchors(indices)`` returns a fresh (len(indices), d) array whose row k
-    is grad phi_{indices[k]}(lam_tilde).  The solver asks once per outer
+    ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
+    and ``corrections(indices)`` returns a fresh (len(indices), d) array
+    whose row k is u minus the oracle's ``importance_gradient`` of
+    component ``indices[k]`` at lam_tilde.  The solver asks once per outer
     iteration, for the m components it drew up front.
     """
 
     value: float
     gradient: np.ndarray
 
-    def anchors(self, indices: np.ndarray) -> np.ndarray: ...
+    def corrections(self, indices: np.ndarray) -> np.ndarray: ...
 
 
 class Workspace(Protocol):
     """One run's dense state over an oracle, owned by the solver.
 
     ``snapshot(lam)`` returns the :class:`Snapshot` of lam, whose batched
-    anchor rows the inner steps subtract; ``accumulate(lam, weight)`` adds
+    corrections the inner steps add; ``accumulate(lam, weight)`` adds
     weight times the primal point attached to lam to a running weighted
     average and weight to its total ``weight``; ``marginals()`` returns the
     average's row and column sums as fresh arrays;
@@ -110,18 +115,20 @@ class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
-    ``component_gradient(i, lam, out)`` writes grad phi_i(lam) into ``out``,
-    once per inner step; ``workspace()`` returns a fresh :class:`Workspace`
-    for one run, which takes the snapshots and keeps the primal sum;
-    ``sampling_weights()`` returns a probability vector (or a Distribution)
-    positive wherever L_i > 0; ``average_smoothness()`` returns Lbar;
-    ``primal_objective(x)`` fills the records of certified checkpoints.
+    ``importance_gradient(i, lam, out, scalar)`` writes grad phi_i(lam) /
+    (h p_i) plus any lam-free vector into ``out`` once per inner step, with
+    ``scalar`` a caller-owned 0-d buffer; ``workspace()`` returns a fresh
+    :class:`Workspace` for one run, which takes the snapshots and keeps
+    the primal sum; ``sampling_weights()`` returns a probability vector (or
+    a Distribution) positive wherever L_i > 0; ``average_smoothness()``
+    returns Lbar; ``primal_objective(x)`` fills the records of certified
+    checkpoints.
     """
 
     component_count: int
     dual_dimension: int
 
-    def component_gradient(self, i: int, lam: np.ndarray, out: np.ndarray) -> np.ndarray: ...
+    def importance_gradient(self, i: int, lam: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
 
     def workspace(self) -> Workspace: ...
 
@@ -203,12 +210,13 @@ class SolverState:
     s: int
     rng: SplitMix64
     sampler: CategoricalSampler
-    divisors: tuple  # h p_i of each component, as 0-d arrays (see StepConstants)
     avg_smoothness: float
     n_component_gradients: int = 0
     n_inner_steps: int = 0
     # scratch buffers for the allocation-free inner loop
     _vr_grad: np.ndarray = None
+    _p: np.ndarray = None  # tau1 z + tau2 lambda_tilde, carried in place of z
+    _scalar: np.ndarray = None  # 0-d, for the oracle's reductions
     _y_sum: np.ndarray = None
     _picked_lambda: np.ndarray = None
     _pick_index: int = -1
@@ -222,13 +230,10 @@ class StepConstants:
     faster than a Python float or an ``np.float64``, with the same value.
     """
 
-    tau1: np.ndarray  # 2 / (s + 4)
     y_weight: np.ndarray  # 1 - tau1 - tau2
     mix_y: bool  # y_weight != 0; at s = 0 the y term is skipped, not added as 0
-    tau2_anchor: np.ndarray  # tau2 lambda_tilde
-    z_coef: np.ndarray  # multiplier gamma_s / 2
     y_coef: np.ndarray  # -1 / (9 Lbar)
-    gradient: np.ndarray  # u = grad phi(lambda_tilde), from the snapshot
+    p_coef: np.ndarray  # -tau1 multiplier gamma_s / 2, the z step as it moves p
 
 
 def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
@@ -238,13 +243,10 @@ def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
     z_coef = options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0
     scalar = lambda x: np.array(x, dtype=np.float64)
     return StepConstants(
-        tau1=scalar(t1),
         y_weight=scalar(w_y),
         mix_y=w_y != 0.0,
-        tau2_anchor=TAU2 * state.lambda_tilde,
-        z_coef=scalar(z_coef),
         y_coef=scalar(-1.0 / (9.0 * state.avg_smoothness)),
-        gradient=state.snapshot.gradient,
+        p_coef=scalar(-(t1 * z_coef)),
     )
 
 
@@ -262,7 +264,6 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
     zeros = lambda: np.zeros(d)
-    divisors = h * weights
     workspace = oracle.workspace()
     return SolverState(
         y=lam0.copy(),
@@ -274,60 +275,41 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         s=0,
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
-        divisors=tuple(divisors[i, ...] for i in range(h)),
         avg_smoothness=float(oracle.average_smoothness()),
         _vr_grad=zeros(),
+        _p=zeros(),
+        _scalar=np.zeros(()),
         _y_sum=zeros(),
         _picked_lambda=lam0.copy(),
     )
 
 
-def variance_reduced_gradient(
-    oracle: FiniteSumOracle,
-    i: int,
-    lam: np.ndarray,
-    anchor: np.ndarray,
-    divisor,
-    gradient: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """u + (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i), into ``out``.
+def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, i: int, correction: np.ndarray) -> None:
+    """One momentum + variance-reduced update of (lambda, p, y) on component i.
 
-    ``anchor`` is grad phi_i(lam_tilde) and ``gradient`` is u, both read from
-    the snapshot of the anchor lam_tilde; ``divisor`` is h p_i.  The
-    p_i-weighted average of this estimator over all components equals
-    grad phi(lam) exactly.
-    """
-    oracle.component_gradient(i, lam, out)
-    out -= anchor
-    out /= divisor
-    out += gradient
-    return out
-
-
-def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, i: int, anchor: np.ndarray) -> None:
-    """One momentum + variance-reduced update of (lambda, z, y) on component i.
-
-    ``step`` holds the outer iteration's constants and ``anchor`` is
-    grad phi_i(lambda_tilde), a row of the snapshot's batched anchors.
-    Computes one component gradient, at lambda, and runs only ufunc calls
-    into the state's buffers; :func:`outer_iteration` charges the work.
+    ``step`` holds the outer iteration's constants and ``correction`` is
+    i's row of the snapshot's corrections.  Leaves lambda in place, adds y
+    to the y sum, and runs only ufunc calls into the state's buffers;
+    :func:`outer_iteration` charges the work.
     """
     lam = state.lambda_cur
     g = state._vr_grad
-    # lambda <- tau1 z + tau2 lambda_tilde + (1 - tau1 - tau2) y; g is free
-    # scratch until the gradient is written into it
-    np.multiply(state.z, step.tau1, out=lam)
-    lam += step.tau2_anchor
+    p = state._p
+    # lambda <- p + (1 - tau1 - tau2) y, where p = tau1 z + tau2 lambda_tilde
     if step.mix_y:
-        np.multiply(state.y, step.y_weight, out=g)
-        lam += g
-    variance_reduced_gradient(oracle, i, lam, anchor, state.divisors[i], step.gradient, g)
-    # y before z, so that g can then be scaled in place for the z step
+        np.multiply(state.y, step.y_weight, out=lam)
+        lam += p
+    else:
+        lam[:] = p
+    # g <- u + (grad phi_i(lambda) - grad phi_i(lambda_tilde)) / (h p_i)
+    oracle.importance_gradient(i, lam, g, state._scalar)
+    g += correction
+    # y before p, so that g can then be scaled in place for the z step
     np.multiply(g, step.y_coef, out=state.y)
     state.y += lam
-    g *= step.z_coef
-    state.z -= g
+    g *= step.p_coef
+    p += g
+    state._y_sum += state.y
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
@@ -341,18 +323,24 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     s = state.s
     m = options.inner_iterations
     h = oracle.component_count
+    t1 = tau1(s)
     step = step_constants(state, options)
     # The primal average uses one uniformly chosen inner lambda; drawing the
     # index up front lets us keep a single snapshot instead of all m iterates.
     state._pick_index = state.rng.next_index(m)
     components = state.sampler.draws(state.rng, m)
-    anchors = state.snapshot.anchors(components)
+    corrections = state.snapshot.corrections(components)
+    tau2_anchor = TAU2 * state.lambda_tilde
+    np.multiply(state.z, t1, out=state._p)
+    state._p += tau2_anchor
     state._y_sum[:] = 0.0
-    for j, (i, anchor) in enumerate(zip(components.tolist(), anchors)):
-        inner_step(state, oracle, step, i, anchor)
-        state._y_sum += state.y
+    for j, (i, correction) in enumerate(zip(components.tolist(), corrections)):
+        inner_step(state, oracle, step, i, correction)
         if j == state._pick_index:
             state._picked_lambda[:] = state.lambda_cur
+    # z from p, while lambda_tilde is still the one p was built on
+    np.subtract(state._p, tau2_anchor, out=state.z)
+    state.z /= t1
     state.n_component_gradients += h + m
     state.n_inner_steps += m
     np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
@@ -363,7 +351,7 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
                 f"non-finite {name} after outer iteration {state.s} "
                 f"(max |z| = {np.abs(state.z).max():.3e})"
             )
-    state.workspace.accumulate(state._picked_lambda, 1.0 / tau1(s))
+    state.workspace.accumulate(state._picked_lambda, 1.0 / t1)
     state.snapshot = state.workspace.snapshot(state.lambda_tilde)
 
 

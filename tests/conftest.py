@@ -22,20 +22,35 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
+def estimator(oracle, i, lam, correction):
+    """The solver's variance-reduced gradient on component i at lam, freshly allocated.
+
+    ``correction`` is the snapshot's row for i: u minus the oracle's
+    importance gradient of i at the anchor.
+    """
+    out = oracle.importance_gradient(i, lam, np.empty_like(lam), np.empty(()))
+    out += correction
+    return out
+
+
 def component_smoothness(oracle):
     """L_i = h Lbar p_i, read back from the sampling weights p_i = L_i / (h Lbar)."""
     return oracle.component_count * oracle.average_smoothness() * oracle.sampling_weights().weights
 
 
 class QuadraticSnapshot:
-    """Value, gradient and (single) anchor component gradient of the quadratic."""
+    """Value, gradient and corrections of the quadratic at an anchor.
+
+    Its one component is the whole sum, so the importance gradient at the
+    anchor is u itself and every correction row is u - u.
+    """
 
     def __init__(self, gradient):
         self.gradient = gradient
         self.value = 0.5 * float((gradient**2).sum())
 
-    def anchors(self, indices):
-        return np.tile(self.gradient, (len(indices), 1))
+    def corrections(self, indices):
+        return np.tile(self.gradient - self.gradient, (len(indices), 1))
 
 
 class QuadraticOracle:
@@ -51,6 +66,10 @@ class QuadraticOracle:
             out = np.empty_like(lam)
         np.subtract(lam, self.target, out=out)
         return out
+
+    def importance_gradient(self, i, lam, out, scalar):
+        # h = p_0 = 1, so this is the component gradient itself
+        return self.component_gradient(i, lam, out)
 
     def snapshot(self, lam):
         return QuadraticSnapshot(lam - self.target)

@@ -9,14 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import component_smoothness, random_oracle
+from conftest import component_smoothness, estimator, random_oracle
 from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import BenchPlan, run_benchmark
 from pdasgd.baselines import greenkhorn, sinkhorn
 from pdasgd.core import marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
-from pdasgd.solver import SolverOptions, run, variance_reduced_gradient
+from pdasgd.solver import SolverOptions, run
 
 
 def _report(number, name, ok, detail, elapsed, budget):
@@ -109,16 +109,13 @@ def test_criterion_4_estimator_unbiasedness():
     worst = 0.0
     oracle = random_oracle(rng, n, eta=0.2)
     weights = oracle.sampling_weights().weights
-    out = np.empty(n)
     for _ in range(100):
         lam = rng.normal(size=n)
         anchor = rng.normal(size=n)
-        snap = oracle.snapshot(anchor)
-        rows = snap.anchors(np.arange(n))
+        rows = oracle.snapshot(anchor).corrections(np.arange(n))
         acc = np.zeros(n)
         for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, rows[i], n * weights[i], snap.gradient, out)
-            acc += weights[i] * out
+            acc += weights[i] * estimator(oracle, i, lam, rows[i])
         worst = max(worst, np.abs(acc - oracle.full_gradient(lam)).max())
     elapsed = time.perf_counter() - start
     _report(4, "variance-reduction-unbiasedness", worst < 1e-12, f"worst dev {worst:.2e}", elapsed, 1.0)

@@ -148,9 +148,9 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
         snap = o.snapshot(v)
         assert np.array_equal(snap.value, o.dual_value(v))
         assert np.array_equal(snap.gradient, o.full_gradient(v))
-        rows = snap.anchors(np.arange(n))
+        rows = snap.corrections(np.arange(n))
         for i in range(n):
-            assert np.array_equal(rows[i], o.component_gradient(i, v))
+            assert np.array_equal(rows[i], snap.gradient - o.importance_gradient(i, v, np.empty(n), np.empty(())))
 
 
 def allocating_lse_softmax(t):
@@ -235,7 +235,7 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert_close(got.value, ref.value, abs(ref.value) + np.abs(v).max() + scale + eta)
         assert_close(got.gradient, ref.gradient, 1.0)
         rows = np.arange(n)
-        assert_close(got.anchors(rows), ref.anchors(rows), o.n * o.alpha[:, None])
+        assert_close(got.corrections(rows), ref.corrections(rows), 1.0)
     # the factored sum, across folds of full pending blocks and, at every
     # 10th point, a drift wide enough to force a rebuild
     total = np.zeros((n, n))
@@ -463,18 +463,18 @@ def test_component_gradient_is_bitwise_the_allocating_formula(seed, n, eta, scal
         o.component_gradient(n, v, out)
 
 
-def test_anchors_are_bitwise_the_per_row_formula(rng):
+def test_corrections_are_bitwise_the_per_row_formula(rng):
     n = 9
     o = random_oracle(rng, n, eta=0.05)
     v = rng.normal(size=n)
     snap = o.snapshot(v)
     idx = np.array([7, 2, 2, 0, 8, 7, 7, 3])  # repeated and unsorted
-    rows = snap.anchors(idx)
+    rows = snap.corrections(idx)
     assert rows.shape == (idx.size, n)
     for k, i in enumerate(idx):
-        ref = (snap.kernel[i] - o.beta) * (o.n * o.alpha[i])
+        ref = snap.gradient - snap.kernel[i]
         assert rows[k].tobytes() == ref.tobytes()
     # a fresh array: writing to it leaves the snapshot alone
     rows[:] = 0.0
-    assert snap.anchors(idx).tobytes() != rows.tobytes()
-    assert snap.anchors(list(idx)).tobytes() == snap.anchors(idx).tobytes()
+    assert snap.corrections(idx).tobytes() != rows.tobytes()
+    assert snap.corrections(list(idx)).tobytes() == snap.corrections(idx).tobytes()

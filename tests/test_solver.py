@@ -5,25 +5,23 @@ import numpy as np
 import pytest
 
 import pdasgd.solver
-from conftest import QuadraticOracle, QuadraticSnapshot, random_instance, random_oracle
+from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle
 from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import make_image_pair
-from pdasgd.core import CostMatrix, Distribution, OTInstance
+from pdasgd.core import CostMatrix, Distribution, OTInstance, as_weights
 from pdasgd.rng import CategoricalSampler, SplitMix64
 from pdasgd.semidual import KernelWorkspace, SemiDualOracle
 from pdasgd.solver import (
+    TAU2,
     DivergenceError,
     SolverOptions,
     certify,
     gamma,
     init_state,
-    inner_step,
     make_record,
     outer_iteration,
     run,
-    step_constants,
     tau1,
-    variance_reduced_gradient,
 )
 
 
@@ -99,31 +97,26 @@ def test_variance_reduction_collapse(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     anchor = rng.normal(size=4)
     u = oracle.full_gradient(anchor)
-    snap = oracle.snapshot(anchor)
-    rows = snap.anchors(np.arange(4))
-    out = np.empty(4)
+    rows = oracle.snapshot(anchor).corrections(np.arange(4))
     for i in range(4):
-        p_i = oracle.sampling_weights().weights[i]
-        got = variance_reduced_gradient(oracle, i, anchor, rows[i], 4 * p_i, snap.gradient, out)
+        got = estimator(oracle, i, anchor, rows[i])
         assert np.allclose(got, u, atol=1e-15)
 
 
 def test_estimator_unbiased_exhaustive(rng):
     # p-weighted average over all components equals the full gradient
     n = 4
-    oracle = random_oracle(rng, n, eta=0.2)
-    weights = oracle.sampling_weights().weights
-    for _ in range(50):
-        lam = rng.normal(size=n)
-        anchor = rng.normal(size=n)
-        snap = oracle.snapshot(anchor)
-        rows = snap.anchors(np.arange(n))
-        acc = np.zeros(n)
-        out = np.empty(n)
-        for i in range(n):
-            variance_reduced_gradient(oracle, i, lam, rows[i], n * weights[i], snap.gradient, out)
-            acc += weights[i] * out
-        assert np.abs(acc - oracle.full_gradient(lam)).max() < 1e-12
+    for oracle in (random_oracle(rng, n, eta=0.2), QuadraticOracle(rng.normal(size=n))):
+        h = oracle.component_count
+        weights = as_weights(oracle.sampling_weights())
+        for _ in range(50):
+            lam = rng.normal(size=n)
+            anchor = rng.normal(size=n)
+            rows = oracle.snapshot(anchor).corrections(np.arange(h))
+            acc = np.zeros(n)
+            for i in range(h):
+                acc += weights[i] * estimator(oracle, i, lam, rows[i])
+            assert np.abs(acc - oracle.snapshot(lam).gradient).max() < 1e-12
 
 
 def test_first_outer_mixing_drops_y(rng):
@@ -136,9 +129,9 @@ def test_first_outer_mixing_drops_y(rng):
     state.lambda_tilde[:] = rng.normal(size=3)
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
-    i = state.sampler.draw(state.rng)
-    inner_step(state, oracle, step_constants(state, options), i, state.snapshot.anchors([i])[0])
+    outer_iteration(state, oracle, options)  # its one inner step is the picked one
     assert np.allclose(state.lambda_cur, expected, atol=1e-15)
+    assert np.array_equal(state._picked_lambda, state.lambda_cur)
 
 
 def test_inner_step_called_once_per_step(rng, monkeypatch):
@@ -147,9 +140,9 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     seen = []
     original = pdasgd.solver.inner_step
 
-    def counting(state, oracle, step, i, anchor):
+    def counting(state, oracle, step, i, correction):
         seen.append(i)
-        return original(state, oracle, step, i, anchor)
+        return original(state, oracle, step, i, correction)
 
     monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
     m, S, seed = 3, 5, 2
@@ -163,6 +156,53 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
         stream.next_index(m)
         expected += [sampler.draw(stream) for _ in range(m)]
     assert seen == expected
+
+
+def reference_run(oracle, options):
+    """The module docstring's four update lines, written plainly, on run()'s draws.
+
+    Returns (z, y, lambda_tilde, picked lambda) after the options' outer
+    iterations, from the reference snapshot and component gradients.
+    """
+    h = oracle.component_count
+    weights = as_weights(oracle.sampling_weights())
+    smoothness = oracle.average_smoothness()
+    stream, sampler = SplitMix64(options.seed), CategoricalSampler(weights)
+    m = options.inner_iterations
+    lam0 = np.zeros(oracle.dual_dimension) if options.initial_dual is None else options.initial_dual
+    z, y, lam_tilde = lam0.copy(), lam0.copy(), lam0.copy()
+    for s in range(options.outer_iterations):
+        u = oracle.snapshot(lam_tilde).gradient
+        pick = stream.next_index(m)
+        ys = []
+        for j in range(m):
+            i = sampler.draw(stream)
+            lam = tau1(s) * z + TAU2 * lam_tilde + (1 - tau1(s) - TAU2) * y
+            g = u + (oracle.component_gradient(i, lam) - oracle.component_gradient(i, lam_tilde)) / (h * weights[i])
+            z = z - options.z_step_multiplier * gamma(s, smoothness) * g / 2
+            y = lam - g / (9 * smoothness)
+            ys.append(y)
+            if j == pick:
+                picked = lam
+        lam_tilde = np.mean(ys, axis=0)
+    return z, y, lam_tilde, picked
+
+
+@pytest.mark.parametrize("case", ["semidual-m<n", "semidual-m=n", "quadratic", "semidual-initial-y"])
+def test_run_reproduces_the_reference_loop(case):
+    rng = np.random.default_rng(7)
+    n = 6
+    oracle = QuadraticOracle(rng.normal(size=n)) if case == "quadratic" else random_oracle(rng, n, eta=0.2)
+    options = SolverOptions(inner_iterations=3 if case == "semidual-m<n" else n, outer_iterations=6, seed=4)
+    if case == "semidual-m<n":
+        options.z_step_multiplier = 15.0
+    if case == "semidual-initial-y":
+        # y is nonzero at s = 0, where its weight 1 - tau1 - tau2 is 0
+        options.initial_dual = rng.normal(size=n)
+    res = run(oracle, options)
+    got = (res.state.z, res.state.y, res.dual, res.state._picked_lambda)
+    for name, a, b in zip(("z", "y", "lambda_tilde", "picked lambda"), got, reference_run(oracle, options)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 def test_quadratic_oracle_converges():
@@ -271,9 +311,7 @@ def test_initial_dual_option(rng):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
-        def component_gradient(self, i, lam, out=None):
-            if out is None:
-                out = np.empty_like(lam)
+        def importance_gradient(self, i, lam, out, scalar):
             out[:] = np.inf
             return out
 
@@ -346,7 +384,15 @@ class CountingOracle(SemiDualOracle):
         return CountingWorkspace(self)
 
 
-for _name in ("snapshot", "primal_map", "component_gradient", "full_gradient", "dual_value", "constraint_violation_l1"):
+for _name in (
+    "snapshot",
+    "primal_map",
+    "component_gradient",
+    "importance_gradient",
+    "full_gradient",
+    "dual_value",
+    "constraint_violation_l1",
+):
     setattr(CountingOracle, _name, _counted(_name))
 
 
@@ -363,13 +409,13 @@ def test_one_snapshot_per_outer_iteration(rng):
         make_record(state)
         # no dense oracle pass: the workspace snapshots and accumulates
         assert oracle.calls - before == Counter(
-            {"workspace.snapshot": 1, "workspace.accumulate": 1, "component_gradient": m}
+            {"workspace.snapshot": 1, "workspace.accumulate": 1, "importance_gradient": m}
         )
 
     oracle.calls = Counter()
     run(oracle, options)
     assert oracle.calls == Counter(
-        {"workspace.snapshot": S + 1, "workspace.accumulate": S, "component_gradient": S * m}
+        {"workspace.snapshot": S + 1, "workspace.accumulate": S, "importance_gradient": S * m}
     )
 
 
