@@ -41,7 +41,7 @@ from .core import (
 )
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import SolverOptions, is_count, run
+from .solver import DivergenceError, SolverOptions, is_count, run
 
 PROFILES = ("theory", "benchmark")
 METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
@@ -57,6 +57,8 @@ STOP_CONVERGED = "gap+marginal"
 STOP_ACCURACY = "accuracy-reached"
 STOP_CAP = "iteration-cap"
 STOP_TRIVIAL = "trivial"
+STOP_DIVERGED = "diverged"
+FLAGGED = (STOP_CAP, STOP_DIVERGED)  # reasons of results that certify nothing
 
 # Safety factor on the theoretical iteration cap; the cap's hidden constant
 # is unknown and a flagged (capped) run certifies nothing.  At 1, small
@@ -169,10 +171,11 @@ class ApproxResult:
     rounding_report: Optional[RoundingReport]
     outer_iterations: int
     op_counts: dict
+    diverged: Optional[str] = None  # the solver's message, when it diverged
 
     @property
     def flagged(self) -> bool:
-        return self.stop_reason == STOP_CAP
+        return self.stop_reason in FLAGGED
 
 
 def _trivial_result(cost: CostMatrix, a: Distribution, b: Distribution, method: str) -> ApproxResult:
@@ -213,15 +216,15 @@ def _solve_pdasgd(cost, a_s, b_s, eta, config, rule):
     outer_cap = config.max_outer or max(
         MIN_BUDGET, math.ceil(theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa) / m)
     )
-    options = SolverOptions(
-        inner_iterations=m,
-        outer_iterations=outer_cap,
-        seed=config.seed,
-        z_step_multiplier=multiplier,
-    )
-    result = run(oracle, options, stop=rule)
+    options = SolverOptions(m, outer_cap, seed=config.seed, z_step_multiplier=multiplier)
+    try:
+        result, diverged = run(oracle, options, stop=rule), None
+    except DivergenceError as exc:
+        result, diverged = exc.result, str(exc)
     state = result.state
-    return result.primal, result.stop_reason, dict(
+    primal = np.outer(a_s.weights, b_s.weights) if result.primal is None else result.primal
+    return primal, STOP_DIVERGED if diverged else result.stop_reason, dict(
+        diverged=diverged,
         records=result.records,
         outer_iterations=state.s,
         op_counts={
@@ -273,7 +276,10 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     An instance with epsilon >= 48 |C|_inf is trivial (see
     :func:`derive_parameters`): the product plan is returned with reason
     ``trivial``.  If the budget runs out first, the last plan is still
-    rounded and returned with ``stop_reason`` set to the cap.  The budget
+    rounded and returned with ``stop_reason`` set to the cap; if pdasgd
+    diverges, the average of its finite iterates (or the independent
+    coupling) is returned with reason ``diverged`` and the solver's message
+    in ``diverged``.  Both are ``flagged``.  The budget
     is max(10^4, ceil(cap / m)) outer iterations for pdasgd, with cap from
     :func:`theoretical_iteration_cap` and m the profile's inner loop length,
     max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and

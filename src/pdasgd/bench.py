@@ -20,6 +20,8 @@ reproducible.  This is the one statement of the cost-unit model:
 
 The formulas are kept so that units stay comparable across versions, but
 since pdasgd's solver keeps a kernel workspace they depart from its work.
+An inner step is charged 10n units and computes a softmax row off the
+snapshot's (n exps, multiplies and divides, one sum) and 21n (multiply-)adds.
 A snapshot is charged 4n^2 units but costs two matrix-vector products and
 n exps.  Not charged are the kernel rebuilds (an n^2 exp pass each, only
 when the dual drifts), the primal accumulation (two matrix-vector products
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .approx import METHODS as SOLVERS, STOP_CAP, ApproxConfig, approx_ot
+from .approx import FLAGGED, METHODS as SOLVERS, ApproxConfig, approx_ot
 from .core import marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
@@ -234,5 +236,5 @@ def run_benchmark(plan: BenchPlan, out_dir) -> BenchResult:
     _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, cells)
     _write_csv(out / "plotdata.csv", PLOT_COLUMNS, _plot_points(cells))
     _write_csv(out / "timings.csv", TIMING_COLUMNS, [{**r, "wall_ms": r["wall_ms_measured"]} for r in rows])
-    flagged = any(r["stop_reason"] == STOP_CAP for r in rows)
+    flagged = any(r["stop_reason"] in FLAGGED for r in rows)
     return BenchResult(rows=rows, flagged=flagged, out_dir=out)

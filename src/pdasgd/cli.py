@@ -8,8 +8,8 @@ Subcommands:
     oracle  exact value of a tiny instance by vertex enumeration
 
 Exit codes: 0 on success, 2 when any run hit its iteration cap before its
-target (flagged), 3 when ``solve``'s solver diverged to a non-finite
-iterate, 1 on errors.
+target or diverged (flagged), 3 when ``solve``'s solver diverged to a
+non-finite iterate, 1 on errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .images import (
     save_csv_matrix,
 )
 from .rng import derive_seed
-from .solver import DivergenceError
 
 
 def _parse_floats(text: str) -> tuple:
@@ -79,10 +78,9 @@ def _cmd_solve(args) -> int:
         seed=derive_seed(args.seed, "cli/solve"),
         kappa=args.kappa,
     )
-    try:
-        result = approx_ot(cost, alpha, beta, config, method=args.solver)
-    except DivergenceError as exc:
-        print(f"error: solver diverged: {exc}", file=sys.stderr)
+    result = approx_ot(cost, alpha, beta, config, method=args.solver)
+    if result.diverged is not None:
+        print(f"error: solver diverged: {result.diverged}", file=sys.stderr)
         return 3
     n = alpha.n
     print(f"solver={args.solver}")

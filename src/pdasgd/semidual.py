@@ -15,14 +15,18 @@ plain float64 vectors.
 Every n^2 exponential goes through the package's one max-subtracted exp
 (:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
 the small ``eta`` this package runs at.  One dense pass of it,
-``snapshot(v)``, yields G(v), its gradient u and the solver's corrections
-at v, read in batches of rows, as a :class:`KernelSnapshot` whose kernel
+``snapshot(v)``, yields G(v), its gradient u and batches of softmax rows
+and the solver's corrections, as a :class:`KernelSnapshot` whose kernel
 is the softmax itself.  These reference methods stay as they are; the
 solver reaches the same quantities through a :class:`KernelWorkspace`.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
 beta``; ``component_gradient`` is that row, minus beta, times n alpha_i.
+At ``v = v~ + D`` that row is ``q_i * exp(D/eta)``, renormalised, for q_i
+the row at the anchor v~: four ufunc calls and no max.  The solver's
+drifts D/eta stay far below 709, past which exp overflows and the row is
+NaN, which the solver reports as divergence.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -101,13 +105,12 @@ class KernelSnapshot:
     weights: np.ndarray  # e = exp((v - v0)/eta - c), or ones
     norms: np.ndarray  # r = K e
 
-    def corrections(self, indices) -> np.ndarray:
-        """Rows grad G(v) - softmax_i(v) for i in ``indices``, freshly allocated."""
-        rows = self.kernel[indices]
-        rows *= self.weights
-        rows /= self.norms[indices, None]
-        np.subtract(self.gradient, rows, out=rows)
-        return rows
+    def rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(softmax_i(v), grad G(v) - softmax_i(v)) for i in ``indices``, as fresh (m, n) arrays."""
+        anchors = self.kernel[indices]
+        anchors *= self.weights
+        anchors /= self.norms[indices, None]
+        return anchors, self.gradient - anchors
 
 
 class SemiDualOracle:
@@ -136,11 +139,7 @@ class SemiDualOracle:
         # Row i of the softmax argument is v/eta + shift[i].
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
-        self._shift_rows = tuple(self._shift)  # views, made once rather than per step
         self._scale = self.n * self.alpha
-        # importance_gradient's scalar operands are 0-d arrays, which ufuncs
-        # take faster than Python floats, with the same values.
-        self._eta = np.array(self.eta)
 
     # -- finite-sum structure ------------------------------------------------
 
@@ -164,7 +163,7 @@ class SemiDualOracle:
         )
 
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
-        """G(v), grad G(v) and the component gradients at v from one dense pass."""
+        """G(v), grad G(v) and the softmax rows at v from one dense pass."""
         lse, sm = lse_softmax(v / self.eta + self._shift)
         ones = np.ones(self.n)
         return KernelSnapshot(
@@ -175,17 +174,15 @@ class SemiDualOracle:
             norms=ones,
         )
 
-    def importance_gradient(self, i: int, v: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-        """Softmax row i of ``(v - C)/eta`` into ``out``: grad g_i(v) / (n alpha_i) + beta.
+    def importance_gradient(self, anchor_row: np.ndarray, drift: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+        """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
 
-        Max and sum reduce into ``scalar``, a caller-owned 0-d buffer; i is
-        not range-checked, as the solver draws it.
+        ``anchor_row`` is row i at an anchor v~ (a snapshot's ``rows``) and
+        ``drift`` is (v - v~)/eta; the sum reduces into ``scalar``, a
+        caller-owned 0-d buffer.
         """
-        np.divide(v, self._eta, out=out)
-        out += self._shift_rows[i]
-        np.maximum.reduce(out, out=scalar)
-        out -= scalar
-        np.exp(out, out=out)
+        np.exp(drift, out=out)
+        out *= anchor_row
         np.add.reduce(out, out=scalar)
         out /= scalar
         return out
@@ -202,7 +199,10 @@ class SemiDualOracle:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         if out is None:
             out = np.empty(self.n)
-        self.importance_gradient(i, v, out, np.empty(()))
+        np.divide(v, self.eta, out=out)
+        out += self._shift[i]
+        max_subtracted_exp(out)
+        out /= out.sum()
         out -= self.beta
         out *= self._scale[i, ...]
         return out

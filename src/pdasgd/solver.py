@@ -5,12 +5,12 @@ while averaging the associated primal iterates.  Each run owns a workspace
 from ``oracle.workspace()``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
 after each reset, as a snapshot (``phi(lam_tilde)`` for the record's gap,
-the full gradient ``u = grad phi(lam_tilde)`` and the corrections below),
+the full gradient ``u = grad phi(lam_tilde)`` and the batch rows below),
 and it keeps the weighted average of primal maps, its total weight and its
 row and column sums.  Each outer iteration s:
 
   * computes the constants its inner steps share, draws its m components
-    and reads their corrections from the snapshot as one (m, d) batch,
+    and reads their anchor rows and corrections from the snapshot at once,
   * runs m inner steps of Katyusha-style momentum on the current snapshot
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
@@ -31,16 +31,17 @@ where the certificate needs it and for the result.  The semi-dual
 oracle's workspace keeps a re-based kernel, so its snapshots and
 accumulations are matrix-vector products (see :mod:`pdasgd.semidual`).
 
-The inner step runs these lines in an equal, cheaper form.  The oracle's
-``importance_gradient(i, lam)`` is ``grad phi_i(lam) / (h p_i)`` plus a
-vector that does not depend on lam, and the snapshot's corrections are
-the rows ``u - importance_gradient(i, lam_tilde)``, so g is their sum:
-that vector, h p_i and u cancel.  The step carries ``p = tau1_s z + tau2
-lam_tilde`` in place of z, moved by ``-tau1_s multiplier gamma_s g / 2``,
-and z is recovered from p once per outer iteration.  So a step is the
-oracle's row (seven ufunc calls for the semi-dual) and eight more: two
-for lam = p + w y (a copy where the y weight w is 0, as at s = 0), one
-for g += correction, two each for y and p, and one for the y sum.
+The inner step runs these lines in an equal, cheaper form on five stacked
+rows ``[lam_tilde, y, p, y_sum, g]``, with ``p = tau1_s z + tau2
+lam_tilde`` in place of z, so lam is a linear map of the rows.  The
+oracle's ``importance_gradient(anchor_row, drift)`` is ``grad phi_i(lam) /
+(h p_i)`` plus a lam-free vector, at ``drift = Lbar (lam - lam_tilde)``,
+and the snapshot's correction is u minus it at lam_tilde, so g is their
+sum.  A step is seven numpy calls: an ``np.dot`` for the drift, the
+oracle's four (one a sum) for the semi-dual, ``g += correction``, and an
+``np.matmul`` by a 3 x 5 matrix that writes the new y, p and y_sum into
+the other half of a ping-pong pair.  lam is formed only at the picked
+step, and z is recovered from p once per outer iteration.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -72,23 +73,23 @@ class Snapshot(Protocol):
     """An oracle's evaluation at one anchor point lam_tilde.
 
     ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
-    and ``corrections(indices)`` returns a fresh (len(indices), d) array
-    whose row k is u minus the oracle's ``importance_gradient`` of
-    component ``indices[k]`` at lam_tilde.  The solver asks once per outer
-    iteration, for the m components it drew up front.
+    and ``rows(indices)`` returns two fresh (len(indices), d) arrays: row k
+    holds component ``indices[k]``'s anchor row, which the oracle's
+    ``importance_gradient`` reads, and u minus that at zero drift.  The
+    solver asks once per outer iteration, for its m drawn components.
     """
 
     value: float
     gradient: np.ndarray
 
-    def corrections(self, indices: np.ndarray) -> np.ndarray: ...
+    def rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class Workspace(Protocol):
     """One run's dense state over an oracle, owned by the solver.
 
     ``snapshot(lam)`` returns the :class:`Snapshot` of lam, whose batched
-    corrections the inner steps add; ``accumulate(lam, weight)`` adds
+    rows the inner steps read; ``accumulate(lam, weight)`` adds
     weight times the primal point attached to lam to a running weighted
     average and weight to its total ``weight``; ``marginals()`` returns the
     average's row and column sums as fresh arrays;
@@ -115,9 +116,10 @@ class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
-    ``importance_gradient(i, lam, out, scalar)`` writes grad phi_i(lam) /
-    (h p_i) plus any lam-free vector into ``out`` once per inner step, with
-    ``scalar`` a caller-owned 0-d buffer; ``workspace()`` returns a fresh
+    ``importance_gradient(anchor_row, drift, out, scalar)`` writes grad
+    phi_i(lam) / (h p_i) plus any lam-free vector into ``out`` once per
+    inner step, from i's anchor row and ``drift = Lbar (lam - lam_tilde)``,
+    with ``scalar`` a caller-owned 0-d buffer; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0; ``average_smoothness()``
@@ -128,7 +130,7 @@ class FiniteSumOracle(Protocol):
     component_count: int
     dual_dimension: int
 
-    def importance_gradient(self, i: int, lam: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
+    def importance_gradient(self, anchor_row: np.ndarray, drift: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
 
     def workspace(self) -> Workspace: ...
 
@@ -140,10 +142,13 @@ class FiniteSumOracle(Protocol):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate became non-finite."""
+    """An iterate became non-finite; :func:`run` sets ``result`` to the run so far."""
+
+    result: Optional["SolveResult"] = None  # primal: the finite iterates' average, or None
 
 
 TAU2 = 0.5
+ANCHOR, Y, P, Y_SUM, G = range(5)  # the rows of SolverState.rows
 
 
 def tau1(s: int) -> float:
@@ -201,10 +206,8 @@ class RunRecord:
 
 @dataclass
 class SolverState:
-    y: np.ndarray
+    rows: np.ndarray  # (5, d): lambda_tilde, y, p = tau1 z + tau2 lambda_tilde, y sum, g
     z: np.ndarray
-    lambda_tilde: np.ndarray
-    lambda_cur: np.ndarray
     workspace: Workspace  # holds the weighted primal average x_s
     snapshot: Snapshot  # of lambda_tilde
     s: int
@@ -214,47 +217,46 @@ class SolverState:
     n_component_gradients: int = 0
     n_inner_steps: int = 0
     # scratch buffers for the allocation-free inner loop
-    _vr_grad: np.ndarray = None
-    _p: np.ndarray = None  # tau1 z + tau2 lambda_tilde, carried in place of z
-    _scalar: np.ndarray = None  # 0-d, for the oracle's reductions
-    _y_sum: np.ndarray = None
+    _spare: np.ndarray = None  # the rows' other half: a step reads rows and writes this, then swaps
+    _drift: np.ndarray = None  # Lbar (lambda - lambda_tilde) of the last step
+    _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
     _picked_lambda: np.ndarray = None
     _pick_index: int = -1
+    lambda_tilde = property(lambda self: self.rows[ANCHOR])
+    y = property(lambda self: self.rows[Y])
 
 
 @dataclass(frozen=True)
 class StepConstants:
-    """What every inner step of one outer iteration shares.
+    """What every inner step of one outer iteration shares: coefficients on the state's rows."""
 
-    Scalars are 0-d float64 arrays: a ufunc takes a 0-d array operand
-    faster than a Python float or an ``np.float64``, with the same value.
-    """
-
-    y_weight: np.ndarray  # 1 - tau1 - tau2
-    mix_y: bool  # y_weight != 0; at s = 0 the y term is skipped, not added as 0
-    y_coef: np.ndarray  # -1 / (9 Lbar)
-    p_coef: np.ndarray  # -tau1 multiplier gamma_s / 2, the z step as it moves p
+    lam: np.ndarray  # (5,): lambda = p + (1 - tau1 - tau2) y
+    drift: np.ndarray  # (5,): Lbar (lambda - lambda_tilde)
+    update: np.ndarray  # (3, 5): the new y, p and y sum
 
 
 def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
     """The :class:`StepConstants` of outer iteration ``state.s``."""
     t1 = tau1(state.s)
     w_y = 1.0 - t1 - TAU2
-    z_coef = options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0
-    scalar = lambda x: np.array(x, dtype=np.float64)
+    y_coef = -1.0 / (9.0 * state.avg_smoothness)
+    p_coef = -(t1 * (options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0))
+    lam = np.array([0.0, w_y, 1.0, 0.0, 0.0])
     return StepConstants(
-        y_weight=scalar(w_y),
-        mix_y=w_y != 0.0,
-        y_coef=scalar(-1.0 / (9.0 * state.avg_smoothness)),
-        p_coef=scalar(-(t1 * z_coef)),
+        lam=lam,
+        drift=state.avg_smoothness * (lam - np.eye(5)[ANCHOR]),
+        update=np.array([
+            [0.0, w_y, 1.0, 0.0, y_coef],  # y = lambda - g / (9 Lbar)
+            [0.0, 0.0, 1.0, 0.0, p_coef],  # p += p_coef g, the z step as it moves p
+            [0.0, w_y, 1.0, 1.0, y_coef],  # y_sum += y
+        ]),
     )
 
 
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     """All-zero dual sequences unless an initial dual is supplied."""
     weights = as_weights(oracle.sampling_weights())
-    h = oracle.component_count
-    if weights.size != h:
+    if weights.size != oracle.component_count:
         raise ValueError("sampling weights must have one entry per component")
     d = oracle.dual_dimension
     if options.initial_dual is None:
@@ -263,53 +265,40 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         lam0 = np.array(options.initial_dual, dtype=np.float64)
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
-    zeros = lambda: np.zeros(d)
+    rows = np.zeros((5, d))
+    rows[ANCHOR] = rows[Y] = lam0
     workspace = oracle.workspace()
     return SolverState(
-        y=lam0.copy(),
+        rows=rows,
         z=lam0.copy(),
-        lambda_tilde=lam0.copy(),
-        lambda_cur=lam0.copy(),
         workspace=workspace,
         snapshot=workspace.snapshot(lam0),
         s=0,
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
         avg_smoothness=float(oracle.average_smoothness()),
-        _vr_grad=zeros(),
-        _p=zeros(),
+        _spare=np.zeros((5, d)),
+        _drift=np.zeros(d),
         _scalar=np.zeros(()),
-        _y_sum=zeros(),
         _picked_lambda=lam0.copy(),
     )
 
 
-def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, i: int, correction: np.ndarray) -> None:
-    """One momentum + variance-reduced update of (lambda, p, y) on component i.
+def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, anchor_row: np.ndarray, correction: np.ndarray) -> None:
+    """One momentum + variance-reduced update of (y, p, y sum) on one component.
 
-    ``step`` holds the outer iteration's constants and ``correction`` is
-    i's row of the snapshot's corrections.  Leaves lambda in place, adds y
-    to the y sum, and runs only ufunc calls into the state's buffers;
-    :func:`outer_iteration` charges the work.
+    ``anchor_row`` and ``correction`` are the component's rows of the
+    snapshot's batch.  Swaps the ping-pong pair; :func:`outer_iteration`
+    charges the work.
     """
-    lam = state.lambda_cur
-    g = state._vr_grad
-    p = state._p
-    # lambda <- p + (1 - tau1 - tau2) y, where p = tau1 z + tau2 lambda_tilde
-    if step.mix_y:
-        np.multiply(state.y, step.y_weight, out=lam)
-        lam += p
-    else:
-        lam[:] = p
+    rows, new = state.rows, state._spare
+    g = rows[G]
+    np.dot(step.drift, rows, out=state._drift)
     # g <- u + (grad phi_i(lambda) - grad phi_i(lambda_tilde)) / (h p_i)
-    oracle.importance_gradient(i, lam, g, state._scalar)
+    oracle.importance_gradient(anchor_row, state._drift, g, state._scalar)
     g += correction
-    # y before p, so that g can then be scaled in place for the z step
-    np.multiply(g, step.y_coef, out=state.y)
-    state.y += lam
-    g *= step.p_coef
-    p += g
-    state._y_sum += state.y
+    np.matmul(step.update, rows, out=new[Y:G])
+    state.rows, state._spare = new, rows
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
@@ -322,28 +311,32 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     """
     s = state.s
     m = options.inner_iterations
-    h = oracle.component_count
     t1 = tau1(s)
     step = step_constants(state, options)
     # The primal average uses one uniformly chosen inner lambda; drawing the
     # index up front lets us keep a single snapshot instead of all m iterates.
     state._pick_index = state.rng.next_index(m)
     components = state.sampler.draws(state.rng, m)
-    corrections = state.snapshot.corrections(components)
-    tau2_anchor = TAU2 * state.lambda_tilde
-    np.multiply(state.z, t1, out=state._p)
-    state._p += tau2_anchor
-    state._y_sum[:] = 0.0
-    for j, (i, correction) in enumerate(zip(components.tolist(), corrections)):
-        inner_step(state, oracle, step, i, correction)
-        if j == state._pick_index:
-            state._picked_lambda[:] = state.lambda_cur
-    # z from p, while lambda_tilde is still the one p was built on
-    np.subtract(state._p, tau2_anchor, out=state.z)
-    state.z /= t1
-    state.n_component_gradients += h + m
+    anchors, corrections = state.snapshot.rows(components)
+    rows = state.rows
+    tau2_anchor = TAU2 * rows[ANCHOR]
+    np.multiply(state.z, t1, out=rows[P])
+    rows[P] += tau2_anchor
+    rows[Y_SUM] = 0.0
+    state._spare[ANCHOR] = rows[ANCHOR]
+    # a step's exp overflows only past a drift of 709; the NaN it leaves fails the finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (anchor_row, correction) in enumerate(zip(anchors, corrections)):
+            if j == state._pick_index:
+                np.dot(step.lam, state.rows, out=state._picked_lambda)
+            inner_step(state, oracle, step, anchor_row, correction)
+        rows = state.rows
+        # z from p, while lambda_tilde is still the one p was built on
+        np.subtract(rows[P], tau2_anchor, out=state.z)
+        state.z /= t1
+        np.multiply(rows[Y_SUM], 1.0 / m, out=rows[ANCHOR])
+    state.n_component_gradients += oracle.component_count + m
     state.n_inner_steps += m
-    np.multiply(state._y_sum, 1.0 / m, out=state.lambda_tilde)
     state.s = s + 1
     for name, vec in (("lambda_tilde", state.lambda_tilde), ("z", state.z), ("y", state.y)):
         if not np.isfinite(vec).all():
@@ -418,13 +411,19 @@ def run(
     ``duality_gap`` only if the rule called ``gap``; without a rule, every
     checkpoint is certified.  The result's ``primal`` is x_s of the last
     outer iteration, read from the workspace, which owns the average and
-    its total weight.  Deterministic given (seed, oracle, options).
+    its total weight.  A non-finite iterate raises :class:`DivergenceError`
+    carrying the run so far.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
     stop_reason = None
     for _ in range(options.outer_iterations):
-        outer_iteration(state, oracle, options)
+        try:
+            outer_iteration(state, oracle, options)
+        except DivergenceError as exc:  # raised before the workspace saw the iterate
+            primal = state.workspace.average() if state.workspace.weight > 0 else None
+            exc.result = SolveResult(primal, state.lambda_tilde.copy(), records, None, state)
+            raise
         record, (rows, cols) = make_record(state)
         records.append(record)
         gap = partial(certify, record, state, oracle)
@@ -434,10 +433,4 @@ def run(
         stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
         if stop_reason is not None:
             break
-    return SolveResult(
-        primal=state.workspace.average(),
-        dual=state.lambda_tilde.copy(),
-        records=records,
-        stop_reason=stop_reason,
-        state=state,
-    )
+    return SolveResult(state.workspace.average(), state.lambda_tilde.copy(), records, stop_reason, state)

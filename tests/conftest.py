@@ -22,13 +22,16 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
-def estimator(oracle, i, lam, correction):
+def estimator(oracle, snapshot, anchor, i, lam):
     """The solver's variance-reduced gradient on component i at lam, freshly allocated.
 
-    ``correction`` is the snapshot's row for i: u minus the oracle's
-    importance gradient of i at the anchor.
+    ``snapshot`` is the oracle's snapshot at ``anchor``; the estimate is the
+    oracle's importance gradient from i's anchor row and the drift
+    Lbar (lam - anchor), plus i's correction.
     """
-    out = oracle.importance_gradient(i, lam, np.empty_like(lam), np.empty(()))
+    (anchor_row,), (correction,) = snapshot.rows([i])
+    drift = oracle.average_smoothness() * (lam - anchor)
+    out = oracle.importance_gradient(anchor_row, drift, np.empty_like(lam), np.empty(()))
     out += correction
     return out
 
@@ -39,18 +42,19 @@ def component_smoothness(oracle):
 
 
 class QuadraticSnapshot:
-    """Value, gradient and corrections of the quadratic at an anchor.
+    """Value, gradient and batch rows of the quadratic at an anchor.
 
-    Its one component is the whole sum, so the importance gradient at the
-    anchor is u itself and every correction row is u - u.
+    Its one component is the whole sum, so its anchor row is u itself and
+    every correction row is u - u.
     """
 
     def __init__(self, gradient):
         self.gradient = gradient
         self.value = 0.5 * float((gradient**2).sum())
 
-    def corrections(self, indices):
-        return np.tile(self.gradient - self.gradient, (len(indices), 1))
+    def rows(self, indices):
+        anchors = np.tile(self.gradient, (len(indices), 1))
+        return anchors, self.gradient - anchors
 
 
 class QuadraticOracle:
@@ -67,9 +71,9 @@ class QuadraticOracle:
         np.subtract(lam, self.target, out=out)
         return out
 
-    def importance_gradient(self, i, lam, out, scalar):
-        # h = p_0 = 1, so this is the component gradient itself
-        return self.component_gradient(i, lam, out)
+    def importance_gradient(self, anchor_row, drift, out, scalar):
+        # h = p_0 = Lbar = 1: the gradient at the anchor plus lam - anchor
+        return np.add(anchor_row, drift, out=out)
 
     def snapshot(self, lam):
         return QuadraticSnapshot(lam - self.target)

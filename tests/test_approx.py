@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pdasgd.approx import (
     STOP_ACCURACY,
     STOP_CAP,
     STOP_CONVERGED,
+    STOP_DIVERGED,
     STOP_TRIVIAL,
     ApproxConfig,
     approx_ot,
@@ -168,6 +170,31 @@ def test_iteration_cap_flags_result(rng):
     assert res.stop_reason == "iteration-cap"
     assert res.flagged
     assert marginal_distance(res.plan, a, b) <= 1e-10  # still rounded and feasible
+
+
+@pytest.mark.parametrize("multiplier", [1e5, 5e3])
+def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
+    # before: DivergenceError escaped approx_ot.  A z step far past the cliff
+    # drives a step's drift past 709 eta, where its exp overflows: at outer
+    # iteration 1 for 1e5 (no finite iterate), and later for 5e3.
+    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, multiplier))
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, max_outer=3000))
+    assert res.stop_reason == STOP_DIVERGED
+    assert res.flagged
+    assert res.diverged == f"non-finite lambda_tilde after outer iteration {res.outer_iterations} (max |z| = nan)"
+    assert len(res.records) == res.outer_iterations - 1
+    assert res.op_counts["inner_steps"] == 8 * res.outer_iterations
+    assert np.isfinite(res.unrounded).all()
+    assert marginal_distance(res.plan, alpha.weights, beta.weights) <= 1e-10  # rounded and feasible
+    if multiplier == 1e5:
+        assert res.outer_iterations == 1
+        a_s, b_s = smooth_marginals(alpha, beta, res.eps_prime, alpha.n)
+        assert np.array_equal(res.unrounded, np.outer(a_s.weights, b_s.weights))
+    else:
+        assert 1 < res.outer_iterations < 3000
 
 
 def _pipeline_solver(cost, a, b, config):

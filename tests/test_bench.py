@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pdasgd.approx
+
 from pdasgd.bench import (
     BenchPlan,
     execute_run,
@@ -142,3 +144,17 @@ def test_plan_validation():
         BenchPlan(solvers=("magic",))
     with pytest.raises(ValueError):
         BenchPlan(pairs=0)
+
+
+def test_diverged_cell_keeps_the_grid(tmp_path, monkeypatch):
+    # before: DivergenceError escaped approx_ot and ended the whole grid
+    resolve = pdasgd.approx.resolve_profile
+    # a z step far past the cliff on the 16-point cells only
+    monkeypatch.setattr(
+        pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5) if n == 16 else resolve(profile, n)
+    )
+    plan = BenchPlan(solvers=("pdasgd",), sides=(4, 5), accuracies=(0.05,), pairs=1)
+    res = run_benchmark(plan, tmp_path)
+    assert [(r["n"], r["stop_reason"]) for r in res.rows] == [(16, "diverged"), (25, "accuracy-reached")]
+    assert res.flagged
+    assert len((tmp_path / "runs.csv").read_text().splitlines()) == 3

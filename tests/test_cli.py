@@ -7,7 +7,6 @@ import numpy as np
 
 import pdasgd.approx
 from pdasgd.cli import main
-from pdasgd.solver import DivergenceError
 from pdasgd.images import load_csv_matrix
 
 
@@ -121,14 +120,13 @@ def test_bench_subcommand(tmp_path, capsys):
 
 
 def test_solve_divergence_exit_code(monkeypatch, capsys):
-    def diverge(*args, **kwargs):
-        raise DivergenceError("non-finite z after outer iteration 7 (max |z| = inf)")
-
-    monkeypatch.setattr(pdasgd.approx, "run", diverge)
+    # approx_ot returns a diverged run as a flagged result; a z step far past
+    # the cliff overflows a step's exp at outer iteration 1
+    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5))
     code, out, err = run_cli(capsys, "solve", "--size", "4", "--seed", "1", "--epsilon", "0.05")
     assert code == 3
     assert out == ""
-    assert err == "error: solver diverged: non-finite z after outer iteration 7 (max |z| = inf)\n"
+    assert err == "error: solver diverged: non-finite lambda_tilde after outer iteration 1 (max |z| = nan)\n"
 
 
 # Imports pdasgd, runs every method through approx_ot and the solve

@@ -148,9 +148,10 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
         snap = o.snapshot(v)
         assert np.array_equal(snap.value, o.dual_value(v))
         assert np.array_equal(snap.gradient, o.full_gradient(v))
-        rows = snap.corrections(np.arange(n))
+        anchors, rows = snap.rows(np.arange(n))
         for i in range(n):
-            assert np.array_equal(rows[i], snap.gradient - o.importance_gradient(i, v, np.empty(n), np.empty(())))
+            assert np.array_equal(anchors[i], allocating_softmax_row(o, i, v))
+            assert np.array_equal(rows[i], snap.gradient - anchors[i])
 
 
 def allocating_lse_softmax(t):
@@ -234,8 +235,8 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert ws.kernel is kernel  # no rebuild within the span
         assert_close(got.value, ref.value, abs(ref.value) + np.abs(v).max() + scale + eta)
         assert_close(got.gradient, ref.gradient, 1.0)
-        rows = np.arange(n)
-        assert_close(got.corrections(rows), ref.corrections(rows), 1.0)
+        for got_rows, ref_rows in zip(got.rows(np.arange(n)), ref.rows(np.arange(n))):
+            assert_close(got_rows, ref_rows, 1.0)
     # the factored sum, across folds of full pending blocks and, at every
     # 10th point, a drift wide enough to force a rebuild
     total = np.zeros((n, n))
@@ -431,11 +432,56 @@ def test_extreme_eta_stability():
     assert np.abs(x.sum(axis=1) - a).max() < 1e-14
 
 
-def allocating_component_gradient(o, i, v):
-    """The component gradient's formula with fresh temporaries, as a bitwise reference."""
+def allocating_softmax_row(o, i, v):
+    """Softmax row i of ``(v - C)/eta - 1``, max-subtracted, with fresh temporaries."""
     t = v / o.eta + (-o.cost[i] / o.eta - 1.0)
     w = np.exp(t - t.max())
-    return (w / w.sum() - o.beta) * (o.n * o.alpha[i])
+    return w / w.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    eta=st.sampled_from([1.0, 0.05, 0.01]),
+    spread=st.floats(0.0, 50.0),
+    far=st.sampled_from([0.0, 10.0]),
+)
+# at eta = 0.01 a cost of 10 puts an exponent near -1000 in a row, so the
+# anchor rows hold zeros, which no drift within 50 can lift above 1e-270
+@example(seed=0, n=24, eta=0.01, spread=50.0, far=10.0)
+def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spread, far):
+    rng = np.random.default_rng(seed)
+    cost = rng.random((n, n))
+    cost[rng.random((n, n)) < 0.3] = far
+    cost[np.arange(n), rng.permutation(n)] = rng.random(n)  # no row is all far
+    base = random_instance(rng, n, eta)
+    o = SemiDualOracle(OTInstance(CostMatrix(cost), base.row_marginal, base.col_marginal, eta))
+    anchor = 5.0 * eta * rng.normal(size=n)
+    v = anchor + eta * spread * rng.uniform(-1.0, 1.0, size=n)
+    drift = o.average_smoothness() * (v - anchor)  # as the solver forms it
+    assert np.abs(drift).max() <= 50.0 * (1 + 1e-12)
+    # anchor rows from the reference snapshot and from a workspace whose
+    # kernel was built at another point within its span
+    ws = o.workspace()
+    ws.snapshot(anchor + eta * rng.uniform(0.0, 10.0, size=n))
+    sources = (o.snapshot(anchor), ws.snapshot(anchor))
+    if far / eta > 800 and (cost == far).any():
+        assert (sources[0].rows(np.arange(n))[0] == 0.0).any()
+    out, scalar = np.empty(n), np.empty(())
+    for snap in sources:
+        anchors, _ = snap.rows(np.arange(n))
+        for i in range(n):
+            ref = allocating_softmax_row(o, i, v)
+            # the component gradient, unscaled, is that same row
+            assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
+            assert o.importance_gradient(anchors[i], drift, out, scalar) is out
+            assert np.abs(out - ref).max() <= 1e-13 * ref.max()
+
+
+def allocating_component_gradient(o, i, v):
+    """The component gradient's formula with fresh temporaries, as a bitwise reference."""
+    return (allocating_softmax_row(o, i, v) - o.beta) * (o.n * o.alpha[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -469,12 +515,15 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     v = rng.normal(size=n)
     snap = o.snapshot(v)
     idx = np.array([7, 2, 2, 0, 8, 7, 7, 3])  # repeated and unsorted
-    rows = snap.corrections(idx)
-    assert rows.shape == (idx.size, n)
+    anchors, rows = snap.rows(idx)
+    assert anchors.shape == rows.shape == (idx.size, n)
     for k, i in enumerate(idx):
         ref = snap.gradient - snap.kernel[i]
+        assert anchors[k].tobytes() == snap.kernel[i].tobytes()
         assert rows[k].tobytes() == ref.tobytes()
-    # a fresh array: writing to it leaves the snapshot alone
-    rows[:] = 0.0
-    assert snap.corrections(idx).tobytes() != rows.tobytes()
-    assert snap.corrections(list(idx)).tobytes() == snap.corrections(idx).tobytes()
+    # fresh arrays: writing to them leaves the snapshot alone
+    anchors[:] = rows[:] = 0.0
+    assert snap.rows(idx)[0].tobytes() != anchors.tobytes()
+    assert snap.rows(idx)[1].tobytes() != rows.tobytes()
+    for got, ref in zip(snap.rows(list(idx)), snap.rows(idx)):
+        assert got.tobytes() == ref.tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle
-from pdasgd.approx import ApproxConfig, approx_ot
+from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import CostMatrix, Distribution, OTInstance, as_weights
 from pdasgd.rng import CategoricalSampler, SplitMix64
@@ -97,9 +98,9 @@ def test_variance_reduction_collapse(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
     anchor = rng.normal(size=4)
     u = oracle.full_gradient(anchor)
-    rows = oracle.snapshot(anchor).corrections(np.arange(4))
+    snapshot = oracle.snapshot(anchor)
     for i in range(4):
-        got = estimator(oracle, i, anchor, rows[i])
+        got = estimator(oracle, snapshot, anchor, i, anchor)
         assert np.allclose(got, u, atol=1e-15)
 
 
@@ -112,10 +113,10 @@ def test_estimator_unbiased_exhaustive(rng):
         for _ in range(50):
             lam = rng.normal(size=n)
             anchor = rng.normal(size=n)
-            rows = oracle.snapshot(anchor).corrections(np.arange(h))
+            snapshot = oracle.snapshot(anchor)
             acc = np.zeros(n)
             for i in range(h):
-                acc += weights[i] * estimator(oracle, i, lam, rows[i])
+                acc += weights[i] * estimator(oracle, snapshot, anchor, i, lam)
             assert np.abs(acc - oracle.snapshot(lam).gradient).max() < 1e-12
 
 
@@ -129,9 +130,13 @@ def test_first_outer_mixing_drops_y(rng):
     state.lambda_tilde[:] = rng.normal(size=3)
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
+    anchor = state.lambda_tilde.copy()
     outer_iteration(state, oracle, options)  # its one inner step is the picked one
-    assert np.allclose(state.lambda_cur, expected, atol=1e-15)
-    assert np.array_equal(state._picked_lambda, state.lambda_cur)
+    # lambda is formed only at the picked step; the step's gradient was
+    # taken at the drift Lbar (lambda - lambda_tilde) of that same lambda
+    lambda_cur = anchor + state._drift / state.avg_smoothness
+    assert np.allclose(lambda_cur, expected, atol=1e-15)
+    assert np.allclose(state._picked_lambda, lambda_cur, rtol=0, atol=1e-15)
 
 
 def test_inner_step_called_once_per_step(rng, monkeypatch):
@@ -140,9 +145,9 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     seen = []
     original = pdasgd.solver.inner_step
 
-    def counting(state, oracle, step, i, correction):
-        seen.append(i)
-        return original(state, oracle, step, i, correction)
+    def counting(state, oracle, step, anchor_row, correction):
+        seen.append((state.snapshot, anchor_row.copy(), correction.copy()))
+        return original(state, oracle, step, anchor_row, correction)
 
     monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
     m, S, seed = 3, 5, 2
@@ -155,7 +160,11 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     for _ in range(S):
         stream.next_index(m)
         expected += [sampler.draw(stream) for _ in range(m)]
-    assert seen == expected
+    # each step reads the batch rows of the component drawn for it
+    for (snapshot, anchor_row, correction), i in zip(seen, expected):
+        (row,), (corr,) = snapshot.rows([i])
+        assert anchor_row.tobytes() == row.tobytes()
+        assert correction.tobytes() == corr.tobytes()
 
 
 def reference_run(oracle, options):
@@ -311,7 +320,7 @@ def test_initial_dual_option(rng):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
-        def importance_gradient(self, i, lam, out, scalar):
+        def importance_gradient(self, anchor_row, drift, out, scalar):
             out[:] = np.inf
             return out
 
@@ -320,6 +329,46 @@ def test_divergence_detection(rng):
 
     with pytest.raises(DivergenceError):
         run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_divergence_carries_the_run_so_far():
+    class LateExplodingOracle(QuadraticOracle):
+        def __init__(self, target):
+            super().__init__(target)
+            self.snapshots = 0
+
+        def snapshot(self, lam):
+            # the third snapshot, taken after outer iteration 2, is non-finite
+            self.snapshots += 1
+            return QuadraticSnapshot(lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
+
+    with pytest.raises(DivergenceError, match="after outer iteration 3 ") as info:
+        run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0))
+    partial = info.value.result
+    finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0))
+    assert partial.state.s == 3
+    assert [r.outer_index for r in partial.records] == [1, 2]
+    # the average of the two finite outer iterations, as a run that stopped there
+    assert partial.primal.tobytes() == finished.primal.tobytes()
+
+
+def test_step_overflow_is_divergence_without_warnings():
+    # At a z step of 1e5 the first outer iteration's drift passes 709 eta,
+    # where a step's exp overflows.  The NaN it leaves is caught as
+    # divergence, and no RuntimeWarning is raised on the way.  The previous
+    # max-subtracted step ran all 3000 outer iterations here, uncertified.
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, alpha.n)
+    oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
+    options = SolverOptions(inner_iterations=8, outer_iterations=3000, seed=0, z_step_multiplier=1e5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="^non-finite lambda_tilde after outer iteration 1 ") as info:
+            run(oracle, options)
+    assert info.value.result.records == []
+    assert info.value.result.primal is None  # no finite iterate was averaged
 
 
 def test_convergence_rate_consistency(rng):
