@@ -33,7 +33,7 @@ from .bench import BenchPlan, run_benchmark
 from .rng import SplitMix64, derive_seed
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import DivergenceError, SolverOptions, run
+from .solver import SolverOptions, run
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "BenchPlan",
     "CostMatrix",
     "Distribution",
-    "DivergenceError",
     "ImageInstance",
     "OTInstance",
     "RoundingReport",

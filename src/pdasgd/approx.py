@@ -15,9 +15,11 @@ suboptimality is unobservable, so the default certificate is the L1
 marginal violation and, for pdasgd, the weak-duality surrogate
 ``f(x_s) + G(lambda_tilde)``, an upper bound on ``f(x_s) - f*``.  The
 surrogate, an n^2 ``x ln x`` pass, is evaluated only where the violation
-passes, so the pdasgd records carry it only there.  The fired criterion is
-recorded.  A single run certifies its own realized iterate, not an
-expectation over seeds; benchmarks report per-seed spread instead.
+passes, so the pdasgd records carry it only there.  A run ends certified
+(the rule's reason), capped, trivial or diverged, and its stop reason is
+the only report of which: no solver warns or raises.  A single run
+certifies its own realized iterate, not an expectation over seeds;
+benchmarks report per-seed spread instead.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import baselines
 from .core import (
+    STOP_DIVERGED,
     CostMatrix,
     Distribution,
     OTInstance,
@@ -41,7 +44,7 @@ from .core import (
 )
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import DivergenceError, SolverOptions, is_count, run
+from .solver import SolverOptions, is_count, run
 
 PROFILES = ("theory", "benchmark")
 METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
@@ -57,7 +60,6 @@ STOP_CONVERGED = "gap+marginal"
 STOP_ACCURACY = "accuracy-reached"
 STOP_CAP = "iteration-cap"
 STOP_TRIVIAL = "trivial"
-STOP_DIVERGED = "diverged"
 FLAGGED = (STOP_CAP, STOP_DIVERGED)  # reasons of results that certify nothing
 
 # Safety factor on the theoretical iteration cap; the cap's hidden constant
@@ -171,7 +173,6 @@ class ApproxResult:
     rounding_report: Optional[RoundingReport]
     outer_iterations: int
     op_counts: dict
-    diverged: Optional[str] = None  # the solver's message, when it diverged
 
     @property
     def flagged(self) -> bool:
@@ -217,14 +218,10 @@ def _solve_pdasgd(cost, a_s, b_s, eta, config, rule):
         MIN_BUDGET, math.ceil(theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa) / m)
     )
     options = SolverOptions(m, outer_cap, seed=config.seed, z_step_multiplier=multiplier)
-    try:
-        result, diverged = run(oracle, options, stop=rule), None
-    except DivergenceError as exc:
-        result, diverged = exc.result, str(exc)
+    result = run(oracle, options, stop=rule)
     state = result.state
     primal = np.outer(a_s.weights, b_s.weights) if result.primal is None else result.primal
-    return primal, STOP_DIVERGED if diverged else result.stop_reason, dict(
-        diverged=diverged,
+    return primal, result.stop_reason, dict(
         records=result.records,
         outer_iterations=state.s,
         op_counts={
@@ -276,10 +273,11 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     An instance with epsilon >= 48 |C|_inf is trivial (see
     :func:`derive_parameters`): the product plan is returned with reason
     ``trivial``.  If the budget runs out first, the last plan is still
-    rounded and returned with ``stop_reason`` set to the cap; if pdasgd
-    diverges, the average of its finite iterates (or the independent
-    coupling) is returned with reason ``diverged`` and the solver's message
-    in ``diverged``.  Both are ``flagged``.  The budget
+    rounded and returned with ``stop_reason`` set to the cap.  If the
+    solver's iterate becomes non-finite, its reason is ``diverged``, passed
+    through as every method returns it: pdasgd's plan is the average of its
+    finite iterates, or the independent coupling if there is none.  Both
+    are ``flagged``.  The budget
     is max(10^4, ceil(cap / m)) outer iterations for pdasgd, with cap from
     :func:`theoretical_iteration_cap` and m the profile's inner loop length,
     max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and

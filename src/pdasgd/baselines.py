@@ -10,23 +10,21 @@ solver.
 
 Both call their stopping rule as the stochastic solver does, as
 ``stop(checkpoint)`` once per dense pass (see :func:`sinkhorn` and
-:func:`greenkhorn`).  Before the rule, both stop with reason
-``"non-finite"`` when the violation is not finite: a kernel that overflows
-or underflows everywhere gives a NaN plan that no update can repair.
+:func:`greenkhorn`).  Before the rule, both stop with the solver's reason
+``"diverged"`` when the violation is not finite: a kernel that overflows
+or underflows everywhere gives a NaN plan that no update can repair.  The
+stop reason is the only report of how a run ended; neither warns.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional
 
 import numpy as np
 
-from .core import Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights, logsumexp
+from .core import STOP_DIVERGED, Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights, logsumexp
 from .core import marginal_distance, marginal_residual
-
-NON_FINITE = "non-finite"
 
 
 def _validate(cost, alpha, beta, eta):
@@ -46,29 +44,22 @@ def _validate(cost, alpha, beta, eta):
 
 
 def _checkpoint(stop: StoppingRule, index: int, plan: np.ndarray, a, b) -> tuple[Checkpoint, Optional[str]]:
-    """The checkpoint of ``plan`` after ``index`` steps and its stop reason, ``"non-finite"`` before the rule's."""
+    """The checkpoint of ``plan`` after ``index`` steps and its stop reason, ``"diverged"`` before the rule's."""
     rows, cols = plan.sum(axis=1), plan.sum(axis=0)
     point = Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
     # written so that a NaN violation never reaches the rule
-    return point, stop(point) if math.isfinite(point.violation) else NON_FINITE
+    return point, stop(point) if math.isfinite(point.violation) else STOP_DIVERGED
 
 
 def _rule(stop: Optional[StoppingRule], tol: float) -> StoppingRule:
     return stop if stop is not None else lambda point: "marginal-tol" if point.violation <= tol else None
 
 
-def _finish(name: str, plan: np.ndarray, iteration: int, max_iter: int, reason, a, b, log_u, log_v):
-    """The (plan, info) pair of a scaling run; warns unless its rule stopped it."""
-    d = marginal_distance(plan, a, b)
-    if reason is None or reason == NON_FINITE:
-        warnings.warn(
-            f"{name} stopped after {iteration} of max_iter={max_iter} steps with marginal distance {d:.3e}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _finish(plan: np.ndarray, iteration: int, reason, a, b, log_u, log_v):
+    """The (plan, info) pair of a scaling run."""
     return TransportPlan(plan), {
         "iterations": iteration,
-        "marginal_distance": d,
+        "marginal_distance": marginal_distance(plan, a, b),
         "stop_reason": reason,
         "log_u": log_u,
         "log_v": log_v,
@@ -88,11 +79,12 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: O
     After every sweep the rule is called as ``stop(checkpoint)``, with the
     sweep count as ``index``.  ``tol_marginal`` only builds the rule used
     without one, which stops with reason ``"marginal-tol"`` once the plan
-    is within it in L1 of (alpha, beta).  A non-finite violation or
-    ``max_iter`` sweeps also stop the run, with a warning.  Returns
-    ``(plan, info)``: the unrounded plan and a dict of the sweep count
-    ``iterations``, the returned plan's ``marginal_distance``, the duals
-    ``log_u`` and ``log_v``, and ``stop_reason`` (None at the cap).
+    is within it in L1 of (alpha, beta).  A non-finite violation stops the
+    run with reason ``"diverged"``, and ``max_iter`` sweeps stop it with
+    reason None.  Returns ``(plan, info)``: the unrounded plan and a dict
+    of the sweep count ``iterations``, the returned plan's
+    ``marginal_distance``, the duals ``log_u`` and ``log_v``, and
+    ``stop_reason``.
 
     A sweep allocates no n^2 array: it works in one preallocated array and
     rewrites the plan in place.
@@ -115,7 +107,7 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: O
         iteration += 1
         _scaled_plan(log_k, log_u, log_v, plan)
         _, reason = _checkpoint(stop, iteration, plan, a, b)
-    return _finish("sinkhorn", plan, iteration, max_iter, reason, a, b, log_u, log_v)
+    return _finish(plan, iteration, reason, a, b, log_u, log_v)
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -151,7 +143,7 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
     iteration = 0
     plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
     r, col = plan.sum(axis=1), plan.sum(axis=0)
-    reason = None if math.isfinite(marginal_residual(r, col, a, b)) else NON_FINITE
+    reason = None if math.isfinite(marginal_residual(r, col, a, b)) else STOP_DIVERGED
     while reason is None and iteration < max_iter:
         rows = _line_scores(r, a)
         cols = _line_scores(col, b)
@@ -174,4 +166,4 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
             # Re-summing sheds the incremental sums' drift; updates change copies.
             point, reason = _checkpoint(stop, iteration, plan, a, b)
             r, col = point.rows.copy(), point.cols.copy()
-    return _finish("greenkhorn", plan, iteration, max_iter, reason, a, b, log_u, log_v)
+    return _finish(plan, iteration, reason, a, b, log_u, log_v)

@@ -8,8 +8,9 @@ Subcommands:
     oracle  exact value of a tiny instance by vertex enumeration
 
 Exit codes: 0 on success, 2 when any run hit its iteration cap before its
-target or diverged (flagged), 3 when ``solve``'s solver diverged to a
-non-finite iterate, 1 on errors.
+target or diverged (flagged), 3 when ``solve``'s run stopped with reason
+``diverged``, whatever the solver, 1 on errors.  Each is decided by the
+result's stop reason alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .approx import DEFAULT_KAPPA, PROFILES, ApproxConfig, approx_ot
-from .core import marginal_distance
+from .core import STOP_DIVERGED, marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
     gen_synthetic_image,
@@ -79,8 +80,8 @@ def _cmd_solve(args) -> int:
         kappa=args.kappa,
     )
     result = approx_ot(cost, alpha, beta, config, method=args.solver)
-    if result.diverged is not None:
-        print(f"error: solver diverged: {result.diverged}", file=sys.stderr)
+    if result.stop_reason == STOP_DIVERGED:
+        print(f"error: {args.solver} diverged after {result.outer_iterations} outer iterations", file=sys.stderr)
         return 3
     n = alpha.n
     print(f"solver={args.solver}")

@@ -144,6 +144,8 @@ class Checkpoint:
 
 
 StoppingRule = Callable[[Checkpoint], Optional[str]]
+# The stop reason of every solver whose iterate became non-finite.
+STOP_DIVERGED = "diverged"
 
 
 def as_weights(x) -> np.ndarray:

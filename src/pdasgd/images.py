@@ -35,7 +35,7 @@ class IdxFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ImageInstance:
-    """Nonnegative intensity grid with at least one positive pixel."""
+    """Finite nonnegative intensity grid with at least one positive pixel."""
 
     pixels: np.ndarray
 
@@ -43,6 +43,11 @@ class ImageInstance:
         p = np.ascontiguousarray(self.pixels, dtype=np.float64)
         if p.ndim != 2 or p.size == 0:
             raise ValueError("pixels must be a nonempty 2-d grid")
+        bad = np.argwhere(~np.isfinite(p))
+        if bad.size:
+            named = ", ".join(f"({r}, {c}) = {p[r, c]}" for r, c in bad[:5])
+            more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+            raise ValueError(f"pixel intensities must be finite, got non-finite pixels (row, col) {named}{more}")
         if np.any(p < 0):
             raise ValueError("pixel intensities must be nonnegative")
         if float(p.max()) <= 0:
@@ -145,6 +150,8 @@ def load_pgm(path) -> ImageInstance:
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ValueError(f"PGM dimensions {width}x{height} must be positive")
     if not 0 < maxval < 65536:
         raise ValueError(f"PGM maxval {maxval} out of range")
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")

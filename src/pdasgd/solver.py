@@ -65,7 +65,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import Checkpoint, StoppingRule, as_weights
+from .core import STOP_DIVERGED, Checkpoint, StoppingRule, as_weights
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -139,12 +139,6 @@ class FiniteSumOracle(Protocol):
     def average_smoothness(self) -> float: ...
 
     def primal_objective(self, x: np.ndarray) -> float: ...
-
-
-class DivergenceError(RuntimeError):
-    """An iterate became non-finite; :func:`run` sets ``result`` to the run so far."""
-
-    result: Optional["SolveResult"] = None  # primal: the finite iterates' average, or None
 
 
 TAU2 = 0.5
@@ -301,13 +295,13 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants,
     state.rows, state._spare = new, rows
 
 
-def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> None:
+def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
     """m inner steps, anchor reset, primal accumulation and snapshot.
 
     Charges the m inner steps and their component gradients, and the full
     gradient of the snapshot they use, which was taken when lambda_tilde was
-    last set.  Raises :class:`DivergenceError` on a non-finite iterate
-    before the workspace sees it.
+    last set.  Returns False, before the workspace sees the iterate, when
+    lambda_tilde, z or y is non-finite, and True otherwise.
     """
     s = state.s
     m = options.inner_iterations
@@ -338,19 +332,16 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     state.n_component_gradients += oracle.component_count + m
     state.n_inner_steps += m
     state.s = s + 1
-    for name, vec in (("lambda_tilde", state.lambda_tilde), ("z", state.z), ("y", state.y)):
-        if not np.isfinite(vec).all():
-            raise DivergenceError(
-                f"non-finite {name} after outer iteration {state.s} "
-                f"(max |z| = {np.abs(state.z).max():.3e})"
-            )
+    if not all(np.isfinite(vec).all() for vec in (state.lambda_tilde, state.z, state.y)):
+        return False
     state.workspace.accumulate(state._picked_lambda, 1.0 / t1)
     state.snapshot = state.workspace.snapshot(state.lambda_tilde)
+    return True
 
 
 @dataclass
 class SolveResult:
-    primal: np.ndarray
+    primal: Optional[np.ndarray]  # None only if the first outer iteration diverged
     dual: np.ndarray
     records: list
     stop_reason: Optional[str]
@@ -400,30 +391,28 @@ def run(
     options: SolverOptions,
     stop: Optional[StoppingRule] = None,
 ) -> SolveResult:
-    """Run outer iterations until the budget or the stopping rule fires.
+    """Run outer iterations until the budget, the stopping rule or a non-finite iterate ends the run.
 
-    Every outer iteration that does not raise :class:`DivergenceError` is a
-    checkpoint: its record is appended and the rule is called as
+    Every outer iteration whose iterates stay finite is a checkpoint: its record is appended and the rule is called as
     ``stop(checkpoint)`` with the outer index, x_s's sums and violation,
     and a ``gap`` that builds x_s and evaluates the duality gap
     (:func:`certify`, n^2 passes) on its first call, which must come before
     the next outer iteration.  A record carries ``primal_objective`` and
     ``duality_gap`` only if the rule called ``gap``; without a rule, every
     checkpoint is certified.  The result's ``primal`` is x_s of the last
-    outer iteration, read from the workspace, which owns the average and
-    its total weight.  A non-finite iterate raises :class:`DivergenceError`
-    carrying the run so far.  Deterministic given (seed, oracle, options).
+    finite outer iteration, read from the workspace, which owns the average
+    and its total weight, or None if there is none.  Its ``stop_reason`` is
+    the rule's reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
+    after a non-finite iterate, whose outer iteration ``state.s`` counts but
+    records nothing.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
     stop_reason = None
     for _ in range(options.outer_iterations):
-        try:
-            outer_iteration(state, oracle, options)
-        except DivergenceError as exc:  # raised before the workspace saw the iterate
-            primal = state.workspace.average() if state.workspace.weight > 0 else None
-            exc.result = SolveResult(primal, state.lambda_tilde.copy(), records, None, state)
-            raise
+        if not outer_iteration(state, oracle, options):
+            stop_reason = STOP_DIVERGED
+            break
         record, (rows, cols) = make_record(state)
         records.append(record)
         gap = partial(certify, record, state, oracle)
@@ -433,4 +422,5 @@ def run(
         stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
         if stop_reason is not None:
             break
-    return SolveResult(state.workspace.average(), state.lambda_tilde.copy(), records, stop_reason, state)
+    primal = state.workspace.average() if state.workspace.weight > 0 else None
+    return SolveResult(primal, state.lambda_tilde.copy(), records, stop_reason, state)

@@ -172,9 +172,22 @@ def test_iteration_cap_flags_result(rng):
     assert marginal_distance(res.plan, a, b) <= 1e-10  # still rounded and feasible
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_capped_run_is_flagged_without_warning(method):
+    # before: capped Sinkhorn and Greenkhorn runs warned while a capped
+    # pdasgd run was silent; pyproject turns any RuntimeWarning into an error
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, max_outer=2), method=method)
+    assert res.stop_reason == STOP_CAP
+    assert res.flagged
+    assert res.outer_iterations == 2
+
+
 @pytest.mark.parametrize("multiplier", [1e5, 5e3])
 def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
-    # before: DivergenceError escaped approx_ot.  A z step far past the cliff
+    # before: an exception escaped approx_ot.  A z step far past the cliff
     # drives a step's drift past 709 eta, where its exp overflows: at outer
     # iteration 1 for 1e5 (no finite iterate), and later for 5e3.
     monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, multiplier))
@@ -184,7 +197,6 @@ def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
         res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, max_outer=3000))
     assert res.stop_reason == STOP_DIVERGED
     assert res.flagged
-    assert res.diverged == f"non-finite lambda_tilde after outer iteration {res.outer_iterations} (max |z| = nan)"
     assert len(res.records) == res.outer_iterations - 1
     assert res.op_counts["inner_steps"] == 8 * res.outer_iterations
     assert np.isfinite(res.unrounded).all()
@@ -359,7 +371,6 @@ def test_one_stopping_rule_for_every_method(method):
         assert last.violation == marginal_distance(plan, a_s, b_s)
 
 
-@pytest.mark.filterwarnings("ignore:greenkhorn stopped after:RuntimeWarning")
 def test_greenkhorn_max_outer_counts_rounds():
     # max_outer counts checkpoints, and a Greenkhorn checkpoint is a round
     # of n updates; before, max_outer = 2 gave it 2 updates
@@ -535,7 +546,6 @@ def small_instances(draw):
     return cost, a / a.sum(), b / b.sum()
 
 
-@pytest.mark.filterwarnings("ignore:.*stopped after:RuntimeWarning")
 @settings(max_examples=25, deadline=None)
 @given(instance=small_instances(), seed=st.integers(0, 2**32 - 1))
 def test_pipeline_properties(instance, seed):
@@ -552,6 +562,7 @@ def test_pipeline_properties(instance, seed):
         plan = res.plan.entries
         assert plan.min() >= 0
         assert marginal_distance(plan, a, b) <= 1e-10
+        assert res.stop_reason in (STOP_CONVERGED, STOP_CAP, STOP_TRIVIAL)
         if res.stop_reason != STOP_CAP:
             assert res.ot_value - optimum <= epsilon
         if res.rounding_report is not None:

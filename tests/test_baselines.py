@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdasgd.baselines import greenkhorn, sinkhorn
+from pdasgd.core import STOP_DIVERGED
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 
@@ -49,9 +50,9 @@ def test_sinkhorn_validation_and_flagging(rng):
     with pytest.raises(ValueError, match="eta"):
         sinkhorn(np.ones((n, n)), a, b, eta=0.0)
     c = rng.random((n, n))
-    with pytest.warns(RuntimeWarning, match="max_iter"):
-        _, info = sinkhorn(c, a, b, eta=0.01, tol_marginal=1e-14, max_iter=2)
+    _, info = sinkhorn(c, a, b, eta=0.01, tol_marginal=1e-14, max_iter=2)
     assert info["stop_reason"] is None
+    assert info["iterations"] == 2
 
 
 @pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
@@ -76,9 +77,8 @@ def test_greenkhorn_nan_distance_is_not_converged():
     # the NaN marginal distance must not pass the tolerance test, and the
     # run stops before its first update instead of running all 10^6
     half = np.array([0.5, 0.5])
-    with pytest.warns(RuntimeWarning, match="max_iter"):
-        _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
-    assert info["stop_reason"] == "non-finite"
+    _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
+    assert info["stop_reason"] == STOP_DIVERGED
     assert info["iterations"] == 0
 
 
@@ -87,9 +87,8 @@ def test_greenkhorn_nan_distance_is_not_converged():
 def test_sinkhorn_nan_distance_is_not_converged():
     # the same NaN plan stops Sinkhorn after its first sweep, not 10^4
     half = np.array([0.5, 0.5])
-    with pytest.warns(RuntimeWarning, match="max_iter"):
-        _, info = sinkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
-    assert info["stop_reason"] == "non-finite"
+    _, info = sinkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
+    assert info["stop_reason"] == STOP_DIVERGED
     assert info["iterations"] == 1
 
 

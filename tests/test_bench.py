@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pdasgd.approx
+import pdasgd.bench
 
 from pdasgd.bench import (
     BenchPlan,
@@ -146,8 +147,23 @@ def test_plan_validation():
         BenchPlan(pairs=0)
 
 
+def test_execute_run_lets_numpy_warnings_through(monkeypatch):
+    # before: execute_run muted every RuntimeWarning of the cell to hide the
+    # baselines' cap warning, an overflow in a solver included
+    approx_ot = pdasgd.bench.approx_ot
+
+    def overflowing(*args, **kwargs):
+        np.exp(np.array(1000.0))
+        return approx_ot(*args, **kwargs)
+
+    monkeypatch.setattr(pdasgd.bench, "approx_ot", overflowing)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        row = execute_run(BenchPlan(), "sinkhorn", 4, 0.05, 0)
+    assert row["stop_reason"] == "accuracy-reached"
+
+
 def test_diverged_cell_keeps_the_grid(tmp_path, monkeypatch):
-    # before: DivergenceError escaped approx_ot and ended the whole grid
+    # before: divergence escaped approx_ot as an exception and ended the whole grid
     resolve = pdasgd.approx.resolve_profile
     # a z step far past the cliff on the 16-point cells only
     monkeypatch.setattr(

@@ -3,11 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import warnings
+
 import numpy as np
+import pytest
 
 import pdasgd.approx
+import pdasgd.baselines
 from pdasgd.cli import main
-from pdasgd.images import load_csv_matrix
+from pdasgd.core import STOP_DIVERGED
+from pdasgd.images import load_csv_matrix, save_csv_matrix
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +95,25 @@ def test_solve_with_image_files(tmp_path, capsys):
     assert parse_kv(out)["n"] == "25"
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_solve_rejects_non_finite_pixels(tmp_path, capsys, bad):
+    # before: a nan pixel failed later with "distribution weights must be
+    # finite", and an inf pixel warned from image_to_instance first
+    run_cli(capsys, "gen", "--size", "4", "--seed", "1", "--out", str(tmp_path / "a.csv"))
+    pixels = load_csv_matrix(tmp_path / "a.csv")
+    pixels[1, 2] = float(bad)
+    save_csv_matrix(tmp_path / "b.csv", pixels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "solve", "--image-a", str(tmp_path / "a.csv"), "--image-b", str(tmp_path / "b.csv"),
+            "--epsilon", "0.1",
+        )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: pixel intensities must be finite, got non-finite pixels (row, col) (1, 2) = {bad}\n"
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--size", "2", "--seed", "1")
     assert code == 0
@@ -126,7 +150,23 @@ def test_solve_divergence_exit_code(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "solve", "--size", "4", "--seed", "1", "--epsilon", "0.05")
     assert code == 3
     assert out == ""
-    assert err == "error: solver diverged: non-finite lambda_tilde after outer iteration 1 (max |z| = nan)\n"
+    assert err == "error: pdasgd diverged after 1 outer iterations\n"
+
+
+def test_solve_divergence_exit_code_any_solver(monkeypatch, capsys):
+    # exit code 3 reads the stop reason, so a diverged baseline run exits 3
+    # too; this one is told it diverged after 3 finite sweeps
+    sinkhorn = pdasgd.baselines.sinkhorn
+
+    def diverging(*args, **kwargs):
+        plan, info = sinkhorn(*args, **{**kwargs, "max_iter": 3})
+        return plan, {**info, "stop_reason": STOP_DIVERGED}
+
+    monkeypatch.setattr(pdasgd.baselines, "sinkhorn", diverging)
+    code, out, err = run_cli(capsys, "solve", "--size", "4", "--epsilon", "0.05", "--solver", "sinkhorn")
+    assert code == 3
+    assert out == ""
+    assert err == "error: sinkhorn diverged after 3 outer iterations\n"
 
 
 # Imports pdasgd, runs every method through approx_ot and the solve

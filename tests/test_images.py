@@ -160,6 +160,15 @@ def test_load_pgm_truncated(tmp_path):
         load_pgm(path)
 
 
+def test_load_pgm_rejects_non_positive_dimensions(tmp_path):
+    # before: a negative height read the whole payload, here as a 2x2 image
+    path = tmp_path / "negative.pgm"
+    for header, dims in ((b"P5 2 -1 255\n", "2x-1"), (b"P5 0 2 255\n", "0x2")):
+        path.write_bytes(header + bytes([1, 2, 3, 4]))
+        with pytest.raises(ValueError, match=f"^PGM dimensions {dims} must be positive$"):
+            load_pgm(path)
+
+
 def test_image_instance_validation():
     with pytest.raises(ValueError):
         ImageInstance(np.zeros((3, 3)))

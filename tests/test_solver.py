@@ -9,12 +9,11 @@ import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle
 from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
 from pdasgd.bench import make_image_pair
-from pdasgd.core import CostMatrix, Distribution, OTInstance, as_weights
+from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
 from pdasgd.rng import CategoricalSampler, SplitMix64
 from pdasgd.semidual import KernelWorkspace, SemiDualOracle
 from pdasgd.solver import (
     TAU2,
-    DivergenceError,
     SolverOptions,
     certify,
     gamma,
@@ -61,7 +60,7 @@ def test_gamma_values():
 def test_options_reject_bad_values_at_entry(field, value):
     # before: inner_iterations = 2.5 raised a TypeError in the index draw,
     # outer_iterations = 2.5 a TypeError in range(), z_step_multiplier = NaN
-    # a DivergenceError after outer iteration 1, and True was run as 1
+    # a divergence after outer iteration 1, and True was run as 1
     options = {"inner_iterations": 2, "outer_iterations": 3, field: value}
     with pytest.raises(ValueError, match=rf"^{field} .*got {value!r}$"):
         SolverOptions(**options)
@@ -327,8 +326,11 @@ def test_divergence_detection(rng):
         def snapshot(self, lam):
             return QuadraticSnapshot(np.full_like(lam, np.inf))
 
-    with pytest.raises(DivergenceError):
-        run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
+    res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
+    assert res.stop_reason == STOP_DIVERGED
+    assert res.state.s == 1
+    assert res.records == []
+    assert res.primal is None
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -343,9 +345,8 @@ def test_divergence_carries_the_run_so_far():
             self.snapshots += 1
             return QuadraticSnapshot(lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
 
-    with pytest.raises(DivergenceError, match="after outer iteration 3 ") as info:
-        run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0))
-    partial = info.value.result
+    partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0))
+    assert partial.stop_reason == STOP_DIVERGED
     finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0))
     assert partial.state.s == 3
     assert [r.outer_index for r in partial.records] == [1, 2]
@@ -365,10 +366,12 @@ def test_step_overflow_is_divergence_without_warnings():
     options = SolverOptions(inner_iterations=8, outer_iterations=3000, seed=0, z_step_multiplier=1e5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError, match="^non-finite lambda_tilde after outer iteration 1 ") as info:
-            run(oracle, options)
-    assert info.value.result.records == []
-    assert info.value.result.primal is None  # no finite iterate was averaged
+        res = run(oracle, options)
+    assert res.stop_reason == STOP_DIVERGED
+    assert res.state.s == 1
+    assert not np.isfinite(res.state.lambda_tilde).all()
+    assert res.records == []
+    assert res.primal is None  # no finite iterate was averaged
 
 
 def test_convergence_rate_consistency(rng):
