@@ -1,12 +1,12 @@
-"""Sinkhorn and Greenkhorn matrix-scaling baselines, log domain only.
+"""Sinkhorn and Greenkhorn matrix-scaling baselines, stabilized in the log domain.
 
-Both scale the kernel ``exp(-C/eta)`` toward the target marginals; the
-naive kernel underflows at the penalties this package runs at, so all
-scaling state lives in the log domain.  Sinkhorn alternates full row and
-column updates; Greenkhorn updates the single row or column with the worst
-marginal-violation score.  Both plug into the same smoothing and rounding
-pipeline as the stochastic solver so benchmark curves differ only in the
-solver.
+Both scale the kernel ``exp(-C/eta)`` toward the target marginals, whose
+naive form underflows at the penalties this package runs at.  Sinkhorn
+alternates full row and column updates on a kernel re-based at its log
+scalings; Greenkhorn keeps its scalings in the log domain and updates the
+single row or column with the worst marginal-violation score.  Both plug
+into the same smoothing and rounding pipeline as the stochastic solver so
+benchmark curves differ only in the solver.
 
 Both call their stopping rule as the stochastic solver does, as
 ``stop(checkpoint)`` once per dense pass (see :func:`sinkhorn` and
@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import STOP_DIVERGED, Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights, logsumexp
-from .core import marginal_distance, marginal_residual
+from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights
+from .core import logsumexp, marginal_distance, marginal_residual
 
 
 def _validate(cost, alpha, beta, eta):
@@ -43,9 +43,8 @@ def _validate(cost, alpha, beta, eta):
     return c, a, b
 
 
-def _checkpoint(stop: StoppingRule, index: int, plan: np.ndarray, a, b) -> tuple[Checkpoint, Optional[str]]:
-    """The checkpoint of ``plan`` after ``index`` steps and its stop reason, ``"diverged"`` before the rule's."""
-    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Checkpoint, Optional[str]]:
+    """The checkpoint of a plan's sums after ``index`` steps and its stop reason, ``"diverged"`` before the rule's."""
     point = Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
     # written so that a NaN violation never reaches the rule
     return point, stop(point) if math.isfinite(point.violation) else STOP_DIVERGED
@@ -74,7 +73,7 @@ def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: n
 
 
 def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: Optional[StoppingRule] = None):
-    """Alternating log-domain row/column scaling of exp(-C/eta).
+    """Alternating row/column scaling of exp(-C/eta) on a re-based kernel.
 
     After every sweep the rule is called as ``stop(checkpoint)``, with the
     sweep count as ``index``.  ``tol_marginal`` only builds the rule used
@@ -86,28 +85,45 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: O
     ``marginal_distance``, the duals ``log_u`` and ``log_v``, and
     ``stop_reason``.
 
-    A sweep allocates no n^2 array: it works in one preallocated array and
-    rewrites the plan in place.
+    The plan is diag(u) K diag(v), for ``K = exp(-C/eta + f + g)`` with the
+    log scalings f, g absorbed (Schmitzer 2019).  A sweep, ``u = alpha / Kv``
+    and ``v = beta / K^T u``, is two matrix-vector products and no exp; the
+    checkpoint's sums are ``u * Kv`` (Kv is reused next sweep) and ``v *
+    K^T u``.  Once u or v leaves exp(+-REBASE_SPAN), the next sweep is
+    log-domain: it absorbs v into g, scales both halves so that every row
+    of K sums to >= alpha_i min(beta) and every column to beta_j, clear of
+    underflow, and rebuilds K at u = v = 1 with one n^2 exp pass.
     """
     c, a, b = _validate(cost, alpha, beta, eta)
     stop = _rule(stop, tol_marginal)
     log_k = -c / eta
-    log_a = np.log(a)
-    log_b = np.log(b)
-    log_u, log_v = np.zeros(a.size), np.zeros(b.size)
-    iteration = 0
-    reason = None
-    work = np.empty_like(log_k)
-    plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
+    log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros(a.size), np.zeros(b.size)  # the log scalings absorbed into the kernel
+    u, v = np.ones(a.size), np.ones(b.size)
+    kernel, work = np.empty_like(log_k), np.empty_like(log_k)
+    bound = math.exp(REBASE_SPAN)
+    iteration, reason, rebase = 0, None, True
     while reason is None and iteration < max_iter:
-        np.add(log_k, log_v, out=work)
-        log_u = log_a - logsumexp(work, axis=1)
-        np.add(log_k, log_u[:, None], out=work)
-        log_v = log_b - logsumexp(work, axis=0)
+        if rebase:
+            g += np.log(v)  # the u half overwrites f
+            np.add(log_k, g, out=work)
+            f = log_a - logsumexp(work, axis=1)
+            np.add(log_k, f[:, None], out=work)
+            g = log_b - logsumexp(work, axis=0)
+            _scaled_plan(log_k, f, g, kernel)
+            u[:] = v[:] = 1.0
+            kt_u = u @ kernel
+        else:
+            np.divide(a, k_v, out=u)
+            kt_u = u @ kernel
+            np.divide(b, kt_u, out=v)
+        k_v = kernel @ v
         iteration += 1
-        _scaled_plan(log_k, log_u, log_v, plan)
-        _, reason = _checkpoint(stop, iteration, plan, a, b)
-    return _finish(plan, iteration, reason, a, b, log_u, log_v)
+        _, reason = _checkpoint(stop, iteration, u * k_v, v * kt_u, a, b)
+        rebase = max(u.max(), v.max()) > bound or min(u.min(), v.min()) * bound < 1.0
+    kernel *= u[:, None]
+    kernel *= v
+    return _finish(kernel, iteration, reason, a, b, f + np.log(u), g + np.log(v))
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -164,6 +180,6 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
         iteration += 1
         if iteration % n == 0:
             # Re-summing sheds the incremental sums' drift; updates change copies.
-            point, reason = _checkpoint(stop, iteration, plan, a, b)
+            point, reason = _checkpoint(stop, iteration, plan.sum(axis=1), plan.sum(axis=0), a, b)
             r, col = point.rows.copy(), point.cols.copy()
     return _finish(plan, iteration, reason, a, b, log_u, log_v)

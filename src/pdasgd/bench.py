@@ -28,9 +28,10 @@ when the dual drifts), the primal accumulation (two matrix-vector products
 per outer iteration, and a matrix product per 32 of them and per rebuild
 to fold them in), and the certificate's n^2 ``x ln x`` gap, paid only where
 the marginal half passes (never under the accuracy rule).  A Sinkhorn
-sweep is charged 2n^2 but computes three n^2 exp passes and the plan's
-row and column sums, and Greenkhorn's re-summing of the plan's n^2 entries
-once per round of n updates is not charged either.
+sweep is charged 2n^2 and computes two matrix-vector products; its
+rebuilds (two n^2 logsumexps and one n^2 exp pass each, only when the
+scalings drift) are not charged, nor is Greenkhorn's re-summing of the
+plan's n^2 entries once per round of n updates.
 
 Outputs in ``out_dir``:
 

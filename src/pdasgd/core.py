@@ -146,6 +146,7 @@ class Checkpoint:
 StoppingRule = Callable[[Checkpoint], Optional[str]]
 # The stop reason of every solver whose iterate became non-finite.
 STOP_DIVERGED = "diverged"
+REBASE_SPAN = 30.0  # log-domain drift past which the workspace's and Sinkhorn's kernels are rebuilt
 
 
 def as_weights(x) -> np.ndarray:

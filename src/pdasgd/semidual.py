@@ -37,7 +37,8 @@ At v, with ``d = (v - v0)/eta``, ``c = max d`` and ``e = exp(d - c)``,
 softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp is
 ``m0_i + c + log r_i``: a snapshot costs two matrix-vector products and n
 exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
-of d exceeds :data:`REBASE_SPAN`; below it e >= exp(-REBASE_SPAN), so r
+of d exceeds :data:`pdasgd.core.REBASE_SPAN`, the one threshold that
+Sinkhorn's re-based kernel shares; below it e >= exp(-REBASE_SPAN), so r
 never underflows.  The workspace also keeps the solver's weighted sum of
 primal maps in factors: the map of v times w is ``K * outer(w alpha / r,
 e)``, so it appends that pair and updates the sum's row and column sums
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    REBASE_SPAN,
     Distribution,
     OTInstance,
     logsumexp,
@@ -68,8 +70,6 @@ from .core import (
     regularized_objective,
 )
 
-# Spread of (v - v0)/eta beyond which a workspace rebuilds its kernel at v.
-REBASE_SPAN = 30.0
 # Factor pairs a workspace holds before folding them into its dense sum.
 # It bounds their memory and the matrix product that reading the sum
 # costs; a dense solve runs up to ~300 outer iterations between rebuilds.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdasgd.baselines import greenkhorn, sinkhorn
-from pdasgd.core import STOP_DIVERGED
+from pdasgd.core import STOP_DIVERGED, logsumexp, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 
@@ -148,9 +148,10 @@ def test_stop_callback(rng):
     plan, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
     assert info["stop_reason"] == "poked"
     assert info["iterations"] == 3
-    # the callback is passed the sums of the plan it stopped on
-    assert seen[-1][0].tobytes() == plan.entries.sum(axis=1).tobytes()
-    assert seen[-1][1].tobytes() == plan.entries.sum(axis=0).tobytes()
+    # the callback is passed the sums of the plan it stopped on, from the
+    # kernel's matrix-vector products rather than from summing the plan
+    assert np.allclose(seen[-1][0], plan.entries.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(seen[-1][1], plan.entries.sum(axis=0), rtol=0, atol=1e-15)
 
     seen.clear()
     plan, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
@@ -159,3 +160,37 @@ def test_stop_callback(rng):
     assert ginfo["iterations"] == 3 * n
     assert seen[-1][0].tobytes() == plan.entries.sum(axis=1).tobytes()
     assert seen[-1][1].tobytes() == plan.entries.sum(axis=0).tobytes()
+
+
+def log_domain_sinkhorn(c, a, b, eta, tol, max_iter):
+    """Reference sweep: both halves through logsumexp, the plan rebuilt and summed every sweep."""
+    log_k = -c / eta
+    log_v = np.zeros(b.size)
+    for sweep in range(1, max_iter + 1):
+        log_u = np.log(a) - logsumexp(log_k + log_v, axis=1)
+        log_v = np.log(b) - logsumexp(log_k + log_u[:, None], axis=0)
+        plan = np.exp(log_k + log_u[:, None] + log_v)
+        if marginal_distance(plan, a, b) <= tol:
+            return plan, sweep, "marginal-tol", log_v
+    return plan, max_iter, None, log_v
+
+
+@pytest.mark.parametrize("extra", [3.0, 10.0])
+@pytest.mark.parametrize("eta", [1e-3, 2e-4, 1e-4])
+@pytest.mark.parametrize("n", [8, 16, 30])
+def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
+    # at these penalties u and v leave exp(+-30) every few dozen sweeps, so
+    # the kernel is rebuilt 8 to 45 times; the costlier column and row put
+    # their scalings up to extra/eta away from the rest, and a rebuild that
+    # rescaled only the rows lets a column product underflow, whose
+    # RuntimeWarning fails the test
+    rng = np.random.default_rng(n)
+    c = rng.random((n, n))
+    c[:, 1] += extra
+    c[2] += extra / 2
+    a, b = positive_pair(rng, n)
+    plan, info = sinkhorn(c, a, b, eta, tol_marginal=1e-6, max_iter=1000)
+    ref, sweeps, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-6, 1000)
+    assert (info["iterations"], info["stop_reason"]) == (sweeps, reason)
+    assert np.allclose(plan.entries, ref, rtol=0, atol=1e-10)
+    assert np.allclose(eta * info["log_v"], eta * log_v, rtol=0, atol=1e-10)
