@@ -23,11 +23,12 @@ since pdasgd's solver keeps a kernel workspace they depart from its work.
 An inner step is charged 10n units and computes a softmax row off the
 snapshot's (n exps, multiplies and divides, one sum) and 21n (multiply-)adds.
 A snapshot is charged 4n^2 units but costs two matrix-vector products and
-n exps.  Not charged are the kernel rebuilds (an n^2 exp pass each, only
-when the dual drifts), the primal accumulation (two matrix-vector products
-per outer iteration, and a matrix product per 32 of them and per rebuild
-to fold them in), and the certificate's n^2 ``x ln x`` gap, paid only where
-the marginal half passes (never under the accuracy rule).  A Sinkhorn
+n exps; it also adds its primal map to the average in O(n).  Not charged
+are the kernel rebuilds (an n^2 exp pass each, only when the dual drifts),
+the matrix product that folds the pending primal maps into the average
+(per 32 outer iterations and per rebuild), and the certificate's n^2
+``x ln x`` gap, paid only where the marginal half passes (never under the
+accuracy rule).  A Sinkhorn
 sweep is charged 2n^2 and computes two matrix-vector products; its
 rebuilds (two n^2 logsumexps and one n^2 exp pass each, only when the
 scalings drift) are not charged, nor is Greenkhorn's re-summing of the

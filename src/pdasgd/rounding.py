@@ -61,7 +61,6 @@ def round_to_polytope(plan, alpha, beta) -> tuple[TransportPlan, RoundingReport]
     err_c = np.maximum(err_c, 0.0)
     correction = float(err_r.sum())
 
-    l1_change = 0.0
     if correction > _ZERO_CORRECTION:
         f += np.outer(err_r, err_c) / correction
     rounded = TransportPlan(f)

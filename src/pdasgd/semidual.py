@@ -40,9 +40,10 @@ exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
 of d exceeds :data:`pdasgd.core.REBASE_SPAN`, the one threshold that
 Sinkhorn's re-based kernel shares; below it e >= exp(-REBASE_SPAN), so r
 never underflows.  The workspace also keeps the solver's weighted sum of
-primal maps in factors: the map of v times w is ``K * outer(w alpha / r,
-e)``, so it appends that pair and updates the sum's row and column sums
-with one more matrix-vector product.  The pairs are folded into a dense
+primal maps in factors: a snapshot of v with weight w adds w times the
+map of v, ``K * outer(w alpha / r, e)``, as that pair, from the r and e it
+has just computed, and w (grad G(v) + beta) to the sum's column sums, in
+O(n); every map's row sums are alpha.  The pairs are folded into a dense
 sum by one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of
 them are held, in place of the three n^2 passes that adding each map
 densely would cost; reading the sum leaves it unchanged, so the sum's bits
@@ -255,10 +256,10 @@ class SemiDualOracle:
 class KernelWorkspace:
     """One solver run's re-based kernel and weighted primal average (see the module docstring).
 
-    ``snapshot(v)`` and ``accumulate(v, weight)`` re-base the kernel at v
-    first when v has drifted more than :data:`REBASE_SPAN` on the eta
-    scale from the base point; the first call builds it.  A rebuild
-    allocates a new kernel, so snapshots taken before it stay valid.
+    ``snapshot(v, weight)`` re-bases the kernel at v first when v has
+    drifted more than :data:`REBASE_SPAN` on the eta scale from the base
+    point; the first call builds it.  A rebuild allocates a new kernel, so
+    snapshots taken before it stay valid.
     """
 
     def __init__(self, oracle: SemiDualOracle):
@@ -272,7 +273,6 @@ class KernelWorkspace:
         self._left = np.empty((PENDING_PAIRS, n))
         self._right = np.empty((PENDING_PAIRS, n))
         self._pending_count = 0
-        self._row_sums = np.zeros(n)
         self._col_sums = np.zeros(n)
         self.weight = 0.0  # the total weight accumulated so far
 
@@ -307,14 +307,28 @@ class KernelWorkspace:
             self._dense += self._pending()
             self._pending_count = 0
 
-    def snapshot(self, v: np.ndarray) -> KernelSnapshot:
-        """G(v), grad G(v) and the anchor rows at v; equals ``oracle.snapshot(v)`` to rounding."""
+    def snapshot(self, v: np.ndarray, weight: float = 0.0) -> KernelSnapshot:
+        """G(v), grad G(v) and the anchor rows at v; equals ``oracle.snapshot(v)`` to rounding.
+
+        A positive ``weight`` also adds ``weight * oracle.primal_map(v)`` to
+        the sum, as one factor pair, and weight to the total.
+        """
         o = self.oracle
         e, c = self._weights(v)
         r = self.kernel @ e
         lse = self.offsets + c + np.log(r)
         gradient = (o.alpha / r) @ self.kernel
-        gradient *= e
+        gradient *= e  # the column sums of the primal map of v
+        if weight:
+            k = self._pending_count
+            a = np.multiply(o.alpha, weight, out=self._left[k])
+            a /= r
+            self._right[k] = e
+            self._pending_count = k + 1
+            self._col_sums += weight * gradient
+            self.weight += weight
+            if self._pending_count == PENDING_PAIRS:
+                self._fold()
         gradient -= o.beta
         return KernelSnapshot(
             value=float(o.eta * o.alpha @ (lse - o.log_alpha + 1.0) - o.beta @ v),
@@ -324,24 +338,9 @@ class KernelWorkspace:
             norms=r,
         )
 
-    def accumulate(self, v: np.ndarray, weight: float) -> None:
-        """Add ``weight * oracle.primal_map(v)`` to the sum, as one factor pair, and weight to the total."""
-        e, _ = self._weights(v)
-        r = self.kernel @ e
-        k = self._pending_count
-        a = np.multiply(self.oracle.alpha, weight, out=self._left[k])
-        a /= r
-        self._right[k] = e
-        self._pending_count = k + 1
-        self._row_sums += a * r
-        self._col_sums += e * (a @ self.kernel)
-        self.weight += weight
-        if self._pending_count == PENDING_PAIRS:
-            self._fold()
-
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column sums of the average, as fresh arrays."""
-        return self._row_sums / self.weight, self._col_sums / self.weight
+        """Row and column sums of the average, as fresh arrays; the rows are alpha."""
+        return self.oracle.alpha.copy(), self._col_sums / self.weight
 
     def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float:
         """L1 distance of a plan's row and column sums to the oracle's marginals."""

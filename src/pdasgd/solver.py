@@ -20,16 +20,17 @@ row and column sums.  Each outer iteration s:
 
     with ``tau2 = 1/2``, ``tau1_s = 2/(s+4)``, ``gamma_s = 1/(9 tau1_s Lbar)``
     and component i drawn with probability ``p_i = L_i / (h Lbar)``,
-  * resets ``lam_tilde`` to the mean of the m produced y iterates,
-  * adds the primal map of one of the m inner ``lam`` values, picked
-    uniformly at random, with weight ``1 / tau1_s`` to the workspace's
-    average x_s, and
-  * takes the snapshot of the new ``lam_tilde``.
+  * resets ``lam_tilde`` to the mean of the m produced y iterates, and
+  * takes the snapshot of the new ``lam_tilde`` with weight ``1 / tau1_s``,
+    which adds its primal map with that weight to the average x_s.
 
-A checkpoint reads only x_s's row and column sums; x_s itself is built
-where the certificate needs it and for the result.  The semi-dual
-oracle's workspace keeps a re-based kernel, so its snapshots and
-accumulations are matrix-vector products (see :mod:`pdasgd.semidual`).
+x_s averages maps at the anchors, not at uniformly picked inner ``lam``
+values: the stop rule certifies it a posteriori, and the paper's a-priori
+bound is not claimed for it.  A checkpoint reads only x_s's row and
+column sums; x_s itself is built where the certificate needs it and for
+the result.  The semi-dual workspace keeps a re-based kernel, so its
+snapshots are matrix-vector products and the average costs O(n) each
+(see :mod:`pdasgd.semidual`).
 
 The inner step runs these lines in an equal, cheaper form on five stacked
 rows ``[lam_tilde, y, p, y_sum, g]``, with ``p = tau1_s z + tau2
@@ -40,19 +41,17 @@ and the snapshot's correction is u minus it at lam_tilde, so g is their
 sum.  A step is seven numpy calls: an ``np.dot`` for the drift, the
 oracle's four (one a sum) for the semi-dual, ``g += correction``, and an
 ``np.matmul`` by a 3 x 5 matrix that writes the new y, p and y_sum into
-the other half of a ping-pong pair.  lam is formed only at the picked
-step, and z is recovered from p once per outer iteration.
+the other half of a ping-pong pair.  lam itself is never formed, and z is
+recovered from p once per outer iteration.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
 
-Randomness: each run owns a SplitMix64 stream seeded from the options.  Per
-outer iteration the draw order is (1) the uniform inner index whose ``lam``
-feeds the primal average, then (2) one categorical component draw per inner
-step.  The m component draws are made in one batch at the start of the
-outer iteration, in that same stream order, so batching changes no index.
-Two runs with equal seeds and options produce bitwise-identical iterates
-and records.
+Randomness: each run owns a SplitMix64 stream seeded from the options,
+used only for one categorical component draw per inner step.  The m draws
+of an outer iteration are made in one batch at its start, in step order,
+so batching changes no index.  Two runs with equal seeds and options
+produce bitwise-identical iterates and records.
 """
 
 from __future__ import annotations
@@ -88,22 +87,19 @@ class Snapshot(Protocol):
 class Workspace(Protocol):
     """One run's dense state over an oracle, owned by the solver.
 
-    ``snapshot(lam)`` returns the :class:`Snapshot` of lam, whose batched
-    rows the inner steps read; ``accumulate(lam, weight)`` adds
-    weight times the primal point attached to lam to a running weighted
-    average and weight to its total ``weight``; ``marginals()`` returns the
-    average's row and column sums as fresh arrays;
-    ``constraint_violation_l1(rows, cols)`` is the L1 distance of given row
-    and column sums to the oracle's marginals; ``average()`` returns the
-    average as a fresh array, leaves it unchanged and raises while nothing
-    has been accumulated.
+    ``snapshot(lam, weight)`` returns the :class:`Snapshot` of lam, whose
+    batched rows the inner steps read, and adds weight times the primal
+    point attached to lam to a running weighted average and weight to its
+    total ``weight``; ``marginals()`` returns the average's row and column
+    sums as fresh arrays; ``constraint_violation_l1(rows, cols)`` is the L1
+    distance of given row and column sums to the oracle's marginals;
+    ``average()`` returns the average as a fresh array, leaves it unchanged
+    and raises while nothing has been accumulated.
     """
 
     weight: float
 
-    def snapshot(self, lam: np.ndarray) -> Snapshot: ...
-
-    def accumulate(self, lam: np.ndarray, weight: float) -> None: ...
+    def snapshot(self, lam: np.ndarray, weight: float = 0.0) -> Snapshot: ...
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -214,8 +210,6 @@ class SolverState:
     _spare: np.ndarray = None  # the rows' other half: a step reads rows and writes this, then swaps
     _drift: np.ndarray = None  # Lbar (lambda - lambda_tilde) of the last step
     _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
-    _picked_lambda: np.ndarray = None
-    _pick_index: int = -1
     lambda_tilde = property(lambda self: self.rows[ANCHOR])
     y = property(lambda self: self.rows[Y])
 
@@ -224,8 +218,7 @@ class SolverState:
 class StepConstants:
     """What every inner step of one outer iteration shares: coefficients on the state's rows."""
 
-    lam: np.ndarray  # (5,): lambda = p + (1 - tau1 - tau2) y
-    drift: np.ndarray  # (5,): Lbar (lambda - lambda_tilde)
+    drift: np.ndarray  # (5,): Lbar (lambda - lambda_tilde), lambda = p + (1 - tau1 - tau2) y
     update: np.ndarray  # (3, 5): the new y, p and y sum
 
 
@@ -235,10 +228,8 @@ def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
     w_y = 1.0 - t1 - TAU2
     y_coef = -1.0 / (9.0 * state.avg_smoothness)
     p_coef = -(t1 * (options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0))
-    lam = np.array([0.0, w_y, 1.0, 0.0, 0.0])
     return StepConstants(
-        lam=lam,
-        drift=state.avg_smoothness * (lam - np.eye(5)[ANCHOR]),
+        drift=state.avg_smoothness * np.array([-1.0, w_y, 1.0, 0.0, 0.0]),
         update=np.array([
             [0.0, w_y, 1.0, 0.0, y_coef],  # y = lambda - g / (9 Lbar)
             [0.0, 0.0, 1.0, 0.0, p_coef],  # p += p_coef g, the z step as it moves p
@@ -274,7 +265,6 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         _spare=np.zeros((5, d)),
         _drift=np.zeros(d),
         _scalar=np.zeros(()),
-        _picked_lambda=lam0.copy(),
     )
 
 
@@ -296,7 +286,7 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants,
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
-    """m inner steps, anchor reset, primal accumulation and snapshot.
+    """m inner steps, anchor reset, and the snapshot that adds to the primal average.
 
     Charges the m inner steps and their component gradients, and the full
     gradient of the snapshot they use, which was taken when lambda_tilde was
@@ -307,9 +297,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     m = options.inner_iterations
     t1 = tau1(s)
     step = step_constants(state, options)
-    # The primal average uses one uniformly chosen inner lambda; drawing the
-    # index up front lets us keep a single snapshot instead of all m iterates.
-    state._pick_index = state.rng.next_index(m)
     components = state.sampler.draws(state.rng, m)
     anchors, corrections = state.snapshot.rows(components)
     rows = state.rows
@@ -320,9 +307,7 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     state._spare[ANCHOR] = rows[ANCHOR]
     # a step's exp overflows only past a drift of 709; the NaN it leaves fails the finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (anchor_row, correction) in enumerate(zip(anchors, corrections)):
-            if j == state._pick_index:
-                np.dot(step.lam, state.rows, out=state._picked_lambda)
+        for anchor_row, correction in zip(anchors, corrections):
             inner_step(state, oracle, step, anchor_row, correction)
         rows = state.rows
         # z from p, while lambda_tilde is still the one p was built on
@@ -334,8 +319,7 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     state.s = s + 1
     if not all(np.isfinite(vec).all() for vec in (state.lambda_tilde, state.z, state.y)):
         return False
-    state.workspace.accumulate(state._picked_lambda, 1.0 / t1)
-    state.snapshot = state.workspace.snapshot(state.lambda_tilde)
+    state.snapshot = state.workspace.snapshot(state.lambda_tilde, 1.0 / t1)
     return True
 
 

@@ -106,12 +106,11 @@ class DenseWorkspace:
         self.total = 0.0
         self.weight = 0.0
 
-    def snapshot(self, lam):
+    def snapshot(self, lam, weight=0.0):
+        if weight:
+            self.total = self.total + weight * self.oracle.primal_map(lam)
+            self.weight += weight
         return self.oracle.snapshot(lam)
-
-    def accumulate(self, lam, weight):
-        self.total = self.total + weight * self.oracle.primal_map(lam)
-        self.weight += weight
 
     def marginals(self):
         return self.average(), self.average()

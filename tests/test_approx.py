@@ -461,7 +461,7 @@ def test_default_config_certifies_small_instances(seed, n):
 
 # (side, pair) of make_image_pair(0, side, pair) -> outer iterations at
 # which the theory profile certifies at the default kappa.
-THEORY_STOPS = {(4, 0): 798, (4, 1): 864, (5, 0): 736, (5, 1): 641, (8, 0): 565, (8, 1): 594}
+THEORY_STOPS = {(4, 0): 796, (4, 1): 871, (5, 0): 737, (5, 1): 640, (8, 0): 565, (8, 1): 594}
 
 
 @pytest.mark.parametrize("side, pair", sorted(THEORY_STOPS))

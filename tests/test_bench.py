@@ -31,8 +31,8 @@ SMALL_PLAN = dict(
 # SMALL_PLAN rows.  Bench output must not drift: these integers are exact,
 # the floats are held to 1e-12 so BLAS builds may differ in the last bits.
 PINNED_SMALL_ROWS = [
-    ("pdasgd", 0, 2926968311603053364, 6309888, "accuracy-reached", 0.02893309872011111, 0.01996900479648681),
-    ("pdasgd", 1, 5967068462785861760, 5484544, "accuracy-reached", 0.027572445916604793, 0.019950945383495174),
+    ("pdasgd", 0, 2926968311603053364, 6389760, "accuracy-reached", 0.028892841245419902, 0.019944583309018653),
+    ("pdasgd", 1, 5967068462785861760, 5484544, "accuracy-reached", 0.027537720564719564, 0.01998604250296294),
     ("sinkhorn", 0, 7576950599943819899, 3481600, "accuracy-reached", 0.028810749392311392, 0.01976727823452769),
     ("sinkhorn", 1, 12629430435529678840, 2424832, "accuracy-reached", 0.027762872530547086, 0.019760641183342365),
 ]

@@ -237,14 +237,15 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert_close(got.gradient, ref.gradient, 1.0)
         for got_rows, ref_rows in zip(got.rows(np.arange(n)), ref.rows(np.arange(n))):
             assert_close(got_rows, ref_rows, 1.0)
-    # the factored sum, across folds of full pending blocks and, at every
-    # 10th point, a drift wide enough to force a rebuild
+    # the factored sum, added by weighted snapshots across folds of full
+    # pending blocks and, at every 10th point, a drift wide enough to force
+    # a rebuild
     total = np.zeros((n, n))
     weight_sum = 0.0
     for k in range(2 * PENDING_PAIRS + 3):
         v = v0 + eta * (2 if k % 10 == 9 else 0.5) * REBASE_SPAN * rng.random(n)
         weight = (k + 4) / 2.0
-        ws.accumulate(v, weight)
+        ws.snapshot(v, weight)
         total += weight * o.primal_map(v)
         weight_sum += weight
         assert ws.weight == weight_sum
@@ -252,6 +253,11 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert_close(ws.average(), total / weight_sum, 1.0)
         assert_close(rows, total.sum(axis=1) / weight_sum, 1.0)
         assert_close(cols, total.sum(axis=0) / weight_sum, 1.0)
+        # kept in O(n) per snapshot, not read off the plan: the rows are
+        # alpha itself and the columns the average's own column sums, to
+        # rounding of a plan of total mass 1
+        assert rows.tobytes() == o.alpha.tobytes()
+        assert np.abs(cols - ws.average().sum(axis=0)).max() <= 1e-15
     # reading the average does not change it
     assert ws.average().tobytes() == ws.average().tobytes()
 

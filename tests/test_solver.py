@@ -130,12 +130,11 @@ def test_first_outer_mixing_drops_y(rng):
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
     anchor = state.lambda_tilde.copy()
-    outer_iteration(state, oracle, options)  # its one inner step is the picked one
-    # lambda is formed only at the picked step; the step's gradient was
-    # taken at the drift Lbar (lambda - lambda_tilde) of that same lambda
+    outer_iteration(state, oracle, options)
+    # lambda itself is never formed; the one step's gradient was taken at
+    # the drift Lbar (lambda - lambda_tilde)
     lambda_cur = anchor + state._drift / state.avg_smoothness
     assert np.allclose(lambda_cur, expected, atol=1e-15)
-    assert np.allclose(state._picked_lambda, lambda_cur, rtol=0, atol=1e-15)
 
 
 def test_inner_step_called_once_per_step(rng, monkeypatch):
@@ -155,10 +154,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     assert len(seen) == res.state.n_inner_steps == S * m
     stream = SplitMix64(seed)
     sampler = CategoricalSampler(oracle.sampling_weights().weights)
-    expected = []
-    for _ in range(S):
-        stream.next_index(m)
-        expected += [sampler.draw(stream) for _ in range(m)]
+    expected = [sampler.draw(stream) for _ in range(S * m)]
     # each step reads the batch rows of the component drawn for it
     for (snapshot, anchor_row, correction), i in zip(seen, expected):
         (row,), (corr,) = snapshot.rows([i])
@@ -169,8 +165,9 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
 def reference_run(oracle, options):
     """The module docstring's four update lines, written plainly, on run()'s draws.
 
-    Returns (z, y, lambda_tilde, picked lambda) after the options' outer
-    iterations, from the reference snapshot and component gradients.
+    Returns (z, y, lambda_tilde, primal average) after the options' outer
+    iterations, from the reference snapshot, component gradients and primal
+    map; the average weights the map of each new lambda_tilde by 1/tau1_s.
     """
     h = oracle.component_count
     weights = as_weights(oracle.sampling_weights())
@@ -179,21 +176,21 @@ def reference_run(oracle, options):
     m = options.inner_iterations
     lam0 = np.zeros(oracle.dual_dimension) if options.initial_dual is None else options.initial_dual
     z, y, lam_tilde = lam0.copy(), lam0.copy(), lam0.copy()
+    total, weight = 0.0, 0.0
     for s in range(options.outer_iterations):
         u = oracle.snapshot(lam_tilde).gradient
-        pick = stream.next_index(m)
         ys = []
-        for j in range(m):
+        for _ in range(m):
             i = sampler.draw(stream)
             lam = tau1(s) * z + TAU2 * lam_tilde + (1 - tau1(s) - TAU2) * y
             g = u + (oracle.component_gradient(i, lam) - oracle.component_gradient(i, lam_tilde)) / (h * weights[i])
             z = z - options.z_step_multiplier * gamma(s, smoothness) * g / 2
             y = lam - g / (9 * smoothness)
             ys.append(y)
-            if j == pick:
-                picked = lam
         lam_tilde = np.mean(ys, axis=0)
-    return z, y, lam_tilde, picked
+        total = total + oracle.primal_map(lam_tilde) / tau1(s)
+        weight += 1.0 / tau1(s)
+    return z, y, lam_tilde, total / weight
 
 
 @pytest.mark.parametrize("case", ["semidual-m<n", "semidual-m=n", "quadratic", "semidual-initial-y"])
@@ -208,9 +205,18 @@ def test_run_reproduces_the_reference_loop(case):
         # y is nonzero at s = 0, where its weight 1 - tau1 - tau2 is 0
         options.initial_dual = rng.normal(size=n)
     res = run(oracle, options)
-    got = (res.state.z, res.state.y, res.dual, res.state._picked_lambda)
-    for name, a, b in zip(("z", "y", "lambda_tilde", "picked lambda"), got, reference_run(oracle, options)):
+    got = (res.state.z, res.state.y, res.dual, res.primal)
+    for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def test_run_draws_only_the_components(rng):
+    # the stream's one use is the m component draws of each outer iteration
+    m, S, seed = 3, 7, 5
+    res = run(random_oracle(rng, 6, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+    fresh = SplitMix64(seed)
+    fresh.doubles(S * m)
+    assert res.state.rng.next_uint64() == fresh.next_uint64()
 
 
 def test_quadratic_oracle_converges():
@@ -418,13 +424,9 @@ def _counted(name):
 
 
 class CountingWorkspace(KernelWorkspace):
-    def snapshot(self, v):
+    def snapshot(self, v, weight=0.0):
         self.oracle.calls["workspace.snapshot"] += 1
-        return super().snapshot(v)
-
-    def accumulate(self, v, weight):
-        self.oracle.calls["workspace.accumulate"] += 1
-        return super().accumulate(v, weight)
+        return super().snapshot(v, weight)
 
 
 class CountingOracle(SemiDualOracle):
@@ -459,16 +461,12 @@ def test_one_snapshot_per_outer_iteration(rng):
         before = oracle.calls.copy()
         outer_iteration(state, oracle, options)
         make_record(state)
-        # no dense oracle pass: the workspace snapshots and accumulates
-        assert oracle.calls - before == Counter(
-            {"workspace.snapshot": 1, "workspace.accumulate": 1, "importance_gradient": m}
-        )
+        # no dense oracle pass: the workspace snapshots, which also accumulates
+        assert oracle.calls - before == Counter({"workspace.snapshot": 1, "importance_gradient": m})
 
     oracle.calls = Counter()
     run(oracle, options)
-    assert oracle.calls == Counter(
-        {"workspace.snapshot": S + 1, "workspace.accumulate": S, "importance_gradient": S * m}
-    )
+    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_gradient": S * m})
 
 
 def test_kernel_rebuilds_are_rare(monkeypatch):
@@ -497,7 +495,7 @@ def test_theory_profile_replay():
     result = approx_ot(cost, alpha, beta, config)
     assert result.outer_iterations == 565
     assert result.op_counts["component_gradients"] == 72320
-    assert result.ot_value == pytest.approx(0.013563316950434157, abs=1e-12)
+    assert result.ot_value == pytest.approx(0.013563159192290838, abs=1e-12)
 
 
 def test_benchmark_profile_replay():
@@ -508,5 +506,5 @@ def test_benchmark_profile_replay():
     assert result.stop_reason == "gap+marginal"
     assert result.outer_iterations == 292
     assert result.op_counts["component_gradients"] == 23360
-    assert result.records[-1].duality_gap == pytest.approx(-0.00013520071328123294, abs=1e-12)
-    assert result.ot_value == pytest.approx(0.013555110721631031, abs=1e-12)
+    assert result.records[-1].duality_gap == pytest.approx(-0.0001356213631825507, abs=1e-12)
+    assert result.ot_value == pytest.approx(0.013550735249750055, abs=1e-12)
