@@ -20,8 +20,8 @@ reproducible.  This is the one statement of the cost-unit model:
 
 The formulas are kept so that units stay comparable across versions, but
 since pdasgd's solver keeps a kernel workspace they depart from its work.
-An inner step is charged 10n units and computes a softmax row off the
-snapshot's (n exps, multiplies and divides, one sum) and 21n (multiply-)adds.
+An inner step is charged 10n units and computes n exps, one sum, n
+divides and an 18n multiply-add product.
 A snapshot is charged 4n^2 units but costs two matrix-vector products and
 n exps; it also adds its primal map to the average in O(n).  Not charged
 are the kernel rebuilds (an n^2 exp pass each, only when the dual drifts),

@@ -15,18 +15,19 @@ plain float64 vectors.
 Every n^2 exponential goes through the package's one max-subtracted exp
 (:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
 the small ``eta`` this package runs at.  One dense pass of it,
-``snapshot(v)``, yields G(v), its gradient u and batches of softmax rows
-and the solver's corrections, as a :class:`KernelSnapshot` whose kernel
-is the softmax itself.  These reference methods stay as they are; the
+``snapshot(v)``, yields G(v), its gradient u and batches of log-softmax
+rows and the solver's corrections, as a :class:`KernelSnapshot` whose
+kernel is the softmax itself.  These reference methods stay as they are; the
 solver reaches the same quantities through a :class:`KernelWorkspace`.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
 beta``; ``component_gradient`` is that row, minus beta, times n alpha_i.
-At ``v = v~ + D`` that row is ``q_i * exp(D/eta)``, renormalised, for q_i
-the row at the anchor v~: four ufunc calls and no max.  The solver's
-drifts D/eta stay far below 709, past which exp overflows and the row is
-NaN, which the solver reports as divergence.
+At ``v = v~ + D`` that row is the softmax of ``l_i + D/eta``, for l_i the
+log-softmax row ``shift_i + v~/eta - lse_i`` at the anchor, finite where
+the row underflows: exp, a sum and a divide, and no max.  The solver's drifts
+D/eta stay far below 709, past which exp overflows and the row is NaN,
+which the solver reports as divergence.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -93,11 +94,11 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class KernelSnapshot:
-    """G(v) and grad G(v), with what the solver's corrections at v need.
+    """G(v) and grad G(v), with the solver's anchor rows and corrections at v.
 
     Softmax row i at v is ``K_i e / r_i`` for r = K e.  K is a workspace's
     base kernel, or the softmax rows themselves with e = r = 1, which change
-    no bits.
+    no bits.  Its log is ``shift_i + v/eta - lse_i``.
     """
 
     value: float
@@ -105,13 +106,18 @@ class KernelSnapshot:
     kernel: np.ndarray  # K, not written after the snapshot
     weights: np.ndarray  # e = exp((v - v0)/eta - c), or ones
     norms: np.ndarray  # r = K e
+    shift: np.ndarray  # the oracle's -C/eta - 1
+    scaled: np.ndarray  # v/eta
+    lse: np.ndarray  # logsumexp_j of shift_ij + v_j/eta
 
     def rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """(softmax_i(v), grad G(v) - softmax_i(v)) for i in ``indices``, as fresh (m, n) arrays."""
-        anchors = self.kernel[indices]
-        anchors *= self.weights
-        anchors /= self.norms[indices, None]
-        return anchors, self.gradient - anchors
+        """(log softmax_i(v), grad G(v) - softmax_i(v)) for i in ``indices``, as fresh (m, n) arrays."""
+        logs = self.shift[indices] + self.scaled
+        logs -= self.lse[indices, None]
+        rows = self.kernel[indices]
+        rows *= self.weights
+        rows /= self.norms[indices, None]
+        return logs, self.gradient - rows
 
 
 class SemiDualOracle:
@@ -141,6 +147,7 @@ class SemiDualOracle:
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
         self._scale = self.n * self.alpha
+        self._ones = np.ones(self.n)  # never written: the reference snapshot's e and r, and a row sum's weights
 
     # -- finite-sum structure ------------------------------------------------
 
@@ -166,25 +173,26 @@ class SemiDualOracle:
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
         """G(v), grad G(v) and the softmax rows at v from one dense pass."""
         lse, sm = lse_softmax(v / self.eta + self._shift)
-        ones = np.ones(self.n)
         return KernelSnapshot(
             value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
             gradient=sm.T @ self.alpha - self.beta,
             kernel=sm,
-            weights=ones,
-            norms=ones,
+            weights=self._ones,
+            norms=self._ones,
+            shift=self._shift,
+            scaled=v / self.eta,
+            lse=lse,
         )
 
-    def importance_gradient(self, anchor_row: np.ndarray, drift: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
         """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
 
-        ``anchor_row`` is row i at an anchor v~ (a snapshot's ``rows``) and
-        ``drift`` is (v - v~)/eta; the sum reduces into ``scalar``, a
-        caller-owned 0-d buffer.
+        ``t`` is log-softmax row i at an anchor v~ (a snapshot's ``rows``)
+        plus (v - v~)/eta; the sum, a dot with ones (cheaper than a reduce
+        on short rows), goes into ``scalar``, a caller-owned 0-d buffer.
         """
-        np.exp(drift, out=out)
-        out *= anchor_row
-        np.add.reduce(out, out=scalar)
+        np.exp(t, out=out)
+        np.dot(out, self._ones, out=scalar)
         out /= scalar
         return out
 
@@ -336,6 +344,9 @@ class KernelWorkspace:
             kernel=self.kernel,
             weights=e,
             norms=r,
+            shift=o._shift,
+            scaled=v / o.eta,
+            lse=lse,
         )
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:

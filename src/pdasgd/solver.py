@@ -32,17 +32,17 @@ the result.  The semi-dual workspace keeps a re-based kernel, so its
 snapshots are matrix-vector products and the average costs O(n) each
 (see :mod:`pdasgd.semidual`).
 
-The inner step runs these lines in an equal, cheaper form on five stacked
-rows ``[lam_tilde, y, p, y_sum, g]``, with ``p = tau1_s z + tau2
-lam_tilde`` in place of z, so lam is a linear map of the rows.  The
-oracle's ``importance_gradient(anchor_row, drift)`` is ``grad phi_i(lam) /
-(h p_i)`` plus a lam-free vector, at ``drift = Lbar (lam - lam_tilde)``,
-and the snapshot's correction is u minus it at lam_tilde, so g is their
-sum.  A step is seven numpy calls: an ``np.dot`` for the drift, the
-oracle's four (one a sum) for the semi-dual, ``g += correction``, and an
-``np.matmul`` by a 3 x 5 matrix that writes the new y, p and y_sum into
-the other half of a ping-pong pair.  lam itself is never formed, and z is
-recovered from p once per outer iteration.
+The inner steps run these lines in an equal, cheaper form.  With ``p =
+tau1_s z + tau2 lam_tilde`` in place of z, lam and a step's pre-activation
+``t = a_i + Lbar (lam - lam_tilde)`` are linear in y and p, for a_i the
+snapshot's anchor row of component i.  The oracle's importance gradient
+at t is ``grad phi_i(lam) / (h p_i)`` plus a lam-free vector, and the
+snapshot's correction is u minus it at lam_tilde, so g is their sum.  A
+step owns a block ``[y, p, t, h, c, a']`` of a buffer of up to
+:data:`CHUNK_STEPS` blocks: the row h for the importance gradient, c for
+the correction and a' for the next anchor row minus ``Lbar lam_tilde``.
+One oracle call writes h and one ``np.dot`` by a fixed 3 x 6 matrix the
+next block's y, p and t; z is recovered from the last p.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -73,9 +73,9 @@ class Snapshot(Protocol):
 
     ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
     and ``rows(indices)`` returns two fresh (len(indices), d) arrays: row k
-    holds component ``indices[k]``'s anchor row, which the oracle's
-    ``importance_gradient`` reads, and u minus that at zero drift.  The
-    solver asks once per outer iteration, for its m drawn components.
+    holds component ``indices[k]``'s anchor row a_i, from which the oracle's
+    ``importance_gradient`` reads i's gradient at lam, and u minus that at
+    lam_tilde.  The solver asks once per chunk of its drawn components.
     """
 
     value: float
@@ -112,10 +112,10 @@ class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     ``component_count`` components over duals of size ``dual_dimension``;
-    ``importance_gradient(anchor_row, drift, out, scalar)`` writes grad
-    phi_i(lam) / (h p_i) plus any lam-free vector into ``out`` once per
-    inner step, from i's anchor row and ``drift = Lbar (lam - lam_tilde)``,
-    with ``scalar`` a caller-owned 0-d buffer; ``workspace()`` returns a fresh
+    ``importance_gradient(t, out, scalar)`` writes grad phi_i(lam) / (h p_i)
+    plus any lam-free vector into ``out`` once per inner step, from ``t =
+    a_i + Lbar (lam - lam_tilde)`` for i's anchor row a_i, with ``scalar``
+    a caller-owned 0-d buffer; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0; ``average_smoothness()``
@@ -126,7 +126,7 @@ class FiniteSumOracle(Protocol):
     component_count: int
     dual_dimension: int
 
-    def importance_gradient(self, anchor_row: np.ndarray, drift: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
+    def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
 
     def workspace(self) -> Workspace: ...
 
@@ -138,7 +138,8 @@ class FiniteSumOracle(Protocol):
 
 
 TAU2 = 0.5
-ANCHOR, Y, P, Y_SUM, G = range(5)  # the rows of SolverState.rows
+Y, P, T, H, C, A = range(6)  # the rows of one step's block in SolverState.blocks
+CHUNK_STEPS = 64  # blocks in the buffer: longer inner loops run in chunks, in O(64 d) memory
 
 
 def tau1(s: int) -> float:
@@ -196,8 +197,9 @@ class RunRecord:
 
 @dataclass
 class SolverState:
-    rows: np.ndarray  # (5, d): lambda_tilde, y, p = tau1 z + tau2 lambda_tilde, y sum, g
+    lambda_tilde: np.ndarray
     z: np.ndarray
+    blocks: np.ndarray  # (min(m, CHUNK_STEPS) + 1, 6, d): a chunk's blocks; block 0 holds y between chunks
     workspace: Workspace  # holds the weighted primal average x_s
     snapshot: Snapshot  # of lambda_tilde
     s: int
@@ -206,36 +208,20 @@ class SolverState:
     avg_smoothness: float
     n_component_gradients: int = 0
     n_inner_steps: int = 0
-    # scratch buffers for the allocation-free inner loop
-    _spare: np.ndarray = None  # the rows' other half: a step reads rows and writes this, then swaps
-    _drift: np.ndarray = None  # Lbar (lambda - lambda_tilde) of the last step
+    _steps: list = None  # per step: views of its t, its h, its block and the next block's y, p and t
     _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
-    lambda_tilde = property(lambda self: self.rows[ANCHOR])
-    y = property(lambda self: self.rows[Y])
+    y = property(lambda self: self.blocks[0, Y])
 
 
-@dataclass(frozen=True)
-class StepConstants:
-    """What every inner step of one outer iteration shares: coefficients on the state's rows."""
-
-    drift: np.ndarray  # (5,): Lbar (lambda - lambda_tilde), lambda = p + (1 - tau1 - tau2) y
-    update: np.ndarray  # (3, 5): the new y, p and y sum
-
-
-def step_constants(state: SolverState, options: SolverOptions) -> StepConstants:
-    """The :class:`StepConstants` of outer iteration ``state.s``."""
-    t1 = tau1(state.s)
-    w_y = 1.0 - t1 - TAU2
-    y_coef = -1.0 / (9.0 * state.avg_smoothness)
-    p_coef = -(t1 * (options.z_step_multiplier * gamma(state.s, state.avg_smoothness) / 2.0))
-    return StepConstants(
-        drift=state.avg_smoothness * np.array([-1.0, w_y, 1.0, 0.0, 0.0]),
-        update=np.array([
-            [0.0, w_y, 1.0, 0.0, y_coef],  # y = lambda - g / (9 Lbar)
-            [0.0, 0.0, 1.0, 0.0, p_coef],  # p += p_coef g, the z step as it moves p
-            [0.0, w_y, 1.0, 1.0, y_coef],  # y_sum += y
-        ]),
-    )
+def step_matrix(s: int, avg_smoothness: float, options: SolverOptions) -> np.ndarray:
+    """The (3, 6) map of a block of outer iteration s to the next block's y, p and t."""
+    w_y = 1.0 - tau1(s) - TAU2
+    y_coef = -1.0 / (9.0 * avg_smoothness)
+    p_coef = -(tau1(s) * (options.z_step_multiplier * gamma(s, avg_smoothness) / 2.0))
+    y_row = np.array([w_y, 1.0, 0.0, y_coef, y_coef, 0.0])  # y = lambda - g / (9 Lbar)
+    p_row = np.array([0.0, 1.0, 0.0, p_coef, p_coef, 0.0])  # p += p_coef g, the z step as it moves p
+    t_row = avg_smoothness * (p_row + w_y * y_row) + [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]  # a' + Lbar lambda
+    return np.stack([y_row, p_row, t_row])
 
 
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
@@ -250,39 +236,34 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         lam0 = np.array(options.initial_dual, dtype=np.float64)
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
-    rows = np.zeros((5, d))
-    rows[ANCHOR] = rows[Y] = lam0
+    blocks = np.zeros((min(options.inner_iterations, CHUNK_STEPS) + 1, 6, d))
+    blocks[0, Y] = lam0
     workspace = oracle.workspace()
     return SolverState(
-        rows=rows,
+        lambda_tilde=lam0,
         z=lam0.copy(),
+        blocks=blocks,
         workspace=workspace,
         snapshot=workspace.snapshot(lam0),
         s=0,
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
         avg_smoothness=float(oracle.average_smoothness()),
-        _spare=np.zeros((5, d)),
-        _drift=np.zeros(d),
+        _steps=[(block[T], block[H], block, after[:H]) for block, after in zip(blocks, blocks[1:])],
         _scalar=np.zeros(()),
     )
 
 
-def inner_step(state: SolverState, oracle: FiniteSumOracle, step: StepConstants, anchor_row: np.ndarray, correction: np.ndarray) -> None:
-    """One momentum + variance-reduced update of (y, p, y sum) on one component.
+def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, steps: int) -> None:
+    """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 0.
 
-    ``anchor_row`` and ``correction`` are the component's rows of the
-    snapshot's batch.  Swaps the ping-pong pair; :func:`outer_iteration`
-    charges the work.
+    Each block's t, c and a' are set on entry; step k writes its h and then
+    block k+1's y, p and t.  :func:`outer_iteration` charges the work.
     """
-    rows, new = state.rows, state._spare
-    g = rows[G]
-    np.dot(step.drift, rows, out=state._drift)
-    # g <- u + (grad phi_i(lambda) - grad phi_i(lambda_tilde)) / (h p_i)
-    oracle.importance_gradient(anchor_row, state._drift, g, state._scalar)
-    g += correction
-    np.matmul(step.update, rows, out=new[Y:G])
-    state.rows, state._spare = new, rows
+    scalar, importance_gradient = state._scalar, oracle.importance_gradient
+    for t, h, block, after in state._steps[:steps]:
+        importance_gradient(t, h, scalar)
+        np.dot(update, block, out=after)
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
@@ -296,24 +277,31 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     s = state.s
     m = options.inner_iterations
     t1 = tau1(s)
-    step = step_constants(state, options)
+    update = step_matrix(s, state.avg_smoothness, options)
     components = state.sampler.draws(state.rng, m)
-    anchors, corrections = state.snapshot.rows(components)
-    rows = state.rows
-    tau2_anchor = TAU2 * rows[ANCHOR]
-    np.multiply(state.z, t1, out=rows[P])
-    rows[P] += tau2_anchor
-    rows[Y_SUM] = 0.0
-    state._spare[ANCHOR] = rows[ANCHOR]
+    blocks, anchor = state.blocks, state.lambda_tilde
+    chunk = len(blocks) - 1
+    tau2_anchor = TAU2 * anchor
+    lbar_anchor = state.avg_smoothness * anchor
+    y_sum = np.zeros_like(anchor)
+    first = blocks[0]
+    np.add(t1 * state.z, tau2_anchor, out=first[P])
     # a step's exp overflows only past a drift of 709; the NaN it leaves fails the finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        for anchor_row, correction in zip(anchors, corrections):
-            inner_step(state, oracle, step, anchor_row, correction)
-        rows = state.rows
-        # z from p, while lambda_tilde is still the one p was built on
-        np.subtract(rows[P], tau2_anchor, out=state.z)
-        state.z /= t1
-        np.multiply(rows[Y_SUM], 1.0 / m, out=rows[ANCHOR])
+        # t = a_i + Lbar (lambda - lambda_tilde), where the chunk that runs the step adds a_i
+        np.multiply(first[P] + (1.0 - t1 - TAU2) * first[Y] - anchor, state.avg_smoothness, out=first[T])
+        for start in range(0, m, chunk):
+            steps = min(chunk, m - start)
+            anchors, corrections = state.snapshot.rows(components[start:start + steps])
+            first[T] += anchors[0]
+            blocks[:steps, C] = corrections
+            np.subtract(anchors[1:], lbar_anchor, out=blocks[:steps - 1, A])
+            np.negative(lbar_anchor, out=blocks[steps - 1, A])  # the next chunk adds its a_i
+            inner_step(state, oracle, update, steps)
+            y_sum += blocks[1:steps + 1, Y].sum(axis=0)
+            first[:H] = blocks[steps, :H]  # the last y, p and t start the next chunk
+        np.divide(first[P] - tau2_anchor, t1, out=state.z)
+        np.multiply(y_sum, 1.0 / m, out=anchor)
     state.n_component_gradients += oracle.component_count + m
     state.n_inner_steps += m
     state.s = s + 1

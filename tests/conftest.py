@@ -26,12 +26,12 @@ def estimator(oracle, snapshot, anchor, i, lam):
     """The solver's variance-reduced gradient on component i at lam, freshly allocated.
 
     ``snapshot`` is the oracle's snapshot at ``anchor``; the estimate is the
-    oracle's importance gradient from i's anchor row and the drift
+    oracle's importance gradient at i's anchor row plus the drift
     Lbar (lam - anchor), plus i's correction.
     """
     (anchor_row,), (correction,) = snapshot.rows([i])
-    drift = oracle.average_smoothness() * (lam - anchor)
-    out = oracle.importance_gradient(anchor_row, drift, np.empty_like(lam), np.empty(()))
+    t = anchor_row + oracle.average_smoothness() * (lam - anchor)
+    out = oracle.importance_gradient(t, np.empty_like(lam), np.empty(()))
     out += correction
     return out
 
@@ -71,9 +71,10 @@ class QuadraticOracle:
         np.subtract(lam, self.target, out=out)
         return out
 
-    def importance_gradient(self, anchor_row, drift, out, scalar):
-        # h = p_0 = Lbar = 1: the gradient at the anchor plus lam - anchor
-        return np.add(anchor_row, drift, out=out)
+    def importance_gradient(self, t, out, scalar):
+        # h = p_0 = Lbar = 1: t is the gradient at the anchor plus lam - anchor
+        np.copyto(out, t)
+        return out
 
     def snapshot(self, lam):
         return QuadraticSnapshot(lam - self.target)

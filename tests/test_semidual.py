@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,8 +151,8 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
         assert np.array_equal(snap.gradient, o.full_gradient(v))
         anchors, rows = snap.rows(np.arange(n))
         for i in range(n):
-            assert np.array_equal(anchors[i], allocating_softmax_row(o, i, v))
-            assert np.array_equal(rows[i], snap.gradient - anchors[i])
+            assert np.array_equal(anchors[i], allocating_log_softmax_row(o, i, v))
+            assert np.array_equal(rows[i], snap.gradient - allocating_softmax_row(o, i, v))
 
 
 def allocating_lse_softmax(t):
@@ -235,8 +236,10 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert ws.kernel is kernel  # no rebuild within the span
         assert_close(got.value, ref.value, abs(ref.value) + np.abs(v).max() + scale + eta)
         assert_close(got.gradient, ref.gradient, 1.0)
-        for got_rows, ref_rows in zip(got.rows(np.arange(n)), ref.rows(np.arange(n))):
-            assert_close(got_rows, ref_rows, 1.0)
+        (got_logs, got_rows), (ref_logs, ref_rows) = got.rows(np.arange(n)), ref.rows(np.arange(n))
+        # the log rows to the rounding of their terms, shift_i + v/eta - lse_i
+        assert_close(got_logs, ref_logs, 1.0 + (np.abs(v).max() + scale) / eta)
+        assert_close(got_rows, ref_rows, 1.0)
     # the factored sum, added by weighted snapshots across folds of full
     # pending blocks and, at every 10th point, a drift wide enough to force
     # a rebuild
@@ -445,6 +448,12 @@ def allocating_softmax_row(o, i, v):
     return w / w.sum()
 
 
+def allocating_log_softmax_row(o, i, v):
+    """Log-softmax row i of ``(v - C)/eta - 1``, ``t - lse(t)``, with fresh temporaries."""
+    t = v / o.eta + (-o.cost[i] / o.eta - 1.0)
+    return t - (t.max() + np.log(np.exp(t - t.max()).sum()))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -470,19 +479,32 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
     # anchor rows from the reference snapshot and from a workspace whose
     # kernel was built at another point within its span
     ws = o.workspace()
-    ws.snapshot(anchor + eta * rng.uniform(0.0, 10.0, size=n))
-    sources = (o.snapshot(anchor), ws.snapshot(anchor))
-    if far / eta > 800 and (cost == far).any():
-        assert (sources[0].rows(np.arange(n))[0] == 0.0).any()
-    out, scalar = np.empty(n), np.empty(())
-    for snap in sources:
-        anchors, _ = snap.rows(np.arange(n))
-        for i in range(n):
-            ref = allocating_softmax_row(o, i, v)
-            # the component gradient, unscaled, is that same row
-            assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
-            assert o.importance_gradient(anchors[i], drift, out, scalar) is out
-            assert np.abs(out - ref).max() <= 1e-13 * ref.max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws.snapshot(anchor + eta * rng.uniform(0.0, 10.0, size=n))
+        sources = (o.snapshot(anchor), ws.snapshot(anchor))
+        if far / eta > 800 and (cost == far).any():
+            assert (sources[0].kernel == 0.0).any()  # softmax entries that underflowed
+        out, scalar = np.empty(n), np.empty(())
+        # the size of the exponents each form of the row rounds, the
+        # workspace's kernel also those at its base point
+        kernel_exponents = (0.0, np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None])
+        for snap, base in zip(sources, kernel_exponents):
+            anchors, _ = snap.rows(np.arange(n))
+            # formed in the log domain, never as the log of a row that underflowed
+            assert np.isfinite(anchors).all()
+            # exp turns the exponents' rounding into relative error, so the
+            # rows agree to 1e-15 relative per unit of exponent
+            rows = snap.kernel * snap.weights / snap.norms[:, None]
+            size = 1.0 + np.abs(snap.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None] + base
+            normal = rows >= np.finfo(np.float64).tiny
+            assert np.all(np.abs(np.exp(anchors) - rows)[normal] <= 1e-15 * (rows * size)[normal])
+            for i in range(n):
+                ref = allocating_softmax_row(o, i, v)
+                # the component gradient, unscaled, is that same row
+                assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
+                assert o.importance_gradient(anchors[i] + drift, out, scalar) is out
+                assert np.abs(out - ref).max() <= 1e-13 * ref.max()
 
 
 def allocating_component_gradient(o, i, v):
@@ -525,7 +547,7 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     assert anchors.shape == rows.shape == (idx.size, n)
     for k, i in enumerate(idx):
         ref = snap.gradient - snap.kernel[i]
-        assert anchors[k].tobytes() == snap.kernel[i].tobytes()
+        assert anchors[k].tobytes() == allocating_log_softmax_row(o, i, v).tobytes()
         assert rows[k].tobytes() == ref.tobytes()
     # fresh arrays: writing to them leaves the snapshot alone
     anchors[:] = rows[:] = 0.0

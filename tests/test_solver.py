@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle
@@ -14,6 +15,8 @@ from pdasgd.rng import CategoricalSampler, SplitMix64
 from pdasgd.semidual import KernelWorkspace, SemiDualOracle
 from pdasgd.solver import (
     TAU2,
+    C,
+    T,
     SolverOptions,
     certify,
     gamma,
@@ -119,7 +122,7 @@ def test_estimator_unbiased_exhaustive(rng):
             assert np.abs(acc - oracle.snapshot(lam).gradient).max() < 1e-12
 
 
-def test_first_outer_mixing_drops_y(rng):
+def test_first_outer_mixing_drops_y(rng, monkeypatch):
     # at s=0 the mixing weight on y is zero: lambda_1 = z_0/2 + lambda_tilde/2
     oracle = random_oracle(rng, 3, eta=0.4)
     options = SolverOptions(inner_iterations=1, outer_iterations=1, seed=9)
@@ -130,36 +133,49 @@ def test_first_outer_mixing_drops_y(rng):
     state.snapshot = oracle.snapshot(state.lambda_tilde)
     expected = 0.5 * state.z + 0.5 * state.lambda_tilde
     anchor = state.lambda_tilde.copy()
+    first_t = []
+    original = pdasgd.solver.inner_step
+
+    def reading(state, oracle, update, steps):
+        first_t.append(state.blocks[0, T].copy())
+        return original(state, oracle, update, steps)
+
+    monkeypatch.setattr(pdasgd.solver, "inner_step", reading)
     outer_iteration(state, oracle, options)
     # lambda itself is never formed; the one step's gradient was taken at
-    # the drift Lbar (lambda - lambda_tilde)
-    lambda_cur = anchor + state._drift / state.avg_smoothness
+    # t = a_i + Lbar (lambda - lambda_tilde), for the component drawn for it
+    i = CategoricalSampler(oracle.sampling_weights().weights).draw(SplitMix64(9))
+    (a_i,), _ = oracle.snapshot(anchor).rows([i])
+    lambda_cur = anchor + (first_t[0] - a_i) / state.avg_smoothness
     assert np.allclose(lambda_cur, expected, atol=1e-15)
 
 
 def test_inner_step_called_once_per_step(rng, monkeypatch):
-    # through the module global, so a wrapper (a profiler's span) sees every
-    # step, with the components in stream order
+    # once per chunk of steps, through the module global, so a wrapper (a
+    # profiler's span) sees every chunk, with the components in stream order
     seen = []
     original = pdasgd.solver.inner_step
 
-    def counting(state, oracle, step, anchor_row, correction):
-        seen.append((state.snapshot, anchor_row.copy(), correction.copy()))
-        return original(state, oracle, step, anchor_row, correction)
+    def counting(state, oracle, update, steps):
+        seen.append((state.snapshot, state.blocks[:steps, C].copy()))
+        return original(state, oracle, update, steps)
 
     monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
-    m, S, seed = 3, 5, 2
+    m, S, seed = 5, 4, 2
     oracle = random_oracle(rng, 6, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
-    assert len(seen) == res.state.n_inner_steps == S * m
-    stream = SplitMix64(seed)
-    sampler = CategoricalSampler(oracle.sampling_weights().weights)
-    expected = [sampler.draw(stream) for _ in range(S * m)]
-    # each step reads the batch rows of the component drawn for it
-    for (snapshot, anchor_row, correction), i in zip(seen, expected):
-        (row,), (corr,) = snapshot.rows([i])
-        assert anchor_row.tobytes() == row.tobytes()
-        assert correction.tobytes() == corr.tobytes()
+    for chunk, lengths in ((2, [2, 2, 1]), (64, [5])):
+        seen.clear()
+        monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
+        res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+        assert res.state.n_inner_steps == S * m
+        assert [len(c) for _, c in seen] == lengths * S
+        stream = SplitMix64(seed)
+        sampler = CategoricalSampler(oracle.sampling_weights().weights)
+        expected = iter([sampler.draw(stream) for _ in range(S * m)])
+        # each step's block holds the correction of the component drawn for it
+        for snapshot, corrections in seen:
+            _, want = snapshot.rows([next(expected) for _ in corrections])
+            assert corrections.tobytes() == want.tobytes()
 
 
 def reference_run(oracle, options):
@@ -205,6 +221,36 @@ def test_run_reproduces_the_reference_loop(case):
         # y is nonzero at s = 0, where its weight 1 - tau1 - tau2 is 0
         options.initial_dual = rng.normal(size=n)
     res = run(oracle, options)
+    got = (res.state.z, res.state.y, res.dual, res.primal)
+    for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    m=st.sampled_from(["1", "2", "n", "3n"]),
+    multiplier=st.sampled_from([1.0, 15.0]),
+    random_start=st.booleans(),
+    quadratic=st.booleans(),
+    chunk=st.integers(1, 5),
+)
+def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, random_start, quadratic, chunk):
+    # chunks of 1 to 5 steps put chunk boundaries inside the inner loops
+    rng = np.random.default_rng(seed)
+    oracle = QuadraticOracle(rng.normal(size=n)) if quadratic else random_oracle(rng, n, eta=0.2)
+    options = SolverOptions(
+        inner_iterations={"1": 1, "2": 2, "n": n, "3n": 3 * n}[m],
+        outer_iterations=4,
+        seed=seed,
+        z_step_multiplier=multiplier,
+        initial_dual=rng.normal(size=n) if random_start else None,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
+        res = run(oracle, options)
+    assert len(res.state.blocks) == min(chunk, options.inner_iterations) + 1
     got = (res.state.z, res.state.y, res.dual, res.primal)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -325,7 +371,7 @@ def test_initial_dual_option(rng):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
-        def importance_gradient(self, anchor_row, drift, out, scalar):
+        def importance_gradient(self, t, out, scalar):
             out[:] = np.inf
             return out
 
@@ -450,7 +496,8 @@ for _name in (
     setattr(CountingOracle, _name, _counted(_name))
 
 
-def test_one_snapshot_per_outer_iteration(rng):
+def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
+    monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)  # two chunks per outer iteration
     n, m, S = 6, 4, 5
     oracle = CountingOracle(random_instance(rng, n, eta=0.3))
     options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=3)
