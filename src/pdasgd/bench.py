@@ -21,14 +21,16 @@ reproducible.  This is the one statement of the cost-unit model:
 The formulas are kept so that units stay comparable across versions, but
 since pdasgd's solver keeps a kernel workspace they depart from its work.
 An inner step is charged 10n units and computes n exps, one sum, n
-divides and an 18n multiply-add product.
-A snapshot is charged 4n^2 units but costs two matrix-vector products and
-n exps; it also adds its primal map to the average in O(n).  Not charged
-are the kernel rebuilds (an n^2 exp pass each, only when the dual drifts),
-the matrix product that folds the pending primal maps into the average
-(per 32 outer iterations and per rebuild), and the certificate's n^2
-``x ln x`` gap, paid only where the marginal half passes (never under the
-accuracy rule).  A Sinkhorn
+divides and an 18n multiply-add product.  A snapshot is charged 4n^2
+units but costs two matrix-vector products and n exps; it also adds its
+primal map to the average in O(n).  An outer iteration is that snapshot,
+its m inner steps and, for them, m anchor rows (an m x n gather and a
+subtract) and m corrections (an add, mn exps and a subtract), written
+straight into the steps' blocks.  Not charged are the kernel rebuilds (an
+n^2 exp pass each, only when the dual drifts), the matrix product that
+folds the pending primal maps into the average (per 32 outer iterations
+and per rebuild), and the certificate's n^2 ``x ln x`` gap, paid only
+where the marginal half passes (never under the accuracy rule).  A Sinkhorn
 sweep is charged 2n^2 and computes two matrix-vector products; its
 rebuilds (two n^2 logsumexps and one n^2 exp pass each, only when the
 scalings drift) are not charged, nor is Greenkhorn's re-summing of the

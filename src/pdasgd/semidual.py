@@ -15,19 +15,19 @@ plain float64 vectors.
 Every n^2 exponential goes through the package's one max-subtracted exp
 (:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
 the small ``eta`` this package runs at.  One dense pass of it,
-``snapshot(v)``, yields G(v), its gradient u and batches of log-softmax
-rows and the solver's corrections, as a :class:`KernelSnapshot` whose
-kernel is the softmax itself.  These reference methods stay as they are; the
-solver reaches the same quantities through a :class:`KernelWorkspace`.
+``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse,
+as a :class:`KernelSnapshot`.  These reference methods stay as they are;
+the solver reaches the same quantities through a :class:`KernelWorkspace`.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
 beta``; ``component_gradient`` is that row, minus beta, times n alpha_i.
-At ``v = v~ + D`` that row is the softmax of ``l_i + D/eta``, for l_i the
-log-softmax row ``shift_i + v~/eta - lse_i`` at the anchor, finite where
-the row underflows: exp, a sum and a divide, and no max.  The solver's drifts
-D/eta stay far below 709, past which exp overflows and the row is NaN,
-which the solver reports as divergence.
+A snapshot at v~ writes the v-free log rows ``a'_i = shift_i - lse_i``,
+finite where a softmax row underflows, and the corrections ``u - exp(a'_i
++ v~/eta)``.  Softmax row i at v is the softmax of ``a'_i + v/eta``, the
+log-softmax row at v~ plus the drift (v - v~)/eta: exp, a sum and a
+divide, and no max.  The solver's drifts stay far below 709, past which
+exp overflows and the row is NaN, which it reports as divergence.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -96,28 +96,22 @@ def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class KernelSnapshot:
     """G(v) and grad G(v), with the solver's anchor rows and corrections at v.
 
-    Softmax row i at v is ``K_i e / r_i`` for r = K e.  K is a workspace's
-    base kernel, or the softmax rows themselves with e = r = 1, which change
-    no bits.  Its log is ``shift_i + v/eta - lse_i``.
+    Log-softmax row i at v is ``shift_i + v/eta - lse_i``; its v-free part
+    ``shift_i - lse_i`` is the row the solver adds ``Lbar v`` to.
     """
 
     value: float
     gradient: np.ndarray
-    kernel: np.ndarray  # K, not written after the snapshot
-    weights: np.ndarray  # e = exp((v - v0)/eta - c), or ones
-    norms: np.ndarray  # r = K e
     shift: np.ndarray  # the oracle's -C/eta - 1
     scaled: np.ndarray  # v/eta
     lse: np.ndarray  # logsumexp_j of shift_ij + v_j/eta
 
-    def rows(self, indices) -> tuple[np.ndarray, np.ndarray]:
-        """(log softmax_i(v), grad G(v) - softmax_i(v)) for i in ``indices``, as fresh (m, n) arrays."""
-        logs = self.shift[indices] + self.scaled
-        logs -= self.lse[indices, None]
-        rows = self.kernel[indices]
-        rows *= self.weights
-        rows /= self.norms[indices, None]
-        return logs, self.gradient - rows
+    def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
+        """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
+        np.subtract(self.shift[indices], self.lse[indices, None], out=anchors)
+        np.add(anchors, self.scaled, out=corrections)
+        np.exp(corrections, out=corrections)
+        np.subtract(self.gradient, corrections, out=corrections)
 
 
 class SemiDualOracle:
@@ -147,7 +141,7 @@ class SemiDualOracle:
         self._shift = -self.cost / self.eta - 1.0
         self._shift.flags.writeable = False
         self._scale = self.n * self.alpha
-        self._ones = np.ones(self.n)  # never written: the reference snapshot's e and r, and a row sum's weights
+        self._ones = np.ones(self.n)  # never written: a row sum's weights
 
     # -- finite-sum structure ------------------------------------------------
 
@@ -171,14 +165,11 @@ class SemiDualOracle:
         )
 
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
-        """G(v), grad G(v) and the softmax rows at v from one dense pass."""
+        """G(v), grad G(v) and the row logsumexps at v from one dense pass."""
         lse, sm = lse_softmax(v / self.eta + self._shift)
         return KernelSnapshot(
             value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
             gradient=sm.T @ self.alpha - self.beta,
-            kernel=sm,
-            weights=self._ones,
-            norms=self._ones,
             shift=self._shift,
             scaled=v / self.eta,
             lse=lse,
@@ -187,9 +178,9 @@ class SemiDualOracle:
     def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
         """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
 
-        ``t`` is log-softmax row i at an anchor v~ (a snapshot's ``rows``)
-        plus (v - v~)/eta; the sum, a dot with ones (cheaper than a reduce
-        on short rows), goes into ``scalar``, a caller-owned 0-d buffer.
+        ``t`` is a snapshot's row ``a'_i`` plus v/eta; the sum, a dot with
+        ones (cheaper than a reduce on short rows), goes into ``scalar``, a
+        caller-owned 0-d buffer.
         """
         np.exp(t, out=out)
         np.dot(out, self._ones, out=scalar)
@@ -294,11 +285,12 @@ class KernelWorkspace:
 
     def _weights(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """(e, c) of v against the base point, re-basing at v first if needed."""
-        d = None if self.base is None else (v - self.base) / self.oracle.eta
-        if d is None or d.max() - d.min() > REBASE_SPAN:
+        if self.base is not None:
+            d = (v - self.base) / self.oracle.eta
+            c = d.max()
+        if self.base is None or c - d.min() > REBASE_SPAN:
             self.rebuild(v)
-            d = np.zeros_like(v)
-        c = d.max()
+            d, c = np.zeros_like(v), 0.0
         d -= c
         np.exp(d, out=d)
         return d, c
@@ -316,7 +308,7 @@ class KernelWorkspace:
             self._pending_count = 0
 
     def snapshot(self, v: np.ndarray, weight: float = 0.0) -> KernelSnapshot:
-        """G(v), grad G(v) and the anchor rows at v; equals ``oracle.snapshot(v)`` to rounding.
+        """G(v), grad G(v) and the row logsumexps at v; equals ``oracle.snapshot(v)`` to rounding.
 
         A positive ``weight`` also adds ``weight * oracle.primal_map(v)`` to
         the sum, as one factor pair, and weight to the total.
@@ -341,9 +333,6 @@ class KernelWorkspace:
         return KernelSnapshot(
             value=float(o.eta * o.alpha @ (lse - o.log_alpha + 1.0) - o.beta @ v),
             gradient=gradient,
-            kernel=self.kernel,
-            weights=e,
-            norms=r,
             shift=o._shift,
             scaled=v / o.eta,
             lse=lse,

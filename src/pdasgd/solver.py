@@ -9,8 +9,8 @@ the full gradient ``u = grad phi(lam_tilde)`` and the batch rows below),
 and it keeps the weighted average of primal maps, its total weight and its
 row and column sums.  Each outer iteration s:
 
-  * computes the constants its inner steps share, draws its m components
-    and reads their anchor rows and corrections from the snapshot at once,
+  * computes the constants its inner steps share, takes its m components
+    from the drawn batch and has the snapshot write their rows per chunk,
   * runs m inner steps of Katyusha-style momentum on the current snapshot
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
@@ -34,23 +34,23 @@ snapshots are matrix-vector products and the average costs O(n) each
 
 The inner steps run these lines in an equal, cheaper form.  With ``p =
 tau1_s z + tau2 lam_tilde`` in place of z, lam and a step's pre-activation
-``t = a_i + Lbar (lam - lam_tilde)`` are linear in y and p, for a_i the
-snapshot's anchor row of component i.  The oracle's importance gradient
-at t is ``grad phi_i(lam) / (h p_i)`` plus a lam-free vector, and the
-snapshot's correction is u minus it at lam_tilde, so g is their sum.  A
-step owns a block ``[y, p, t, h, c, a']`` of a buffer of up to
-:data:`CHUNK_STEPS` blocks: the row h for the importance gradient, c for
-the correction and a' for the next anchor row minus ``Lbar lam_tilde``.
-One oracle call writes h and one ``np.dot`` by a fixed 3 x 6 matrix the
-next block's y, p and t; z is recovered from the last p.
+``t = Lbar lam + a'_i`` are linear in y and p, for a'_i the snapshot's
+lam-free row of component i.  The oracle's importance gradient at t is
+``grad phi_i(lam) / (h p_i)`` plus a lam-free vector, and the snapshot's
+correction is u minus it at lam_tilde, so g is their sum.  A step owns a
+block ``[y, p, t, h, c, a']`` of a buffer of a leading block and up to
+:data:`CHUNK_STEPS` step blocks, with c its correction and a' the next
+step's row, both written by the snapshot (the first a' into the leading
+block; the last is 0, so the next chunk adds its own).  One oracle call
+writes h and one ``np.dot`` by a 3 x 6 matrix the next block's y, p and t.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
 
 Randomness: each run owns a SplitMix64 stream seeded from the options,
-used only for one categorical component draw per inner step.  The m draws
-of an outer iteration are made in one batch at its start, in step order,
-so batching changes no index.  Two runs with equal seeds and options
+used only for one categorical component draw per inner step, made in
+step order in batches of whole outer iterations within the budget, so
+batching changes no index.  Two runs with equal seeds and options
 produce bitwise-identical iterates and records.
 """
 
@@ -72,16 +72,16 @@ class Snapshot(Protocol):
     """An oracle's evaluation at one anchor point lam_tilde.
 
     ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
-    and ``rows(indices)`` returns two fresh (len(indices), d) arrays: row k
-    holds component ``indices[k]``'s anchor row a_i, from which the oracle's
-    ``importance_gradient`` reads i's gradient at lam, and u minus that at
-    lam_tilde.  The solver asks once per chunk of its drawn components.
+    and ``rows(indices, anchors, corrections)`` writes row k of two
+    caller-owned (len(indices), d) views for component i = ``indices[k]``:
+    a'_i, from which ``importance_gradient`` reads i's gradient at lam as
+    ``t = a'_i + Lbar lam``, and u minus that gradient at lam_tilde.
     """
 
     value: float
     gradient: np.ndarray
 
-    def rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+    def rows(self, indices: np.ndarray, anchors: np.ndarray, corrections: np.ndarray) -> None: ...
 
 
 class Workspace(Protocol):
@@ -114,7 +114,7 @@ class FiniteSumOracle(Protocol):
     ``component_count`` components over duals of size ``dual_dimension``;
     ``importance_gradient(t, out, scalar)`` writes grad phi_i(lam) / (h p_i)
     plus any lam-free vector into ``out`` once per inner step, from ``t =
-    a_i + Lbar (lam - lam_tilde)`` for i's anchor row a_i, with ``scalar``
+    a'_i + Lbar lam`` for i's snapshot row a'_i, with ``scalar``
     a caller-owned 0-d buffer; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
@@ -139,7 +139,8 @@ class FiniteSumOracle(Protocol):
 
 TAU2 = 0.5
 Y, P, T, H, C, A = range(6)  # the rows of one step's block in SolverState.blocks
-CHUNK_STEPS = 64  # blocks in the buffer: longer inner loops run in chunks, in O(64 d) memory
+CHUNK_STEPS = 64  # step blocks in the buffer: longer inner loops run in chunks, in O(64 d) memory
+DRAW_BATCH = 4096  # at most this many component draws at once, or one outer iteration's m
 
 
 def tau1(s: int) -> float:
@@ -199,7 +200,7 @@ class RunRecord:
 class SolverState:
     lambda_tilde: np.ndarray
     z: np.ndarray
-    blocks: np.ndarray  # (min(m, CHUNK_STEPS) + 1, 6, d): a chunk's blocks; block 0 holds y between chunks
+    blocks: np.ndarray  # (min(m, CHUNK_STEPS) + 2, 6, d): a leading block, then steps; block 1 keeps y
     workspace: Workspace  # holds the weighted primal average x_s
     snapshot: Snapshot  # of lambda_tilde
     s: int
@@ -210,18 +211,23 @@ class SolverState:
     n_inner_steps: int = 0
     _steps: list = None  # per step: views of its t, its h, its block and the next block's y, p and t
     _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
-    y = property(lambda self: self.blocks[0, Y])
+    _update: np.ndarray = None  # (3, 6), the step matrix of the current outer iteration
+    _draws: np.ndarray = None  # the components drawn and not yet used, in stream order
+    y = property(lambda self: self.blocks[1, Y])
 
 
-def step_matrix(s: int, avg_smoothness: float, options: SolverOptions) -> np.ndarray:
-    """The (3, 6) map of a block of outer iteration s to the next block's y, p and t."""
+def step_matrix(out: np.ndarray, s: int, avg_smoothness: float, multiplier: float) -> np.ndarray:
+    """Fill ``out`` with the (3, 6) map of a block of outer iteration s to the next block's y, p and t."""
     w_y = 1.0 - tau1(s) - TAU2
     y_coef = -1.0 / (9.0 * avg_smoothness)
-    p_coef = -(tau1(s) * (options.z_step_multiplier * gamma(s, avg_smoothness) / 2.0))
-    y_row = np.array([w_y, 1.0, 0.0, y_coef, y_coef, 0.0])  # y = lambda - g / (9 Lbar)
-    p_row = np.array([0.0, 1.0, 0.0, p_coef, p_coef, 0.0])  # p += p_coef g, the z step as it moves p
-    t_row = avg_smoothness * (p_row + w_y * y_row) + [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]  # a' + Lbar lambda
-    return np.stack([y_row, p_row, t_row])
+    p_coef = -(tau1(s) * (multiplier * gamma(s, avg_smoothness) / 2.0))
+    t_coef = avg_smoothness * (p_coef + w_y * y_coef)
+    out[...] = (
+        (w_y, 1.0, 0.0, y_coef, y_coef, 0.0),  # y = lambda - g / (9 Lbar)
+        (0.0, 1.0, 0.0, p_coef, p_coef, 0.0),  # p += p_coef g, the z step as it moves p
+        (avg_smoothness * (w_y * w_y), avg_smoothness * (1.0 + w_y), 0.0, t_coef, t_coef, 1.0),  # Lbar lambda + a'
+    )
+    return out
 
 
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
@@ -236,8 +242,8 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         lam0 = np.array(options.initial_dual, dtype=np.float64)
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
-    blocks = np.zeros((min(options.inner_iterations, CHUNK_STEPS) + 1, 6, d))
-    blocks[0, Y] = lam0
+    blocks = np.zeros((min(options.inner_iterations, CHUNK_STEPS) + 2, 6, d))
+    blocks[1, Y] = lam0
     workspace = oracle.workspace()
     return SolverState(
         lambda_tilde=lam0,
@@ -249,13 +255,15 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
         avg_smoothness=float(oracle.average_smoothness()),
-        _steps=[(block[T], block[H], block, after[:H]) for block, after in zip(blocks, blocks[1:])],
+        _steps=[(block[T], block[H], block, after[:H]) for block, after in zip(blocks[1:], blocks[2:])],
         _scalar=np.zeros(()),
+        _update=np.empty((3, 6)),
+        _draws=np.empty(0, dtype=np.intp),
     )
 
 
 def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, steps: int) -> None:
-    """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 0.
+    """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1.
 
     Each block's t, c and a' are set on entry; step k writes its h and then
     block k+1's y, p and t.  :func:`outer_iteration` charges the work.
@@ -272,40 +280,41 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     Charges the m inner steps and their component gradients, and the full
     gradient of the snapshot they use, which was taken when lambda_tilde was
     last set.  Returns False, before the workspace sees the iterate, when
-    lambda_tilde, z or y is non-finite, and True otherwise.
+    lambda_tilde (whose sum holds y) or z is non-finite, and True otherwise.
     """
     s = state.s
     m = options.inner_iterations
     t1 = tau1(s)
-    update = step_matrix(s, state.avg_smoothness, options)
-    components = state.sampler.draws(state.rng, m)
+    update = step_matrix(state._update, s, state.avg_smoothness, options.z_step_multiplier)
+    if not len(state._draws):
+        outers = max(1, min(DRAW_BATCH // m, options.outer_iterations - s))
+        state._draws = state.sampler.draws(state.rng, outers * m)
+    components, state._draws = state._draws[:m], state._draws[m:]
     blocks, anchor = state.blocks, state.lambda_tilde
-    chunk = len(blocks) - 1
+    chunk = len(blocks) - 2
     tau2_anchor = TAU2 * anchor
-    lbar_anchor = state.avg_smoothness * anchor
-    y_sum = np.zeros_like(anchor)
-    first = blocks[0]
+    y_sum = 0.0
+    first = blocks[1]
     np.add(t1 * state.z, tau2_anchor, out=first[P])
     # a step's exp overflows only past a drift of 709; the NaN it leaves fails the finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        # t = a_i + Lbar (lambda - lambda_tilde), where the chunk that runs the step adds a_i
-        np.multiply(first[P] + (1.0 - t1 - TAU2) * first[Y] - anchor, state.avg_smoothness, out=first[T])
+        # t = Lbar lambda + a'_i, where the chunk that runs the step adds a'_i
+        np.multiply(first[P] + (1.0 - t1 - TAU2) * first[Y], state.avg_smoothness, out=first[T])
         for start in range(0, m, chunk):
             steps = min(chunk, m - start)
-            anchors, corrections = state.snapshot.rows(components[start:start + steps])
-            first[T] += anchors[0]
-            blocks[:steps, C] = corrections
-            np.subtract(anchors[1:], lbar_anchor, out=blocks[:steps - 1, A])
-            np.negative(lbar_anchor, out=blocks[steps - 1, A])  # the next chunk adds its a_i
+            # step k's a' lands in the block before its own, which forms its t
+            state.snapshot.rows(components[start:start + steps], blocks[:steps, A], blocks[1:steps + 1, C])
+            blocks[steps, A] = 0.0  # the next chunk adds its own first a'
+            first[T] += blocks[0, A]
             inner_step(state, oracle, update, steps)
-            y_sum += blocks[1:steps + 1, Y].sum(axis=0)
-            first[:H] = blocks[steps, :H]  # the last y, p and t start the next chunk
+            y_sum += blocks[2:steps + 2, Y].sum(axis=0)
+            first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
         np.divide(first[P] - tau2_anchor, t1, out=state.z)
         np.multiply(y_sum, 1.0 / m, out=anchor)
     state.n_component_gradients += oracle.component_count + m
     state.n_inner_steps += m
     state.s = s + 1
-    if not all(np.isfinite(vec).all() for vec in (state.lambda_tilde, state.z, state.y)):
+    if not (np.isfinite(anchor).all() and np.isfinite(state.z).all()):
         return False
     state.snapshot = state.workspace.snapshot(state.lambda_tilde, 1.0 / t1)
     return True

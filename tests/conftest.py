@@ -22,15 +22,21 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
-def estimator(oracle, snapshot, anchor, i, lam):
+def snapshot_rows(snapshot, indices, d):
+    """A snapshot's (anchors, corrections) for ``indices``, written into fresh (len(indices), d) arrays."""
+    anchors, corrections = np.empty((len(indices), d)), np.empty((len(indices), d))
+    snapshot.rows(indices, anchors, corrections)
+    return anchors, corrections
+
+
+def estimator(oracle, snapshot, i, lam):
     """The solver's variance-reduced gradient on component i at lam, freshly allocated.
 
-    ``snapshot`` is the oracle's snapshot at ``anchor``; the estimate is the
-    oracle's importance gradient at i's anchor row plus the drift
-    Lbar (lam - anchor), plus i's correction.
+    The estimate is the oracle's importance gradient at ``t = a'_i + Lbar
+    lam``, for i's anchor row a'_i from ``snapshot``, plus i's correction.
     """
-    (anchor_row,), (correction,) = snapshot.rows([i])
-    t = anchor_row + oracle.average_smoothness() * (lam - anchor)
+    (anchor_row,), (correction,) = snapshot_rows(snapshot, [i], lam.size)
+    t = anchor_row + oracle.average_smoothness() * lam
     out = oracle.importance_gradient(t, np.empty_like(lam), np.empty(()))
     out += correction
     return out
@@ -44,17 +50,19 @@ def component_smoothness(oracle):
 class QuadraticSnapshot:
     """Value, gradient and batch rows of the quadratic at an anchor.
 
-    Its one component is the whole sum, so its anchor row is u itself and
-    every correction row is u - u.
+    Its one component is the whole sum and Lbar = 1, so its anchor row is
+    u itself, whose lam-free part is u - anchor, and every correction row
+    is u - u.
     """
 
-    def __init__(self, gradient):
+    def __init__(self, anchor, gradient):
+        self.anchor = anchor
         self.gradient = gradient
         self.value = 0.5 * float((gradient**2).sum())
 
-    def rows(self, indices):
-        anchors = np.tile(self.gradient, (len(indices), 1))
-        return anchors, self.gradient - anchors
+    def rows(self, indices, anchors, corrections):
+        anchors[...] = self.gradient - self.anchor
+        corrections[...] = self.gradient - self.gradient
 
 
 class QuadraticOracle:
@@ -77,7 +85,7 @@ class QuadraticOracle:
         return out
 
     def snapshot(self, lam):
-        return QuadraticSnapshot(lam - self.target)
+        return QuadraticSnapshot(lam, lam - self.target)
 
     def sampling_weights(self):
         return np.array([1.0])

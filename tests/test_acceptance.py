@@ -115,7 +115,7 @@ def test_criterion_4_estimator_unbiasedness():
         snapshot = oracle.snapshot(anchor)
         acc = np.zeros(n)
         for i in range(n):
-            acc += weights[i] * estimator(oracle, snapshot, anchor, i, lam)
+            acc += weights[i] * estimator(oracle, snapshot, i, lam)
         worst = max(worst, np.abs(acc - oracle.full_gradient(lam)).max())
     elapsed = time.perf_counter() - start
     _report(4, "variance-reduction-unbiasedness", worst < 1e-12, f"worst dev {worst:.2e}", elapsed, 1.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import component_smoothness, random_instance, random_oracle
+from conftest import component_smoothness, random_instance, random_oracle, snapshot_rows
 from pdasgd.baselines import sinkhorn
 from pdasgd.core import CostMatrix, Distribution, OTInstance
 from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle, lse_softmax
@@ -149,10 +149,16 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
         snap = o.snapshot(v)
         assert np.array_equal(snap.value, o.dual_value(v))
         assert np.array_equal(snap.gradient, o.full_gradient(v))
-        anchors, rows = snap.rows(np.arange(n))
+        anchors, rows = snapshot_rows(snap, np.arange(n), n)
         for i in range(n):
-            assert np.array_equal(anchors[i], allocating_log_softmax_row(o, i, v))
-            assert np.array_equal(rows[i], snap.gradient - allocating_softmax_row(o, i, v))
+            ref_anchor, ref_row = allocating_anchor_row(o, i, v)
+            assert np.array_equal(anchors[i], ref_anchor)
+            assert np.array_equal(rows[i], ref_row)
+            # and to rounding the log-softmax and softmax rows
+            size = 1.0 + np.abs(snap.shift[i]) + np.abs(v) / eta + np.abs(snap.lse[i])
+            assert np.all(np.abs(anchors[i] + v / eta - allocating_log_softmax_row(o, i, v)) <= 1e-15 * size)
+            softmax = allocating_softmax_row(o, i, v)
+            assert np.all(np.abs(snap.gradient - rows[i] - softmax) <= 1e-15 * (softmax * size + 1.0))
 
 
 def allocating_lse_softmax(t):
@@ -236,10 +242,14 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert ws.kernel is kernel  # no rebuild within the span
         assert_close(got.value, ref.value, abs(ref.value) + np.abs(v).max() + scale + eta)
         assert_close(got.gradient, ref.gradient, 1.0)
-        (got_logs, got_rows), (ref_logs, ref_rows) = got.rows(np.arange(n)), ref.rows(np.arange(n))
-        # the log rows to the rounding of their terms, shift_i + v/eta - lse_i
+        (got_logs, got_rows), (ref_logs, ref_rows) = (snapshot_rows(x, np.arange(n), n) for x in (got, ref))
+        # the anchor rows to the rounding of their terms, shift_i - lse_i
         assert_close(got_logs, ref_logs, 1.0 + (np.abs(v).max() + scale) / eta)
-        assert_close(got_rows, ref_rows, 1.0)
+        # the corrections to that rounding too, which exp turns into 1e-15
+        # of a row entry per unit of exponent; the kernel's exponents at its
+        # base point enter the workspace's lse
+        size = 1.0 + (np.abs(v) + np.abs(ws.base) + scale) / eta + np.abs(ref.lse)[:, None] + np.abs(ws.offsets)[:, None]
+        assert_close(got_rows, ref_rows, 1.0 + 1e-3 * (ref.gradient - ref_rows) * size)
     # the factored sum, added by weighted snapshots across folds of full
     # pending blocks and, at every 10th point, a drift wide enough to force
     # a rebuild
@@ -454,6 +464,13 @@ def allocating_log_softmax_row(o, i, v):
     return t - (t.max() + np.log(np.exp(t - t.max()).sum()))
 
 
+def allocating_anchor_row(o, i, v):
+    """Snapshot row i at v with fresh temporaries: ``a' = shift_i - lse_i`` and ``u - exp(a' + v/eta)``."""
+    lse, sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
+    anchor = (-o.cost[i] / o.eta - 1.0) - lse[i]
+    return anchor, (sm.T @ o.alpha - o.beta) - np.exp(anchor + v / o.eta)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -483,27 +500,29 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
         warnings.simplefilter("error")
         ws.snapshot(anchor + eta * rng.uniform(0.0, 10.0, size=n))
         sources = (o.snapshot(anchor), ws.snapshot(anchor))
+        rows = np.array([allocating_softmax_row(o, i, anchor) for i in range(n)])
         if far / eta > 800 and (cost == far).any():
-            assert (sources[0].kernel == 0.0).any()  # softmax entries that underflowed
+            assert (rows == 0.0).any()  # softmax entries that underflowed
         out, scalar = np.empty(n), np.empty(())
         # the size of the exponents each form of the row rounds, the
-        # workspace's kernel also those at its base point
+        # workspace's lse also those of its kernel at its base point
         kernel_exponents = (0.0, np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None])
         for snap, base in zip(sources, kernel_exponents):
-            anchors, _ = snap.rows(np.arange(n))
+            anchors, _ = snapshot_rows(snap, np.arange(n), n)
             # formed in the log domain, never as the log of a row that underflowed
             assert np.isfinite(anchors).all()
             # exp turns the exponents' rounding into relative error, so the
             # rows agree to 1e-15 relative per unit of exponent
-            rows = snap.kernel * snap.weights / snap.norms[:, None]
             size = 1.0 + np.abs(snap.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None] + base
             normal = rows >= np.finfo(np.float64).tiny
-            assert np.all(np.abs(np.exp(anchors) - rows)[normal] <= 1e-15 * (rows * size)[normal])
+            assert np.all(np.abs(np.exp(anchors + snap.scaled) - rows)[normal] <= 1e-15 * (rows * size)[normal])
             for i in range(n):
                 ref = allocating_softmax_row(o, i, v)
                 # the component gradient, unscaled, is that same row
                 assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
-                assert o.importance_gradient(anchors[i] + drift, out, scalar) is out
+                # t = a'_i + Lbar v, the anchor's log row plus the drift
+                t = anchors[i] + o.average_smoothness() * anchor + drift
+                assert o.importance_gradient(t, out, scalar) is out
                 assert np.abs(out - ref).max() <= 1e-13 * ref.max()
 
 
@@ -543,15 +562,57 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     v = rng.normal(size=n)
     snap = o.snapshot(v)
     idx = np.array([7, 2, 2, 0, 8, 7, 7, 3])  # repeated and unsorted
-    anchors, rows = snap.rows(idx)
-    assert anchors.shape == rows.shape == (idx.size, n)
+    # written into strided views, as the solver's block buffer hands them out
+    blocks = np.full((idx.size + 1, 6, n), np.nan)
+    anchors, rows = blocks[:-1, 5], blocks[1:, 4]
+    assert snap.rows(idx, anchors, rows) is None
     for k, i in enumerate(idx):
-        ref = snap.gradient - snap.kernel[i]
-        assert anchors[k].tobytes() == allocating_log_softmax_row(o, i, v).tobytes()
-        assert rows[k].tobytes() == ref.tobytes()
-    # fresh arrays: writing to them leaves the snapshot alone
-    anchors[:] = rows[:] = 0.0
-    assert snap.rows(idx)[0].tobytes() != anchors.tobytes()
-    assert snap.rows(idx)[1].tobytes() != rows.tobytes()
-    for got, ref in zip(snap.rows(list(idx)), snap.rows(idx)):
-        assert got.tobytes() == ref.tobytes()
+        anchor = snap.shift[i] - snap.lse[i]
+        assert anchors[k].tobytes() == anchor.tobytes()
+        assert rows[k].tobytes() == (snap.gradient - np.exp(anchor + snap.scaled)).tobytes()
+        assert anchors[k].tobytes() == allocating_anchor_row(o, i, v)[0].tobytes()
+    # nothing else in the buffer is written
+    assert np.isnan(blocks[-1, 5]).all() and np.isnan(blocks[0, 4]).all()
+    assert np.isnan(blocks[:, :4]).all()
+    # contiguous buffers, list indices and a second call give the same bits
+    for indices in (idx, list(idx)):
+        again = snapshot_rows(snap, indices, n)
+        assert again[0].tobytes() == np.ascontiguousarray(anchors).tobytes()
+        assert again[1].tobytes() == np.ascontiguousarray(rows).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    eta=st.sampled_from([1.0, 0.05, 1e-3]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+)
+# at eta = 1e-3 a cost of scale 30 spreads a row over ~3e4, so the kernel
+# holds subnormal and zero entries
+@example(seed=0, n=24, eta=1e-3, scale=30.0)
+def test_rows_equal_the_kernel_and_log_softmax_forms(seed, n, eta, scale):
+    # a workspace snapshot's rows against the forms they replace: the
+    # anchor row as log-softmax_i(v) - Lbar v and the correction as
+    # u - K_i e / r_i, on the workspace's kernel within its span
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, n, eta)
+    o = SemiDualOracle(OTInstance(CostMatrix(scale * base.cost.entries), base.row_marginal, base.col_marginal, eta))
+    ws = o.workspace()
+    ws.snapshot(scale * rng.normal(size=n))
+    v = ws.base + eta * REBASE_SPAN / 2 * rng.random(n)
+    snap = ws.snapshot(v)
+    idx = rng.integers(n, size=2 * n)
+    anchors, corrections = snapshot_rows(snap, idx, n)
+    d = (v - ws.base) / eta
+    e = np.exp(d - d.max())
+    r = ws.kernel @ e
+    rows = (ws.kernel * e / r[:, None])[idx]
+    logs = (snap.shift + snap.scaled - snap.lse[:, None])[idx] - o.average_smoothness() * v
+    # the terms each form rounds, the kernel's also those at its base point
+    size = (
+        1.0 + np.abs(snap.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None]
+        + np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None]
+    )[idx]
+    assert np.all(np.abs(anchors - logs) <= 1e-15 * size)
+    assert np.all(np.abs(corrections - (snap.gradient - rows)) <= 1e-15 * (rows * size + 1.0))

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
-from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle
+from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
 from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
 from pdasgd.rng import CategoricalSampler, SplitMix64
-from pdasgd.semidual import KernelWorkspace, SemiDualOracle
+from pdasgd.semidual import KernelSnapshot, KernelWorkspace, SemiDualOracle
 from pdasgd.solver import (
     TAU2,
     C,
@@ -24,6 +24,7 @@ from pdasgd.solver import (
     make_record,
     outer_iteration,
     run,
+    step_matrix,
     tau1,
 )
 
@@ -102,7 +103,7 @@ def test_variance_reduction_collapse(rng):
     u = oracle.full_gradient(anchor)
     snapshot = oracle.snapshot(anchor)
     for i in range(4):
-        got = estimator(oracle, snapshot, anchor, i, anchor)
+        got = estimator(oracle, snapshot, i, anchor)
         assert np.allclose(got, u, atol=1e-15)
 
 
@@ -118,7 +119,7 @@ def test_estimator_unbiased_exhaustive(rng):
             snapshot = oracle.snapshot(anchor)
             acc = np.zeros(n)
             for i in range(h):
-                acc += weights[i] * estimator(oracle, snapshot, anchor, i, lam)
+                acc += weights[i] * estimator(oracle, snapshot, i, lam)
             assert np.abs(acc - oracle.snapshot(lam).gradient).max() < 1e-12
 
 
@@ -137,16 +138,16 @@ def test_first_outer_mixing_drops_y(rng, monkeypatch):
     original = pdasgd.solver.inner_step
 
     def reading(state, oracle, update, steps):
-        first_t.append(state.blocks[0, T].copy())
+        first_t.append(state.blocks[1, T].copy())
         return original(state, oracle, update, steps)
 
     monkeypatch.setattr(pdasgd.solver, "inner_step", reading)
     outer_iteration(state, oracle, options)
     # lambda itself is never formed; the one step's gradient was taken at
-    # t = a_i + Lbar (lambda - lambda_tilde), for the component drawn for it
+    # t = Lbar lambda + a'_i, for the component drawn for it
     i = CategoricalSampler(oracle.sampling_weights().weights).draw(SplitMix64(9))
-    (a_i,), _ = oracle.snapshot(anchor).rows([i])
-    lambda_cur = anchor + (first_t[0] - a_i) / state.avg_smoothness
+    (a_i,), _ = snapshot_rows(oracle.snapshot(anchor), [i], 3)
+    lambda_cur = (first_t[0] - a_i) / state.avg_smoothness
     assert np.allclose(lambda_cur, expected, atol=1e-15)
 
 
@@ -157,7 +158,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     original = pdasgd.solver.inner_step
 
     def counting(state, oracle, update, steps):
-        seen.append((state.snapshot, state.blocks[:steps, C].copy()))
+        seen.append((state.snapshot, state.blocks[1:steps + 1, C].copy()))
         return original(state, oracle, update, steps)
 
     monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
@@ -174,7 +175,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
         expected = iter([sampler.draw(stream) for _ in range(S * m)])
         # each step's block holds the correction of the component drawn for it
         for snapshot, corrections in seen:
-            _, want = snapshot.rows([next(expected) for _ in corrections])
+            _, want = snapshot_rows(snapshot, [next(expected) for _ in corrections], 6)
             assert corrections.tobytes() == want.tobytes()
 
 
@@ -250,7 +251,7 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
         res = run(oracle, options)
-    assert len(res.state.blocks) == min(chunk, options.inner_iterations) + 1
+    assert len(res.state.blocks) == min(chunk, options.inner_iterations) + 2
     got = (res.state.z, res.state.y, res.dual, res.primal)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -263,6 +264,59 @@ def test_run_draws_only_the_components(rng):
     fresh = SplitMix64(seed)
     fresh.doubles(S * m)
     assert res.state.rng.next_uint64() == fresh.next_uint64()
+
+
+@pytest.mark.parametrize("bound, batches", [(7, [6, 6, 3]), (2, [3] * 5)])
+def test_component_draws_batch_across_outer_iterations(rng, monkeypatch, bound, batches):
+    # a bound of 7 draws at m = 3 batches two outer iterations at a time, so
+    # batch boundaries fall inside the run, and the last batch is cut to the
+    # one outer iteration left; a bound below m batches one at a time
+    drawn, counts = [], []
+    rows, draws = KernelSnapshot.rows, CategoricalSampler.draws
+
+    def recording(self, indices, anchors, corrections):
+        drawn.extend(int(i) for i in indices)
+        return rows(self, indices, anchors, corrections)
+
+    def counting(self, rng, count):
+        counts.append(count)
+        return draws(self, rng, count)
+
+    monkeypatch.setattr(KernelSnapshot, "rows", recording)
+    monkeypatch.setattr(CategoricalSampler, "draws", counting)
+    monkeypatch.setattr(pdasgd.solver, "DRAW_BATCH", bound)
+    monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 2)  # chunk boundaries as well
+    m, S, seed = 3, 5, 11
+    oracle = random_oracle(rng, 6, eta=0.3)
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+    assert counts == batches
+    stream = SplitMix64(seed)
+    sampler = CategoricalSampler(oracle.sampling_weights().weights)
+    assert drawn == [sampler.draw(stream) for _ in range(S * m)]
+    assert res.state.rng.next_uint64() == stream.next_uint64()
+
+
+def stacked_step_matrix(s, avg_smoothness, multiplier):
+    """The step matrix as three np.array rows and one np.stack, as a bitwise reference."""
+    w_y = 1.0 - tau1(s) - TAU2
+    y_coef = -1.0 / (9.0 * avg_smoothness)
+    p_coef = -(tau1(s) * (multiplier * gamma(s, avg_smoothness) / 2.0))
+    y_row = np.array([w_y, 1.0, 0.0, y_coef, y_coef, 0.0])
+    p_row = np.array([0.0, 1.0, 0.0, p_coef, p_coef, 0.0])
+    t_row = avg_smoothness * (p_row + w_y * y_row) + [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    return np.stack([y_row, p_row, t_row])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.integers(0, 10**4),
+    multiplier=st.sampled_from([1.0, 15.0]),
+    avg_smoothness=st.sampled_from([1.0, 20.0, 1 / 1.13e-3]),
+)
+def test_step_matrix_is_bitwise_the_stacked_rows(s, multiplier, avg_smoothness):
+    out = np.full((3, 6), np.nan)
+    assert step_matrix(out, s, avg_smoothness, multiplier) is out
+    assert out.tobytes() == stacked_step_matrix(s, avg_smoothness, multiplier).tobytes()
 
 
 def test_quadratic_oracle_converges():
@@ -376,7 +430,7 @@ def test_divergence_detection(rng):
             return out
 
         def snapshot(self, lam):
-            return QuadraticSnapshot(np.full_like(lam, np.inf))
+            return QuadraticSnapshot(lam, np.full_like(lam, np.inf))
 
     res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
     assert res.stop_reason == STOP_DIVERGED
@@ -395,7 +449,7 @@ def test_divergence_carries_the_run_so_far():
         def snapshot(self, lam):
             # the third snapshot, taken after outer iteration 2, is non-finite
             self.snapshots += 1
-            return QuadraticSnapshot(lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
+            return QuadraticSnapshot(lam, lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
 
     partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0))
     assert partial.stop_reason == STOP_DIVERGED
