@@ -36,15 +36,17 @@ from .core import (
     CostMatrix,
     Distribution,
     OTInstance,
+    SolveResult,
     StoppingRule,
     TransportPlan,
     as_weights,
+    is_count,
     marginal_residual,
     transport_cost,
 )
 from .rounding import RoundingReport, round_to_polytope
 from .semidual import SemiDualOracle
-from .solver import SolverOptions, is_count, run
+from .solver import SolverOptions, run
 
 PROFILES = ("theory", "benchmark")
 METHODS = ("pdasgd", "sinkhorn", "greenkhorn")
@@ -66,7 +68,7 @@ FLAGGED = (STOP_CAP, STOP_DIVERGED)  # reasons of results that certify nothing
 # is unknown and a flagged (capped) run certifies nothing.  At 1, small
 # instances run out of budget before the certificate holds.
 DEFAULT_KAPPA = 8.0
-# Floor of every method's default budget in dense passes: pdasgd's outer
+# Floor of every method's default budget in checkpoints: pdasgd's outer
 # iterations, Sinkhorn's sweeps, or rounds of n Greenkhorn updates.  The
 # asymptotic caps are far too small for small instances.
 MIN_BUDGET = 10_000
@@ -209,8 +211,8 @@ def stopping_rule(stop: str, a: np.ndarray, b: np.ndarray, epsilon: float, eps_p
     return certificate
 
 
-def _solve_pdasgd(cost, a_s, b_s, eta, config, rule):
-    """Semi-dual solve; returns (raw plan, stop reason, fields of the result)."""
+def _solve_pdasgd(cost, a_s, b_s, eta, config, rule) -> SolveResult:
+    """Semi-dual solve, without its state."""
     n = cost.n
     oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
@@ -218,38 +220,20 @@ def _solve_pdasgd(cost, a_s, b_s, eta, config, rule):
         MIN_BUDGET, math.ceil(theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa) / m)
     )
     options = SolverOptions(m, outer_cap, seed=config.seed, z_step_multiplier=multiplier)
-    result = run(oracle, options, stop=rule)
-    state = result.state
-    primal = np.outer(a_s.weights, b_s.weights) if result.primal is None else result.primal
-    return primal, result.stop_reason, dict(
-        records=result.records,
-        outer_iterations=state.s,
-        op_counts={
-            "component_gradients": state.n_component_gradients,
-            "inner_steps": state.n_inner_steps,
-        },
-    )
+    result = run(oracle, options, rule)
+    result.state = None  # its workspace's n^2 kernel and sum must not live through the rounding
+    return result
 
 
-def _solve_scaling(method, cost, a_s, b_s, eta, config, rule):
-    """Sinkhorn or Greenkhorn solve, same return shape as :func:`_solve_pdasgd`."""
-    n = cost.n
-    # Budget in dense passes, Greenkhorn's being rounds of n updates; the scaling
-    # methods pay quadratically in |C|_inf / epsilon, hence the squared term.
+def _solve_scaling(method, cost, a_s, b_s, eta, config, rule) -> SolveResult:
+    """Sinkhorn or Greenkhorn solve."""
+    # The scaling methods pay quadratically in |C|_inf / epsilon, hence the squared term.
     passes = config.max_outer or max(
-        MIN_BUDGET, math.ceil(config.kappa * math.log(n) * (cost.max_abs / config.epsilon) ** 2)
+        MIN_BUDGET, math.ceil(config.kappa * math.log(cost.n) * (cost.max_abs / config.epsilon) ** 2)
     )
-    # Updates per checkpoint: a Sinkhorn sweep, or a round of n Greenkhorn updates.
-    stride = 1 if method == "sinkhorn" else n
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    plan, info = runner(cost, a_s, b_s, eta, max_iter=passes * stride, stop=rule)
-    (key,) = OP_COUNTS[method]
-    return plan.entries, info["stop_reason"], dict(
-        records=[],
-        outer_iterations=info["iterations"] // stride,
-        op_counts={key: info["iterations"]},
-    )
+    return runner(cost, a_s, b_s, eta, passes, rule)
 
 
 def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", stop: str = "certificate") -> ApproxResult:
@@ -280,10 +264,10 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     are ``flagged``.  The budget
     is max(10^4, ceil(cap / m)) outer iterations for pdasgd, with cap from
     :func:`theoretical_iteration_cap` and m the profile's inner loop length,
-    max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps, and
-    n times that in Greenkhorn updates.  So every method gets at least
-    10^4 (:data:`MIN_BUDGET`) dense passes.  ``config.max_outer`` overrides
-    that count of checkpoints for all three.
+    and max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps or
+    rounds of n Greenkhorn updates.  So every method gets at least 10^4
+    (:data:`MIN_BUDGET`) checkpoints, and ``config.max_outer`` overrides
+    that count for all three.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -303,21 +287,24 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
 
     rule = stopping_rule(stop, a.weights, b.weights, config.epsilon, eps_prime)
     if method == "pdasgd":
-        raw, reason, fields = _solve_pdasgd(c, a_s, b_s, eta, config, rule)
+        result = _solve_pdasgd(c, a_s, b_s, eta, config, rule)
     else:
-        raw, reason, fields = _solve_scaling(method, c, a_s, b_s, eta, config, rule)
+        result = _solve_scaling(method, c, a_s, b_s, eta, config, rule)
+    raw = np.outer(a_s.weights, b_s.weights) if result.plan is None else result.plan
     # Iterates carry total mass 1 only up to their marginal tolerance;
     # renormalize so the rounding mass gate applies uniformly.
     rounded, report = round_to_polytope(raw / raw.sum(), a, b)
     return ApproxResult(
         plan=rounded,
         ot_value=transport_cost(rounded, c),
-        stop_reason=reason or STOP_CAP,
+        records=result.records,
+        stop_reason=result.stop_reason or STOP_CAP,
         eta=eta,
         eps_prime=eps_prime,
         unrounded=raw,
         rounding_report=report,
-        **fields,
+        outer_iterations=result.iterations,
+        op_counts=result.op_counts,
     )
 
 

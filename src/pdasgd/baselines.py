@@ -8,12 +8,14 @@ single row or column with the worst marginal-violation score.  Both plug
 into the same smoothing and rounding pipeline as the stochastic solver so
 benchmark curves differ only in the solver.
 
-Both call their stopping rule as the stochastic solver does, as
-``stop(checkpoint)`` once per dense pass (see :func:`sinkhorn` and
-:func:`greenkhorn`).  Before the rule, both stop with the solver's reason
-``"diverged"`` when the violation is not finite: a kernel that overflows
-or underflows everywhere gives a NaN plan that no update can repair.  The
-stop reason is the only report of how a run ended; neither warns.
+Both take the same contract as the stochastic solver's ``run``: a budget
+``max_iter`` counted in checkpoints (Sinkhorn's sweeps, Greenkhorn's
+rounds of n updates) and a required rule, called as ``stop(checkpoint)``
+once per checkpoint, and both return a :class:`~pdasgd.core.SolveResult`.
+Before the rule, both stop with the solver's reason ``"diverged"`` when
+the violation is not finite: a kernel that overflows or underflows
+everywhere gives a NaN plan that no update can repair.  The stop reason
+is the only report of how a run ended; neither warns.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, StoppingRule, TransportPlan, as_matrix, as_weights
-from .core import logsumexp, marginal_distance, marginal_residual
+from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_matrix, as_weights
+from .core import is_count, logsumexp, marginal_residual
 
 
-def _validate(cost, alpha, beta, eta):
+def _validate(cost, alpha, beta, eta, max_iter):
+    if not is_count(max_iter):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     c = as_matrix(cost)
     a = as_weights(alpha)
     b = as_weights(beta)
@@ -44,25 +48,10 @@ def _validate(cost, alpha, beta, eta):
 
 
 def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Checkpoint, Optional[str]]:
-    """The checkpoint of a plan's sums after ``index`` steps and its stop reason, ``"diverged"`` before the rule's."""
+    """The checkpoint of a plan's sums at checkpoint ``index`` and its stop reason, ``"diverged"`` before the rule's."""
     point = Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
     # written so that a NaN violation never reaches the rule
     return point, stop(point) if math.isfinite(point.violation) else STOP_DIVERGED
-
-
-def _rule(stop: Optional[StoppingRule], tol: float) -> StoppingRule:
-    return stop if stop is not None else lambda point: "marginal-tol" if point.violation <= tol else None
-
-
-def _finish(plan: np.ndarray, iteration: int, reason, a, b, log_u, log_v):
-    """The (plan, info) pair of a scaling run."""
-    return TransportPlan(plan), {
-        "iterations": iteration,
-        "marginal_distance": marginal_distance(plan, a, b),
-        "stop_reason": reason,
-        "log_u": log_u,
-        "log_v": log_v,
-    }
 
 
 def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -72,18 +61,13 @@ def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: n
     return np.exp(out, out=out)
 
 
-def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: Optional[StoppingRule] = None):
+def sinkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Alternating row/column scaling of exp(-C/eta) on a re-based kernel.
 
     After every sweep the rule is called as ``stop(checkpoint)``, with the
-    sweep count as ``index``.  ``tol_marginal`` only builds the rule used
-    without one, which stops with reason ``"marginal-tol"`` once the plan
-    is within it in L1 of (alpha, beta).  A non-finite violation stops the
-    run with reason ``"diverged"``, and ``max_iter`` sweeps stop it with
-    reason None.  Returns ``(plan, info)``: the unrounded plan and a dict
-    of the sweep count ``iterations``, the returned plan's
-    ``marginal_distance``, the duals ``log_u`` and ``log_v``, and
-    ``stop_reason``.
+    sweep count as ``index``.  A non-finite violation stops the run with
+    reason ``"diverged"``, and ``max_iter`` sweeps stop it with reason
+    None.  The result's ``op_counts`` is ``{"sweeps": iterations}``.
 
     The plan is diag(u) K diag(v), for ``K = exp(-C/eta + f + g)`` with the
     log scalings f, g absorbed (Schmitzer 2019).  A sweep, ``u = alpha / Kv``
@@ -94,8 +78,7 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: O
     of K sums to >= alpha_i min(beta) and every column to beta_j, clear of
     underflow, and rebuilds K at u = v = 1 with one n^2 exp pass.
     """
-    c, a, b = _validate(cost, alpha, beta, eta)
-    stop = _rule(stop, tol_marginal)
+    c, a, b = _validate(cost, alpha, beta, eta, max_iter)
     log_k = -c / eta
     log_a, log_b = np.log(a), np.log(b)
     f, g = np.zeros(a.size), np.zeros(b.size)  # the log scalings absorbed into the kernel
@@ -123,7 +106,7 @@ def sinkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=10_000, stop: O
         rebase = max(u.max(), v.max()) > bound or min(u.min(), v.min()) * bound < 1.0
     kernel *= u[:, None]
     kernel *= v
-    return _finish(kernel, iteration, reason, a, b, f + np.log(u), g + np.log(v))
+    return SolveResult(kernel, eta * (g + np.log(v)), reason, iteration, {"sweeps": iteration})
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -137,18 +120,18 @@ def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
         return target * (x - np.log1p(x))
 
 
-def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, stop: Optional[StoppingRule] = None):
+def greenkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Greedy coordinate version of Sinkhorn.
 
     Each update rescales the single row or column with the largest
     distance-to-marginal score so that its sum matches the target exactly.
     The rule is called as in :func:`sinkhorn`, but once per round of n
-    updates, on sums re-summed from the plan, with the update count as
-    ``index``; ``max_iter`` and ``iterations`` count updates.  A non-finite
-    plan stops the run before its first update.
+    updates, on sums re-summed from the plan, with the round count as
+    ``index``; ``max_iter`` and ``iterations`` count rounds, and
+    ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite plan
+    stops the run before its first update.
     """
-    c, a, b = _validate(cost, alpha, beta, eta)
-    stop = _rule(stop, tol_marginal)
+    c, a, b = _validate(cost, alpha, beta, eta, max_iter)
     n = a.size
     log_k = -c / eta
     log_a = np.log(a)
@@ -156,30 +139,30 @@ def greenkhorn(cost, alpha, beta, eta, tol_marginal=1e-9, max_iter=1_000_000, st
     # Start from the mass-1 normalization of the kernel.
     shift = -logsumexp(log_k.flatten())
     log_u, log_v = np.full(n, shift), np.zeros(n)
-    iteration = 0
+    rounds = 0
     plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
     r, col = plan.sum(axis=1), plan.sum(axis=0)
     reason = None if math.isfinite(marginal_residual(r, col, a, b)) else STOP_DIVERGED
-    while reason is None and iteration < max_iter:
-        rows = _line_scores(r, a)
-        cols = _line_scores(col, b)
-        i = int(np.argmax(rows))
-        j = int(np.argmax(cols))
-        if rows[i] >= cols[j]:
-            log_u[i] = log_a[i] - logsumexp(log_k[i] + log_v)
-            new_row = np.exp(log_k[i] + log_u[i] + log_v)
-            col += new_row - plan[i]
-            plan[i] = new_row
-            r[i] = new_row.sum()
-        else:
-            log_v[j] = log_b[j] - logsumexp(log_k[:, j] + log_u)
-            new_col = np.exp(log_k[:, j] + log_u + log_v[j])
-            r += new_col - plan[:, j]
-            plan[:, j] = new_col
-            col[j] = new_col.sum()
-        iteration += 1
-        if iteration % n == 0:
-            # Re-summing sheds the incremental sums' drift; updates change copies.
-            point, reason = _checkpoint(stop, iteration, plan.sum(axis=1), plan.sum(axis=0), a, b)
-            r, col = point.rows.copy(), point.cols.copy()
-    return _finish(plan, iteration, reason, a, b, log_u, log_v)
+    while reason is None and rounds < max_iter:
+        for _ in range(n):
+            rows = _line_scores(r, a)
+            cols = _line_scores(col, b)
+            i = int(np.argmax(rows))
+            j = int(np.argmax(cols))
+            if rows[i] >= cols[j]:
+                log_u[i] = log_a[i] - logsumexp(log_k[i] + log_v)
+                new_row = np.exp(log_k[i] + log_u[i] + log_v)
+                col += new_row - plan[i]
+                plan[i] = new_row
+                r[i] = new_row.sum()
+            else:
+                log_v[j] = log_b[j] - logsumexp(log_k[:, j] + log_u)
+                new_col = np.exp(log_k[:, j] + log_u + log_v[j])
+                r += new_col - plan[:, j]
+                plan[:, j] = new_col
+                col[j] = new_col.sum()
+        rounds += 1
+        # Re-summing sheds the incremental sums' drift; updates change copies.
+        point, reason = _checkpoint(stop, rounds, plan.sum(axis=1), plan.sum(axis=0), a, b)
+        r, col = point.rows.copy(), point.cols.copy()
+    return SolveResult(plan, eta * log_v, reason, rounds, {"updates": rounds * n})

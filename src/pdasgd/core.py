@@ -10,8 +10,9 @@ across threads; the functionals below are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+import numbers
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -128,8 +129,9 @@ class OTInstance:
 class Checkpoint:
     """What a solver's stopping rule sees once per dense pass.
 
-    ``index`` counts the solver's steps so far: pdasgd's outer iterations,
-    Sinkhorn's sweeps or Greenkhorn's updates.  ``rows`` and ``cols`` are
+    ``index`` counts the solver's checkpoints so far: pdasgd's outer
+    iterations, Sinkhorn's sweeps or Greenkhorn's rounds of n updates, the
+    unit of every solver's budget.  ``rows`` and ``cols`` are
     the current plan's row and column sums, and ``violation`` is their L1
     distance to the marginals the solver was given.  ``gap`` is pdasgd's
     zero-argument duality gap, an n^2 pass paid on its first call, and None
@@ -144,9 +146,29 @@ class Checkpoint:
 
 
 StoppingRule = Callable[[Checkpoint], Optional[str]]
+
+
+@dataclass
+class SolveResult:
+    """What every solver returns: ``run``, ``sinkhorn`` and ``greenkhorn``."""
+
+    plan: Optional[np.ndarray]  # unrounded; None only when pdasgd's first outer iteration diverged
+    dual: np.ndarray  # the column dual in cost units: pdasgd's lambda_tilde, or eta log v
+    stop_reason: Optional[str]  # the rule's reason, STOP_DIVERGED, or None at the budget
+    iterations: int  # checkpoints, the budget's unit; a diverged dense pass counts
+    op_counts: dict
+    records: list = field(default_factory=list)  # pdasgd's RunRecords; empty for the scaling methods
+    state: Any = None  # pdasgd's SolverState; None for the scaling methods
+
+
 # The stop reason of every solver whose iterate became non-finite.
 STOP_DIVERGED = "diverged"
 REBASE_SPAN = 30.0  # log-domain drift past which the workspace's and Sinkhorn's kernels are rebuilt
+
+
+def is_count(x) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
 
 
 def as_weights(x) -> np.ndarray:

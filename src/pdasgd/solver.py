@@ -57,14 +57,13 @@ produce bitwise-identical iterates and records.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import STOP_DIVERGED, Checkpoint, StoppingRule, as_weights
+from .core import STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_weights, is_count
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -155,11 +154,6 @@ def gamma(s: int, avg_smoothness: float) -> float:
     if avg_smoothness <= 0:
         raise ValueError("average smoothness must be positive")
     return (s + 4) / (18.0 * avg_smoothness)
-
-
-def is_count(x) -> bool:
-    """True for an integer >= 1 that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
 
 
 @dataclass
@@ -320,15 +314,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     return True
 
 
-@dataclass
-class SolveResult:
-    primal: Optional[np.ndarray]  # None only if the first outer iteration diverged
-    dual: np.ndarray
-    records: list
-    stop_reason: Optional[str]
-    state: SolverState
-
-
 def make_record(state: SolverState) -> tuple[RunRecord, tuple[np.ndarray, np.ndarray]]:
     """The record of the current averaged primal x_s; returns (record, (rows, cols)).
 
@@ -367,11 +352,7 @@ def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> f
     return record.duality_gap
 
 
-def run(
-    oracle: FiniteSumOracle,
-    options: SolverOptions,
-    stop: Optional[StoppingRule] = None,
-) -> SolveResult:
+def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> SolveResult:
     """Run outer iterations until the budget, the stopping rule or a non-finite iterate ends the run.
 
     Every outer iteration whose iterates stay finite is a checkpoint: its record is appended and the rule is called as
@@ -379,13 +360,13 @@ def run(
     and a ``gap`` that builds x_s and evaluates the duality gap
     (:func:`certify`, n^2 passes) on its first call, which must come before
     the next outer iteration.  A record carries ``primal_objective`` and
-    ``duality_gap`` only if the rule called ``gap``; without a rule, every
-    checkpoint is certified.  The result's ``primal`` is x_s of the last
-    finite outer iteration, read from the workspace, which owns the average
-    and its total weight, or None if there is none.  Its ``stop_reason`` is
-    the rule's reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
-    after a non-finite iterate, whose outer iteration ``state.s`` counts but
-    records nothing.  Deterministic given (seed, oracle, options).
+    ``duality_gap`` only if the rule called ``gap``.  The result's ``plan``
+    is x_s of the last finite outer iteration, read from the workspace,
+    which owns the average and its total weight, or None if there is none,
+    and its ``dual`` is lambda_tilde.  Its ``stop_reason`` is the rule's
+    reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
+    after a non-finite iterate, whose outer iteration ``iterations`` counts
+    but records nothing.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     records: list[RunRecord] = []
@@ -397,11 +378,9 @@ def run(
         record, (rows, cols) = make_record(state)
         records.append(record)
         gap = partial(certify, record, state, oracle)
-        if stop is None:
-            gap()
-            continue
         stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
         if stop_reason is not None:
             break
-    primal = state.workspace.average() if state.workspace.weight > 0 else None
-    return SolveResult(primal, state.lambda_tilde.copy(), records, stop_reason, state)
+    plan = state.workspace.average() if state.workspace.weight > 0 else None
+    op_counts = {"component_gradients": state.n_component_gradients, "inner_steps": state.n_inner_steps}
+    return SolveResult(plan, state.lambda_tilde.copy(), stop_reason, state.s, op_counts, records, state)

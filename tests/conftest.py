@@ -22,6 +22,22 @@ def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 
 
+def never_stop(point):
+    """A stopping rule that runs a solver to its budget."""
+    return None
+
+
+def certify_every(point):
+    """A stopping rule that runs pdasgd to its budget with every record certified (its gap evaluated)."""
+    point.gap()
+    return None
+
+
+def marginal_tol(tol):
+    """A stopping rule: reason ``"marginal-tol"`` once the plan is within ``tol`` in L1 of the solver's marginals."""
+    return lambda point: "marginal-tol" if point.violation <= tol else None
+
+
 def snapshot_rows(snapshot, indices, d):
     """A snapshot's (anchors, corrections) for ``indices``, written into fresh (len(indices), d) arrays."""
     anchors, corrections = np.empty((len(indices), d)), np.empty((len(indices), d))

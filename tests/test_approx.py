@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from pdasgd.approx import (
     DEFAULT_KAPPA,
     METHODS,
     MIN_BUDGET,
+    OP_COUNTS,
     STOP_ACCURACY,
     STOP_CAP,
     STOP_CONVERGED,
     STOP_DIVERGED,
+    STOP_RULES,
     STOP_TRIVIAL,
     ApproxConfig,
     approx_ot,
@@ -22,6 +25,7 @@ from pdasgd.approx import (
     derive_parameters,
     resolve_profile,
     smooth_marginals,
+    stopping_rule,
     theoretical_iteration_cap,
 )
 from pdasgd.baselines import greenkhorn, sinkhorn
@@ -31,6 +35,8 @@ from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 from pdasgd.semidual import SemiDualOracle
 from pdasgd.solver import SolverOptions, run
+
+from conftest import certify_every, marginal_tol, never_stop
 
 
 def test_derive_parameters_examples():
@@ -233,7 +239,7 @@ def test_lazy_certificate_matches_full_records(profile, kappa):
     res = approx_ot(c, a, b, config)
     assert res.stop_reason == STOP_CONVERGED
     oracle, options = _pipeline_solver(c, a, b, config)
-    full = run(oracle, options)
+    full = run(oracle, options, certify_every)
     assert all(r.duality_gap is not None for r in full.records)
     first = next(
         r for r in full.records
@@ -244,9 +250,9 @@ def test_lazy_certificate_matches_full_records(profile, kappa):
     assert first == res.records[-1]
     assert all(r.duality_gap is None for r in res.records if r.constraint_violation_l1 > res.eps_prime / 2)
     options.outer_iterations = first.outer_index
-    capped = run(oracle, options)
-    assert capped.primal.tobytes() == res.unrounded.tobytes()
-    rounded, _ = round_to_polytope(capped.primal / capped.primal.sum(), alpha, beta)
+    capped = run(oracle, options, never_stop)
+    assert capped.plan.tobytes() == res.unrounded.tobytes()
+    rounded, _ = round_to_polytope(capped.plan / capped.plan.sum(), alpha, beta)
     assert rounded.entries.tobytes() == res.plan.entries.tobytes()
 
 
@@ -286,11 +292,10 @@ def test_gap_surrogate_lower_bound(rng):
     # the same trajectory, certified at every checkpoint
     oracle, options = _pipeline_solver(c, a, b, config)
     options.outer_iterations = res.outer_iterations
-    full = run(oracle, options)
+    full = run(oracle, options, certify_every)
     assert [r.constraint_violation_l1 for r in full.records] == [r.constraint_violation_l1 for r in res.records]
     eta, a_s, b_s = oracle.eta, oracle.alpha, oracle.beta
-    _, info = sinkhorn(c, a_s, b_s, eta, tol_marginal=1e-9, max_iter=10**6)
-    dual_scale = np.abs(eta * info["log_v"]).max()
+    dual_scale = np.abs(sinkhorn(c, a_s, b_s, eta, max_iter=10**6, stop=marginal_tol(1e-9)).dual).max()
     for record in full.records:
         floor = -(dual_scale + 1.0) * record.constraint_violation_l1 - 1e-9
         assert record.duality_gap >= floor
@@ -335,10 +340,19 @@ def test_scaling_profile_replay(method, outer_iterations, op_counts, ot_value):
     assert result.ot_value == pytest.approx(ot_value, abs=1e-12)
 
 
+def _direct_solve(method, cost, a_s, b_s, eta, budget, rule, profile=ApproxConfig.solver_profile, seed=0):
+    """The ``SolveResult`` of the solver call ``approx_ot`` makes for ``method``, made directly."""
+    if method == "pdasgd":
+        m, multiplier = resolve_profile(profile, a_s.n)
+        options = SolverOptions(m, budget, seed=seed, z_step_multiplier=multiplier)
+        return run(SemiDualOracle(OTInstance(cost, a_s, b_s, eta)), options, rule)
+    return (sinkhorn if method == "sinkhorn" else greenkhorn)(cost, a_s, b_s, eta, budget, rule)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_one_stopping_rule_for_every_method(method):
-    # one rule object, called once per dense pass with a Checkpoint of the
-    # plan's sums; it stops every method on its third call
+    # one rule object, called once per checkpoint with the plan's sums; it
+    # stops every method on its third call, whose index is 3 for every method
     alpha, beta, cost = make_image_pair(0, 4, 0)
     eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
     a_s, b_s = smooth_marginals(alpha, beta, eps_prime, alpha.n)
@@ -348,28 +362,14 @@ def test_one_stopping_rule_for_every_method(method):
         seen.append(point)
         return "third" if len(seen) == 3 else None
 
-    if method == "pdasgd":
-        oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
-        res = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=10, seed=0), stop=rule)
-        reason, plan, step = res.stop_reason, res.primal, 1
-    else:
-        solver = sinkhorn if method == "sinkhorn" else greenkhorn
-        out, info = solver(cost, a_s, b_s, eta, max_iter=100 * alpha.n, stop=rule)
-        reason, plan, step = info["stop_reason"], out.entries, 1 if method == "sinkhorn" else alpha.n
-    assert reason == "third"
-    assert [p.index for p in seen] == [step, 2 * step, 3 * step]
+    res = _direct_solve(method, cost, a_s, b_s, eta, 100, rule)
+    assert (res.stop_reason, res.iterations) == ("third", 3)
+    assert [p.index for p in seen] == [1, 2, 3]
     assert all(callable(p.gap) if method == "pdasgd" else p.gap is None for p in seen)
     last = seen[-1]
-    if method != "greenkhorn":
-        # pdasgd's workspace and Sinkhorn's kernel keep the plan's sums apart
-        # from the plan, as matrix-vector products
-        assert np.allclose(last.rows, plan.sum(axis=1), rtol=0, atol=1e-15)
-        assert np.allclose(last.cols, plan.sum(axis=0), rtol=0, atol=1e-15)
-        assert last.violation == pytest.approx(marginal_distance(plan, a_s, b_s), abs=1e-14)
-    else:
-        assert last.rows.tobytes() == plan.sum(axis=1).tobytes()
-        assert last.cols.tobytes() == plan.sum(axis=0).tobytes()
-        assert last.violation == marginal_distance(plan, a_s, b_s)
+    assert np.allclose(last.rows, res.plan.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(last.cols, res.plan.sum(axis=0), rtol=0, atol=1e-15)
+    assert last.violation == pytest.approx(marginal_distance(res.plan, a_s, b_s), abs=1e-14)
 
 
 def test_greenkhorn_max_outer_counts_rounds():
@@ -381,12 +381,6 @@ def test_greenkhorn_max_outer_counts_rounds():
     assert res.stop_reason == STOP_CAP
     assert res.outer_iterations == 2
     assert res.op_counts["updates"] == 2 * n
-    # a cap part-way through a round reports the returned plan's distance
-    eta, eps_prime = derive_parameters(0.05, n, cost)
-    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, n)
-    plan, info = greenkhorn(cost, a_s, b_s, eta, tol_marginal=0.0, max_iter=n + 3)
-    assert info["stop_reason"] is None and info["iterations"] == n + 3
-    assert info["marginal_distance"] == marginal_distance(plan, a_s, b_s)
 
 
 def _bad_inputs():
@@ -652,5 +646,50 @@ def test_gap_bounds_smoothed_suboptimality(problem):
     cost, a, b, config = problem
     oracle, options = _pipeline_solver(cost, a, b, config)
     f_star = _smoothed_optimum(oracle)
-    for record in run(oracle, options).records:
+    for record in run(oracle, options, certify_every).records:
         assert record.duality_gap >= record.primal_objective - f_star - 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=smoothed_problems())
+def test_pipeline_adds_nothing_to_the_solver(problem):
+    # approx_ot's counts, records, stop reason and unrounded plan are those
+    # of a direct solver call at the same smoothed marginals, budget and rule
+    cost, a, b, config = problem
+    eta, eps_prime = derive_parameters(config.epsilon, a.size, cost)
+    a_s, b_s = smooth_marginals(a, b, eps_prime, a.size)
+    for method in METHODS:
+        for stop in STOP_RULES:
+            res = approx_ot(cost, a, b, config, method=method, stop=stop)
+            rule = stopping_rule(stop, a, b, config.epsilon, eps_prime)
+            direct = _direct_solve(
+                method, CostMatrix(cost), a_s, b_s, eta, config.max_outer, rule, config.solver_profile, config.seed
+            )
+            assert res.outer_iterations == direct.iterations
+            assert res.op_counts == direct.op_counts
+            assert tuple(direct.op_counts) == OP_COUNTS[method]  # the keys of a trivial result too
+            assert res.records == direct.records
+            assert res.stop_reason == (direct.stop_reason or STOP_CAP)
+            assert res.unrounded.tobytes() == direct.plan.tobytes()
+
+
+def test_pdasgd_state_released_before_rounding(monkeypatch):
+    # the run's workspace holds an n^2 kernel and a dense primal sum;
+    # approx_ot must let it go before rounding, not hold it to the end
+    workspaces, checked = [], []
+
+    def tracked(oracle, options, stop):
+        result = run(oracle, options, stop)
+        workspaces.append(weakref.ref(result.state.workspace))
+        return result
+
+    def rounding(plan, alpha, beta):
+        checked.append(workspaces[-1]() is None)
+        return round_to_polytope(plan, alpha, beta)
+
+    monkeypatch.setattr(pdasgd.approx, "run", tracked)
+    monkeypatch.setattr(pdasgd.approx, "round_to_polytope", rounding)
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05))
+    assert res.stop_reason == STOP_CONVERGED
+    assert checked == [True]

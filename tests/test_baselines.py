@@ -6,6 +6,8 @@ from pdasgd.core import STOP_DIVERGED, logsumexp, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 
+from conftest import marginal_tol, never_stop
+
 
 def positive_pair(rng, n):
     a = rng.dirichlet(np.ones(n))
@@ -18,9 +20,9 @@ def positive_pair(rng, n):
 def test_sinkhorn_zero_cost_one_sweep(rng):
     n = 4
     a, b = positive_pair(rng, n)
-    plan, info = sinkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-12, max_iter=5)
-    assert info["iterations"] == 1
-    assert np.abs(plan.entries - np.outer(a, b)).max() < 1e-15
+    res = sinkhorn(np.zeros((n, n)), a, b, eta=1.0, max_iter=5, stop=marginal_tol(1e-12))
+    assert res.iterations == 1
+    assert np.abs(res.plan - np.outer(a, b)).max() < 1e-15
 
 
 def test_sinkhorn_preserves_symmetry(rng):
@@ -28,8 +30,8 @@ def test_sinkhorn_preserves_symmetry(rng):
     c = rng.random((n, n))
     c = 0.5 * (c + c.T)
     a, _ = positive_pair(rng, n)
-    plan, _ = sinkhorn(c, a, a, eta=0.2, tol_marginal=1e-10, max_iter=100000)
-    assert np.abs(plan.entries - plan.entries.T).max() < 1e-10
+    plan = sinkhorn(c, a, a, eta=0.2, max_iter=100000, stop=marginal_tol(1e-10)).plan
+    assert np.abs(plan - plan.T).max() < 1e-10
 
 
 def test_sinkhorn_rounded_value_near_oracle(rng):
@@ -37,8 +39,8 @@ def test_sinkhorn_rounded_value_near_oracle(rng):
     c = rng.random((n, n)); c /= c.max()
     a, b = positive_pair(rng, n)
     _, opt = exact_ot_oracle(c, a, b)
-    plan, _ = sinkhorn(c, a, b, eta=0.05, tol_marginal=1e-6, max_iter=10**6)
-    rounded, _ = round_to_polytope(plan.entries, a, b)
+    plan = sinkhorn(c, a, b, eta=0.05, max_iter=10**6, stop=marginal_tol(1e-6)).plan
+    rounded, _ = round_to_polytope(plan, a, b)
     assert float((rounded.entries * c).sum()) - opt <= 0.05
 
 
@@ -46,13 +48,23 @@ def test_sinkhorn_validation_and_flagging(rng):
     n = 3
     a, b = positive_pair(rng, n)
     with pytest.raises(ValueError, match="strictly positive"):
-        sinkhorn(np.ones((n, n)), np.array([1.0, 0.0, 0.0]), b, eta=0.5)
+        sinkhorn(np.ones((n, n)), np.array([1.0, 0.0, 0.0]), b, eta=0.5, max_iter=10, stop=never_stop)
     with pytest.raises(ValueError, match="eta"):
-        sinkhorn(np.ones((n, n)), a, b, eta=0.0)
+        sinkhorn(np.ones((n, n)), a, b, eta=0.0, max_iter=10, stop=never_stop)
     c = rng.random((n, n))
-    _, info = sinkhorn(c, a, b, eta=0.01, tol_marginal=1e-14, max_iter=2)
-    assert info["stop_reason"] is None
-    assert info["iterations"] == 2
+    res = sinkhorn(c, a, b, eta=0.01, max_iter=2, stop=marginal_tol(1e-14))
+    assert res.stop_reason is None
+    assert res.iterations == 2
+    assert res.op_counts == {"sweeps": 2}
+
+
+@pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.0, True, None])
+def test_scaling_rejects_a_budget_that_is_not_a_count(rng, solver, max_iter):
+    # before: sinkhorn(max_iter=0) took its uninitialised kernel for the plan
+    a, b = positive_pair(rng, 3)
+    with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter!r}"):
+        solver(rng.random((3, 3)), a, b, 0.5, max_iter, never_stop)
 
 
 @pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
@@ -67,7 +79,7 @@ def test_scaling_rejects_non_finite_input(rng, solver, field, bad):
     args[field] = args[field].copy()
     args[field][1] = bad
     with pytest.raises(ValueError, match=f"{field} entries must be finite, got non-finite"):
-        solver(args["cost"], args["alpha"], args["beta"], eta=0.5)
+        solver(args["cost"], args["alpha"], args["beta"], eta=0.5, max_iter=10, stop=never_stop)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -75,11 +87,11 @@ def test_scaling_rejects_non_finite_input(rng, solver, field, bad):
 def test_greenkhorn_nan_distance_is_not_converged():
     # a finite cost whose kernel underflows everywhere makes the plan NaN;
     # the NaN marginal distance must not pass the tolerance test, and the
-    # run stops before its first update instead of running all 10^6
+    # run stops before its first update instead of running all 10^4 rounds
     half = np.array([0.5, 0.5])
-    _, info = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
-    assert info["stop_reason"] == STOP_DIVERGED
-    assert info["iterations"] == 0
+    res = greenkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10, max_iter=10**4, stop=never_stop)
+    assert res.stop_reason == STOP_DIVERGED
+    assert (res.iterations, res.op_counts) == (0, {"updates": 0})
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -87,9 +99,9 @@ def test_greenkhorn_nan_distance_is_not_converged():
 def test_sinkhorn_nan_distance_is_not_converged():
     # the same NaN plan stops Sinkhorn after its first sweep, not 10^4
     half = np.array([0.5, 0.5])
-    _, info = sinkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10)
-    assert info["stop_reason"] == STOP_DIVERGED
-    assert info["iterations"] == 1
+    res = sinkhorn(np.full((2, 2), 1e300), half, half, eta=1e-10, max_iter=10**4, stop=never_stop)
+    assert res.stop_reason == STOP_DIVERGED
+    assert (res.iterations, res.op_counts) == (1, {"sweeps": 1})
 
 
 def test_greenkhorn_zero_cost_fixed_point(rng):
@@ -97,10 +109,10 @@ def test_greenkhorn_zero_cost_fixed_point(rng):
     # few more than 2n updates because each update perturbs the other axis
     for n in (2, 3, 4):
         a, b = positive_pair(rng, n)
-        plan, info = greenkhorn(np.zeros((n, n)), a, b, eta=1.0, tol_marginal=1e-10, max_iter=1000)
-        assert info["stop_reason"] == "marginal-tol"
-        assert info["iterations"] <= 8 * n
-        assert np.abs(plan.entries - np.outer(a, b)).max() < 1e-12
+        res = greenkhorn(np.zeros((n, n)), a, b, eta=1.0, max_iter=250, stop=marginal_tol(1e-10))
+        assert res.stop_reason == "marginal-tol"
+        assert res.op_counts["updates"] == res.iterations * n <= 8 * n
+        assert np.abs(res.plan - np.outer(a, b)).max() < 1e-12
 
 
 def test_greenkhorn_updated_line_sums_exactly(rng):
@@ -109,10 +121,10 @@ def test_greenkhorn_updated_line_sums_exactly(rng):
     a, b = positive_pair(rng, n)
     # after convergence at a tight tolerance every line is near its target;
     # check single-update exactness on a coarse run by re-running one step
-    plan, info = greenkhorn(c, a, b, eta=0.3, tol_marginal=1e-9, max_iter=10**6)
-    assert info["stop_reason"] == "marginal-tol"
-    r = plan.entries.sum(axis=1)
-    col = plan.entries.sum(axis=0)
+    res = greenkhorn(c, a, b, eta=0.3, max_iter=2 * 10**5, stop=marginal_tol(1e-9))
+    assert res.stop_reason == "marginal-tol"
+    r = res.plan.sum(axis=1)
+    col = res.plan.sum(axis=0)
     assert min(np.abs(r - a).max(), np.abs(col - b).max()) < 1e-9
 
 
@@ -120,19 +132,19 @@ def test_greenkhorn_agrees_with_sinkhorn(rng):
     for n in (4, 8, 16):
         c = rng.random((n, n)); c /= c.max()
         a, b = positive_pair(rng, n)
-        ps, _ = sinkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**6)
-        pg, _ = greenkhorn(c, a, b, eta=0.1, tol_marginal=1e-8, max_iter=10**7)
-        assert np.abs(ps.entries - pg.entries).sum() < 1e-6
+        ps = sinkhorn(c, a, b, eta=0.1, max_iter=10**6, stop=marginal_tol(1e-8)).plan
+        pg = greenkhorn(c, a, b, eta=0.1, max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
+        assert np.abs(ps - pg).sum() < 1e-6
 
 
 def test_plans_strictly_positive(rng):
     n = 6
     c = rng.random((n, n))
     a, b = positive_pair(rng, n)
-    ps, si = sinkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**5)
-    pg, gi = greenkhorn(c, a, b, eta=0.5, tol_marginal=1e-9, max_iter=10**6)
-    assert ps.entries.min() > 0
-    assert pg.entries.min() > 0
+    ps = sinkhorn(c, a, b, eta=0.5, max_iter=10**5, stop=marginal_tol(1e-9)).plan
+    pg = greenkhorn(c, a, b, eta=0.5, max_iter=10**6 // n, stop=marginal_tol(1e-9)).plan
+    assert ps.min() > 0
+    assert pg.min() > 0
 
 
 def test_stop_callback(rng):
@@ -145,21 +157,21 @@ def test_stop_callback(rng):
         seen.append((point.rows.copy(), point.cols.copy()))
         return "poked" if len(seen) >= 3 else None
 
-    plan, info = sinkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
-    assert info["stop_reason"] == "poked"
-    assert info["iterations"] == 3
+    res = sinkhorn(c, a, b, eta=0.2, max_iter=100, stop=stop)
+    assert res.stop_reason == "poked"
+    assert res.iterations == 3
     # the callback is passed the sums of the plan it stopped on, from the
     # kernel's matrix-vector products rather than from summing the plan
-    assert np.allclose(seen[-1][0], plan.entries.sum(axis=1), rtol=0, atol=1e-15)
-    assert np.allclose(seen[-1][1], plan.entries.sum(axis=0), rtol=0, atol=1e-15)
+    assert np.allclose(seen[-1][0], res.plan.sum(axis=1), rtol=0, atol=1e-15)
+    assert np.allclose(seen[-1][1], res.plan.sum(axis=0), rtol=0, atol=1e-15)
 
     seen.clear()
-    plan, ginfo = greenkhorn(c, a, b, eta=0.2, tol_marginal=0.0, max_iter=100, stop=stop)
-    assert ginfo["stop_reason"] == "poked"
-    # polled every n updates
-    assert ginfo["iterations"] == 3 * n
-    assert seen[-1][0].tobytes() == plan.entries.sum(axis=1).tobytes()
-    assert seen[-1][1].tobytes() == plan.entries.sum(axis=0).tobytes()
+    res = greenkhorn(c, a, b, eta=0.2, max_iter=25, stop=stop)
+    assert res.stop_reason == "poked"
+    # polled once per round of n updates
+    assert (res.iterations, res.op_counts) == (3, {"updates": 3 * n})
+    assert seen[-1][0].tobytes() == res.plan.sum(axis=1).tobytes()
+    assert seen[-1][1].tobytes() == res.plan.sum(axis=0).tobytes()
 
 
 def log_domain_sinkhorn(c, a, b, eta, tol, max_iter):
@@ -189,8 +201,8 @@ def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
     c[:, 1] += extra
     c[2] += extra / 2
     a, b = positive_pair(rng, n)
-    plan, info = sinkhorn(c, a, b, eta, tol_marginal=1e-6, max_iter=1000)
+    res = sinkhorn(c, a, b, eta, max_iter=1000, stop=marginal_tol(1e-6))
     ref, sweeps, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-6, 1000)
-    assert (info["iterations"], info["stop_reason"]) == (sweeps, reason)
-    assert np.allclose(plan.entries, ref, rtol=0, atol=1e-10)
-    assert np.allclose(eta * info["log_v"], eta * log_v, rtol=0, atol=1e-10)
+    assert (res.iterations, res.stop_reason) == (sweeps, reason)
+    assert np.allclose(res.plan, ref, rtol=0, atol=1e-10)
+    assert np.allclose(res.dual, eta * log_v, rtol=0, atol=1e-10)

@@ -16,7 +16,7 @@ from pdasgd.bench import (
 from pdasgd.core import marginal_distance, transport_cost
 from pdasgd.images import load_csv_matrix
 from pdasgd.solver import SolverOptions, run
-from conftest import random_oracle
+from conftest import never_stop, random_oracle
 
 SMALL_PLAN = dict(
     solvers=("pdasgd", "sinkhorn"),
@@ -61,7 +61,7 @@ def test_cost_model_matches_instrumented_counters(rng):
     # the documented pdasgd accounting reproduces the instrumented counters
     n, m, S = 6, 3, 11
     oracle = random_oracle(rng, n, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=2))
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=2), never_stop)
     assert res.state.n_component_gradients == S * (n + m)
     assert res.state.n_inner_steps == S * m
     units = pdasgd_cost_units(n, res.state.n_component_gradients, res.state.n_inner_steps)

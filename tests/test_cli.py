@@ -158,9 +158,10 @@ def test_solve_divergence_exit_code_any_solver(monkeypatch, capsys):
     # too; this one is told it diverged after 3 finite sweeps
     sinkhorn = pdasgd.baselines.sinkhorn
 
-    def diverging(*args, **kwargs):
-        plan, info = sinkhorn(*args, **{**kwargs, "max_iter": 3})
-        return plan, {**info, "stop_reason": STOP_DIVERGED}
+    def diverging(cost, alpha, beta, eta, max_iter, stop):
+        result = sinkhorn(cost, alpha, beta, eta, 3, stop)
+        result.stop_reason = STOP_DIVERGED
+        return result
 
     monkeypatch.setattr(pdasgd.baselines, "sinkhorn", diverging)
     code, out, err = run_cli(capsys, "solve", "--size", "4", "--epsilon", "0.05", "--solver", "sinkhorn")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
+from conftest import certify_every, never_stop
 from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
@@ -80,17 +81,19 @@ def test_schedule_identities():
 
 def test_ccoef_accumulation(rng):
     oracle = random_oracle(rng, 3, eta=0.5)
-    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
+    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
     assert res.state.workspace.weight == pytest.approx(2 + 2.5 + 3)
 
 
 def test_operation_counter(rng):
     n, m, S = 5, 3, 7
     oracle = random_oracle(rng, n, eta=0.5)
-    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=0))
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=0), never_stop)
     assert res.state.n_component_gradients == S * (n + m)
     assert res.state.s == S  # one snapshot (full gradient) per outer iteration
     assert res.state.n_inner_steps == S * m
+    assert res.iterations == S
+    assert res.op_counts == {"component_gradients": S * (n + m), "inner_steps": S * m}
     counts = [r.cumulative_component_gradients for r in res.records]
     assert counts == sorted(counts)
     assert res.records[-1].cumulative_component_gradients == S * (n + m)
@@ -167,7 +170,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
     for chunk, lengths in ((2, [2, 2, 1]), (64, [5])):
         seen.clear()
         monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
-        res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+        res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
         assert res.state.n_inner_steps == S * m
         assert [len(c) for _, c in seen] == lengths * S
         stream = SplitMix64(seed)
@@ -221,8 +224,8 @@ def test_run_reproduces_the_reference_loop(case):
     if case == "semidual-initial-y":
         # y is nonzero at s = 0, where its weight 1 - tau1 - tau2 is 0
         options.initial_dual = rng.normal(size=n)
-    res = run(oracle, options)
-    got = (res.state.z, res.state.y, res.dual, res.primal)
+    res = run(oracle, options, never_stop)
+    got = (res.state.z, res.state.y, res.dual, res.plan)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
@@ -250,9 +253,9 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
-        res = run(oracle, options)
+        res = run(oracle, options, never_stop)
     assert len(res.state.blocks) == min(chunk, options.inner_iterations) + 2
-    got = (res.state.z, res.state.y, res.dual, res.primal)
+    got = (res.state.z, res.state.y, res.dual, res.plan)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
@@ -260,7 +263,7 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
 def test_run_draws_only_the_components(rng):
     # the stream's one use is the m component draws of each outer iteration
     m, S, seed = 3, 7, 5
-    res = run(random_oracle(rng, 6, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+    res = run(random_oracle(rng, 6, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
     fresh = SplitMix64(seed)
     fresh.doubles(S * m)
     assert res.state.rng.next_uint64() == fresh.next_uint64()
@@ -288,7 +291,7 @@ def test_component_draws_batch_across_outer_iterations(rng, monkeypatch, bound, 
     monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 2)  # chunk boundaries as well
     m, S, seed = 3, 5, 11
     oracle = random_oracle(rng, 6, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed))
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
     assert counts == batches
     stream = SplitMix64(seed)
     sampler = CategoricalSampler(oracle.sampling_weights().weights)
@@ -321,47 +324,47 @@ def test_step_matrix_is_bitwise_the_stacked_rows(s, multiplier, avg_smoothness):
 
 def test_quadratic_oracle_converges():
     oracle = QuadraticOracle([3.0, -1.0, 2.0])
-    res = run(oracle, SolverOptions(inner_iterations=10, outer_iterations=200, seed=1))
+    res = run(oracle, SolverOptions(inner_iterations=10, outer_iterations=200, seed=1), never_stop)
     assert np.linalg.norm(res.dual - oracle.target) <= 1e-3
-    assert np.linalg.norm(res.primal - oracle.target) <= 1e-3
+    assert np.linalg.norm(res.plan - oracle.target) <= 1e-3
     # the workspace owns the average: its total weight, the average and its sums
     ws = res.state.workspace
     assert ws.weight == pytest.approx(sum(1.0 / tau1(s) for s in range(200)))
-    assert res.primal.tobytes() == ws.average().tobytes()
-    assert all(m.tobytes() == res.primal.tobytes() for m in ws.marginals())
+    assert res.plan.tobytes() == ws.average().tobytes()
+    assert all(m.tobytes() == res.plan.tobytes() for m in ws.marginals())
 
 
 def test_stationary_start_keeps_gap_tiny():
     half = Distribution(np.array([0.5, 0.5]))
     cost = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     oracle = SemiDualOracle(OTInstance(cost, half, half, eta=1.0))
-    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=1, seed=5))
+    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=1, seed=5), certify_every)
     assert abs(res.records[0].duality_gap) <= 1e-10
 
 
 def test_bitwise_determinism(rng):
     oracle = random_oracle(rng, 6, eta=0.2)
     options = SolverOptions(inner_iterations=4, outer_iterations=20, seed=123)
-    r1 = run(oracle, options)
-    r2 = run(oracle, options)
+    r1 = run(oracle, options, certify_every)
+    r2 = run(oracle, options, certify_every)
     assert np.array_equal(r1.dual, r2.dual)
-    assert np.array_equal(r1.primal, r2.primal)
+    assert np.array_equal(r1.plan, r2.plan)
     for a, b in zip(r1.records, r2.records):
         assert a == b  # dataclass equality, bit-for-bit floats
 
 
 def test_seed_changes_trajectory(rng):
     oracle = random_oracle(rng, 6, eta=0.2)
-    r1 = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=5, seed=1))
-    r2 = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=5, seed=2))
+    r1 = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=5, seed=1), never_stop)
+    r2 = run(oracle, SolverOptions(inner_iterations=4, outer_iterations=5, seed=2), never_stop)
     assert not np.array_equal(r1.dual, r2.dual)
 
 
 def test_primal_average_row_feasible(rng):
     # averaged primal is a convex combination of primal maps
     oracle = random_oracle(rng, 5, eta=0.2)
-    res = run(oracle, SolverOptions(inner_iterations=3, outer_iterations=10, seed=2))
-    x = res.primal
+    res = run(oracle, SolverOptions(inner_iterations=3, outer_iterations=10, seed=2), never_stop)
+    x = res.plan
     assert x.min() >= 0
     assert np.abs(x.sum(axis=1) - oracle.alpha).max() < 1e-13
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
@@ -407,7 +410,7 @@ def test_stale_gap_raises(rng):
 
 def test_every_outer_iteration_is_a_checkpoint(rng):
     oracle = random_oracle(rng, 4, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=10, seed=0))
+    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=10, seed=0), never_stop)
     assert [r.outer_index for r in res.records] == list(range(1, 11))
 
 
@@ -432,11 +435,11 @@ def test_divergence_detection(rng):
         def snapshot(self, lam):
             return QuadraticSnapshot(lam, np.full_like(lam, np.inf))
 
-    res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0))
+    res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
     assert res.stop_reason == STOP_DIVERGED
-    assert res.state.s == 1
+    assert res.state.s == res.iterations == 1
     assert res.records == []
-    assert res.primal is None
+    assert res.plan is None
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -451,13 +454,13 @@ def test_divergence_carries_the_run_so_far():
             self.snapshots += 1
             return QuadraticSnapshot(lam, lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
 
-    partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0))
+    partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), never_stop)
     assert partial.stop_reason == STOP_DIVERGED
-    finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0))
-    assert partial.state.s == 3
+    finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0), never_stop)
+    assert partial.state.s == partial.iterations == 3
     assert [r.outer_index for r in partial.records] == [1, 2]
     # the average of the two finite outer iterations, as a run that stopped there
-    assert partial.primal.tobytes() == finished.primal.tobytes()
+    assert partial.plan.tobytes() == finished.plan.tobytes()
 
 
 def test_step_overflow_is_divergence_without_warnings():
@@ -472,12 +475,12 @@ def test_step_overflow_is_divergence_without_warnings():
     options = SolverOptions(inner_iterations=8, outer_iterations=3000, seed=0, z_step_multiplier=1e5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = run(oracle, options)
+        res = run(oracle, options, never_stop)
     assert res.stop_reason == STOP_DIVERGED
-    assert res.state.s == 1
+    assert res.state.s == res.iterations == 1
     assert not np.isfinite(res.state.lambda_tilde).all()
     assert res.records == []
-    assert res.primal is None  # no finite iterate was averaged
+    assert res.plan is None  # no finite iterate was averaged
 
 
 def test_convergence_rate_consistency(rng):
@@ -489,6 +492,7 @@ def test_convergence_rate_consistency(rng):
         res = run(
             oracle,
             SolverOptions(inner_iterations=n, outer_iterations=200, seed=seed),
+            certify_every,
         )
         by_index = {r.outer_index: abs(r.duality_gap) for r in res.records}
         gaps_50.append(by_index[50])
@@ -566,7 +570,7 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
         assert oracle.calls - before == Counter({"workspace.snapshot": 1, "importance_gradient": m})
 
     oracle.calls = Counter()
-    run(oracle, options)
+    run(oracle, options, certify_every)  # certifying reads the workspace's average only
     assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_gradient": S * m})
 
 
