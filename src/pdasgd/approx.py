@@ -40,7 +40,7 @@ from .core import (
     StoppingRule,
     TransportPlan,
     as_weights,
-    is_count,
+    is_integer,
     marginal_residual,
     transport_cost,
 )
@@ -128,7 +128,10 @@ def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: fl
         raise ValueError("cap requires epsilon > 0, n >= 2 and a positive max cost")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    cap = kappa * n * max_cost * math.sqrt(math.log(n)) / epsilon
+    return _finite_cap(kappa * n * max_cost * math.sqrt(math.log(n)) / epsilon, max_cost, epsilon)
+
+
+def _finite_cap(cap: float, max_cost: float, epsilon: float) -> int:
     if not math.isfinite(cap):
         raise ValueError(f"the iteration cap overflows at |C|_inf = {max_cost:.6g}, epsilon = {epsilon:.6g}; set max_outer")
     return math.ceil(cap)
@@ -159,8 +162,10 @@ class ApproxConfig:
             raise ValueError(f"solver_profile must be one of {PROFILES}, got {self.solver_profile!r}")
         if not 0 < self.kappa < math.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
-        if self.max_outer is not None and not is_count(self.max_outer):
+        if self.max_outer is not None and not is_integer(self.max_outer, least=1):
             raise ValueError(f"max_outer must be None or an integer >= 1, got {self.max_outer!r}")
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -211,29 +216,31 @@ def stopping_rule(stop: str, a: np.ndarray, b: np.ndarray, epsilon: float, eps_p
     return certificate
 
 
-def _solve_pdasgd(cost, a_s, b_s, eta, config, rule) -> SolveResult:
+def _budget(config: ApproxConfig, instance: OTInstance, m: Optional[int] = None) -> int:
+    """``config.max_outer`` checkpoints, else max(MIN_BUDGET, ceil(cap)): pdasgd's cap over its ``m``, or the scaling cap."""
+    if config.max_outer:
+        return config.max_outer
+    n, max_cost, epsilon = instance.n, instance.cost.max_abs, config.epsilon
+    if m:
+        return max(MIN_BUDGET, math.ceil(theoretical_iteration_cap(epsilon, n, max_cost, config.kappa) / m))
+    ratio = max_cost / epsilon  # the scaling methods pay quadratically in it
+    return max(MIN_BUDGET, _finite_cap(config.kappa * math.log(n) * (ratio * ratio), max_cost, epsilon))
+
+
+def _solve_pdasgd(instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:
     """Semi-dual solve, without its state."""
-    n = cost.n
-    oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
-    m, multiplier = resolve_profile(config.solver_profile, n)
-    outer_cap = config.max_outer or max(
-        MIN_BUDGET, math.ceil(theoretical_iteration_cap(config.epsilon, n, cost.max_abs, config.kappa) / m)
-    )
-    options = SolverOptions(m, outer_cap, seed=config.seed, z_step_multiplier=multiplier)
-    result = run(oracle, options, rule)
+    m, multiplier = resolve_profile(config.solver_profile, instance.n)
+    options = SolverOptions(m, _budget(config, instance, m), seed=config.seed, z_step_multiplier=multiplier)
+    result = run(SemiDualOracle(instance), options, rule)
     result.state = None  # its workspace's n^2 kernel and sum must not live through the rounding
     return result
 
 
-def _solve_scaling(method, cost, a_s, b_s, eta, config, rule) -> SolveResult:
+def _solve_scaling(method: str, instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:
     """Sinkhorn or Greenkhorn solve."""
-    # The scaling methods pay quadratically in |C|_inf / epsilon, hence the squared term.
-    passes = config.max_outer or max(
-        MIN_BUDGET, math.ceil(config.kappa * math.log(cost.n) * (cost.max_abs / config.epsilon) ** 2)
-    )
     # Looked up on the module at call time, so wrappers installed there apply.
     runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    return runner(cost, a_s, b_s, eta, passes, rule)
+    return runner(instance, _budget(config, instance), rule)
 
 
 def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", stop: str = "certificate") -> ApproxResult:
@@ -276,21 +283,19 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     c = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     a = alpha if isinstance(alpha, Distribution) else Distribution(alpha)
     b = beta if isinstance(beta, Distribution) else Distribution(beta)
-    n = c.n
-    if a.n != n or b.n != n:
-        raise ValueError(f"marginal sizes must match the cost matrix: cost {n}, rows {a.n}, cols {b.n}")
+    n = OTInstance(c, a, b).n  # rejects marginal sizes that disagree with the cost
     params = derive_parameters(config.epsilon, n, c)
     if params is None:
         return _trivial_result(c, a, b, method)
     eta, eps_prime = params
-    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
+    instance = OTInstance(c, *smooth_marginals(a, b, eps_prime, n), eta)
 
     rule = stopping_rule(stop, a.weights, b.weights, config.epsilon, eps_prime)
     if method == "pdasgd":
-        result = _solve_pdasgd(c, a_s, b_s, eta, config, rule)
+        result = _solve_pdasgd(instance, config, rule)
     else:
-        result = _solve_scaling(method, c, a_s, b_s, eta, config, rule)
-    raw = np.outer(a_s.weights, b_s.weights) if result.plan is None else result.plan
+        result = _solve_scaling(method, instance, config, rule)
+    raw = np.outer(instance.row_marginal.weights, instance.col_marginal.weights) if result.plan is None else result.plan
     # Iterates carry total mass 1 only up to their marginal tolerance;
     # renormalize so the rounding mass gate applies uniformly.
     rounded, report = round_to_polytope(raw / raw.sum(), a, b)

@@ -8,10 +8,12 @@ single row or column with the worst marginal-violation score.  Both plug
 into the same smoothing and rounding pipeline as the stochastic solver so
 benchmark curves differ only in the solver.
 
-Both take the same contract as the stochastic solver's ``run``: a budget
-``max_iter`` counted in checkpoints (Sinkhorn's sweeps, Greenkhorn's
-rounds of n updates) and a required rule, called as ``stop(checkpoint)``
-once per checkpoint, and both return a :class:`~pdasgd.core.SolveResult`.
+Both take the same contract as the stochastic solver's ``run``: an
+:class:`~pdasgd.core.OTInstance` with ``eta > 0`` and strictly positive
+marginals, a budget ``max_iter`` counted in checkpoints (Sinkhorn's
+sweeps, Greenkhorn's rounds of n updates) and a required rule, called as
+``stop(checkpoint)`` once per checkpoint, and both return a
+:class:`~pdasgd.core.SolveResult`.
 Before the rule, both stop with the solver's reason ``"diverged"`` when
 the violation is not finite: a kernel that overflows or underflows
 everywhere gives a NaN plan that no update can repair.  The stop reason
@@ -25,26 +27,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_matrix, as_weights
-from .core import is_count, logsumexp, marginal_residual
+from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, OTInstance, SolveResult, StoppingRule
+from .core import is_integer, logsumexp, marginal_residual
 
 
-def _validate(cost, alpha, beta, eta, max_iter):
-    if not is_count(max_iter):
+def _validate(instance: OTInstance, max_iter):
+    """The instance's (cost, alpha, beta, eta), after the checks its types do not make."""
+    if not is_integer(max_iter, least=1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    c = as_matrix(cost)
-    a = as_weights(alpha)
-    b = as_weights(beta)
-    if c.shape != (a.size, b.size):
-        raise ValueError("cost and marginal shapes disagree")
-    for name, x in (("cost", c), ("alpha", a), ("beta", b)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} entries must be finite, got non-finite entries")
-    if a.min() <= 0 or b.min() <= 0:
+    if not (instance.row_marginal.strictly_positive and instance.col_marginal.strictly_positive):
         raise ValueError("scaling baselines require strictly positive marginals")
-    if eta <= 0:
+    if instance.eta <= 0:
         raise ValueError("eta must be positive")
-    return c, a, b
+    return instance.cost.entries, instance.row_marginal.weights, instance.col_marginal.weights, instance.eta
 
 
 def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Checkpoint, Optional[str]]:
@@ -61,7 +56,7 @@ def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: n
     return np.exp(out, out=out)
 
 
-def sinkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> SolveResult:
+def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Alternating row/column scaling of exp(-C/eta) on a re-based kernel.
 
     After every sweep the rule is called as ``stop(checkpoint)``, with the
@@ -78,7 +73,7 @@ def sinkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> Solve
     of K sums to >= alpha_i min(beta) and every column to beta_j, clear of
     underflow, and rebuilds K at u = v = 1 with one n^2 exp pass.
     """
-    c, a, b = _validate(cost, alpha, beta, eta, max_iter)
+    c, a, b, eta = _validate(instance, max_iter)
     log_k = -c / eta
     log_a, log_b = np.log(a), np.log(b)
     f, g = np.zeros(a.size), np.zeros(b.size)  # the log scalings absorbed into the kernel
@@ -120,7 +115,7 @@ def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
         return target * (x - np.log1p(x))
 
 
-def greenkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> SolveResult:
+def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Greedy coordinate version of Sinkhorn.
 
     Each update rescales the single row or column with the largest
@@ -131,7 +126,7 @@ def greenkhorn(cost, alpha, beta, eta, max_iter: int, stop: StoppingRule) -> Sol
     ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite plan
     stops the run before its first update.
     """
-    c, a, b = _validate(cost, alpha, beta, eta, max_iter)
+    c, a, b, eta = _validate(instance, max_iter)
     n = a.size
     log_k = -c / eta
     log_a = np.log(a)

@@ -59,6 +59,8 @@ def _instance_from_args(args):
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out = Path(args.out)
     if args.count > 1:
         out.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,7 @@ across threads; the functionals below are pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -166,9 +167,9 @@ STOP_DIVERGED = "diverged"
 REBASE_SPAN = 30.0  # log-domain drift past which the workspace's and Sinkhorn's kernels are rebuilt
 
 
-def is_count(x) -> bool:
-    """True for an integer >= 1 that is not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+def is_integer(x, least: float = -math.inf) -> bool:
+    """True for an integer >= ``least`` that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
 def as_weights(x) -> np.ndarray:

@@ -63,7 +63,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_weights, is_count
+from .core import STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_weights, is_integer
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -167,8 +167,10 @@ class SolverOptions:
     def __post_init__(self):
         for name in ("inner_iterations", "outer_iterations"):
             value = getattr(self, name)
-            if not is_count(value):
+            if not is_integer(value, least=1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # written so that NaN fails it
         if not 0 < self.z_step_multiplier < math.inf:
             raise ValueError(f"z_step_multiplier must be positive and finite, got {self.z_step_multiplier!r}")

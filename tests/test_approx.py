@@ -294,8 +294,7 @@ def test_gap_surrogate_lower_bound(rng):
     options.outer_iterations = res.outer_iterations
     full = run(oracle, options, certify_every)
     assert [r.constraint_violation_l1 for r in full.records] == [r.constraint_violation_l1 for r in res.records]
-    eta, a_s, b_s = oracle.eta, oracle.alpha, oracle.beta
-    dual_scale = np.abs(sinkhorn(c, a_s, b_s, eta, max_iter=10**6, stop=marginal_tol(1e-9)).dual).max()
+    dual_scale = np.abs(sinkhorn(oracle.instance, max_iter=10**6, stop=marginal_tol(1e-9)).dual).max()
     for record in full.records:
         floor = -(dual_scale + 1.0) * record.constraint_violation_l1 - 1e-9
         assert record.duality_gap >= floor
@@ -342,11 +341,12 @@ def test_scaling_profile_replay(method, outer_iterations, op_counts, ot_value):
 
 def _direct_solve(method, cost, a_s, b_s, eta, budget, rule, profile=ApproxConfig.solver_profile, seed=0):
     """The ``SolveResult`` of the solver call ``approx_ot`` makes for ``method``, made directly."""
+    instance = OTInstance(cost, a_s, b_s, eta)
     if method == "pdasgd":
         m, multiplier = resolve_profile(profile, a_s.n)
         options = SolverOptions(m, budget, seed=seed, z_step_multiplier=multiplier)
-        return run(SemiDualOracle(OTInstance(cost, a_s, b_s, eta)), options, rule)
-    return (sinkhorn if method == "sinkhorn" else greenkhorn)(cost, a_s, b_s, eta, budget, rule)
+        return run(SemiDualOracle(instance), options, rule)
+    return (sinkhorn if method == "sinkhorn" else greenkhorn)(instance, budget, rule)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -424,14 +424,38 @@ def test_config_validation():
         ("max_outer", -3),
         ("max_outer", 2.5),
         ("max_outer", True),
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", "x"),
+        ("seed", True),
     ],
 )
 def test_config_rejects_bad_values_at_entry(field, value):
     # before: NaN epsilon raised a cost-scale message, kappa = -1 ran
     # Sinkhorn on the floor budget, NaN kappa failed in int(), max_outer
-    # = 0 returned a 0-sweep plan
+    # = 0 returned a 0-sweep plan, seed = None ran Sinkhorn and failed
+    # pdasgd with a TypeError, 1.5 ran as seed 1 and "x" failed in int()
     with pytest.raises(ValueError, match=rf"^{field} .*got {value!r}$"):
         ApproxConfig(**{"epsilon": 0.05, field: value})
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**70, np.int64(3)])
+def test_every_integer_is_a_seed(seed):
+    assert ApproxConfig(epsilon=0.05, seed=seed).seed == seed
+    assert SolverOptions(1, 1, seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("method", ["sinkhorn", "greenkhorn"])
+def test_scaling_budget_overflow_asks_for_max_outer(method):
+    # before: (|C|_inf / epsilon) ** 2 raised OverflowError at |C|_inf =
+    # 1e200, while pdasgd's linear cap solves the same call
+    cost, half = np.array([[0.0, 1e200], [1e200, 0.0]]), np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="the iteration cap overflows at .*; set max_outer$"):
+        approx_ot(cost, half, half, ApproxConfig(epsilon=1.0), method=method)
+    # a set budget is never checked against the cap
+    res = approx_ot(cost, half, half, ApproxConfig(epsilon=1.0, max_outer=5), method=method)
+    assert res.outer_iterations <= 5
+    assert approx_ot(cost, half, half, ApproxConfig(epsilon=1.0)).stop_reason == STOP_CONVERGED
 
 
 @pytest.mark.parametrize("seed, n", [(11, 2), (0, 5)])

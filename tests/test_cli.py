@@ -49,6 +49,15 @@ def test_gen_multiple(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["image_0.csv", "image_1.csv", "image_2.csv"]
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_rejects_count_below_one(tmp_path, capsys, count):
+    # before: exit 0 with nothing written
+    code, out, err = run_cli(capsys, "gen", "--count", count, "--out", str(tmp_path / "imgs"))
+    assert (code, out) == (1, "")
+    assert err == f"error: --count must be at least 1, got {count}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_key_value_output(tmp_path, capsys):
     plan_path = tmp_path / "plan.csv"
     code, out, _ = run_cli(
@@ -158,8 +167,8 @@ def test_solve_divergence_exit_code_any_solver(monkeypatch, capsys):
     # too; this one is told it diverged after 3 finite sweeps
     sinkhorn = pdasgd.baselines.sinkhorn
 
-    def diverging(cost, alpha, beta, eta, max_iter, stop):
-        result = sinkhorn(cost, alpha, beta, eta, 3, stop)
+    def diverging(instance, max_iter, stop):
+        result = sinkhorn(instance, 3, stop)
         result.stop_reason = STOP_DIVERGED
         return result
 

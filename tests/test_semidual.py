@@ -97,7 +97,7 @@ def test_full_dual_consistency(rng):
 def test_weak_duality_against_fine_solve(rng):
     for n in (2, 3, 4):
         o = random_oracle(rng, n, eta=0.3)
-        plan = sinkhorn(o.cost, o.alpha, o.beta, o.eta, max_iter=100000, stop=marginal_tol(1e-12)).plan
+        plan = sinkhorn(o.instance, max_iter=100000, stop=marginal_tol(1e-12)).plan
         f_star = o.primal_objective(plan)
         for _ in range(25):
             v = rng.normal(size=n) * 2
@@ -337,7 +337,7 @@ def test_gradient_equals_column_residual(rng):
 
 def test_columns_converge_at_optimum(rng):
     o = random_oracle(rng, 4, eta=0.2)
-    v_star = sinkhorn(o.cost, o.alpha, o.beta, o.eta, max_iter=100000, stop=marginal_tol(1e-10)).dual
+    v_star = sinkhorn(o.instance, max_iter=100000, stop=marginal_tol(1e-10)).dual
     x = o.primal_map(v_star)
     assert np.abs(x.sum(axis=0) - o.beta).max() < 1e-4
     assert np.abs(o.full_gradient(v_star)).max() < 1e-4

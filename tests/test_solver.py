@@ -60,12 +60,17 @@ def test_gamma_values():
         ("z_step_multiplier", math.nan),
         ("z_step_multiplier", math.inf),
         ("z_step_multiplier", 0.0),
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", "x"),
+        ("seed", True),
     ],
 )
 def test_options_reject_bad_values_at_entry(field, value):
     # before: inner_iterations = 2.5 raised a TypeError in the index draw,
     # outer_iterations = 2.5 a TypeError in range(), z_step_multiplier = NaN
-    # a divergence after outer iteration 1, and True was run as 1
+    # a divergence after outer iteration 1, and True was run as 1; seed =
+    # None raised a TypeError in the generator and 1.5 ran as seed 1
     options = {"inner_iterations": 2, "outer_iterations": 3, field: value}
     with pytest.raises(ValueError, match=rf"^{field} .*got {value!r}$"):
         SolverOptions(**options)
