@@ -25,16 +25,17 @@ divides and an 18n multiply-add product.  A snapshot is charged 4n^2
 units but costs two matrix-vector products and n exps; it also adds its
 primal map to the average in O(n).  An outer iteration is that snapshot,
 its m inner steps and, for them, m anchor rows (an m x n gather and a
-subtract) and m corrections (an add, mn exps and a subtract), written
-straight into the steps' blocks.  Not charged are the kernel rebuilds (an
-n^2 exp pass each, only when the dual drifts), the matrix product that
-folds the pending primal maps into the average (per 32 outer iterations
-and per rebuild), and the certificate's n^2 ``x ln x`` gap, paid only
-where the marginal half passes (never under the accuracy rule).  A Sinkhorn
-sweep is charged 2n^2 and computes two matrix-vector products; its
-rebuilds (two n^2 logsumexps and one n^2 exp pass each, only when the
-scalings drift) are not charged, nor is Greenkhorn's re-summing of the
-plan's n^2 entries once per round of n updates.
+subtract) and m corrections (an add, mn exps and a subtract), all in the
+gather's contiguous copy; a copy of the anchor rows and the last subtract
+write into the steps' blocks.  Not charged are the kernel rebuilds (an
+n^2 exp pass and an n^2 flush of subnormals each, only when the dual
+drifts), the matrix product that folds the pending primal maps into the
+average (per 32 outer iterations and per rebuild), and the certificate's
+n^2 ``x ln x`` gap, paid only where the marginal half passes (never under
+the accuracy rule).  Sinkhorn's sweep is charged 2n^2 and computes two
+matrix-vector products; its rebuilds (two logsumexps, an exp pass and a
+flush, all n^2, only when the scalings drift) and Greenkhorn's re-summing
+of the plan once per round of n updates are not charged.
 
 Outputs in ``out_dir``:
 
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import FLAGGED, METHODS as SOLVERS, ApproxConfig, approx_ot
-from .core import marginal_distance
+from .core import is_integer, marginal_distance
 from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
 
@@ -103,8 +103,13 @@ class BenchPlan:
     dump_plans: bool = False
 
     def __post_init__(self):
-        if not self.solvers or not self.sides or not self.accuracies or self.pairs < 1:
+        if not self.solvers or not self.sides or not self.accuracies:
             raise ValueError("benchmark plan must have nonempty grids")
+        for name in ("pairs", "workers"):
+            if not is_integer(getattr(self, name), least=1):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers {sorted(unknown)}; choose from {SOLVERS}")
@@ -225,6 +230,7 @@ def run_benchmark(plan: BenchPlan, out_dir) -> BenchResult:
     grid = zip(*itertools.product(plan.solvers, plan.sides, plan.accuracies, range(plan.pairs)))
     run_cell = partial(execute_run, plan, dump_dir=dump_dir)
     if plan.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that importing pdasgd stays light
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
             rows = list(pool.map(run_cell, *grid))
     else:

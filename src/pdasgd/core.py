@@ -206,6 +206,12 @@ def max_subtracted_exp(t: np.ndarray, axis: int = -1) -> np.ndarray:
     return m
 
 
+def flush_subnormals(kernel: np.ndarray) -> np.ndarray:
+    """Zero a nonnegative kernel's entries below the smallest normal double, in place, and return it."""
+    # a multiply costs one pass whatever the share of dust, unlike a masked store; NaN stays NaN
+    return np.multiply(kernel, kernel >= np.finfo(np.float64).tiny, out=kernel)
+
+
 def logsumexp(t: np.ndarray, axis: int = -1):
     """Max-subtracted ``log(sum(exp(t)))`` along ``axis``; overwrites ``t``."""
     m = max_subtracted_exp(t, axis)

@@ -40,16 +40,20 @@ softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp is
 exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
 of d exceeds :data:`pdasgd.core.REBASE_SPAN`, the one threshold that
 Sinkhorn's re-based kernel shares; below it e >= exp(-REBASE_SPAN), so r
-never underflows.  The workspace also keeps the solver's weighted sum of
-primal maps in factors: a snapshot of v with weight w adds w times the
-map of v, ``K * outer(w alpha / r, e)``, as that pair, from the r and e it
-has just computed, and w (grad G(v) + beta) to the sum's column sums, in
-O(n); every map's row sums are alpha.  The pairs are folded into a dense
-sum by one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of
-them are held, in place of the three n^2 passes that adding each map
-densely would cost; reading the sum leaves it unchanged, so the sum's bits
-do not depend on when it was read.  The workspace also keeps the sum's
-total weight, so it hands out the weighted average and its marginals.
+never underflows.  Each build zeroes K's subnormals, below 2.2e-308 and
+slow on x86 (:func:`pdasgd.core.flush_subnormals`), and the bits hold: row
+i's entry of 1 puts r_i over exp(-REBASE_SPAN) ~ 1e-13, far above 2^53 n
+dropped terms, and a column sum of dust alone differs only before beta is
+subtracted.  The workspace also keeps the solver's weighted sum of primal
+maps in factors: a snapshot of v with weight w adds w times the map of v,
+``K * outer(w alpha / r, e)``, as that pair, from the r and e it has just
+computed, and w (grad G(v) + beta) to the sum's column sums, in O(n);
+every map's row sums are alpha.  The pairs are folded into a dense sum by
+one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of them are
+held, in place of the three n^2 passes that adding each map densely would
+cost; reading the sum leaves it unchanged, so the sum's bits do not depend
+on when it was read.  The workspace also keeps the sum's total weight, so
+it hands out the weighted average and its marginals.
 
 The oracle is immutable and shareable across threads; gradient buffers and
 workspaces are caller-owned.
@@ -65,6 +69,7 @@ from .core import (
     REBASE_SPAN,
     Distribution,
     OTInstance,
+    flush_subnormals,
     logsumexp,
     marginal_distance,
     marginal_residual,
@@ -108,10 +113,11 @@ class KernelSnapshot:
 
     def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
         """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
-        np.subtract(self.shift[indices], self.lse[indices, None], out=anchors)
-        np.add(anchors, self.scaled, out=corrections)
-        np.exp(corrections, out=corrections)
-        np.subtract(self.gradient, corrections, out=corrections)
+        rows = self.shift[indices]  # a fresh contiguous array: the arithmetic runs in it
+        anchors[...] = np.subtract(rows, self.lse[indices, None], out=rows)
+        rows += self.scaled
+        np.exp(rows, rows)
+        np.subtract(self.gradient, rows, corrections)
 
 
 class SemiDualOracle:
@@ -182,9 +188,9 @@ class SemiDualOracle:
         ones (cheaper than a reduce on short rows), goes into ``scalar``, a
         caller-owned 0-d buffer.
         """
-        np.exp(t, out=out)
-        np.dot(out, self._ones, out=scalar)
-        out /= scalar
+        np.exp(t, out)
+        out.dot(self._ones, scalar)  # the bound method skips np.dot's dispatcher
+        np.divide(out, scalar, out)
         return out
 
     def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -280,7 +286,7 @@ class KernelWorkspace:
         self._fold()
         kernel = v / self.oracle.eta + self.oracle._shift
         self.offsets = np.squeeze(max_subtracted_exp(kernel), axis=-1)
-        self.kernel = kernel
+        self.kernel = flush_subnormals(kernel)
         self.base = v.copy()
 
     def _weights(self, v: np.ndarray) -> tuple[np.ndarray, float]:

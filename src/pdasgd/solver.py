@@ -42,7 +42,7 @@ block ``[y, p, t, h, c, a']`` of a buffer of a leading block and up to
 :data:`CHUNK_STEPS` step blocks, with c its correction and a' the next
 step's row, both written by the snapshot (the first a' into the leading
 block; the last is 0, so the next chunk adds its own).  One oracle call
-writes h and one ``np.dot`` by a 3 x 6 matrix the next block's y, p and t.
+writes h and one ``dot`` by a 3 x 6 matrix the next block's y, p and t.
 
 The ``multiplier`` scales only the z step; 1 is the plain method and the
 benchmark profile uses 15.
@@ -264,10 +264,10 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, 
     Each block's t, c and a' are set on entry; step k writes its h and then
     block k+1's y, p and t.  :func:`outer_iteration` charges the work.
     """
-    scalar, importance_gradient = state._scalar, oracle.importance_gradient
+    scalar, importance_gradient, product = state._scalar, oracle.importance_gradient, update.dot
     for t, h, block, after in state._steps[:steps]:
         importance_gradient(t, h, scalar)
-        np.dot(update, block, out=after)
+        product(block, after)  # the bound method skips np.dot's dispatcher
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:

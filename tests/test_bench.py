@@ -147,6 +147,17 @@ def test_plan_validation():
         BenchPlan(pairs=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("workers", -3), ("workers", 0), ("workers", 1.5), ("workers", True), ("pairs", 0), ("pairs", 1.5),
+     ("pairs", True), ("seed", 1.5), ("seed", None), ("seed", True)],
+)
+def test_plan_rejects_bad_counts_and_seeds(field, value):
+    # each fails at the entry, naming its field, not late in the run
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        BenchPlan(**{field: value})
+
+
 def test_execute_run_lets_numpy_warnings_through(monkeypatch):
     # before: execute_run muted every RuntimeWarning of the cell to hide the
     # baselines' cap warning, an overflow in a solver included

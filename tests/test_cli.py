@@ -195,13 +195,26 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
+def fresh_python(script):
+    """``script`` run in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pdasgd.approx.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+
 def test_library_and_cli_do_not_import_scipy():
     # scipy is not a dependency of the package; importing it would cost about
     # 17 MB of peak RSS and 0.3 s of setup.  The tests import scipy
     # themselves, so this runs in a fresh interpreter.
-    src = str(Path(pdasgd.approx.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    proc = fresh_python(NO_SCIPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert "stop_reason=gap+marginal" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_does_not_load_the_process_pool():
+    # concurrent.futures pulls in multiprocessing, logging and socket, about
+    # 20 ms of import time; only a bench run with workers > 1 needs it
+    proc = fresh_python("import sys, pdasgd, pdasgd.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import component_smoothness, marginal_tol, random_instance, random_oracle, snapshot_rows
+import pdasgd.baselines
+from conftest import component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
+from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
-from pdasgd.core import CostMatrix, Distribution, OTInstance
+from pdasgd.bench import make_image_pair
+from pdasgd.core import CostMatrix, Distribution, OTInstance, flush_subnormals, max_subtracted_exp
 from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle, lse_softmax
+from pdasgd.solver import SolverOptions, run
 
 
 def symmetric_2x2(eta=1.0):
@@ -615,3 +619,108 @@ def test_rows_equal_the_kernel_and_log_softmax_forms(seed, n, eta, scale):
     )[idx]
     assert np.all(np.abs(anchors - logs) <= 1e-15 * size)
     assert np.all(np.abs(corrections - (snap.gradient - rows)) <= 1e-15 * (rows * size + 1.0))
+
+
+TINY = np.finfo(np.float64).tiny
+
+
+def dust(kernel):
+    """The number of subnormal entries, in (0, TINY), of a kernel."""
+    return int(np.count_nonzero((kernel > 0) & (kernel < TINY)))
+
+
+def unflushed_kernel(ws):
+    """The workspace's kernel at its base point as built before the flush."""
+    kernel = ws.base / ws.oracle.eta + ws.oracle._shift
+    max_subtracted_exp(kernel)
+    return kernel
+
+
+def image_instance(side, epsilon):
+    """Pair 0 of the bench images at ``epsilon``'s penalty, with the pipeline's smoothed marginals."""
+    alpha, beta, cost = make_image_pair(0, side, 0)
+    eta, eps_prime = derive_parameters(epsilon, alpha.n, cost)
+    return OTInstance(cost, *smooth_marginals(alpha, beta, eps_prime, alpha.n), eta)
+
+
+def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):
+    # at epsilon = 0.01 both methods' kernels, as built, hold subnormal
+    # entries; each build zeroes them, through the one shared helper
+    result = run(SemiDualOracle(image_instance(16, 0.01)), SolverOptions(32, 30), never_stop)
+    ws = result.state.workspace
+    raw = unflushed_kernel(ws)
+    assert dust(raw) > 0 and dust(ws.kernel) == 0
+    assert ws.kernel.tobytes() == flush_subnormals(raw).tobytes()
+    builds = []
+
+    def spy(kernel):
+        before = dust(kernel)
+        flush_subnormals(kernel)
+        builds.append((before, dust(kernel)))
+        return kernel
+
+    monkeypatch.setattr(pdasgd.baselines, "flush_subnormals", spy)
+    sinkhorn(image_instance(8, 0.01), 1000, never_stop)
+    assert len(builds) > 1 and any(before for before, _ in builds)
+    assert all(after == 0 for _, after in builds)
+
+
+DUSTY = ((0, 32, 0.05, 4.0), (0, 32, 0.01, 1.0))  # (seed, n, epsilon, scale) whose kernels hold dust
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 32),
+    epsilon=st.sampled_from([0.05, 0.01]),
+    scale=st.sampled_from([1.0, 4.0]),
+)
+@example(*DUSTY[0])
+@example(*DUSTY[1])
+def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
+    # the argument of the semidual docstring: every row of the kernel has an
+    # entry of 1 and e >= exp(-REBASE_SPAN), so the dropped dust lies below
+    # half an ulp of r, and a column of dust alone is absorbed by beta
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, n, 1.0)
+    cost = CostMatrix(scale * base.cost.entries)
+    eta, _ = derive_parameters(epsilon, n, cost)
+    o = SemiDualOracle(OTInstance(cost, base.row_marginal, base.col_marginal, eta))
+    flushed, unflushed = o.workspace(), o.workspace()
+    v0 = 5.0 * eta * rng.normal(size=n)
+    flushed.snapshot(v0)
+    unflushed.snapshot(v0)
+    raw = unflushed.kernel = unflushed_kernel(unflushed)
+    assert flushed.kernel.tobytes() == flush_subnormals(raw.copy()).tobytes()
+    if (seed, n, epsilon, scale) in DUSTY:
+        assert dust(raw) > 0
+    for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
+        v = v0 + eta * spread * rng.random(n)
+        got, ref = flushed.snapshot(v), unflushed.snapshot(v)
+        assert got.value == ref.value
+        assert got.lse.tobytes() == ref.lse.tobytes()
+        assert got.gradient.tobytes() == ref.gradient.tobytes()
+    assert unflushed.kernel is raw  # no rebuild flushed it
+
+
+def four_pass_rows(snap, indices, anchors, corrections):
+    """The rows as four passes over the caller's views, the bitwise reference of :meth:`KernelSnapshot.rows`."""
+    np.subtract(snap.shift[indices], snap.lse[indices, None], out=anchors)
+    np.add(anchors, snap.scaled, out=corrections)
+    np.exp(corrections, out=corrections)
+    np.subtract(snap.gradient, corrections, out=corrections)
+
+
+def test_rows_are_bitwise_the_four_pass_form(rng):
+    # a workspace snapshot's rows, written into strided views of a block
+    # buffer as the solver's, against the in-place four-pass form
+    n, m = 24, 40
+    o = random_oracle(rng, n, eta=1e-3)
+    ws = o.workspace()
+    ws.snapshot(rng.normal(size=n) * 1e-3)
+    snap = ws.snapshot(ws.base + 1e-3 * REBASE_SPAN / 2 * rng.random(n))
+    idx = rng.integers(n, size=m)
+    got, ref = (np.full((m + 1, 6, n), np.nan) for _ in range(2))
+    snap.rows(idx, got[:-1, 5], got[1:, 4])
+    four_pass_rows(snap, idx, ref[:-1, 5], ref[1:, 4])
+    assert got.tobytes() == ref.tobytes()
