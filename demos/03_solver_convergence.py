@@ -8,7 +8,9 @@ rule below evaluates the gap at every checkpoint and never stops.  The
 
 import numpy as np
 
-from pdasgd import CostMatrix, Distribution, OTInstance, SemiDualOracle, SolverOptions, run
+from pdasgd.core import CostMatrix, Distribution, OTInstance
+from pdasgd.semidual import SemiDualOracle
+from pdasgd.solver import SolverOptions, run
 
 rng = np.random.default_rng(11)
 n = 16

@@ -1,13 +1,11 @@
 """Approximate optimal transport via accelerated stochastic gradient descent.
 
-A numpy library for computing epsilon-approximate transport plans between
-discrete distributions: an entropy-regularized semi-dual oracle, a
-variance-reduced accelerated stochastic solver over it, polytope rounding,
-Sinkhorn/Greenkhorn baselines, and a reproducible benchmark harness.
+The root exports the epsilon-approximate pipeline (``approx_ot``), its
+containers and functionals, rounding, the exact oracle, image I/O and the
+benchmark harness; the solvers are imported from their own modules.
 """
 
 from .approx import ApproxConfig, ApproxResult, approx_ot
-from .baselines import greenkhorn, sinkhorn
 from .core import (
     CostMatrix,
     Distribution,
@@ -30,10 +28,7 @@ from .images import (
     save_csv_matrix,
 )
 from .bench import BenchPlan, run_benchmark
-from .rng import SplitMix64, derive_seed
 from .rounding import RoundingReport, round_to_polytope
-from .semidual import SemiDualOracle
-from .solver import SolverOptions, run
 
 __version__ = "0.1.0"
 
@@ -46,16 +41,11 @@ __all__ = [
     "ImageInstance",
     "OTInstance",
     "RoundingReport",
-    "SemiDualOracle",
-    "SolverOptions",
-    "SplitMix64",
     "TransportPlan",
     "approx_ot",
-    "derive_seed",
     "entropy",
     "exact_ot_oracle",
     "gen_synthetic_image",
-    "greenkhorn",
     "grid_cost_matrix",
     "image_to_instance",
     "load_csv_matrix",
@@ -64,9 +54,7 @@ __all__ = [
     "marginal_distance",
     "regularized_objective",
     "round_to_polytope",
-    "run",
     "run_benchmark",
     "save_csv_matrix",
-    "sinkhorn",
     "transport_cost",
 ]

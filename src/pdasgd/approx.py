@@ -228,12 +228,10 @@ def _budget(config: ApproxConfig, instance: OTInstance, m: Optional[int] = None)
 
 
 def _solve_pdasgd(instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:
-    """Semi-dual solve, without its state."""
+    """Semi-dual solve."""
     m, multiplier = resolve_profile(config.solver_profile, instance.n)
     options = SolverOptions(m, _budget(config, instance, m), seed=config.seed, z_step_multiplier=multiplier)
-    result = run(SemiDualOracle(instance), options, rule)
-    result.state = None  # its workspace's n^2 kernel and sum must not live through the rounding
-    return result
+    return run(SemiDualOracle(instance), options, rule)
 
 
 def _solve_scaling(method: str, instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:

@@ -66,7 +66,7 @@ import numpy as np
 
 from .approx import FLAGGED, METHODS as SOLVERS, ApproxConfig, approx_ot
 from .core import is_integer, marginal_distance
-from .images import gen_synthetic_image, image_to_instance, save_csv_matrix
+from .images import foreground_side, gen_synthetic_image, image_to_instance, save_csv_matrix
 from .rng import derive_seed
 
 # Columns of the CSV outputs.  The canonical runs.csv writes wall_ms as 0;
@@ -105,6 +105,15 @@ class BenchPlan:
     def __post_init__(self):
         if not self.solvers or not self.sides or not self.accuracies:
             raise ValueError("benchmark plan must have nonempty grids")
+        for name in ("solvers", "sides", "accuracies"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # its cells' rows would be counted twice
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
+        for side in self.sides:
+            if not (is_integer(side, least=2) and foreground_side(side) >= 1):
+                raise ValueError(f"sides must be integers large enough to hold the foreground square, got {side!r}")
+        for accuracy in self.accuracies:  # each is a cell's epsilon; checks profile and kappa too
+            ApproxConfig(epsilon=accuracy, solver_profile=self.profile, kappa=self.kappa)
         for name in ("pairs", "workers"):
             if not is_integer(getattr(self, name), least=1):
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")

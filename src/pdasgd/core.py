@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Nonnegative square matrix of transported mass."""
+    """Finite nonnegative square matrix of transported mass."""
 
     entries: np.ndarray
 
@@ -89,6 +89,8 @@ class TransportPlan:
         x = _frozen_f64(self.entries, 2)
         if x.shape[0] != x.shape[1]:
             raise ValueError(f"transport plan must be square, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("transport plan entries must be finite, got non-finite entries")
         if np.any(x < 0):
             raise ValueError("transport plan entries must be nonnegative")
         object.__setattr__(self, "entries", x)
@@ -151,7 +153,7 @@ StoppingRule = Callable[[Checkpoint], Optional[str]]
 
 @dataclass
 class SolveResult:
-    """What every solver returns: ``run``, ``sinkhorn`` and ``greenkhorn``."""
+    """What ``run``, ``sinkhorn`` and ``greenkhorn`` return: results only, never a solver's working state."""
 
     plan: Optional[np.ndarray]  # unrounded; None only when pdasgd's first outer iteration diverged
     dual: np.ndarray  # the column dual in cost units: pdasgd's lambda_tilde, or eta log v
@@ -159,7 +161,6 @@ class SolveResult:
     iterations: int  # checkpoints, the budget's unit; a diverged dense pass counts
     op_counts: dict
     records: list = field(default_factory=list)  # pdasgd's RunRecords; empty for the scaling methods
-    state: Any = None  # pdasgd's SolverState; None for the scaling methods
 
 
 # The stop reason of every solver whose iterate became non-finite.

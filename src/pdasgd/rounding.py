@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TransportPlan, as_matrix, as_weights, marginal_distance
+from .core import Distribution, TransportPlan, as_matrix, as_weights, marginal_distance
 
 _MASS_ATOL = 1e-6
 _ZERO_CORRECTION = 1e-15
@@ -30,8 +30,8 @@ class RoundingReport:
 def round_to_polytope(plan, alpha, beta) -> tuple[TransportPlan, RoundingReport]:
     """Round a nonnegative plan of total mass ~1 onto the polytope of (alpha, beta)."""
     f = as_matrix(plan).copy()
-    a = as_weights(alpha)
-    b = as_weights(beta)
+    a = Distribution(as_weights(alpha)).weights  # rejects non-finite, negative or unnormalised marginals
+    b = Distribution(as_weights(beta)).weights
     if f.shape != (a.size, b.size):
         raise ValueError(f"shape mismatch: plan {f.shape}, marginals ({a.size}, {b.size})")
     if not np.isfinite(f).all():

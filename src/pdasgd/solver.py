@@ -203,8 +203,6 @@ class SolverState:
     rng: SplitMix64
     sampler: CategoricalSampler
     avg_smoothness: float
-    n_component_gradients: int = 0
-    n_inner_steps: int = 0
     _steps: list = None  # per step: views of its t, its h, its block and the next block's y, p and t
     _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
     _update: np.ndarray = None  # (3, 6), the step matrix of the current outer iteration
@@ -262,7 +260,7 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, 
     """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1.
 
     Each block's t, c and a' are set on entry; step k writes its h and then
-    block k+1's y, p and t.  :func:`outer_iteration` charges the work.
+    block k+1's y, p and t.  :func:`run` charges the work.
     """
     scalar, importance_gradient, product = state._scalar, oracle.importance_gradient, update.dot
     for t, h, block, after in state._steps[:steps]:
@@ -273,10 +271,8 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
     """m inner steps, anchor reset, and the snapshot that adds to the primal average.
 
-    Charges the m inner steps and their component gradients, and the full
-    gradient of the snapshot they use, which was taken when lambda_tilde was
-    last set.  Returns False, before the workspace sees the iterate, when
-    lambda_tilde (whose sum holds y) or z is non-finite, and True otherwise.
+    Returns False, before the workspace sees the iterate, when lambda_tilde
+    (whose sum holds y) or z is non-finite, and True otherwise.
     """
     s = state.s
     m = options.inner_iterations
@@ -307,8 +303,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
             first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
         np.divide(first[P] - tau2_anchor, t1, out=state.z)
         np.multiply(y_sum, 1.0 / m, out=anchor)
-    state.n_component_gradients += oracle.component_count + m
-    state.n_inner_steps += m
     state.s = s + 1
     if not (np.isfinite(anchor).all() and np.isfinite(state.z).all()):
         return False
@@ -316,8 +310,8 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     return True
 
 
-def make_record(state: SolverState) -> tuple[RunRecord, tuple[np.ndarray, np.ndarray]]:
-    """The record of the current averaged primal x_s; returns (record, (rows, cols)).
+def make_record(state: SolverState, gradients: int) -> tuple[RunRecord, tuple[np.ndarray, np.ndarray]]:
+    """The record of x_s after ``gradients`` component gradients; returns (record, (rows, cols)).
 
     Reads x_s's row and column sums from the workspace, without building
     x_s, and fills the marginal violation only; :func:`certify` adds the
@@ -326,7 +320,7 @@ def make_record(state: SolverState) -> tuple[RunRecord, tuple[np.ndarray, np.nda
     rows, cols = state.workspace.marginals()
     record = RunRecord(
         outer_index=state.s,
-        cumulative_component_gradients=state.n_component_gradients,
+        cumulative_component_gradients=gradients,
         primal_objective=None,
         constraint_violation_l1=float(state.workspace.constraint_violation_l1(rows, cols)),
         duality_gap=None,
@@ -368,21 +362,25 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
     and its ``dual`` is lambda_tilde.  Its ``stop_reason`` is the rule's
     reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
     after a non-finite iterate, whose outer iteration ``iterations`` counts
-    but records nothing.  Deterministic given (seed, oracle, options).
+    but records nothing.  ``op_counts`` charges each of them h + m component
+    gradients and m inner steps.  The run's state, with the workspace's n^2
+    kernel, is freed on return.  Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
+    m = options.inner_iterations
+    per_outer = oracle.component_count + m  # a snapshot's full gradient and the m steps' components
     records: list[RunRecord] = []
     stop_reason = None
     for _ in range(options.outer_iterations):
         if not outer_iteration(state, oracle, options):
             stop_reason = STOP_DIVERGED
             break
-        record, (rows, cols) = make_record(state)
+        record, (rows, cols) = make_record(state, state.s * per_outer)
         records.append(record)
         gap = partial(certify, record, state, oracle)
         stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
         if stop_reason is not None:
             break
     plan = state.workspace.average() if state.workspace.weight > 0 else None
-    op_counts = {"component_gradients": state.n_component_gradients, "inner_steps": state.n_inner_steps}
-    return SolveResult(plan, state.lambda_tilde.copy(), stop_reason, state.s, op_counts, records, state)
+    op_counts = {"component_gradients": state.s * per_outer, "inner_steps": state.s * m}
+    return SolveResult(plan, state.lambda_tilde.copy(), stop_reason, state.s, op_counts, records)

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+import pdasgd.solver
 from pdasgd.core import CostMatrix, Distribution, OTInstance
 from pdasgd.semidual import SemiDualOracle
 
@@ -36,6 +39,24 @@ def certify_every(point):
     """A stopping rule that runs pdasgd to its budget with every record certified (its gap evaluated)."""
     point.gap()
     return None
+
+
+@contextmanager
+def captured_states():
+    """Yields a list that collects the ``SolverState`` of every ``run`` in the block.
+
+    ``run`` keeps its state to itself; a wrapped ``pdasgd.solver.init_state``
+    hands each one to the test as well.
+    """
+    states, init_state = [], pdasgd.solver.init_state
+
+    def capturing(oracle, options):
+        states.append(init_state(oracle, options))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pdasgd.solver, "init_state", capturing)
+        yield states
 
 
 def marginal_tol(tol):

@@ -698,22 +698,31 @@ def test_pipeline_adds_nothing_to_the_solver(problem):
 
 
 def test_pdasgd_state_released_before_rounding(monkeypatch):
-    # the run's workspace holds an n^2 kernel and a dense primal sum;
-    # approx_ot must let it go before rounding, not hold it to the end
-    workspaces, checked = [], []
+    # the run's workspace holds an n^2 kernel and a dense primal sum; run
+    # must let it go when it returns, so it is gone before the rounding
+    workspaces, released, checked = [], [], []
+    workspace = SemiDualOracle.workspace
+
+    def tracked_workspace(oracle):
+        ws = workspace(oracle)
+        workspaces.append(weakref.ref(ws))
+        return ws
 
     def tracked(oracle, options, stop):
         result = run(oracle, options, stop)
-        workspaces.append(weakref.ref(result.state.workspace))
+        released.append(workspaces[-1]() is None)
         return result
 
     def rounding(plan, alpha, beta):
         checked.append(workspaces[-1]() is None)
         return round_to_polytope(plan, alpha, beta)
 
+    monkeypatch.setattr(SemiDualOracle, "workspace", tracked_workspace)
     monkeypatch.setattr(pdasgd.approx, "run", tracked)
     monkeypatch.setattr(pdasgd.approx, "round_to_polytope", rounding)
     alpha, beta, cost = make_image_pair(0, 4, 0)
     res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05))
     assert res.stop_reason == STOP_CONVERGED
+    assert len(workspaces) == 1
+    assert released == [True]
     assert checked == [True]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,9 @@ def test_cost_model_matches_instrumented_counters(rng):
     n, m, S = 6, 3, 11
     oracle = random_oracle(rng, n, eta=0.3)
     res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=2), never_stop)
-    assert res.state.n_component_gradients == S * (n + m)
-    assert res.state.n_inner_steps == S * m
-    units = pdasgd_cost_units(n, res.state.n_component_gradients, res.state.n_inner_steps)
+    assert res.op_counts["component_gradients"] == S * (n + m)
+    assert res.op_counts["inner_steps"] == S * m
+    units = pdasgd_cost_units(n, res.op_counts["component_gradients"], res.op_counts["inner_steps"])
     assert units == S * (n + m) * 4 * n + S * m * 6 * n
     assert sinkhorn_cost_units(4, 10) == 10 * 2 * 16
     assert greenkhorn_cost_units(4, 10) == 10 * 3 * 4
@@ -155,6 +157,26 @@ def test_plan_validation():
 def test_plan_rejects_bad_counts_and_seeds(field, value):
     # each fails at the entry, naming its field, not late in the run
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        BenchPlan(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("solvers", ("sinkhorn", "sinkhorn"), "^solvers must not repeat a value"),
+        ("sides", (8, 8), "^sides must not repeat a value"),  # before: every row of the cells counted twice
+        ("accuracies", (0.02, 0.02), "^accuracies must not repeat a value"),
+        ("sides", (8, 2.5), "^sides must be integers"),  # before: a TypeError in the seed derivation
+        ("sides", (8, True), "^sides must be integers"),
+        ("sides", (8, 2), "^sides must be integers .* foreground square"),
+        ("accuracies", (0.02, -1.0), "^epsilon must be positive"),  # before: raised only at its cell
+        ("accuracies", (0.02, math.nan), "^epsilon must be positive"),
+        ("profile", "fast", "^solver_profile must be one of"),
+        ("kappa", 0.0, "^kappa must be positive"),
+    ],
+)
+def test_plan_rejects_bad_grids_before_any_cell(field, value, match):
+    with pytest.raises(ValueError, match=match):
         BenchPlan(**{field: value})
 
 

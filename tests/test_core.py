@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import xlogy
+
+import pdasgd
 
 from pdasgd.core import (
     CostMatrix,
@@ -169,3 +172,40 @@ def test_transport_plan_sums():
     assert marginal_distance(p, [0.6, 0.4], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         TransportPlan(np.array([[0.5, -0.1], [0.3, 0.3]]))
+
+
+# The package root: the pipeline, the containers and their functionals,
+# rounding, the exact oracle, image I/O and the bench harness.
+ROOT_API = {
+    "ApproxConfig", "ApproxResult", "approx_ot",
+    "CostMatrix", "Distribution", "OTInstance", "TransportPlan",
+    "entropy", "marginal_distance", "regularized_objective", "transport_cost",
+    "RoundingReport", "round_to_polytope",
+    "exact_ot_oracle",
+    "ImageInstance", "gen_synthetic_image", "grid_cost_matrix", "image_to_instance",
+    "load_csv_matrix", "load_idx", "load_pgm", "save_csv_matrix",
+    "BenchPlan", "run_benchmark",
+}
+
+
+def test_package_root_exports_the_pipeline_only():
+    assert sorted(pdasgd.__all__) == sorted(ROOT_API)
+    assert all(hasattr(pdasgd, name) for name in ROOT_API)
+
+
+@pytest.mark.parametrize(
+    "name, module",
+    [
+        ("run", "pdasgd.solver"),
+        ("SolverOptions", "pdasgd.solver"),
+        ("SemiDualOracle", "pdasgd.semidual"),
+        ("sinkhorn", "pdasgd.baselines"),
+        ("greenkhorn", "pdasgd.baselines"),
+        ("SplitMix64", "pdasgd.rng"),
+        ("derive_seed", "pdasgd.rng"),
+    ],
+)
+def test_solver_internals_import_from_their_modules_only(name, module):
+    with pytest.raises(ImportError):
+        exec(f"from pdasgd import {name}", {})
+    assert hasattr(importlib.import_module(module), name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdasgd.core import marginal_distance
+from pdasgd.core import TransportPlan, marginal_distance
 from pdasgd.rounding import round_to_polytope
 
 
@@ -87,3 +87,25 @@ def test_non_finite_input_rejected(bad):
     f = np.full((2, 2), bad)
     with pytest.raises(ValueError, match="non-finite"):
         round_to_polytope(f, HALF, HALF)
+
+
+QUARTERS = np.full((2, 2), 0.25)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        # before: a NaN plan
+        (lambda: round_to_polytope(QUARTERS, np.array([np.nan, 0.5]), HALF), "non-finite"),
+        # before: a plan with column sums 0.3 and 0.3, off the promised polytope
+        (lambda: round_to_polytope(QUARTERS, np.array([0.3, 0.3]), HALF), "must sum to 1"),
+        # before: "transport plan entries must be nonnegative", blaming the plan
+        (lambda: round_to_polytope(QUARTERS, np.array([-0.5, 1.5]), HALF), "distribution weights must be nonnegative"),
+        # before: accepted
+        (lambda: TransportPlan(np.array([[np.nan, 0.1], [0.2, 0.3]])), "transport plan entries must be finite"),
+    ],
+    ids=["nan-marginal", "unnormalised-marginal", "negative-marginal", "nan-plan"],
+)
+def test_rounding_marginals_and_plans_are_validated(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()

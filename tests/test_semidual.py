@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pdasgd.baselines
-from conftest import component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
+from conftest import captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
@@ -646,8 +646,10 @@ def image_instance(side, epsilon):
 def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):
     # at epsilon = 0.01 both methods' kernels, as built, hold subnormal
     # entries; each build zeroes them, through the one shared helper
-    result = run(SemiDualOracle(image_instance(16, 0.01)), SolverOptions(32, 30), never_stop)
-    ws = result.state.workspace
+    with captured_states() as states:
+        run(SemiDualOracle(image_instance(16, 0.01)), SolverOptions(32, 30), never_stop)
+    (state,) = states
+    ws = state.workspace
     raw = unflushed_kernel(ws)
     assert dust(raw) > 0 and dust(ws.kernel) == 0
     assert ws.kernel.tobytes() == flush_subnormals(raw).tobytes()

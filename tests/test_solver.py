@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
 from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
-from conftest import certify_every, never_stop
+from conftest import captured_states, certify_every, never_stop
 from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
@@ -86,18 +86,19 @@ def test_schedule_identities():
 
 def test_ccoef_accumulation(rng):
     oracle = random_oracle(rng, 3, eta=0.5)
-    res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
-    assert res.state.workspace.weight == pytest.approx(2 + 2.5 + 3)
+    with captured_states() as states:
+        run(oracle, SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
+    (state,) = states
+    assert state.workspace.weight == pytest.approx(2 + 2.5 + 3)
 
 
 def test_operation_counter(rng):
     n, m, S = 5, 3, 7
     oracle = random_oracle(rng, n, eta=0.5)
     res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=0), never_stop)
-    assert res.state.n_component_gradients == S * (n + m)
-    assert res.state.s == S  # one snapshot (full gradient) per outer iteration
-    assert res.state.n_inner_steps == S * m
-    assert res.iterations == S
+    assert res.op_counts["component_gradients"] == S * (n + m)
+    assert res.iterations == S  # one snapshot (full gradient) per outer iteration
+    assert res.op_counts["inner_steps"] == S * m
     assert res.op_counts == {"component_gradients": S * (n + m), "inner_steps": S * m}
     counts = [r.cumulative_component_gradients for r in res.records]
     assert counts == sorted(counts)
@@ -176,7 +177,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
         seen.clear()
         monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
         res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
-        assert res.state.n_inner_steps == S * m
+        assert res.op_counts["inner_steps"] == S * m
         assert [len(c) for _, c in seen] == lengths * S
         stream = SplitMix64(seed)
         sampler = CategoricalSampler(oracle.sampling_weights().weights)
@@ -229,8 +230,10 @@ def test_run_reproduces_the_reference_loop(case):
     if case == "semidual-initial-y":
         # y is nonzero at s = 0, where its weight 1 - tau1 - tau2 is 0
         options.initial_dual = rng.normal(size=n)
-    res = run(oracle, options, never_stop)
-    got = (res.state.z, res.state.y, res.dual, res.plan)
+    with captured_states() as states:
+        res = run(oracle, options, never_stop)
+    (state,) = states
+    got = (state.z, state.y, res.dual, res.plan)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
@@ -256,11 +259,12 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
         z_step_multiplier=multiplier,
         initial_dual=rng.normal(size=n) if random_start else None,
     )
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, captured_states() as states:
         patch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
         res = run(oracle, options, never_stop)
-    assert len(res.state.blocks) == min(chunk, options.inner_iterations) + 2
-    got = (res.state.z, res.state.y, res.dual, res.plan)
+    (state,) = states
+    assert len(state.blocks) == min(chunk, options.inner_iterations) + 2
+    got = (state.z, state.y, res.dual, res.plan)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
@@ -268,10 +272,12 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
 def test_run_draws_only_the_components(rng):
     # the stream's one use is the m component draws of each outer iteration
     m, S, seed = 3, 7, 5
-    res = run(random_oracle(rng, 6, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
+    with captured_states() as states:
+        run(random_oracle(rng, 6, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
+    (state,) = states
     fresh = SplitMix64(seed)
     fresh.doubles(S * m)
-    assert res.state.rng.next_uint64() == fresh.next_uint64()
+    assert state.rng.next_uint64() == fresh.next_uint64()
 
 
 @pytest.mark.parametrize("bound, batches", [(7, [6, 6, 3]), (2, [3] * 5)])
@@ -296,12 +302,14 @@ def test_component_draws_batch_across_outer_iterations(rng, monkeypatch, bound, 
     monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 2)  # chunk boundaries as well
     m, S, seed = 3, 5, 11
     oracle = random_oracle(rng, 6, eta=0.3)
-    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
+    with captured_states() as states:
+        run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed), never_stop)
+    (state,) = states
     assert counts == batches
     stream = SplitMix64(seed)
     sampler = CategoricalSampler(oracle.sampling_weights().weights)
     assert drawn == [sampler.draw(stream) for _ in range(S * m)]
-    assert res.state.rng.next_uint64() == stream.next_uint64()
+    assert state.rng.next_uint64() == stream.next_uint64()
 
 
 def stacked_step_matrix(s, avg_smoothness, multiplier):
@@ -329,11 +337,13 @@ def test_step_matrix_is_bitwise_the_stacked_rows(s, multiplier, avg_smoothness):
 
 def test_quadratic_oracle_converges():
     oracle = QuadraticOracle([3.0, -1.0, 2.0])
-    res = run(oracle, SolverOptions(inner_iterations=10, outer_iterations=200, seed=1), never_stop)
+    with captured_states() as states:
+        res = run(oracle, SolverOptions(inner_iterations=10, outer_iterations=200, seed=1), never_stop)
+    (state,) = states
     assert np.linalg.norm(res.dual - oracle.target) <= 1e-3
     assert np.linalg.norm(res.plan - oracle.target) <= 1e-3
     # the workspace owns the average: its total weight, the average and its sums
-    ws = res.state.workspace
+    ws = state.workspace
     assert ws.weight == pytest.approx(sum(1.0 / tau1(s) for s in range(200)))
     assert res.plan.tobytes() == ws.average().tobytes()
     assert all(m.tobytes() == res.plan.tobytes() for m in ws.marginals())
@@ -387,7 +397,7 @@ def test_stopping_rule_fires(rng):
 
     res = run(oracle, SolverOptions(inner_iterations=2, outer_iterations=50, seed=0), stop=stop)
     assert res.stop_reason == "enough"
-    assert res.state.s == 3
+    assert res.iterations == 3
     assert calls == [1, 2, 3]
     assert gaps[0] == gaps[1] == res.records[1].duality_gap
     # only the checkpoint whose rule asked for the gap carries it
@@ -442,7 +452,7 @@ def test_divergence_detection(rng):
 
     res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
     assert res.stop_reason == STOP_DIVERGED
-    assert res.state.s == res.iterations == 1
+    assert res.iterations == 1
     assert res.records == []
     assert res.plan is None
 
@@ -462,7 +472,7 @@ def test_divergence_carries_the_run_so_far():
     partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), never_stop)
     assert partial.stop_reason == STOP_DIVERGED
     finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0), never_stop)
-    assert partial.state.s == partial.iterations == 3
+    assert partial.iterations == 3
     assert [r.outer_index for r in partial.records] == [1, 2]
     # the average of the two finite outer iterations, as a run that stopped there
     assert partial.plan.tobytes() == finished.plan.tobytes()
@@ -482,8 +492,8 @@ def test_step_overflow_is_divergence_without_warnings():
         warnings.simplefilter("error")
         res = run(oracle, options, never_stop)
     assert res.stop_reason == STOP_DIVERGED
-    assert res.state.s == res.iterations == 1
-    assert not np.isfinite(res.state.lambda_tilde).all()
+    assert res.iterations == 1
+    assert not np.isfinite(res.dual).all()
     assert res.records == []
     assert res.plan is None  # no finite iterate was averaged
 
@@ -511,7 +521,7 @@ def test_record_metrics_match_oracle(rng):
     state = init_state(oracle, options)
     for _ in range(4):
         outer_iteration(state, oracle, options)
-    record, (rows, cols) = make_record(state)
+    record, (rows, cols) = make_record(state, 4 * (5 + 3))
     assert record.primal_objective is None and record.duality_gap is None
     assert certify(record, state, oracle) == record.duality_gap
     x_s = state.workspace.average()
@@ -570,7 +580,7 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
     for _ in range(S):
         before = oracle.calls.copy()
         outer_iteration(state, oracle, options)
-        make_record(state)
+        make_record(state, state.s * (n + m))
         # no dense oracle pass: the workspace snapshots, which also accumulates
         assert oracle.calls - before == Counter({"workspace.snapshot": 1, "importance_gradient": m})
 
