@@ -36,7 +36,6 @@ from .core import (
     CostMatrix,
     Distribution,
     OTInstance,
-    SolveResult,
     StoppingRule,
     TransportPlan,
     as_weights,
@@ -82,13 +81,15 @@ def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, flo
     every feasible plan costs at most |C|_inf <= epsilon / 48 more than the
     optimum, so that case returns None as a trivial-instance signal instead
     of raising.  Raises when |C|_inf / eta overflows or eps_prime underflows
-    to 0: the solvers' kernels could not represent the instance.
+    to 0: the solvers' kernels could not represent the instance.  A raw
+    ``cost`` is validated as a :class:`CostMatrix`, which rejects a
+    non-finite or negative entry by name.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n < 2:
         raise ValueError("parameter derivation requires n >= 2")
-    max_cost = cost.max_abs if isinstance(cost, CostMatrix) else float(np.abs(np.asarray(cost)).max())
+    max_cost = (cost if isinstance(cost, CostMatrix) else CostMatrix(cost)).max_abs
     eps_prime = epsilon / (6.0 * max_cost) if max_cost > 0 else math.inf
     if eps_prime >= 8.0:
         return None
@@ -100,8 +101,8 @@ def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, flo
     return eta, eps_prime
 
 
-def smooth_marginals(alpha, beta, eps_prime: float, n: int) -> tuple[Distribution, Distribution]:
-    """Mix both marginals with uniform: (1 - eps'/8) b + (eps'/8n) 1.
+def smooth_marginals(alpha, beta, eps_prime: float) -> tuple[Distribution, Distribution]:
+    """Mix both marginals with uniform: (1 - eps'/8) b + (eps'/8n) 1, n each marginal's own size.
 
     Every smoothed entry is at least eps'/(8n) > 0 and the total L1
     perturbation of the pair is at most eps'/2.
@@ -111,8 +112,7 @@ def smooth_marginals(alpha, beta, eps_prime: float, n: int) -> tuple[Distributio
     a = as_weights(alpha)
     b = as_weights(beta)
     lam = 1.0 - eps_prime / 8.0
-    floor = eps_prime / (8.0 * n)
-    return Distribution(lam * a + floor), Distribution(lam * b + floor)
+    return Distribution(lam * a + eps_prime / (8.0 * a.size)), Distribution(lam * b + eps_prime / (8.0 * b.size))
 
 
 def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: float = 1.0) -> int:
@@ -186,11 +186,11 @@ class ApproxResult:
         return self.stop_reason in FLAGGED
 
 
-def _trivial_result(cost: CostMatrix, a: Distribution, b: Distribution, method: str) -> ApproxResult:
-    plan = TransportPlan(np.outer(a.weights, b.weights))
+def _trivial_result(base: OTInstance, method: str) -> ApproxResult:
+    plan = TransportPlan(np.outer(base.row_marginal.weights, base.col_marginal.weights))
     return ApproxResult(
         plan=plan,
-        ot_value=transport_cost(plan, cost),
+        ot_value=transport_cost(plan, base.cost),
         records=[],
         stop_reason=STOP_TRIVIAL,
         eta=0.0,
@@ -225,20 +225,6 @@ def _budget(config: ApproxConfig, instance: OTInstance, m: Optional[int] = None)
         return max(MIN_BUDGET, math.ceil(theoretical_iteration_cap(epsilon, n, max_cost, config.kappa) / m))
     ratio = max_cost / epsilon  # the scaling methods pay quadratically in it
     return max(MIN_BUDGET, _finite_cap(config.kappa * math.log(n) * (ratio * ratio), max_cost, epsilon))
-
-
-def _solve_pdasgd(instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:
-    """Semi-dual solve."""
-    m, multiplier = resolve_profile(config.solver_profile, instance.n)
-    options = SolverOptions(m, _budget(config, instance, m), seed=config.seed, z_step_multiplier=multiplier)
-    return run(SemiDualOracle(instance), options, rule)
-
-
-def _solve_scaling(method: str, instance: OTInstance, config: ApproxConfig, rule: StoppingRule) -> SolveResult:
-    """Sinkhorn or Greenkhorn solve."""
-    # Looked up on the module at call time, so wrappers installed there apply.
-    runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
-    return runner(instance, _budget(config, instance), rule)
 
 
 def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", stop: str = "certificate") -> ApproxResult:
@@ -278,28 +264,30 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stop rule {stop!r}; expected one of {STOP_RULES}")
-    c = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
-    a = alpha if isinstance(alpha, Distribution) else Distribution(alpha)
-    b = beta if isinstance(beta, Distribution) else Distribution(beta)
-    n = OTInstance(c, a, b).n  # rejects marginal sizes that disagree with the cost
-    params = derive_parameters(config.epsilon, n, c)
+    base = OTInstance.of(cost, alpha, beta)
+    params = derive_parameters(config.epsilon, base.n, base.cost)
     if params is None:
-        return _trivial_result(c, a, b, method)
+        return _trivial_result(base, method)
     eta, eps_prime = params
-    instance = OTInstance(c, *smooth_marginals(a, b, eps_prime, n), eta)
+    a, b = base.row_marginal, base.col_marginal
+    instance = OTInstance(base.cost, *smooth_marginals(a, b, eps_prime), eta)
 
     rule = stopping_rule(stop, a.weights, b.weights, config.epsilon, eps_prime)
+    # The solvers and the oracle are looked up on their modules at call time, so wrappers installed there apply.
     if method == "pdasgd":
-        result = _solve_pdasgd(instance, config, rule)
+        m, multiplier = resolve_profile(config.solver_profile, instance.n)
+        options = SolverOptions(m, _budget(config, instance, m), seed=config.seed, z_step_multiplier=multiplier)
+        result = run(SemiDualOracle(instance), options, rule)
     else:
-        result = _solve_scaling(method, instance, config, rule)
+        runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn
+        result = runner(instance, _budget(config, instance), rule)
     raw = np.outer(instance.row_marginal.weights, instance.col_marginal.weights) if result.plan is None else result.plan
     # Iterates carry total mass 1 only up to their marginal tolerance;
     # renormalize so the rounding mass gate applies uniformly.
     rounded, report = round_to_polytope(raw / raw.sum(), a, b)
     return ApproxResult(
         plan=rounded,
-        ot_value=transport_cost(rounded, c),
+        ot_value=transport_cost(rounded, base.cost),
         records=result.records,
         stop_reason=result.stop_reason or STOP_CAP,
         eta=eta,

@@ -30,6 +30,18 @@ def _frozen_f64(a, ndim: int) -> np.ndarray:
     return out
 
 
+def _frozen_square(a, matrix: str, entries: str) -> np.ndarray:
+    """A frozen square finite nonnegative matrix; the messages name the ``matrix`` and its ``entries``."""
+    x = _frozen_f64(a, 2)
+    if x.shape[0] != x.shape[1]:
+        raise ValueError(f"{matrix} must be square, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{entries} must be finite, got non-finite entries")
+    if np.any(x < 0):
+        raise ValueError(f"{entries} must be nonnegative")
+    return x
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector: finite nonnegative entries summing to 1 (within 1e-12)."""
@@ -64,15 +76,9 @@ class CostMatrix:
     max_abs: float = None  # filled in __post_init__
 
     def __post_init__(self):
-        c = _frozen_f64(self.entries, 2)
-        if c.shape[0] != c.shape[1]:
-            raise ValueError(f"cost matrix must be square, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("cost entries must be finite, got non-finite entries")
-        if np.any(c < 0):
-            raise ValueError("cost entries must be nonnegative")
+        c = _frozen_square(self.entries, "cost matrix", "cost entries")
         object.__setattr__(self, "entries", c)
-        object.__setattr__(self, "max_abs", float(np.abs(c).max()))
+        object.__setattr__(self, "max_abs", float(c.max()))
 
     @property
     def n(self) -> int:
@@ -86,14 +92,7 @@ class TransportPlan:
     entries: np.ndarray
 
     def __post_init__(self):
-        x = _frozen_f64(self.entries, 2)
-        if x.shape[0] != x.shape[1]:
-            raise ValueError(f"transport plan must be square, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("transport plan entries must be finite, got non-finite entries")
-        if np.any(x < 0):
-            raise ValueError("transport plan entries must be nonnegative")
-        object.__setattr__(self, "entries", x)
+        object.__setattr__(self, "entries", _frozen_square(self.entries, "transport plan", "transport plan entries"))
 
     @property
     def n(self) -> int:
@@ -122,6 +121,12 @@ class OTInstance:
             )
         if not np.isfinite(self.eta) or self.eta < 0:
             raise ValueError("eta must be a finite nonnegative real")
+
+    @classmethod
+    def of(cls, cost, alpha, beta, eta: float = 0.0) -> "OTInstance":
+        """The instance of raw arrays or containers; each raw input is validated by its container."""
+        a, b = (x if isinstance(x, Distribution) else Distribution(x) for x in (alpha, beta))
+        return cls(cost if isinstance(cost, CostMatrix) else CostMatrix(cost), a, b, eta)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import TransportPlan, as_matrix, as_weights
+from .core import OTInstance, TransportPlan
 
 MAX_ORACLE_SIZE = 5
 _RESIDUAL_TOL = 1e-10
@@ -28,20 +28,15 @@ def exact_ot_oracle(cost, alpha, beta) -> tuple[TransportPlan, float]:
     order, keeps supports whose marginal system determines the plan uniquely,
     filters to nonnegative solutions, and returns the minimum-cost vertex.
     Ties between equal-cost vertices are broken toward the lexicographically
-    smallest support, so the output is deterministic.
+    smallest support, so the output is deterministic.  Raw inputs are
+    validated by their containers (:meth:`OTInstance.of`), so the marginals
+    must be probability vectors and the cost finite and nonnegative.
     """
-    c = as_matrix(cost)
-    a = as_weights(alpha)
-    b = as_weights(beta)
-    n = a.size
-    if c.shape != (n, n) or b.size != n:
-        raise ValueError("cost and marginals must agree on a common size n")
+    instance = OTInstance.of(cost, alpha, beta)
+    n = instance.n
     if n > MAX_ORACLE_SIZE:
-        raise ValueError(
-            f"exact oracle is limited to n <= {MAX_ORACLE_SIZE}, got n = {n}"
-        )
-    if abs(float(a.sum()) - float(b.sum())) > 1e-9:
-        raise ValueError("infeasible marginals: total masses differ")
+        raise ValueError(f"exact oracle is limited to n <= {MAX_ORACLE_SIZE}, got n = {n}")
+    c, a, b = instance.cost.entries, instance.row_marginal.weights, instance.col_marginal.weights
 
     cells = [(i, j) for i in range(n) for j in range(n)]
     # Linear system columns: row constraints 0..n-1, column constraints

@@ -91,25 +91,16 @@ class SplitMix64:
 class CategoricalSampler:
     """Draw indices with fixed probabilities via cumulative weights.
 
-    The cumulative-weight array is precomputed once; each draw consumes one
-    uniform double and binary-searches for the first cumulative weight
-    strictly greater than it (O(log n) per draw).  Zero-weight categories are
-    never drawn.
+    Takes a :class:`pdasgd.core.Distribution`, which has validated the
+    weights.  The cumulative-weight array is precomputed once; each draw
+    consumes one uniform double and binary-searches for the first
+    cumulative weight strictly greater than it (O(log n) per draw).
+    Zero-weight categories are never drawn.
     """
 
-    def __init__(self, weights: np.ndarray):
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        total = float(w.sum())
-        if not np.isfinite(total) or total <= 0:
-            raise ValueError("weights must have positive finite mass")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        self._cum = np.cumsum(w)
-        self._n = w.size
+    def __init__(self, weights):
+        self._cum = np.cumsum(weights.weights)
+        self._n = weights.n
 
     def draw(self, rng: SplitMix64) -> int:
         u = rng.next_double()

@@ -15,9 +15,11 @@ plain float64 vectors.
 Every n^2 exponential goes through the package's one max-subtracted exp
 (:func:`pdasgd.core.max_subtracted_exp`): the raw formulas overflow for
 the small ``eta`` this package runs at.  One dense pass of it,
-``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse,
-as a :class:`KernelSnapshot`.  These reference methods stay as they are;
-the solver reaches the same quantities through a :class:`KernelWorkspace`.
+``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse
+(:func:`pdasgd.core.logsumexp`) as a :class:`KernelSnapshot`.  The solver
+reaches the same quantities through a :class:`KernelWorkspace`; one oracle
+method builds the snapshot, G(v) included, from lse and the column sums
+of the primal map for both.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
@@ -81,20 +83,6 @@ from .core import (
 # It bounds their memory and the matrix product that reading the sum
 # costs; a dense solve runs up to ~300 outer iterations between rebuilds.
 PENDING_PAIRS = 32
-
-
-def lse_softmax(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (logsumexp, softmax) of the trailing axis, max-subtracted.
-
-    Works in place: ``t`` is overwritten and returned as the softmax, so
-    callers pass a fresh array they no longer need.  The arithmetic is that
-    of ``w = exp(t - max); w / w.sum()`` op for op, so the results are the
-    same bits as the allocating form.
-    """
-    m = max_subtracted_exp(t)
-    s = t.sum(axis=-1, keepdims=True)
-    t /= s
-    return np.squeeze(m + np.log(s), axis=-1), t
 
 
 @dataclass(frozen=True)
@@ -172,10 +160,17 @@ class SemiDualOracle:
 
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
         """G(v), grad G(v) and the row logsumexps at v from one dense pass."""
-        lse, sm = lse_softmax(v / self.eta + self._shift)
+        sm = v / self.eta + self._shift
+        lse = logsumexp(sm)  # overwrites sm with its max-subtracted exp
+        sm /= sm.sum(axis=-1, keepdims=True)
+        return self._snapshot(v, lse, sm.T @ self.alpha)
+
+    def _snapshot(self, v: np.ndarray, lse: np.ndarray, col_sums: np.ndarray) -> KernelSnapshot:
+        """The snapshot at v from its row logsumexps and primal map's column sums, a fresh array that becomes the gradient."""
+        col_sums -= self.beta
         return KernelSnapshot(
             value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
-            gradient=sm.T @ self.alpha - self.beta,
+            gradient=col_sums,
             shift=self._shift,
             scaled=v / self.eta,
             lse=lse,
@@ -239,9 +234,11 @@ class SemiDualOracle:
 
         Returns a fresh array that the caller owns.
         """
-        _, sm = lse_softmax(v / self.eta + self._shift)
-        sm *= self.alpha[:, None]
-        return sm
+        x = v / self.eta + self._shift
+        max_subtracted_exp(x)
+        x /= x.sum(axis=-1, keepdims=True)
+        x *= self.alpha[:, None]
+        return x
 
     # -- telemetry hooks used by the solver ----------------------------------
 
@@ -335,14 +332,7 @@ class KernelWorkspace:
             self.weight += weight
             if self._pending_count == PENDING_PAIRS:
                 self._fold()
-        gradient -= o.beta
-        return KernelSnapshot(
-            value=float(o.eta * o.alpha @ (lse - o.log_alpha + 1.0) - o.beta @ v),
-            gradient=gradient,
-            shift=o._shift,
-            scaled=v / o.eta,
-            lse=lse,
-        )
+        return o._snapshot(v, lse, gradient)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column sums of the average, as fresh arrays; the rows are alpha."""

@@ -63,7 +63,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .core import STOP_DIVERGED, Checkpoint, SolveResult, StoppingRule, as_weights, is_integer
+from .core import STOP_DIVERGED, Checkpoint, Distribution, SolveResult, StoppingRule, as_weights, is_integer
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -117,9 +117,10 @@ class FiniteSumOracle(Protocol):
     a caller-owned 0-d buffer; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
-    a Distribution) positive wherever L_i > 0; ``average_smoothness()``
-    returns Lbar; ``primal_objective(x)`` fills the records of certified
-    checkpoints.
+    a Distribution) positive wherever L_i > 0, which :func:`init_state`
+    validates once as a :class:`~pdasgd.core.Distribution`;
+    ``average_smoothness()`` returns Lbar; ``primal_objective(x)`` fills the
+    records of certified checkpoints.
     """
 
     component_count: int
@@ -174,6 +175,8 @@ class SolverOptions:
         # written so that NaN fails it
         if not 0 < self.z_step_multiplier < math.inf:
             raise ValueError(f"z_step_multiplier must be positive and finite, got {self.z_step_multiplier!r}")
+        if self.initial_dual is not None and not np.isfinite(self.initial_dual).all():
+            raise ValueError("initial_dual must be finite, got non-finite entries")
 
 
 @dataclass
@@ -226,8 +229,8 @@ def step_matrix(out: np.ndarray, s: int, avg_smoothness: float, multiplier: floa
 
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     """All-zero dual sequences unless an initial dual is supplied."""
-    weights = as_weights(oracle.sampling_weights())
-    if weights.size != oracle.component_count:
+    weights = Distribution(as_weights(oracle.sampling_weights()))
+    if weights.n != oracle.component_count:
         raise ValueError("sampling weights must have one entry per component")
     d = oracle.dual_dimension
     if options.initial_dual is None:
@@ -310,24 +313,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     return True
 
 
-def make_record(state: SolverState, gradients: int) -> tuple[RunRecord, tuple[np.ndarray, np.ndarray]]:
-    """The record of x_s after ``gradients`` component gradients; returns (record, (rows, cols)).
-
-    Reads x_s's row and column sums from the workspace, without building
-    x_s, and fills the marginal violation only; :func:`certify` adds the
-    primal objective and the duality gap.
-    """
-    rows, cols = state.workspace.marginals()
-    record = RunRecord(
-        outer_index=state.s,
-        cumulative_component_gradients=gradients,
-        primal_objective=None,
-        constraint_violation_l1=float(state.workspace.constraint_violation_l1(rows, cols)),
-        duality_gap=None,
-    )
-    return record, (rows, cols)
-
-
 def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> float:
     """The duality gap f(x_s) + phi(lambda_tilde) of the state's current record, evaluated once.
 
@@ -375,10 +360,13 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
         if not outer_iteration(state, oracle, options):
             stop_reason = STOP_DIVERGED
             break
-        record, (rows, cols) = make_record(state, state.s * per_outer)
+        # x_s's sums come from the workspace without building x_s; certify adds f(x_s) and the gap
+        rows, cols = state.workspace.marginals()
+        violation = float(state.workspace.constraint_violation_l1(rows, cols))
+        record = RunRecord(state.s, state.s * per_outer, None, violation, None)
         records.append(record)
         gap = partial(certify, record, state, oracle)
-        stop_reason = stop(Checkpoint(state.s, rows, cols, record.constraint_violation_l1, gap))
+        stop_reason = stop(Checkpoint(state.s, rows, cols, violation, gap))
         if stop_reason is not None:
             break
     plan = state.workspace.average() if state.workspace.weight > 0 else None

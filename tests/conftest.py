@@ -21,11 +21,6 @@ def random_instance(rng, n, eta, concentration=2.0, normalize_cost=True):
     return OTInstance(CostMatrix(c), Distribution(a), Distribution(b), eta=eta)
 
 
-def ot_instance(cost, alpha, beta, eta):
-    """The validated instance of raw arrays, as the scaling baselines take it."""
-    return OTInstance(CostMatrix(cost), Distribution(alpha), Distribution(beta), eta)
-
-
 def random_oracle(rng, n, eta):
     return SemiDualOracle(random_instance(rng, n, eta))
 

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import certify_every, component_smoothness, estimator, marginal_tol, ot_instance, random_oracle
+from conftest import certify_every, component_smoothness, estimator, marginal_tol, random_oracle
 from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.bench import BenchPlan, run_benchmark
 from pdasgd.baselines import greenkhorn, sinkhorn
-from pdasgd.core import marginal_distance
+from pdasgd.core import OTInstance, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 from pdasgd.solver import SolverOptions, run
@@ -211,8 +211,8 @@ def test_criterion_8_baseline_cross_check():
         c /= c.max()
         a = rng.dirichlet(np.ones(n)); a = (a + 0.02) / (1 + n * 0.02)
         b = rng.dirichlet(np.ones(n)); b = (b + 0.02) / (1 + n * 0.02)
-        ps = sinkhorn(ot_instance(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
-        pg = greenkhorn(ot_instance(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
+        ps = sinkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
+        pg = greenkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
         l1 = float(np.abs(ps - pg).sum())
         worst_l1 = max(worst_l1, l1)
         if l1 > 1e-6:

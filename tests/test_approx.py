@@ -64,13 +64,33 @@ def test_derive_parameters_errors_and_trivial():
         derive_parameters(0.05, 2, np.full((2, 2), 1.5e307))
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.nan, "cost entries must be finite"),  # before: read as a trivial instance, None
+        (np.inf, "cost entries must be finite"),  # before: "out of float range"
+        (-1.0, "cost entries must be nonnegative"),  # before: accepted
+    ],
+)
+def test_derive_parameters_rejects_a_bad_raw_cost_by_name(entry, message):
+    cost = np.ones((3, 3))
+    cost[1, 2] = entry
+    with pytest.raises(ValueError, match=message):
+        derive_parameters(0.1, 3, cost)
+
+
 def test_smooth_marginals_examples():
     n = 4
     uniform = np.full(n, 0.25)
-    a_s, b_s = smooth_marginals(uniform, uniform, 0.1, n)
+    a_s, b_s = smooth_marginals(uniform, uniform, 0.1)
     assert np.allclose(a_s.weights, uniform, atol=1e-15)  # uniform is a fixed point
-    a_s, _ = smooth_marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.08, 2)
+    a_s, _ = smooth_marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.08)
     assert np.allclose(a_s.weights, [0.995, 0.005], atol=1e-15)
+    # each marginal's floor eps'/(8n) takes n from its own size
+    a_s, b_s = smooth_marginals(np.full(4, 0.25), np.full(5, 0.2), 0.1)
+    assert np.allclose(a_s.weights, 0.25, atol=1e-15) and np.allclose(b_s.weights, 0.2, atol=1e-15)
+    _, b_s = smooth_marginals(np.full(4, 0.25), np.array([1.0, 0, 0, 0, 0]), 0.08)
+    assert b_s.weights.min() == pytest.approx(0.08 / 40)
 
 
 def test_smooth_marginals_bounds(rng):
@@ -79,16 +99,16 @@ def test_smooth_marginals_bounds(rng):
         a = rng.dirichlet(np.ones(n))
         b = rng.dirichlet(np.ones(n))
         eps_prime = float(rng.uniform(0.001, 2.0))
-        a_s, b_s = smooth_marginals(a, b, eps_prime, n)
+        a_s, b_s = smooth_marginals(a, b, eps_prime)
         assert a_s.weights.min() >= eps_prime / (8 * n) - 1e-16
         assert b_s.weights.min() >= eps_prime / (8 * n) - 1e-16
         perturb = np.abs(a_s.weights - a).sum() + np.abs(b_s.weights - b).sum()
         assert perturb <= eps_prime / 2 + 1e-12
     # point mass hits the lower bound
-    a_s, _ = smooth_marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.4, 2)
+    a_s, _ = smooth_marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]), 0.4)
     assert a_s.weights.min() == pytest.approx(0.4 / 16)
     with pytest.raises(ValueError):
-        smooth_marginals(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 9.0, 2)
+        smooth_marginals(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 9.0)
 
 
 def test_iteration_cap_examples():
@@ -209,7 +229,7 @@ def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
     assert marginal_distance(res.plan, alpha.weights, beta.weights) <= 1e-10  # rounded and feasible
     if multiplier == 1e5:
         assert res.outer_iterations == 1
-        a_s, b_s = smooth_marginals(alpha, beta, res.eps_prime, alpha.n)
+        a_s, b_s = smooth_marginals(alpha, beta, res.eps_prime)
         assert np.array_equal(res.unrounded, np.outer(a_s.weights, b_s.weights))
     else:
         assert 1 < res.outer_iterations < 3000
@@ -219,7 +239,7 @@ def _pipeline_solver(cost, a, b, config):
     """The oracle and solver options ``approx_ot`` builds for pdasgd."""
     n = a.size
     eta, eps_prime = derive_parameters(config.epsilon, n, cost)
-    a_s, b_s = smooth_marginals(a, b, eps_prime, n)
+    a_s, b_s = smooth_marginals(a, b, eps_prime)
     oracle = SemiDualOracle(OTInstance(CostMatrix(cost), a_s, b_s, eta))
     m, multiplier = resolve_profile(config.solver_profile, n)
     cap = theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa)
@@ -355,7 +375,7 @@ def test_one_stopping_rule_for_every_method(method):
     # stops every method on its third call, whose index is 3 for every method
     alpha, beta, cost = make_image_pair(0, 4, 0)
     eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
-    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, alpha.n)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
     seen = []
 
     def rule(point):
@@ -681,7 +701,7 @@ def test_pipeline_adds_nothing_to_the_solver(problem):
     # of a direct solver call at the same smoothed marginals, budget and rule
     cost, a, b, config = problem
     eta, eps_prime = derive_parameters(config.epsilon, a.size, cost)
-    a_s, b_s = smooth_marginals(a, b, eps_prime, a.size)
+    a_s, b_s = smooth_marginals(a, b, eps_prime)
     for method in METHODS:
         for stop in STOP_RULES:
             res = approx_ot(cost, a, b, config, method=method, stop=stop)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pdasgd.baselines import greenkhorn, sinkhorn
-from pdasgd.core import STOP_DIVERGED, logsumexp, marginal_distance
+from pdasgd.core import STOP_DIVERGED, OTInstance, logsumexp, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 
-from conftest import marginal_tol, never_stop, ot_instance
+from conftest import marginal_tol, never_stop
 
 
 def positive_pair(rng, n):
@@ -20,7 +20,7 @@ def positive_pair(rng, n):
 def test_sinkhorn_zero_cost_one_sweep(rng):
     n = 4
     a, b = positive_pair(rng, n)
-    res = sinkhorn(ot_instance(np.zeros((n, n)), a, b, 1.0), max_iter=5, stop=marginal_tol(1e-12))
+    res = sinkhorn(OTInstance.of(np.zeros((n, n)), a, b, 1.0), max_iter=5, stop=marginal_tol(1e-12))
     assert res.iterations == 1
     assert np.abs(res.plan - np.outer(a, b)).max() < 1e-15
 
@@ -30,7 +30,7 @@ def test_sinkhorn_preserves_symmetry(rng):
     c = rng.random((n, n))
     c = 0.5 * (c + c.T)
     a, _ = positive_pair(rng, n)
-    plan = sinkhorn(ot_instance(c, a, a, 0.2), max_iter=100000, stop=marginal_tol(1e-10)).plan
+    plan = sinkhorn(OTInstance.of(c, a, a, 0.2), max_iter=100000, stop=marginal_tol(1e-10)).plan
     assert np.abs(plan - plan.T).max() < 1e-10
 
 
@@ -39,7 +39,7 @@ def test_sinkhorn_rounded_value_near_oracle(rng):
     c = rng.random((n, n)); c /= c.max()
     a, b = positive_pair(rng, n)
     _, opt = exact_ot_oracle(c, a, b)
-    plan = sinkhorn(ot_instance(c, a, b, 0.05), max_iter=10**6, stop=marginal_tol(1e-6)).plan
+    plan = sinkhorn(OTInstance.of(c, a, b, 0.05), max_iter=10**6, stop=marginal_tol(1e-6)).plan
     rounded, _ = round_to_polytope(plan, a, b)
     assert float((rounded.entries * c).sum()) - opt <= 0.05
 
@@ -48,11 +48,11 @@ def test_sinkhorn_validation_and_flagging(rng):
     n = 3
     a, b = positive_pair(rng, n)
     with pytest.raises(ValueError, match="strictly positive"):
-        sinkhorn(ot_instance(np.ones((n, n)), np.array([1.0, 0.0, 0.0]), b, 0.5), max_iter=10, stop=never_stop)
+        sinkhorn(OTInstance.of(np.ones((n, n)), np.array([1.0, 0.0, 0.0]), b, 0.5), max_iter=10, stop=never_stop)
     with pytest.raises(ValueError, match="eta"):
-        sinkhorn(ot_instance(np.ones((n, n)), a, b, 0.0), max_iter=10, stop=never_stop)
+        sinkhorn(OTInstance.of(np.ones((n, n)), a, b, 0.0), max_iter=10, stop=never_stop)
     c = rng.random((n, n))
-    res = sinkhorn(ot_instance(c, a, b, 0.01), max_iter=2, stop=marginal_tol(1e-14))
+    res = sinkhorn(OTInstance.of(c, a, b, 0.01), max_iter=2, stop=marginal_tol(1e-14))
     assert res.stop_reason is None
     assert res.iterations == 2
     assert res.op_counts == {"sweeps": 2}
@@ -64,7 +64,7 @@ def test_scaling_rejects_a_budget_that_is_not_a_count(rng, solver, max_iter):
     # before: sinkhorn(max_iter=0) took its uninitialised kernel for the plan
     a, b = positive_pair(rng, 3)
     with pytest.raises(ValueError, match=f"max_iter must be an integer >= 1, got {max_iter!r}"):
-        solver(ot_instance(rng.random((3, 3)), a, b, 0.5), max_iter, never_stop)
+        solver(OTInstance.of(rng.random((3, 3)), a, b, 0.5), max_iter, never_stop)
 
 
 @pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
@@ -81,7 +81,7 @@ def test_scaling_rejects_non_finite_input(rng, solver, field, bad):
     args[field][1] = bad
     message = "cost entries" if field == "cost" else "distribution weights"
     with pytest.raises(ValueError, match=f"{message} must be finite, got non-finite"):
-        solver(ot_instance(args["cost"], args["alpha"], args["beta"], 0.5), max_iter=10, stop=never_stop)
+        solver(OTInstance.of(args["cost"], args["alpha"], args["beta"], 0.5), max_iter=10, stop=never_stop)
 
 
 @pytest.mark.parametrize("solver", [sinkhorn, greenkhorn])
@@ -100,7 +100,7 @@ def test_scaling_rejects_what_the_instance_rejects(rng, solver, shape, scale, si
     # broadcast error; the instance's types now reject both, as everywhere
     a, b = positive_pair(rng, 4)
     with pytest.raises(ValueError, match=message):
-        solver(ot_instance(sign * rng.random(shape), scale * a, b, 0.5), max_iter=10, stop=never_stop)
+        solver(OTInstance.of(sign * rng.random(shape), scale * a, b, 0.5), max_iter=10, stop=never_stop)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -110,7 +110,7 @@ def test_greenkhorn_nan_distance_is_not_converged():
     # the NaN marginal distance must not pass the tolerance test, and the
     # run stops before its first update instead of running all 10^4 rounds
     half = np.array([0.5, 0.5])
-    res = greenkhorn(ot_instance(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
+    res = greenkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
     assert res.stop_reason == STOP_DIVERGED
     assert (res.iterations, res.op_counts) == (0, {"updates": 0})
 
@@ -120,7 +120,7 @@ def test_greenkhorn_nan_distance_is_not_converged():
 def test_sinkhorn_nan_distance_is_not_converged():
     # the same NaN plan stops Sinkhorn after its first sweep, not 10^4
     half = np.array([0.5, 0.5])
-    res = sinkhorn(ot_instance(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
+    res = sinkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
     assert res.stop_reason == STOP_DIVERGED
     assert (res.iterations, res.op_counts) == (1, {"sweeps": 1})
 
@@ -130,7 +130,7 @@ def test_greenkhorn_zero_cost_fixed_point(rng):
     # few more than 2n updates because each update perturbs the other axis
     for n in (2, 3, 4):
         a, b = positive_pair(rng, n)
-        res = greenkhorn(ot_instance(np.zeros((n, n)), a, b, 1.0), max_iter=250, stop=marginal_tol(1e-10))
+        res = greenkhorn(OTInstance.of(np.zeros((n, n)), a, b, 1.0), max_iter=250, stop=marginal_tol(1e-10))
         assert res.stop_reason == "marginal-tol"
         assert res.op_counts["updates"] == res.iterations * n <= 8 * n
         assert np.abs(res.plan - np.outer(a, b)).max() < 1e-12
@@ -142,7 +142,7 @@ def test_greenkhorn_updated_line_sums_exactly(rng):
     a, b = positive_pair(rng, n)
     # after convergence at a tight tolerance every line is near its target;
     # check single-update exactness on a coarse run by re-running one step
-    res = greenkhorn(ot_instance(c, a, b, 0.3), max_iter=2 * 10**5, stop=marginal_tol(1e-9))
+    res = greenkhorn(OTInstance.of(c, a, b, 0.3), max_iter=2 * 10**5, stop=marginal_tol(1e-9))
     assert res.stop_reason == "marginal-tol"
     r = res.plan.sum(axis=1)
     col = res.plan.sum(axis=0)
@@ -153,8 +153,8 @@ def test_greenkhorn_agrees_with_sinkhorn(rng):
     for n in (4, 8, 16):
         c = rng.random((n, n)); c /= c.max()
         a, b = positive_pair(rng, n)
-        ps = sinkhorn(ot_instance(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
-        pg = greenkhorn(ot_instance(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
+        ps = sinkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
+        pg = greenkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
         assert np.abs(ps - pg).sum() < 1e-6
 
 
@@ -162,8 +162,8 @@ def test_plans_strictly_positive(rng):
     n = 6
     c = rng.random((n, n))
     a, b = positive_pair(rng, n)
-    ps = sinkhorn(ot_instance(c, a, b, 0.5), max_iter=10**5, stop=marginal_tol(1e-9)).plan
-    pg = greenkhorn(ot_instance(c, a, b, 0.5), max_iter=10**6 // n, stop=marginal_tol(1e-9)).plan
+    ps = sinkhorn(OTInstance.of(c, a, b, 0.5), max_iter=10**5, stop=marginal_tol(1e-9)).plan
+    pg = greenkhorn(OTInstance.of(c, a, b, 0.5), max_iter=10**6 // n, stop=marginal_tol(1e-9)).plan
     assert ps.min() > 0
     assert pg.min() > 0
 
@@ -178,7 +178,7 @@ def test_stop_callback(rng):
         seen.append((point.rows.copy(), point.cols.copy()))
         return "poked" if len(seen) >= 3 else None
 
-    res = sinkhorn(ot_instance(c, a, b, 0.2), max_iter=100, stop=stop)
+    res = sinkhorn(OTInstance.of(c, a, b, 0.2), max_iter=100, stop=stop)
     assert res.stop_reason == "poked"
     assert res.iterations == 3
     # the callback is passed the sums of the plan it stopped on, from the
@@ -187,7 +187,7 @@ def test_stop_callback(rng):
     assert np.allclose(seen[-1][1], res.plan.sum(axis=0), rtol=0, atol=1e-15)
 
     seen.clear()
-    res = greenkhorn(ot_instance(c, a, b, 0.2), max_iter=25, stop=stop)
+    res = greenkhorn(OTInstance.of(c, a, b, 0.2), max_iter=25, stop=stop)
     assert res.stop_reason == "poked"
     # polled once per round of n updates
     assert (res.iterations, res.op_counts) == (3, {"updates": 3 * n})
@@ -222,7 +222,7 @@ def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
     c[:, 1] += extra
     c[2] += extra / 2
     a, b = positive_pair(rng, n)
-    res = sinkhorn(ot_instance(c, a, b, eta), max_iter=1000, stop=marginal_tol(1e-6))
+    res = sinkhorn(OTInstance.of(c, a, b, eta), max_iter=1000, stop=marginal_tol(1e-6))
     ref, sweeps, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-6, 1000)
     assert (res.iterations, res.stop_reason) == (sweeps, reason)
     assert np.allclose(res.plan, ref, rtol=0, atol=1e-10)

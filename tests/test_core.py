@@ -80,6 +80,21 @@ def test_instance_dimension_check():
         OTInstance(CostMatrix(np.zeros((3, 3))), Distribution(HALF), Distribution(HALF))
 
 
+def test_instance_of_raw_arrays_or_containers():
+    cost, alpha = CostMatrix(np.ones((2, 2))), Distribution(HALF)
+    inst = OTInstance.of(cost, alpha, np.array([0.25, 0.75]), 0.1)
+    assert inst.cost is cost and inst.row_marginal is alpha and inst.eta == 0.1
+    assert inst.col_marginal.weights.tolist() == [0.25, 0.75]
+    for raw, message in (
+        ((np.full((2, 2), np.nan), HALF, HALF), "cost entries must be finite"),
+        ((np.ones((2, 2)), np.array([0.5, 0.6]), HALF), "distribution weights must sum to 1"),
+        ((np.ones((2, 2)), HALF, np.array([-0.5, 1.5])), "distribution weights must be nonnegative"),
+        ((np.ones((3, 3)), HALF, HALF), "marginal sizes must match the cost matrix"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            OTInstance.of(*raw)
+
+
 def test_transport_cost_examples():
     alpha = Distribution(HALF)
     # zero-diagonal cost with the diagonal coupling

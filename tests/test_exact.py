@@ -112,5 +112,32 @@ def test_deterministic_tie_breaking():
 def test_oracle_errors():
     with pytest.raises(ValueError, match="n <= 5"):
         exact_ot_oracle(np.zeros((6, 6)), np.full(6, 1 / 6), np.full(6, 1 / 6))
-    with pytest.raises(ValueError, match="infeasible"):
+    # unnormalised marginals are rejected by their Distribution, even at equal mass
+    with pytest.raises(ValueError, match="sum to 1"):
         exact_ot_oracle(np.zeros((2, 2)), np.array([0.5, 0.5]), np.array([0.4, 0.4]))
+    with pytest.raises(ValueError, match="marginal sizes must match the cost matrix"):
+        exact_ot_oracle(np.zeros((2, 2)), np.full(3, 1 / 3), np.array([0.5, 0.5]))
+
+
+HALF = np.array([0.5, 0.5])
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "cost, alpha, message",
+    [
+        # before: a plan that avoided the NaN cell, with value 1.0
+        ([[np.nan, 1.0], [1.0, 0.0]], HALF, "cost entries must be finite"),
+        # before: both accepted, the negative cost with value -0.5
+        ([[np.inf, 1.0], [1.0, 0.0]], HALF, "cost entries must be finite"),
+        ([[-1.0, 1.0], [1.0, 0.0]], HALF, "cost entries must be nonnegative"),
+        # before: "no feasible vertex found; marginals are inconsistent"
+        (SWAP, np.array([np.nan, 1.0]), "distribution weights must be finite"),
+        (SWAP, np.array([-0.5, 1.5]), "distribution weights must be nonnegative"),
+    ],
+)
+def test_oracle_rejects_bad_input_by_its_container(cost, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        exact_ot_oracle(np.array(cost), alpha, HALF)
+    with pytest.raises(ValueError, match=message):
+        exact_ot_oracle(np.array(cost), HALF, alpha)

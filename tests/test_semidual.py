@@ -11,8 +11,8 @@ from conftest import captured_states, component_smoothness, marginal_tol, never_
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
-from pdasgd.core import CostMatrix, Distribution, OTInstance, flush_subnormals, max_subtracted_exp
-from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle, lse_softmax
+from pdasgd.core import CostMatrix, Distribution, OTInstance, flush_subnormals, logsumexp, max_subtracted_exp
+from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle
 from pdasgd.solver import SolverOptions, run
 
 
@@ -25,7 +25,7 @@ def symmetric_2x2(eta=1.0):
 def eliminated_row_dual(oracle, v):
     """Row block of the 2n-variable dual at its optimum for v (test-only):
     u_i = eta (ln alpha_i - logsumexp_j((v_j - C_ij - eta) / eta))."""
-    lse, _ = lse_softmax((v - oracle.cost - oracle.eta) / oracle.eta)
+    lse = logsumexp((v - oracle.cost - oracle.eta) / oracle.eta)
     return oracle.eta * (np.log(oracle.alpha) - lse)
 
 
@@ -183,13 +183,23 @@ def allocating_lse_softmax(t):
 )
 # exp(-720) is denormal and exp(-800) underflows to 0
 @example(np.array([[0.0, -720.0, -800.0, -5.0], [3.0, 3.0, -740.0, -1e3]]))
-def test_in_place_lse_softmax_is_bitwise_the_allocating_formula(t):
-    ref_lse, ref_sm = allocating_lse_softmax(t)
-    work = t.copy()
-    lse, sm = lse_softmax(work)
-    assert sm is work  # the argument is overwritten and returned
-    assert lse.tobytes() == ref_lse.tobytes()
-    assert sm.tobytes() == ref_sm.tobytes()
+# comparable entries, so that no row sum is exactly 1
+@example(np.array([[0.0, -0.3, -1.1, -2.0, 0.7], [1.3, 1.2, -0.4, 0.9, 0.1]]))
+def test_snapshot_lse_is_bitwise_the_allocating_formula(t):
+    # t, zero-padded to a square, as the pre-activation v + shift of an
+    # instance at eta = 1: v = column max + 2 keeps the cost C = v - 1 - t
+    # nonnegative, and v + shift reproduces t to rounding, its denormal and
+    # underflowing entries included
+    n = max(t.shape)
+    padded = np.zeros((n, n))
+    padded[: t.shape[0], : t.shape[1]] = t
+    v = padded.max(axis=0) + 2.0
+    uniform = Distribution(np.full(n, 1.0 / n))
+    o = SemiDualOracle(OTInstance(CostMatrix(v - 1.0 - padded), uniform, uniform, eta=1.0))
+    ref_lse, ref_sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
+    snap = o.snapshot(v)
+    assert snap.lse.tobytes() == ref_lse.tobytes()
+    assert snap.gradient.tobytes() == (ref_sm.T @ o.alpha - o.beta).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -640,7 +650,7 @@ def image_instance(side, epsilon):
     """Pair 0 of the bench images at ``epsilon``'s penalty, with the pipeline's smoothed marginals."""
     alpha, beta, cost = make_image_pair(0, side, 0)
     eta, eps_prime = derive_parameters(epsilon, alpha.n, cost)
-    return OTInstance(cost, *smooth_marginals(alpha, beta, eps_prime, alpha.n), eta)
+    return OTInstance(cost, *smooth_marginals(alpha, beta, eps_prime), eta)
 
 
 def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):

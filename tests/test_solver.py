@@ -22,7 +22,6 @@ from pdasgd.solver import (
     certify,
     gamma,
     init_state,
-    make_record,
     outer_iteration,
     run,
     step_matrix,
@@ -154,7 +153,7 @@ def test_first_outer_mixing_drops_y(rng, monkeypatch):
     outer_iteration(state, oracle, options)
     # lambda itself is never formed; the one step's gradient was taken at
     # t = Lbar lambda + a'_i, for the component drawn for it
-    i = CategoricalSampler(oracle.sampling_weights().weights).draw(SplitMix64(9))
+    i = CategoricalSampler(oracle.sampling_weights()).draw(SplitMix64(9))
     (a_i,), _ = snapshot_rows(oracle.snapshot(anchor), [i], 3)
     lambda_cur = (first_t[0] - a_i) / state.avg_smoothness
     assert np.allclose(lambda_cur, expected, atol=1e-15)
@@ -180,7 +179,7 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
         assert res.op_counts["inner_steps"] == S * m
         assert [len(c) for _, c in seen] == lengths * S
         stream = SplitMix64(seed)
-        sampler = CategoricalSampler(oracle.sampling_weights().weights)
+        sampler = CategoricalSampler(oracle.sampling_weights())
         expected = iter([sampler.draw(stream) for _ in range(S * m)])
         # each step's block holds the correction of the component drawn for it
         for snapshot, corrections in seen:
@@ -198,7 +197,7 @@ def reference_run(oracle, options):
     h = oracle.component_count
     weights = as_weights(oracle.sampling_weights())
     smoothness = oracle.average_smoothness()
-    stream, sampler = SplitMix64(options.seed), CategoricalSampler(weights)
+    stream, sampler = SplitMix64(options.seed), CategoricalSampler(Distribution(weights))
     m = options.inner_iterations
     lam0 = np.zeros(oracle.dual_dimension) if options.initial_dual is None else options.initial_dual
     z, y, lam_tilde = lam0.copy(), lam0.copy(), lam0.copy()
@@ -307,7 +306,7 @@ def test_component_draws_batch_across_outer_iterations(rng, monkeypatch, bound, 
     (state,) = states
     assert counts == batches
     stream = SplitMix64(seed)
-    sampler = CategoricalSampler(oracle.sampling_weights().weights)
+    sampler = CategoricalSampler(oracle.sampling_weights())
     assert drawn == [sampler.draw(stream) for _ in range(S * m)]
     assert state.rng.next_uint64() == stream.next_uint64()
 
@@ -440,6 +439,29 @@ def test_initial_dual_option(rng):
         init_state(oracle, SolverOptions(inner_iterations=2, outer_iterations=1, initial_dual=np.zeros(7)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_initial_dual_must_be_finite(bad):
+    # before: a NaN start ran one outer iteration and returned "diverged" with no plan
+    with pytest.raises(ValueError, match="initial_dual must be finite"):
+        SolverOptions(2, 5, initial_dual=[bad, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([0.5, 0.6], "distribution weights must sum to 1"), ([-0.1, 1.1], "distribution weights must be nonnegative")],
+    ids=["sums-to-1.1", "negative"],
+)
+def test_sampling_weights_are_validated_as_a_distribution(weights, message):
+    oracle = QuadraticOracle([1.0, 2.0])
+    oracle.component_count = 2
+    oracle.sampling_weights = lambda: np.array(weights)
+    options = SolverOptions(inner_iterations=2, outer_iterations=1)
+    with pytest.raises(ValueError, match=message):
+        init_state(oracle, options)
+    with pytest.raises(ValueError, match=message):
+        run(oracle, options, never_stop)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
@@ -485,7 +507,7 @@ def test_step_overflow_is_divergence_without_warnings():
     # max-subtracted step ran all 3000 outer iterations here, uncertified.
     alpha, beta, cost = make_image_pair(0, 4, 0)
     eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
-    a_s, b_s = smooth_marginals(alpha, beta, eps_prime, alpha.n)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
     oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
     options = SolverOptions(inner_iterations=8, outer_iterations=3000, seed=0, z_step_multiplier=1e5)
     with warnings.catch_warnings():
@@ -518,10 +540,14 @@ def test_convergence_rate_consistency(rng):
 def test_record_metrics_match_oracle(rng):
     oracle = random_oracle(rng, 5, eta=0.25)
     options = SolverOptions(inner_iterations=3, outer_iterations=4, seed=11)
-    state = init_state(oracle, options)
-    for _ in range(4):
-        outer_iteration(state, oracle, options)
-    record, (rows, cols) = make_record(state, 4 * (5 + 3))
+    points = []
+    with captured_states() as states:
+        res = run(oracle, options, points.append)  # keeps every checkpoint and never stops
+    (state,) = states
+    record, rows, cols = res.records[-1], points[-1].rows, points[-1].cols
+    assert record.outer_index == state.s == 4
+    assert record.cumulative_component_gradients == 4 * (5 + 3)
+    assert points[-1].violation == record.constraint_violation_l1
     assert record.primal_objective is None and record.duality_gap is None
     assert certify(record, state, oracle) == record.duality_gap
     x_s = state.workspace.average()
@@ -580,9 +606,17 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
     for _ in range(S):
         before = oracle.calls.copy()
         outer_iteration(state, oracle, options)
-        make_record(state, state.s * (n + m))
         # no dense oracle pass: the workspace snapshots, which also accumulates
         assert oracle.calls - before == Counter({"workspace.snapshot": 1, "importance_gradient": m})
+
+    # nor in a run, whose records read the workspace's sums: the calls as each checkpoint sees them
+    oracle.calls = Counter()
+    seen = []
+    run(oracle, options, lambda point: seen.append(oracle.calls.copy()))
+    init = Counter({"workspace.snapshot": 1})
+    assert [after - before for before, after in zip([init] + seen, seen)] == [
+        Counter({"workspace.snapshot": 1, "importance_gradient": m})
+    ] * S
 
     oracle.calls = Counter()
     run(oracle, options, certify_every)  # certifying reads the workspace's average only
