@@ -71,10 +71,12 @@ DEFAULT_KAPPA = 8.0
 # iterations, Sinkhorn's sweeps, or rounds of n Greenkhorn updates.  The
 # asymptotic caps are far too small for small instances.
 MIN_BUDGET = 10_000
+# Inner steps per outer iteration of the benchmark profile; each averages b components.
+BENCHMARK_STEPS = 4
 
 
-def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, float]]:
-    """Entropic penalty and marginal budget for a target accuracy.
+def derive_parameters(epsilon: float, cost) -> Optional[tuple[float, float]]:
+    """Entropic penalty and marginal budget for a target accuracy on an n x n cost.
 
     Returns ``(eta, eps_prime) = (epsilon / (8 ln n), epsilon / (6 |C|_inf))``.
     When ``epsilon >= 48 |C|_inf`` (eps_prime >= 8, a zero cost included)
@@ -83,17 +85,18 @@ def derive_parameters(epsilon: float, n: int, cost) -> Optional[tuple[float, flo
     of raising.  Raises when |C|_inf / eta overflows or eps_prime underflows
     to 0: the solvers' kernels could not represent the instance.  A raw
     ``cost`` is validated as a :class:`CostMatrix`, which rejects a
-    non-finite or negative entry by name.
+    non-finite or negative entry by name, and n is its side.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if n < 2:
+    cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
+    if cost.n < 2:
         raise ValueError("parameter derivation requires n >= 2")
-    max_cost = (cost if isinstance(cost, CostMatrix) else CostMatrix(cost)).max_abs
+    max_cost = cost.max_abs
     eps_prime = epsilon / (6.0 * max_cost) if max_cost > 0 else math.inf
     if eps_prime >= 8.0:
         return None
-    eta = epsilon / (8.0 * math.log(n))
+    eta = epsilon / (8.0 * math.log(cost.n))
     if not math.isfinite(max_cost / eta) or eps_prime == 0.0:
         raise ValueError(
             f"cost scale |C|_inf = {max_cost:.6g} is out of float range at epsilon = {epsilon:.6g}; rescale the cost"
@@ -137,12 +140,20 @@ def _finite_cap(cap: float, max_cost: float, epsilon: float) -> int:
     return math.ceil(cap)
 
 
-def resolve_profile(profile: str, n: int) -> tuple[int, float]:
-    """(inner loop length m, z-step multiplier) for a named profile."""
+def resolve_profile(profile: str, n: int) -> tuple[int, float, int]:
+    """(inner loop length m, z-step multiplier, batch b) for a named profile.
+
+    ``theory`` takes m = n single-component steps at multiplier 1, the
+    paper's parameters.  ``benchmark`` takes :data:`BENCHMARK_STEPS` steps,
+    each the mean of b = max(1, round(sqrt(n) / 2)) components, so m = 4b
+    (2 sqrt(n) at every even image side); its multiplier 15b keeps the z
+    step per component at 15 gamma_s.
+    """
     if profile == "theory":
-        return n, 1.0
+        return n, 1.0, 1
     if profile == "benchmark":
-        return max(1, round(2.0 * math.sqrt(n))), 15.0
+        b = max(1, round(math.sqrt(n) / 2.0))
+        return BENCHMARK_STEPS * b, 15.0 * b, b
     raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 
 
@@ -265,7 +276,7 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     if stop not in STOP_RULES:
         raise ValueError(f"unknown stop rule {stop!r}; expected one of {STOP_RULES}")
     base = OTInstance.of(cost, alpha, beta)
-    params = derive_parameters(config.epsilon, base.n, base.cost)
+    params = derive_parameters(config.epsilon, base.cost)
     if params is None:
         return _trivial_result(base, method)
     eta, eps_prime = params
@@ -275,8 +286,9 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     rule = stopping_rule(stop, a.weights, b.weights, config.epsilon, eps_prime)
     # The solvers and the oracle are looked up on their modules at call time, so wrappers installed there apply.
     if method == "pdasgd":
-        m, multiplier = resolve_profile(config.solver_profile, instance.n)
-        options = SolverOptions(m, _budget(config, instance, m), seed=config.seed, z_step_multiplier=multiplier)
+        m, multiplier, batch = resolve_profile(config.solver_profile, instance.n)
+        budget = _budget(config, instance, m)
+        options = SolverOptions(m, budget, seed=config.seed, z_step_multiplier=multiplier, batch=batch)
         result = run(SemiDualOracle(instance), options, rule)
     else:
         runner = baselines.sinkhorn if method == "sinkhorn" else baselines.greenkhorn

@@ -13,29 +13,36 @@ reproducible.  This is the one statement of the cost-unit model:
 
     pdasgd      4n units per component gradient (softmax + combination),
                 6n units per inner step (vector updates);
-                a run totals S(n+m) gradients and S*m inner steps:
-                one per inner step and n per snapshot.
+                a run totals S(n+m) gradients and S*m/b inner steps:
+                b per inner step and n per snapshot.
     sinkhorn    2n^2 units per sweep.
     greenkhorn  3n units per coordinate update.
 
 The formulas are kept so that units stay comparable across versions, but
-since pdasgd's solver keeps a kernel workspace they depart from its work.
-An inner step is charged 10n units and computes n exps, one sum, n
-divides and an 18n multiply-add product.  A snapshot is charged 4n^2
-units but costs two matrix-vector products and n exps; it also adds its
-primal map to the average in O(n).  An outer iteration is that snapshot,
-its m inner steps and, for them, m anchor rows (an m x n gather and a
-subtract) and m corrections (an add, mn exps and a subtract), all in the
-gather's contiguous copy; a copy of the anchor rows and the last subtract
-write into the steps' blocks.  Not charged are the kernel rebuilds (an
-n^2 exp pass and an n^2 flush of subnormals each, only when the dual
-drifts), the matrix product that folds the pending primal maps into the
-average (per 32 outer iterations and per rebuild), and the certificate's
-n^2 ``x ln x`` gap, paid only where the marginal half passes (never under
-the accuracy rule).  Sinkhorn's sweep is charged 2n^2 and computes two
-matrix-vector products; its rebuilds (two logsumexps, an exp pass and a
-flush, all n^2, only when the scalings drift) and Greenkhorn's re-summing
-of the plan once per round of n updates are not charged.
+since pdasgd's solver keeps a kernel workspace they depart from its
+work.  A single step (b = 1, the theory profile) is charged 10n units
+and computes n exps, one sum, n divides and an 18n multiply-add product.
+A batched step (the benchmark profile's b > 1) is charged (4b + 6)n
+units and computes n exps, two b x n matrix-vector products, b
+reciprocals, n multiplies and the same 18n product.  Its b components
+are each charged a gradient, but the step only one 6n update, so
+batching alone lowers a run's units: an accounting change, not a measure
+of speed.  A snapshot is charged 4n^2 units but costs two matrix-vector
+products and n exps; it also adds its primal map to the average in O(n).
+An outer iteration is that snapshot, its m/b inner steps and, for them,
+m rows (an m x n gather, a subtract, an add and mn exps, in the gather's
+contiguous copy): a single step's anchor rows are copied into its block
+and its correction is one more subtract, while a batched step's rows S_i
+go to one contiguous buffer and its correction is u minus the mean of
+its b rows.  Not charged are the kernel rebuilds (an n^2 exp pass and an
+n^2 flush of subnormals each, only when the dual drifts), the matrix
+product that folds the pending primal maps into the average (per 32
+outer iterations and per rebuild), and the certificate's n^2 ``x ln x``
+gap, paid only where the marginal half passes (never under the accuracy
+rule).  Sinkhorn's sweep is charged 2n^2 and computes two matrix-vector
+products; its rebuilds (two logsumexps, an exp pass and a flush, all
+n^2, only when the scalings drift) and Greenkhorn's re-summing of the
+plan once per round of n updates are not charged.
 
 Outputs in ``out_dir``:
 

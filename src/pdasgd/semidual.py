@@ -29,7 +29,11 @@ finite where a softmax row underflows, and the corrections ``u - exp(a'_i
 + v~/eta)``.  Softmax row i at v is the softmax of ``a'_i + v/eta``, the
 log-softmax row at v~ plus the drift (v - v~)/eta: exp, a sum and a
 divide, and no max.  The solver's drifts stay far below 709, past which
-exp overflows and the row is NaN, which it reports as divergence.
+exp overflows and the row is NaN, which it reports as divergence.  For a
+step on b components the snapshot writes their softmax rows S_i at v~
+and the mean of their corrections; ``batch_gradient`` forms the mean of
+the b rows at v in kernel form, ``e * (w @ S)`` with ``e`` the exp of the
+drift and ``w = 1 / (b S e)``, so its one exp sees only the drift.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -106,6 +110,18 @@ class KernelSnapshot:
         rows += self.scaled
         np.exp(rows, rows)
         np.subtract(self.gradient, rows, corrections)
+
+    def batch_rows(self, indices, rows: np.ndarray, corrections: np.ndarray) -> None:
+        """Write ``softmax_i(v)``, i in ``indices``, into ``rows`` and grad G(v) minus each run's mean into ``corrections``.
+
+        Row j of ``corrections`` takes the mean of the j-th run of b =
+        len(indices) / len(corrections) consecutive rows; ``rows`` must be
+        contiguous.
+        """
+        np.subtract(self.shift[indices], self.lse[indices, None], out=rows)
+        rows += self.scaled
+        np.exp(rows, rows)
+        np.subtract(self.gradient, rows.reshape(len(corrections), -1, rows.shape[1]).mean(axis=1), corrections)
 
 
 class SemiDualOracle:
@@ -186,6 +202,23 @@ class SemiDualOracle:
         np.exp(t, out)
         out.dot(self._ones, scalar)  # the bound method skips np.dot's dispatcher
         np.divide(out, scalar, out)
+        return out
+
+    def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The mean of softmax rows i at v over b components into ``out``, in kernel form.
+
+        ``rows`` holds their softmax rows S_i at an anchor v~ and ``t`` the
+        drift (v - v~)/eta.  Softmax row i at v is ``S_i * e / r_i`` for
+        ``e = exp(t)`` and ``r = S e``, so the mean is ``e * (w @ S)`` for
+        ``w = 1 / (b r)``: ``e`` and ``weights`` are caller-owned d- and
+        b-vectors that take e and w.
+        """
+        np.exp(t, e)
+        rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
+        weights *= len(rows)
+        np.reciprocal(weights, weights)
+        weights.dot(rows, out)
+        out *= e
         return out
 
     def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:

@@ -11,16 +11,17 @@ row and column sums.  Each outer iteration s:
 
   * computes the constants its inner steps share, takes its m components
     from the drawn batch and has the snapshot write their rows per chunk,
-  * runs m inner steps of Katyusha-style momentum on the current snapshot
+  * runs m / b inner steps of Katyusha-style momentum on the current
+    snapshot, each on a mini-batch B of b = ``options.batch`` components
 
         lam   <- tau1_s z + tau2 lam_tilde + (1 - tau1_s - tau2) y
-        g     <- u + (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i)
+        g     <- u + mean_{i in B} (grad phi_i(lam) - grad phi_i(lam_tilde)) / (h p_i)
         z     <- z - multiplier * gamma_s * g / 2
         y     <- lam - g / (9 Lbar)
 
     with ``tau2 = 1/2``, ``tau1_s = 2/(s+4)``, ``gamma_s = 1/(9 tau1_s Lbar)``
-    and component i drawn with probability ``p_i = L_i / (h Lbar)``,
-  * resets ``lam_tilde`` to the mean of the m produced y iterates, and
+    and each component i drawn with probability ``p_i = L_i / (h Lbar)``,
+  * resets ``lam_tilde`` to the mean of the m / b produced y iterates, and
   * takes the snapshot of the new ``lam_tilde`` with weight ``1 / tau1_s``,
     which adds its primal map with that weight to the average x_s.
 
@@ -44,11 +45,27 @@ step's row, both written by the snapshot (the first a' into the leading
 block; the last is 0, so the next chunk adds its own).  One oracle call
 writes h and one ``dot`` by a 3 x 6 matrix the next block's y, p and t.
 
-The ``multiplier`` scales only the z step; 1 is the plain method and the
-benchmark profile uses 15.
+A batched step (b > 1) keeps that layout and that matrix, in kernel form,
+the absorption trick of the semi-dual workspace.  Every a' is ``-Lbar
+lam_tilde``, so t is the drift ``Lbar (lam - lam_tilde)``; c is u minus
+the mean of the b components' importance gradients at lam_tilde; and the
+snapshot writes those gradients, the softmax rows S_i at lam_tilde for
+the semi-dual, into one contiguous (b * steps, d) buffer per chunk.  The
+oracle's ``batch_gradient`` reads h, the mean importance gradient at lam,
+from t and the step's b rows: for the semi-dual ``e * (w @ S_B)`` with
+``e = exp(t)``, ``r = S_B e`` and ``w = 1 / (b r)``, a fixed handful of
+numpy calls whatever b is.  Its exps see only the drift, never a
+log-softmax entry in exp's subnormal range.  A drift past 709 overflows,
+and a row sum that underflows to 0 divides by it; the inf or NaN either
+leaves fails the finite check.  At b = 1 the single step above runs,
+bit for bit.
+
+The ``multiplier`` scales only the z step; 1 is the plain method, and the
+benchmark profile uses 15 b, the same z step per component as 15 single
+steps.
 
 Randomness: each run owns a SplitMix64 stream seeded from the options,
-used only for one categorical component draw per inner step, made in
+used only for the categorical component draws, b per inner step, made in
 step order in batches of whole outer iterations within the budget, so
 batching changes no index.  Two runs with equal seeds and options
 produce bitwise-identical iterates and records.
@@ -75,12 +92,18 @@ class Snapshot(Protocol):
     caller-owned (len(indices), d) views for component i = ``indices[k]``:
     a'_i, from which ``importance_gradient`` reads i's gradient at lam as
     ``t = a'_i + Lbar lam``, and u minus that gradient at lam_tilde.
+    ``batch_rows(indices, rows, corrections)`` writes row k of ``rows`` as
+    i's importance gradient S_i at lam_tilde, which ``batch_gradient``
+    reads, and row j of ``corrections`` as u minus the mean of the j-th
+    run of b = len(indices) / len(corrections) consecutive rows.
     """
 
     value: float
     gradient: np.ndarray
 
     def rows(self, indices: np.ndarray, anchors: np.ndarray, corrections: np.ndarray) -> None: ...
+
+    def batch_rows(self, indices: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None: ...
 
 
 class Workspace(Protocol):
@@ -112,9 +135,13 @@ class FiniteSumOracle(Protocol):
 
     ``component_count`` components over duals of size ``dual_dimension``;
     ``importance_gradient(t, out, scalar)`` writes grad phi_i(lam) / (h p_i)
-    plus any lam-free vector into ``out`` once per inner step, from ``t =
-    a'_i + Lbar lam`` for i's snapshot row a'_i, with ``scalar``
-    a caller-owned 0-d buffer; ``workspace()`` returns a fresh
+    plus any lam-free vector into ``out`` once per single inner step, from
+    ``t = a'_i + Lbar lam`` for i's snapshot row a'_i, with ``scalar``
+    a caller-owned 0-d buffer; ``batch_gradient(t, rows, out, e, weights)``
+    writes the mean of b such gradients into ``out`` once per batched
+    step, from the drift ``t = Lbar (lam - lam_tilde)`` and the b
+    components' snapshot ``rows``, with ``e`` a caller-owned d-vector and
+    ``weights`` a b-vector; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0, which :func:`init_state`
@@ -127,6 +154,8 @@ class FiniteSumOracle(Protocol):
     dual_dimension: int
 
     def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
+
+    def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray: ...
 
     def workspace(self) -> Workspace: ...
 
@@ -164,12 +193,17 @@ class SolverOptions:
     seed: int = 0
     z_step_multiplier: float = 1.0
     initial_dual: Optional[np.ndarray] = None
+    batch: int = 1  # components averaged per inner step
 
     def __post_init__(self):
         for name in ("inner_iterations", "outer_iterations"):
             value = getattr(self, name)
             if not is_integer(value, least=1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (is_integer(self.batch, least=1) and self.inner_iterations % self.batch == 0):
+            raise ValueError(
+                f"batch must be an integer >= 1 that divides inner_iterations = {self.inner_iterations}, got {self.batch!r}"
+            )
         if not is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # written so that NaN fails it
@@ -199,7 +233,7 @@ class RunRecord:
 class SolverState:
     lambda_tilde: np.ndarray
     z: np.ndarray
-    blocks: np.ndarray  # (min(m, CHUNK_STEPS) + 2, 6, d): a leading block, then steps; block 1 keeps y
+    blocks: np.ndarray  # (min(m/b, CHUNK_STEPS) + 2, 6, d): a leading block, then steps; block 1 keeps y
     workspace: Workspace  # holds the weighted primal average x_s
     snapshot: Snapshot  # of lambda_tilde
     s: int
@@ -210,6 +244,10 @@ class SolverState:
     _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
     _update: np.ndarray = None  # (3, 6), the step matrix of the current outer iteration
     _draws: np.ndarray = None  # the components drawn and not yet used, in stream order
+    _rows: np.ndarray = None  # batch > 1: (b * steps in a chunk, d), the chunk's snapshot rows, b per step
+    _batches: list = None  # batch > 1: per step, its b rows
+    _e: np.ndarray = None  # (d,), exp of a batched step's drift
+    _weights: np.ndarray = None  # (b,), a batched step's row weights
     y = property(lambda self: self.blocks[1, Y])
 
 
@@ -239,9 +277,12 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         lam0 = np.array(options.initial_dual, dtype=np.float64)
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
-    blocks = np.zeros((min(options.inner_iterations, CHUNK_STEPS) + 2, 6, d))
+    b = options.batch
+    chunk = min(options.inner_iterations // b, CHUNK_STEPS)
+    blocks = np.zeros((chunk + 2, 6, d))
     blocks[1, Y] = lam0
     workspace = oracle.workspace()
+    rows = np.empty((chunk * b, d)) if b > 1 else None
     return SolverState(
         lambda_tilde=lam0,
         z=lam0.copy(),
@@ -256,6 +297,10 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         _scalar=np.zeros(()),
         _update=np.empty((3, 6)),
         _draws=np.empty(0, dtype=np.intp),
+        _rows=rows,
+        _batches=None if rows is None else list(rows.reshape(chunk, b, d)),
+        _e=np.empty(d),
+        _weights=np.empty(b),
     )
 
 
@@ -263,22 +308,33 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, 
     """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1.
 
     Each block's t, c and a' are set on entry; step k writes its h and then
-    block k+1's y, p and t.  :func:`run` charges the work.
+    block k+1's y, p and t.  A single step (batch 1) reads h from the
+    oracle's importance gradient at its t; a batched step reads the mean
+    of its b components' gradients from its drift t and its b snapshot
+    rows.  :func:`run` charges the work.
     """
-    scalar, importance_gradient, product = state._scalar, oracle.importance_gradient, update.dot
-    for t, h, block, after in state._steps[:steps]:
-        importance_gradient(t, h, scalar)
-        product(block, after)  # the bound method skips np.dot's dispatcher
+    scalar, product = state._scalar, update.dot  # the bound method skips np.dot's dispatcher
+    if state._batches is None:
+        importance_gradient = oracle.importance_gradient
+        for t, h, block, after in state._steps[:steps]:
+            importance_gradient(t, h, scalar)
+            product(block, after)
+    else:
+        batch_gradient, e, weights = oracle.batch_gradient, state._e, state._weights
+        for (t, h, block, after), rows in zip(state._steps[:steps], state._batches):
+            batch_gradient(t, rows, h, e, weights)
+            product(block, after)
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
-    """m inner steps, anchor reset, and the snapshot that adds to the primal average.
+    """m / b inner steps, anchor reset, and the snapshot that adds to the primal average.
 
     Returns False, before the workspace sees the iterate, when lambda_tilde
     (whose sum holds y) or z is non-finite, and True otherwise.
     """
     s = state.s
-    m = options.inner_iterations
+    m, b = options.inner_iterations, options.batch
+    steps_per_outer = m // b
     t1 = tau1(s)
     update = step_matrix(state._update, s, state.avg_smoothness, options.z_step_multiplier)
     if not len(state._draws):
@@ -288,24 +344,31 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     blocks, anchor = state.blocks, state.lambda_tilde
     chunk = len(blocks) - 2
     tau2_anchor = TAU2 * anchor
+    drift_anchor = None if b == 1 else -state.avg_smoothness * anchor  # a batched step's a': t is its drift
     y_sum = 0.0
     first = blocks[1]
     np.add(t1 * state.z, tau2_anchor, out=first[P])
-    # a step's exp overflows only past a drift of 709; the NaN it leaves fails the finite check
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a step's exp overflows only past a drift of 709, and a batched step's row sum that
+    # underflows to 0 divides by it; the inf or NaN left fails the finite check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # t = Lbar lambda + a'_i, where the chunk that runs the step adds a'_i
         np.multiply(first[P] + (1.0 - t1 - TAU2) * first[Y], state.avg_smoothness, out=first[T])
-        for start in range(0, m, chunk):
-            steps = min(chunk, m - start)
+        for start in range(0, steps_per_outer, chunk):
+            steps = min(chunk, steps_per_outer - start)
             # step k's a' lands in the block before its own, which forms its t
-            state.snapshot.rows(components[start:start + steps], blocks[:steps, A], blocks[1:steps + 1, C])
+            if drift_anchor is None:
+                state.snapshot.rows(components[start:start + steps], blocks[:steps, A], blocks[1:steps + 1, C])
+            else:
+                drawn = components[start * b:(start + steps) * b]
+                state.snapshot.batch_rows(drawn, state._rows[:steps * b], blocks[1:steps + 1, C])
+                blocks[:steps, A] = drift_anchor
             blocks[steps, A] = 0.0  # the next chunk adds its own first a'
             first[T] += blocks[0, A]
             inner_step(state, oracle, update, steps)
             y_sum += blocks[2:steps + 2, Y].sum(axis=0)
             first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
         np.divide(first[P] - tau2_anchor, t1, out=state.z)
-        np.multiply(y_sum, 1.0 / m, out=anchor)
+        np.multiply(y_sum, 1.0 / steps_per_outer, out=anchor)
     state.s = s + 1
     if not (np.isfinite(anchor).all() and np.isfinite(state.z).all()):
         return False
@@ -348,8 +411,9 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
     reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
     after a non-finite iterate, whose outer iteration ``iterations`` counts
     but records nothing.  ``op_counts`` charges each of them h + m component
-    gradients and m inner steps.  The run's state, with the workspace's n^2
-    kernel, is freed on return.  Deterministic given (seed, oracle, options).
+    gradients and the m / b inner steps it takes.  The run's state, with the
+    workspace's n^2 kernel, is freed on return.  Deterministic given (seed,
+    oracle, options).
     """
     state = init_state(oracle, options)
     m = options.inner_iterations
@@ -370,5 +434,5 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
         if stop_reason is not None:
             break
     plan = state.workspace.average() if state.workspace.weight > 0 else None
-    op_counts = {"component_gradients": state.s * per_outer, "inner_steps": state.s * m}
+    op_counts = {"component_gradients": state.s * per_outer, "inner_steps": state.s * (m // options.batch)}
     return SolveResult(plan, state.lambda_tilde.copy(), stop_reason, state.s, op_counts, records)

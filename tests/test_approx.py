@@ -40,28 +40,28 @@ from conftest import certify_every, marginal_tol, never_stop
 
 
 def test_derive_parameters_examples():
-    eta, eps_prime = derive_parameters(0.1, 100, np.ones((2, 2)))
+    eta, eps_prime = derive_parameters(0.1, np.ones((100, 100)))
     assert eta == pytest.approx(0.0027144, abs=1e-6)
     assert eps_prime == pytest.approx(1 / 60, abs=1e-12)
     # linear in epsilon
-    eta2, eps2 = derive_parameters(0.2, 100, np.ones((2, 2)))
+    eta2, eps2 = derive_parameters(0.2, np.ones((100, 100)))
     assert eta2 == pytest.approx(2 * eta) and eps2 == pytest.approx(2 * eps_prime)
-    eta3, _ = derive_parameters(0.01, 784, np.ones((2, 2)))
+    eta3, _ = derive_parameters(0.01, np.ones((784, 784)))
     assert eta3 == pytest.approx(1.8756e-4, rel=1e-4)
 
 
 def test_derive_parameters_errors_and_trivial():
     with pytest.raises(ValueError):
-        derive_parameters(0.1, 1, np.ones((1, 1)))
+        derive_parameters(0.1, np.ones((1, 1)))
     with pytest.raises(ValueError):
-        derive_parameters(-0.1, 4, np.ones((2, 2)))
-    assert derive_parameters(0.1, 4, np.zeros((4, 4))) is None
+        derive_parameters(-0.1, np.ones((4, 4)))
+    assert derive_parameters(0.1, np.zeros((4, 4))) is None
     # epsilon >= 48 |C|_inf: any feasible plan is within |C|_inf <= epsilon/48
-    assert derive_parameters(0.048, 4, np.full((4, 4), 1e-3)) is None
-    assert derive_parameters(0.047, 4, np.full((4, 4), 1e-3)) is not None
+    assert derive_parameters(0.048, np.full((4, 4), 1e-3)) is None
+    assert derive_parameters(0.047, np.full((4, 4), 1e-3)) is not None
     # |C|_inf / eta overflows
     with pytest.raises(ValueError, match=r"\|C\|_inf = 1\.5e\+307 .* epsilon = 0\.05"):
-        derive_parameters(0.05, 2, np.full((2, 2), 1.5e307))
+        derive_parameters(0.05, np.full((2, 2), 1.5e307))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ def test_derive_parameters_rejects_a_bad_raw_cost_by_name(entry, message):
     cost = np.ones((3, 3))
     cost[1, 2] = entry
     with pytest.raises(ValueError, match=message):
-        derive_parameters(0.1, 3, cost)
+        derive_parameters(0.1, cost)
 
 
 def test_smooth_marginals_examples():
@@ -125,9 +125,18 @@ def test_iteration_cap_examples():
 
 
 def test_resolve_profile():
-    assert resolve_profile("theory", 64) == (64, 1.0)
-    assert resolve_profile("benchmark", 64) == (16, 15.0)
-    assert resolve_profile("benchmark", 2) == (3, 15.0)
+    assert resolve_profile("theory", 64) == (64, 1.0, 1)
+    assert resolve_profile("benchmark", 64) == (16, 60.0, 4)
+    assert resolve_profile("benchmark", 2) == (4, 15.0, 1)
+    assert resolve_profile("benchmark", 9) == (8, 30.0, 2)
+    assert resolve_profile("benchmark", 49) == (16, 60.0, 4)
+    assert resolve_profile("benchmark", 256) == (32, 120.0, 8)
+    # four steps of b components each, at the z step per component of 15
+    # single steps; at an even image side m is 2 sqrt(n)
+    for side in range(2, 33):
+        m, multiplier, b = resolve_profile("benchmark", side * side)
+        assert (m, multiplier) == (4 * b, 15.0 * b)
+        assert side % 2 or m == 2 * side
     with pytest.raises(ValueError):
         resolve_profile("fast", 4)
 
@@ -216,7 +225,7 @@ def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
     # before: an exception escaped approx_ot.  A z step far past the cliff
     # drives a step's drift past 709 eta, where its exp overflows: at outer
     # iteration 1 for 1e5 (no finite iterate), and later for 5e3.
-    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, multiplier))
+    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, multiplier, 1))
     alpha, beta, cost = make_image_pair(0, 4, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,16 +244,35 @@ def test_divergence_is_a_flagged_result(monkeypatch, multiplier):
         assert 1 < res.outer_iterations < 3000
 
 
+@pytest.mark.parametrize("multiplier", [1e5, 5e3])
+def test_batched_divergence_is_a_flagged_result(monkeypatch, multiplier):
+    # the same for batched steps of b = 2 components: a step whose drift
+    # overflows exp leaves a non-finite iterate, flagged without a warning
+    # (a row sum that underflows to 0: test_solver's row-sum test)
+    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, multiplier, 2))
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05, max_outer=3000))
+    assert res.stop_reason == STOP_DIVERGED
+    assert res.flagged
+    assert len(res.records) == res.outer_iterations - 1
+    assert res.op_counts["inner_steps"] == 4 * res.outer_iterations
+    assert np.isfinite(res.unrounded).all()
+    assert marginal_distance(res.plan, alpha.weights, beta.weights) <= 1e-10
+    assert (res.outer_iterations == 1) == (multiplier == 1e5)
+
+
 def _pipeline_solver(cost, a, b, config):
     """The oracle and solver options ``approx_ot`` builds for pdasgd."""
     n = a.size
-    eta, eps_prime = derive_parameters(config.epsilon, n, cost)
+    eta, eps_prime = derive_parameters(config.epsilon, cost)
     a_s, b_s = smooth_marginals(a, b, eps_prime)
     oracle = SemiDualOracle(OTInstance(CostMatrix(cost), a_s, b_s, eta))
-    m, multiplier = resolve_profile(config.solver_profile, n)
+    m, multiplier, batch = resolve_profile(config.solver_profile, n)
     cap = theoretical_iteration_cap(config.epsilon, n, np.abs(cost).max(), config.kappa)
     outer = config.max_outer or max(MIN_BUDGET, math.ceil(cap / m))
-    options = SolverOptions(inner_iterations=m, outer_iterations=outer, seed=config.seed, z_step_multiplier=multiplier)
+    options = SolverOptions(m, outer, seed=config.seed, z_step_multiplier=multiplier, batch=batch)
     return oracle, options
 
 
@@ -363,8 +391,8 @@ def _direct_solve(method, cost, a_s, b_s, eta, budget, rule, profile=ApproxConfi
     """The ``SolveResult`` of the solver call ``approx_ot`` makes for ``method``, made directly."""
     instance = OTInstance(cost, a_s, b_s, eta)
     if method == "pdasgd":
-        m, multiplier = resolve_profile(profile, a_s.n)
-        options = SolverOptions(m, budget, seed=seed, z_step_multiplier=multiplier)
+        m, multiplier, batch = resolve_profile(profile, a_s.n)
+        options = SolverOptions(m, budget, seed=seed, z_step_multiplier=multiplier, batch=batch)
         return run(SemiDualOracle(instance), options, rule)
     return (sinkhorn if method == "sinkhorn" else greenkhorn)(instance, budget, rule)
 
@@ -374,7 +402,7 @@ def test_one_stopping_rule_for_every_method(method):
     # one rule object, called once per checkpoint with the plan's sums; it
     # stops every method on its third call, whose index is 3 for every method
     alpha, beta, cost = make_image_pair(0, 4, 0)
-    eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
+    eta, eps_prime = derive_parameters(0.05, cost)
     a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
     seen = []
 
@@ -530,7 +558,7 @@ def test_pdasgd_budget_floors_outer_iterations(monkeypatch):
 
     monkeypatch.setattr(pdasgd.approx, "run", capture)
     alpha, beta, cost = make_image_pair(0, 4, 0)
-    m, _ = resolve_profile(ApproxConfig.solver_profile, alpha.n)
+    m, _, _ = resolve_profile(ApproxConfig.solver_profile, alpha.n)
     cap = theoretical_iteration_cap(1e-3, alpha.n, cost.max_abs, DEFAULT_KAPPA)
     assert math.ceil(cap / m) > MIN_BUDGET
     for epsilon in (0.05, 1e-3):
@@ -700,7 +728,7 @@ def test_pipeline_adds_nothing_to_the_solver(problem):
     # approx_ot's counts, records, stop reason and unrounded plan are those
     # of a direct solver call at the same smoothed marginals, budget and rule
     cost, a, b, config = problem
-    eta, eps_prime = derive_parameters(config.epsilon, a.size, cost)
+    eta, eps_prime = derive_parameters(config.epsilon, cost)
     a_s, b_s = smooth_marginals(a, b, eps_prime)
     for method in METHODS:
         for stop in STOP_RULES:

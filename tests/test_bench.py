@@ -33,8 +33,8 @@ SMALL_PLAN = dict(
 # SMALL_PLAN rows.  Bench output must not drift: these integers are exact,
 # the floats are held to 1e-12 so BLAS builds may differ in the last bits.
 PINNED_SMALL_ROWS = [
-    ("pdasgd", 0, 2926968311603053364, 6389760, "accuracy-reached", 0.028892841245419902, 0.019944583309018653),
-    ("pdasgd", 1, 5967068462785861760, 5484544, "accuracy-reached", 0.027537720564719564, 0.01998604250296294),
+    ("pdasgd", 0, 2926968311603053364, 5327872, "accuracy-reached", 0.028831304908757772, 0.01995906591309117),
+    ("pdasgd", 1, 5967068462785861760, 4491264, "accuracy-reached", 0.027569996520218285, 0.019905932865375887),
     ("sinkhorn", 0, 7576950599943819899, 3481600, "accuracy-reached", 0.028810749392311392, 0.01976727823452769),
     ("sinkhorn", 1, 12629430435529678840, 2424832, "accuracy-reached", 0.027762872530547086, 0.019760641183342365),
 ]
@@ -200,7 +200,7 @@ def test_diverged_cell_keeps_the_grid(tmp_path, monkeypatch):
     resolve = pdasgd.approx.resolve_profile
     # a z step far past the cliff on the 16-point cells only
     monkeypatch.setattr(
-        pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5) if n == 16 else resolve(profile, n)
+        pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5, 1) if n == 16 else resolve(profile, n)
     )
     plan = BenchPlan(solvers=("pdasgd",), sides=(4, 5), accuracies=(0.05,), pairs=1)
     res = run_benchmark(plan, tmp_path)

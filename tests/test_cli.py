@@ -155,7 +155,7 @@ def test_bench_subcommand(tmp_path, capsys):
 def test_solve_divergence_exit_code(monkeypatch, capsys):
     # approx_ot returns a diverged run as a flagged result; a z step far past
     # the cliff overflows a step's exp at outer iteration 1
-    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5))
+    monkeypatch.setattr(pdasgd.approx, "resolve_profile", lambda profile, n: (8, 1e5, 1))
     code, out, err = run_cli(capsys, "solve", "--size", "4", "--seed", "1", "--epsilon", "0.05")
     assert code == 3
     assert out == ""

@@ -649,7 +649,7 @@ def unflushed_kernel(ws):
 def image_instance(side, epsilon):
     """Pair 0 of the bench images at ``epsilon``'s penalty, with the pipeline's smoothed marginals."""
     alpha, beta, cost = make_image_pair(0, side, 0)
-    eta, eps_prime = derive_parameters(epsilon, alpha.n, cost)
+    eta, eps_prime = derive_parameters(epsilon, cost)
     return OTInstance(cost, *smooth_marginals(alpha, beta, eps_prime), eta)
 
 
@@ -696,7 +696,7 @@ def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
     rng = np.random.default_rng(seed)
     base = random_instance(rng, n, 1.0)
     cost = CostMatrix(scale * base.cost.entries)
-    eta, _ = derive_parameters(epsilon, n, cost)
+    eta, _ = derive_parameters(epsilon, cost)
     o = SemiDualOracle(OTInstance(cost, base.row_marginal, base.col_marginal, eta))
     flushed, unflushed = o.workspace(), o.workspace()
     v0 = 5.0 * eta * rng.normal(size=n)
@@ -736,3 +736,41 @@ def test_rows_are_bitwise_the_four_pass_form(rng):
     snap.rows(idx, got[:-1, 5], got[1:, 4])
     four_pass_rows(snap, idx, ref[:-1, 5], ref[1:, 4])
     assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    b=st.sampled_from([2, 3, 4]),
+    eta=st.sampled_from([1.0, 0.05, 0.01]),
+    spread=st.floats(0.0, 20.0),
+    workspace=st.booleans(),
+)
+def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, spread, workspace):
+    # the kernel form e * (w @ S), from the drift and the b softmax rows at
+    # the anchor, against the mean of the b log-domain importance gradients
+    rng = np.random.default_rng(seed)
+    o = random_oracle(rng, n, eta)
+    anchor = 5.0 * eta * rng.normal(size=n)
+    v = anchor + eta * spread * rng.uniform(-1.0, 1.0, size=n)
+    snap = o.workspace().snapshot(anchor) if workspace else o.snapshot(anchor)
+    idx = rng.integers(n, size=2 * b)  # two steps' components, repeats allowed
+    rows, corrections = np.full((2 * b, n), np.nan), np.full((2, n), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snap.batch_rows(idx, rows, corrections) is None
+        anchors, _ = snapshot_rows(snap, idx, n)
+        # the rows are the softmax rows at the anchor, exp(a'_i + v~/eta),
+        # and each step's correction is u minus the mean of its b rows
+        assert rows.tobytes() == np.exp(anchors + snap.scaled).tobytes()
+        assert corrections.tobytes() == (snap.gradient - rows.reshape(2, b, n).mean(axis=1)).tobytes()
+        drift = o.average_smoothness() * v + (-o.average_smoothness() * anchor)  # as the solver forms it
+        out, e, weights, scalar = np.empty(n), np.empty(n), np.empty(b), np.empty(())
+        for step in range(2):
+            batch = slice(step * b, (step + 1) * b)
+            assert o.batch_gradient(drift, rows[batch], out, e, weights) is out
+            mean = np.mean([
+                o.importance_gradient(a + o.average_smoothness() * v, np.empty(n), scalar) for a in anchors[batch]
+            ], axis=0)
+            np.testing.assert_allclose(out, mean, rtol=1e-12, atol=0)

@@ -63,6 +63,12 @@ def test_gamma_values():
         ("seed", 1.5),
         ("seed", "x"),
         ("seed", True),
+        ("batch", 0),
+        ("batch", -2),
+        ("batch", 2.0),
+        ("batch", False),
+        ("batch", "2"),
+        ("batch", 3),  # does not divide inner_iterations = 2
     ],
 )
 def test_options_reject_bad_values_at_entry(field, value):
@@ -190,6 +196,8 @@ def test_inner_step_called_once_per_step(rng, monkeypatch):
 def reference_run(oracle, options):
     """The module docstring's four update lines, written plainly, on run()'s draws.
 
+    A batched step's g averages its b components' variance-reduced gradients.
+
     Returns (z, y, lambda_tilde, primal average) after the options' outer
     iterations, from the reference snapshot, component gradients and primal
     map; the average weights the map of each new lambda_tilde by 1/tau1_s.
@@ -198,17 +206,20 @@ def reference_run(oracle, options):
     weights = as_weights(oracle.sampling_weights())
     smoothness = oracle.average_smoothness()
     stream, sampler = SplitMix64(options.seed), CategoricalSampler(Distribution(weights))
-    m = options.inner_iterations
+    m, b = options.inner_iterations, options.batch
     lam0 = np.zeros(oracle.dual_dimension) if options.initial_dual is None else options.initial_dual
     z, y, lam_tilde = lam0.copy(), lam0.copy(), lam0.copy()
     total, weight = 0.0, 0.0
     for s in range(options.outer_iterations):
         u = oracle.snapshot(lam_tilde).gradient
         ys = []
-        for _ in range(m):
-            i = sampler.draw(stream)
+        for _ in range(m // b):
+            batch = [sampler.draw(stream) for _ in range(b)]
             lam = tau1(s) * z + TAU2 * lam_tilde + (1 - tau1(s) - TAU2) * y
-            g = u + (oracle.component_gradient(i, lam) - oracle.component_gradient(i, lam_tilde)) / (h * weights[i])
+            g = u + np.mean([
+                (oracle.component_gradient(i, lam) - oracle.component_gradient(i, lam_tilde)) / (h * weights[i])
+                for i in batch
+            ], axis=0)
             z = z - options.z_step_multiplier * gamma(s, smoothness) * g / 2
             y = lam - g / (9 * smoothness)
             ys.append(y)
@@ -266,6 +277,65 @@ def test_run_in_chunks_reproduces_the_reference_loop(seed, n, m, multiplier, ran
     got = (state.z, state.y, res.dual, res.plan)
     for name, a, b in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    b=st.sampled_from([2, 3, 4]),
+    steps=st.sampled_from([1, 2, 4, 5]),
+    random_start=st.booleans(),
+    chunk=st.integers(1, 5),
+)
+def test_batched_run_reproduces_the_reference_loop(seed, n, b, steps, random_start, chunk):
+    # kernel-form batched steps, in chunks of 1 to 5, against the plain
+    # lines with g averaged over each step's b components
+    rng = np.random.default_rng(seed)
+    oracle = random_oracle(rng, n, eta=0.2)
+    options = SolverOptions(
+        inner_iterations=b * steps,
+        outer_iterations=4,
+        seed=seed,
+        z_step_multiplier=15.0 * b,
+        initial_dual=rng.normal(size=n) if random_start else None,
+        batch=b,
+    )
+    with pytest.MonkeyPatch.context() as patch, captured_states() as states:
+        patch.setattr(pdasgd.solver, "CHUNK_STEPS", chunk)
+        res = run(oracle, options, never_stop)
+    (state,) = states
+    assert len(state.blocks) == min(chunk, steps) + 2
+    assert res.op_counts == {"component_gradients": 4 * (n + b * steps), "inner_steps": 4 * steps}
+    got = (state.z, state.y, res.dual, res.plan)
+    for name, a, want in zip(("z", "y", "lambda_tilde", "primal average"), got, reference_run(oracle, options)):
+        assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_batched_steps_run_through_inner_step(rng, monkeypatch):
+    # the module global sees every chunk of batched steps too, and each
+    # step's block holds the mean correction of its b components, drawn in
+    # stream order
+    seen = []
+    original = pdasgd.solver.inner_step
+
+    def counting(state, oracle, update, steps):
+        seen.append((state.snapshot, state.blocks[1:steps + 1, C].copy()))
+        return original(state, oracle, update, steps)
+
+    monkeypatch.setattr(pdasgd.solver, "inner_step", counting)
+    monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)
+    m, b, S, seed = 8, 2, 3, 5
+    oracle = random_oracle(rng, 6, eta=0.3)
+    res = run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=seed, batch=b), never_stop)
+    assert res.op_counts["inner_steps"] == S * m // b
+    assert [len(c) for _, c in seen] == [3, 1] * S
+    stream = SplitMix64(seed)
+    sampler = CategoricalSampler(oracle.sampling_weights())
+    expected = iter([sampler.draw(stream) for _ in range(S * m)])
+    for snapshot, corrections in seen:
+        _, singles = snapshot_rows(snapshot, [next(expected) for _ in range(b * len(corrections))], 6)
+        assert np.allclose(corrections, singles.reshape(-1, b, 6).mean(axis=1), rtol=0, atol=1e-15)
 
 
 def test_run_draws_only_the_components(rng):
@@ -506,7 +576,7 @@ def test_step_overflow_is_divergence_without_warnings():
     # divergence, and no RuntimeWarning is raised on the way.  The previous
     # max-subtracted step ran all 3000 outer iterations here, uncertified.
     alpha, beta, cost = make_image_pair(0, 4, 0)
-    eta, eps_prime = derive_parameters(0.05, alpha.n, cost)
+    eta, eps_prime = derive_parameters(0.05, cost)
     a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
     oracle = SemiDualOracle(OTInstance(cost, a_s, b_s, eta))
     options = SolverOptions(inner_iterations=8, outer_iterations=3000, seed=0, z_step_multiplier=1e5)
@@ -518,6 +588,27 @@ def test_step_overflow_is_divergence_without_warnings():
     assert not np.isfinite(res.dual).all()
     assert res.records == []
     assert res.plan is None  # no finite iterate was averaged
+
+
+@pytest.mark.parametrize("multiplier", [1e4, 1e5])
+def test_batched_row_sum_underflow_is_divergence_without_warnings(multiplier):
+    # Every softmax row at lam_tilde = 0 sits on column 0, so g = u moves
+    # that column's drift 15 times faster, and downwards, than the others.
+    # It passes -745 before any other passes 709, so each row sum r = S e
+    # underflows to 0 and the step's 1 / (b r) divides by zero.  The inf
+    # it leaves is caught as divergence, and no RuntimeWarning is raised.
+    n = 16
+    cost = np.ones((n, n))
+    cost[:, 0] = 0.0
+    uniform = Distribution(np.full(n, 1.0 / n))
+    oracle = SemiDualOracle(OTInstance(CostMatrix(cost), uniform, uniform, 1e-3))
+    options = SolverOptions(inner_iterations=8, outer_iterations=3000, z_step_multiplier=multiplier, batch=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(oracle, options, never_stop)
+    assert res.stop_reason == STOP_DIVERGED
+    assert res.iterations == 1
+    assert res.plan is None
 
 
 def test_convergence_rate_consistency(rng):
@@ -658,7 +749,7 @@ def test_benchmark_profile_replay():
     config = ApproxConfig(epsilon=0.05, solver_profile="benchmark", kappa=8, seed=0)
     result = approx_ot(cost, alpha, beta, config)
     assert result.stop_reason == "gap+marginal"
-    assert result.outer_iterations == 292
-    assert result.op_counts["component_gradients"] == 23360
-    assert result.records[-1].duality_gap == pytest.approx(-0.0001356213631825507, abs=1e-12)
-    assert result.ot_value == pytest.approx(0.013550735249750055, abs=1e-12)
+    assert result.outer_iterations == 291
+    assert result.op_counts == {"component_gradients": 23280, "inner_steps": 1164}
+    assert result.records[-1].duality_gap == pytest.approx(-0.00013336497755036744, abs=1e-12)
+    assert result.ot_value == pytest.approx(0.013548646420693838, abs=1e-12)
