@@ -276,5 +276,6 @@ def marginal_distance(plan, alpha, beta) -> float:
 
 
 def marginal_residual(rows, cols, alpha, beta) -> float:
-    """``|rows - alpha|_1 + |cols - beta|_1`` for a plan's row and column sums."""
-    return float(np.abs(rows - alpha).sum() + np.abs(cols - beta).sum())
+    """``|rows - alpha|_1 + |cols - beta|_1`` for a plan's row and column sums; rows that are alpha itself add 0.0."""
+    cols = np.abs(cols - beta).sum()
+    return float(cols if rows is alpha else np.abs(rows - alpha).sum() + cols)

@@ -17,9 +17,10 @@ Every n^2 exponential goes through the package's one max-subtracted exp
 the small ``eta`` this package runs at.  One dense pass of it,
 ``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse
 (:func:`pdasgd.core.logsumexp`) as a :class:`KernelSnapshot`.  The solver
-reaches the same quantities through a :class:`KernelWorkspace`; one oracle
-method builds the snapshot, G(v) included, from lse and the column sums
-of the primal map for both.
+reaches the same quantities through a :class:`KernelWorkspace`.  Both
+build the one snapshot type, which computes G(v), lse and v/eta from the
+same expressions on first read: a run reads G(v) only to certify, and
+lse and v/eta only for the log-domain rows below.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
@@ -29,11 +30,7 @@ finite where a softmax row underflows, and the corrections ``u - exp(a'_i
 + v~/eta)``.  Softmax row i at v is the softmax of ``a'_i + v/eta``, the
 log-softmax row at v~ plus the drift (v - v~)/eta: exp, a sum and a
 divide, and no max.  The solver's drifts stay far below 709, past which
-exp overflows and the row is NaN, which it reports as divergence.  For a
-step on b components the snapshot writes their softmax rows S_i at v~
-and the mean of their corrections; ``batch_gradient`` forms the mean of
-the b rows at v in kernel form, ``e * (w @ S)`` with ``e`` the exp of the
-drift and ``w = 1 / (b S e)``, so its one exp sees only the drift.
+exp overflows and the row is NaN, which it reports as divergence.
 
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
@@ -50,16 +47,24 @@ never underflows.  Each build zeroes K's subnormals, below 2.2e-308 and
 slow on x86 (:func:`pdasgd.core.flush_subnormals`), and the bits hold: row
 i's entry of 1 puts r_i over exp(-REBASE_SPAN) ~ 1e-13, far above 2^53 n
 dropped terms, and a column sum of dust alone differs only before beta is
-subtracted.  The workspace also keeps the solver's weighted sum of primal
-maps in factors: a snapshot of v with weight w adds w times the map of v,
-``K * outer(w alpha / r, e)``, as that pair, from the r and e it has just
-computed, and w (grad G(v) + beta) to the sum's column sums, in O(n);
-every map's row sums are alpha.  The pairs are folded into a dense sum by
-one matrix product when K is rebuilt or :data:`PENDING_PAIRS` of them are
-held, in place of the three n^2 passes that adding each map densely would
-cost; reading the sum leaves it unchanged, so the sum's bits do not depend
-on when it was read.  The workspace also keeps the sum's total weight, so
-it hands out the weighted average and its marginals.
+subtracted.  The reference snapshot's K is its softmax matrix, with e = r
+= 1, v0 = v and c = 0.  A step on b components reads their raw rows K_i:
+softmax row i at v' is K_i E normalised, for ``E = exp(a' + v'/eta)`` and
+the one v-free row ``a' = -v0/eta - c``, so E's exponent is the drift
+``(v' - v)/eta`` plus d - c, in [-REBASE_SPAN, 0], and never a log-softmax
+entry in exp's subnormal range.  A snapshot's ``batch_rows`` gathers the
+rows and subtracts their mean at v, ``e * (w @ K_B)`` for ``w = 1 / (b
+r_B)``, from u, with no exp.  The workspace also keeps the solver's
+weighted sum of primal maps in factors: a snapshot of v with weight w adds
+w times the map of v, ``K * outer(w alpha / r, e)``, as that pair, from
+the r and e it has just computed, and w (grad G(v) + beta) to the sum's
+column sums, in O(n); every map's row sums are alpha.  The pairs are
+folded into a dense sum by one matrix product when K is rebuilt or
+:data:`PENDING_PAIRS` of them are held, in place of the three n^2 passes
+that adding each map densely would cost; reading the sum leaves it
+unchanged, so the sum's bits do not depend on when it was read.  The
+workspace also keeps the sum's total weight, so it hands out the weighted
+average and its marginals.
 
 The oracle is immutable and shareable across threads; gradient buffers and
 workspaces are caller-owned.
@@ -68,6 +73,7 @@ workspaces are caller-owned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,15 +99,30 @@ PENDING_PAIRS = 32
 class KernelSnapshot:
     """G(v) and grad G(v), with the solver's anchor rows and corrections at v.
 
-    Log-softmax row i at v is ``shift_i + v/eta - lse_i``; its v-free part
-    ``shift_i - lse_i`` is the row the solver adds ``Lbar v`` to.
+    Softmax row i at v is ``kernel_i * e / r_i`` for ``r = kernel @ e``, and
+    at v' it is ``kernel_i * exp(a' + v'/eta)`` normalised, for the v-free
+    row ``a' = -base/eta - c``.  ``value``, ``lse`` (the row logsumexps,
+    ``offsets + c + log r``) and ``scaled`` (v/eta) are computed on first
+    read; v is kept, not copied, so its owner must not write it.
     """
 
-    value: float
+    oracle: "SemiDualOracle"
+    v: np.ndarray
     gradient: np.ndarray
-    shift: np.ndarray  # the oracle's -C/eta - 1
-    scaled: np.ndarray  # v/eta
-    lse: np.ndarray  # logsumexp_j of shift_ij + v_j/eta
+    kernel: np.ndarray
+    e: np.ndarray
+    r: np.ndarray
+    offsets: np.ndarray
+    c: float
+    base: np.ndarray
+    shift = property(lambda self: self.oracle._shift)  # -C/eta - 1
+    scaled = cached_property(lambda self: self.v / self.oracle.eta)
+    lse = cached_property(lambda self: self.offsets + self.c + np.log(self.r))
+
+    @cached_property
+    def value(self) -> float:
+        o = self.oracle
+        return float(o.eta * o.alpha @ (self.lse - o.log_alpha + 1.0) - o.beta @ self.v)
 
     def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
         """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
@@ -111,17 +132,22 @@ class KernelSnapshot:
         np.exp(rows, rows)
         np.subtract(self.gradient, rows, corrections)
 
-    def batch_rows(self, indices, rows: np.ndarray, corrections: np.ndarray) -> None:
-        """Write ``softmax_i(v)``, i in ``indices``, into ``rows`` and grad G(v) minus each run's mean into ``corrections``.
+    def batch_rows(self, indices, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None:
+        """Write ``kernel_i``, i in ``indices``, into ``rows``, a' into every row of ``anchors`` and grad G(v) minus each run's mean softmax row into ``corrections``.
 
         Row j of ``corrections`` takes the mean of the j-th run of b =
-        len(indices) / len(corrections) consecutive rows; ``rows`` must be
-        contiguous.
+        len(indices) / len(corrections) consecutive rows, ``e * (w @
+        kernel_B)`` for ``w = 1 / (b r_B)``; ``rows`` must be contiguous.
         """
-        np.subtract(self.shift[indices], self.lse[indices, None], out=rows)
-        rows += self.scaled
-        np.exp(rows, rows)
-        np.subtract(self.gradient, rows.reshape(len(corrections), -1, rows.shape[1]).mean(axis=1), corrections)
+        np.take(self.kernel, indices, axis=0, out=rows, mode="clip")  # "clip" skips the buffered copy
+        np.divide(self.base, -self.oracle.eta, out=anchors)
+        anchors -= self.c
+        steps = len(corrections)
+        b = len(indices) // steps
+        weights = 1.0 / (b * self.r[indices])
+        np.matmul(weights.reshape(steps, 1, b), rows.reshape(steps, b, -1), out=corrections[:, None])
+        corrections *= self.e
+        np.subtract(self.gradient, corrections, corrections)
 
 
 class SemiDualOracle:
@@ -175,22 +201,13 @@ class SemiDualOracle:
         )
 
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
-        """G(v), grad G(v) and the row logsumexps at v from one dense pass."""
+        """G(v), grad G(v) and the row logsumexps at v from one dense pass, with the softmax matrix as its kernel."""
         sm = v / self.eta + self._shift
         lse = logsumexp(sm)  # overwrites sm with its max-subtracted exp
         sm /= sm.sum(axis=-1, keepdims=True)
-        return self._snapshot(v, lse, sm.T @ self.alpha)
-
-    def _snapshot(self, v: np.ndarray, lse: np.ndarray, col_sums: np.ndarray) -> KernelSnapshot:
-        """The snapshot at v from its row logsumexps and primal map's column sums, a fresh array that becomes the gradient."""
-        col_sums -= self.beta
-        return KernelSnapshot(
-            value=float(self.eta * self.alpha @ (lse - self.log_alpha + 1.0) - self.beta @ v),
-            gradient=col_sums,
-            shift=self._shift,
-            scaled=v / self.eta,
-            lse=lse,
-        )
+        gradient = sm.T @ self.alpha
+        gradient -= self.beta
+        return KernelSnapshot(self, v, gradient, sm, self._ones, self._ones, lse, 0.0, v)
 
     def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
         """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
@@ -207,11 +224,11 @@ class SemiDualOracle:
     def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """The mean of softmax rows i at v over b components into ``out``, in kernel form.
 
-        ``rows`` holds their softmax rows S_i at an anchor v~ and ``t`` the
-        drift (v - v~)/eta.  Softmax row i at v is ``S_i * e / r_i`` for
-        ``e = exp(t)`` and ``r = S e``, so the mean is ``e * (w @ S)`` for
-        ``w = 1 / (b r)``: ``e`` and ``weights`` are caller-owned d- and
-        b-vectors that take e and w.
+        ``rows`` holds their snapshot's kernel rows K_i and ``t`` is ``a' +
+        v/eta``.  Softmax row i at v is ``K_i * e / r_i`` for ``e = exp(t)``
+        and ``r = K e``, so the mean is ``e * (w @ K)`` for ``w = 1 / (b
+        r)``: ``e`` and ``weights`` are caller-owned d- and b-vectors that
+        take e and w.
         """
         np.exp(t, e)
         rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
@@ -352,7 +369,6 @@ class KernelWorkspace:
         o = self.oracle
         e, c = self._weights(v)
         r = self.kernel @ e
-        lse = self.offsets + c + np.log(r)
         gradient = (o.alpha / r) @ self.kernel
         gradient *= e  # the column sums of the primal map of v
         if weight:
@@ -365,11 +381,12 @@ class KernelWorkspace:
             self.weight += weight
             if self._pending_count == PENDING_PAIRS:
                 self._fold()
-        return o._snapshot(v, lse, gradient)
+        gradient -= o.beta
+        return KernelSnapshot(o, v, gradient, self.kernel, e, r, self.offsets, c, self.base)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column sums of the average, as fresh arrays; the rows are alpha."""
-        return self.oracle.alpha.copy(), self._col_sums / self.weight
+        """Row and column sums of the average: the oracle's frozen alpha itself, and a fresh array."""
+        return self.oracle.alpha, self._col_sums / self.weight
 
     def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float:
         """L1 distance of a plan's row and column sums to the oracle's marginals."""

@@ -4,8 +4,9 @@ Minimizes a finite-sum dual objective ``phi(lam) = (1/h) sum_i phi_i(lam)``
 while averaging the associated primal iterates.  Each run owns a workspace
 from ``oracle.workspace()``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
-after each reset, as a snapshot (``phi(lam_tilde)`` for the record's gap,
-the full gradient ``u = grad phi(lam_tilde)`` and the batch rows below),
+after each reset, as a snapshot (the full gradient ``u = grad
+phi(lam_tilde)``, the batch rows below, and ``phi(lam_tilde)`` once a
+record's gap reads it),
 and it keeps the weighted average of primal maps, its total weight and its
 row and column sums.  Each outer iteration s:
 
@@ -46,19 +47,20 @@ block; the last is 0, so the next chunk adds its own).  One oracle call
 writes h and one ``dot`` by a 3 x 6 matrix the next block's y, p and t.
 
 A batched step (b > 1) keeps that layout and that matrix, in kernel form,
-the absorption trick of the semi-dual workspace.  Every a' is ``-Lbar
-lam_tilde``, so t is the drift ``Lbar (lam - lam_tilde)``; c is u minus
-the mean of the b components' importance gradients at lam_tilde; and the
-snapshot writes those gradients, the softmax rows S_i at lam_tilde for
-the semi-dual, into one contiguous (b * steps, d) buffer per chunk.  The
-oracle's ``batch_gradient`` reads h, the mean importance gradient at lam,
-from t and the step's b rows: for the semi-dual ``e * (w @ S_B)`` with
-``e = exp(t)``, ``r = S_B e`` and ``w = 1 / (b r)``, a fixed handful of
-numpy calls whatever b is.  Its exps see only the drift, never a
-log-softmax entry in exp's subnormal range.  A drift past 709 overflows,
-and a row sum that underflows to 0 divides by it; the inf or NaN either
-leaves fails the finite check.  At b = 1 the single step above runs,
-bit for bit.
+the absorption trick of the semi-dual workspace.  The snapshot writes one
+a' into every block, the b components' rows into one contiguous (b *
+steps, d) buffer per chunk, and c, u minus the mean of their importance
+gradients at lam_tilde.  The oracle's ``batch_gradient`` reads h, the
+mean importance gradient at lam, from t and the step's b rows.  For the
+semi-dual the rows are its kernel's K_i, a' is ``-v0/eta`` minus the
+largest entry of ``(lam_tilde - v0)/eta`` for the kernel's base point
+v0, and h is ``e * (w @ K_B)`` with ``e = exp(t)``, ``r = K_B e`` and ``w
+= 1 / (b r)``, a fixed handful of numpy calls whatever b is.  t is the
+drift ``Lbar (lam - lam_tilde)`` plus a vector in [-REBASE_SPAN, 0], so
+its exp meets exp's subnormal range only where the drift does.  A drift
+past 709 overflows, and a row sum that underflows to 0 divides by it;
+the inf or NaN either leaves fails the finite check.  At b = 1 the
+single step above runs, bit for bit.
 
 The ``multiplier`` scales only the z step; 1 is the plain method, and the
 benchmark profile uses 15 b, the same z step per component as 15 single
@@ -92,10 +94,12 @@ class Snapshot(Protocol):
     caller-owned (len(indices), d) views for component i = ``indices[k]``:
     a'_i, from which ``importance_gradient`` reads i's gradient at lam as
     ``t = a'_i + Lbar lam``, and u minus that gradient at lam_tilde.
-    ``batch_rows(indices, rows, corrections)`` writes row k of ``rows`` as
-    i's importance gradient S_i at lam_tilde, which ``batch_gradient``
-    reads, and row j of ``corrections`` as u minus the mean of the j-th
-    run of b = len(indices) / len(corrections) consecutive rows.
+    ``batch_rows(indices, anchors, rows, corrections)`` writes the one a'
+    shared by a batched step's components into every row of ``anchors``,
+    row k of ``rows`` as the row of i that ``batch_gradient`` reads, and
+    row j of ``corrections`` as u minus the mean importance gradient at
+    lam_tilde of the j-th run of b = len(indices) / len(corrections)
+    consecutive components.  ``value`` may be computed on first read.
     """
 
     value: float
@@ -103,7 +107,7 @@ class Snapshot(Protocol):
 
     def rows(self, indices: np.ndarray, anchors: np.ndarray, corrections: np.ndarray) -> None: ...
 
-    def batch_rows(self, indices: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None: ...
+    def batch_rows(self, indices: np.ndarray, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None: ...
 
 
 class Workspace(Protocol):
@@ -113,9 +117,9 @@ class Workspace(Protocol):
     batched rows the inner steps read, and adds weight times the primal
     point attached to lam to a running weighted average and weight to its
     total ``weight``; ``marginals()`` returns the average's row and column
-    sums as fresh arrays; ``constraint_violation_l1(rows, cols)`` is the L1
-    distance of given row and column sums to the oracle's marginals;
-    ``average()`` returns the average as a fresh array, leaves it unchanged
+    sums, arrays the caller must not write; ``constraint_violation_l1(rows,
+    cols)`` is the L1 distance of given row and column sums to the oracle's
+    marginals; ``average()`` returns the average as a fresh array, leaves it unchanged
     and raises while nothing has been accumulated.
     """
 
@@ -139,9 +143,9 @@ class FiniteSumOracle(Protocol):
     ``t = a'_i + Lbar lam`` for i's snapshot row a'_i, with ``scalar``
     a caller-owned 0-d buffer; ``batch_gradient(t, rows, out, e, weights)``
     writes the mean of b such gradients into ``out`` once per batched
-    step, from the drift ``t = Lbar (lam - lam_tilde)`` and the b
-    components' snapshot ``rows``, with ``e`` a caller-owned d-vector and
-    ``weights`` a b-vector; ``workspace()`` returns a fresh
+    step, from ``t = a' + Lbar lam`` and the b components' snapshot
+    ``rows``, with ``e`` a caller-owned d-vector and ``weights`` a
+    b-vector; ``workspace()`` returns a fresh
     :class:`Workspace` for one run, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0, which :func:`init_state`
@@ -231,7 +235,7 @@ class RunRecord:
 
 @dataclass
 class SolverState:
-    lambda_tilde: np.ndarray
+    lambda_tilde: np.ndarray  # a fresh array at each reset: its snapshot keeps it
     z: np.ndarray
     blocks: np.ndarray  # (min(m/b, CHUNK_STEPS) + 2, 6, d): a leading block, then steps; block 1 keeps y
     workspace: Workspace  # holds the weighted primal average x_s
@@ -246,7 +250,7 @@ class SolverState:
     _draws: np.ndarray = None  # the components drawn and not yet used, in stream order
     _rows: np.ndarray = None  # batch > 1: (b * steps in a chunk, d), the chunk's snapshot rows, b per step
     _batches: list = None  # batch > 1: per step, its b rows
-    _e: np.ndarray = None  # (d,), exp of a batched step's drift
+    _e: np.ndarray = None  # (d,), exp of a batched step's t
     _weights: np.ndarray = None  # (b,), a batched step's row weights
     y = property(lambda self: self.blocks[1, Y])
 
@@ -310,8 +314,8 @@ def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, 
     Each block's t, c and a' are set on entry; step k writes its h and then
     block k+1's y, p and t.  A single step (batch 1) reads h from the
     oracle's importance gradient at its t; a batched step reads the mean
-    of its b components' gradients from its drift t and its b snapshot
-    rows.  :func:`run` charges the work.
+    of its b components' gradients from its t and its b snapshot rows.
+    :func:`run` charges the work.
     """
     scalar, product = state._scalar, update.dot  # the bound method skips np.dot's dispatcher
     if state._batches is None:
@@ -344,7 +348,6 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     blocks, anchor = state.blocks, state.lambda_tilde
     chunk = len(blocks) - 2
     tau2_anchor = TAU2 * anchor
-    drift_anchor = None if b == 1 else -state.avg_smoothness * anchor  # a batched step's a': t is its drift
     y_sum = 0.0
     first = blocks[1]
     np.add(t1 * state.z, tau2_anchor, out=first[P])
@@ -356,21 +359,20 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
         for start in range(0, steps_per_outer, chunk):
             steps = min(chunk, steps_per_outer - start)
             # step k's a' lands in the block before its own, which forms its t
-            if drift_anchor is None:
+            if b == 1:
                 state.snapshot.rows(components[start:start + steps], blocks[:steps, A], blocks[1:steps + 1, C])
             else:
                 drawn = components[start * b:(start + steps) * b]
-                state.snapshot.batch_rows(drawn, state._rows[:steps * b], blocks[1:steps + 1, C])
-                blocks[:steps, A] = drift_anchor
+                state.snapshot.batch_rows(drawn, blocks[:steps, A], state._rows[:steps * b], blocks[1:steps + 1, C])
             blocks[steps, A] = 0.0  # the next chunk adds its own first a'
             first[T] += blocks[0, A]
             inner_step(state, oracle, update, steps)
             y_sum += blocks[2:steps + 2, Y].sum(axis=0)
             first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
         np.divide(first[P] - tau2_anchor, t1, out=state.z)
-        np.multiply(y_sum, 1.0 / steps_per_outer, out=anchor)
-    state.s = s + 1
-    if not (np.isfinite(anchor).all() and np.isfinite(state.z).all()):
+        y_sum *= 1.0 / steps_per_outer
+    state.lambda_tilde, state.s = y_sum, s + 1
+    if not (np.isfinite(y_sum).all() and np.isfinite(state.z).all()):
         return False
     state.snapshot = state.workspace.snapshot(state.lambda_tilde, 1.0 / t1)
     return True

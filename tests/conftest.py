@@ -66,6 +66,27 @@ def snapshot_rows(snapshot, indices, d):
     return anchors, corrections
 
 
+def assert_batch_corrections(snapshot, indices, corrections):
+    """Each step's batched correction is u minus the mean of its b components' single-step softmax rows, to their rounding.
+
+    A single-step row ``exp(shift_i + v/eta - lse_i)`` rounds the exponents
+    of its terms; a batched one, ``K_i e / r_i``, those of its kernel at the
+    base point and of the drift from there.  exp turns each unit of
+    exponent into about 1e-15 of relative error, and the subtraction from
+    u, whose entries lie in [-1, 1], rounds at 1e-15 more.
+    """
+    d = len(snapshot.gradient)
+    _, singles = snapshot_rows(snapshot, indices, d)
+    softmax = snapshot.gradient - singles
+    size = (
+        1.0 + np.abs(snapshot.shift[indices]) + np.abs(snapshot.scaled) + np.abs(snapshot.lse[indices])[:, None]
+        + np.abs(snapshot.base) / snapshot.oracle.eta + np.abs(snapshot.offsets[indices])[:, None]
+    )
+    want = snapshot.gradient - softmax.reshape(len(corrections), -1, d).mean(axis=1)
+    bound = 1e-15 * ((softmax * size).reshape(len(corrections), -1, d).mean(axis=1) + 1.0)
+    assert np.all(np.abs(corrections - want) <= bound)
+
+
 def estimator(oracle, snapshot, i, lam):
     """The solver's variance-reduced gradient on component i at lam, freshly allocated.
 

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pdasgd.baselines
-from conftest import captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
+from conftest import assert_batch_corrections, captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
-from pdasgd.core import CostMatrix, Distribution, OTInstance, flush_subnormals, logsumexp, max_subtracted_exp
+from pdasgd.core import CostMatrix, Distribution, OTInstance, flush_subnormals, logsumexp, marginal_residual, max_subtracted_exp
 from pdasgd.semidual import PENDING_PAIRS, REBASE_SPAN, SemiDualOracle
 from pdasgd.solver import SolverOptions, run
 
@@ -202,6 +202,26 @@ def test_snapshot_lse_is_bitwise_the_allocating_formula(t):
     assert snap.gradient.tobytes() == (ref_sm.T @ o.alpha - o.beta).tobytes()
 
 
+def test_workspace_snapshot_value_and_lse_are_the_eager_formulas(rng):
+    # computed on first read, not when the snapshot is taken, from the
+    # expressions a snapshot once evaluated eagerly: lse = m0 + c + log(K e)
+    # and the value from lse and v
+    n, eta = 24, 0.05
+    o = random_oracle(rng, n, eta)
+    ws = o.workspace()
+    ws.snapshot(rng.normal(size=n))
+    for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
+        v = ws.base + eta * spread * rng.random(n)
+        snap = ws.snapshot(v, 1.0)
+        assert not {"value", "lse", "scaled"} & set(vars(snap))
+        d = (v - ws.base) / eta
+        c = d.max()
+        lse = ws.offsets + c + np.log(ws.kernel @ np.exp(d - c))
+        assert snap.lse.tobytes() == lse.tobytes()
+        assert snap.value == float(eta * o.alpha @ (lse - np.log(o.alpha) + 1.0) - o.beta @ v)
+        assert snap.scaled.tobytes() == (v / eta).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -281,10 +301,12 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert_close(rows, total.sum(axis=1) / weight_sum, 1.0)
         assert_close(cols, total.sum(axis=0) / weight_sum, 1.0)
         # kept in O(n) per snapshot, not read off the plan: the rows are
-        # alpha itself and the columns the average's own column sums, to
-        # rounding of a plan of total mass 1
-        assert rows.tobytes() == o.alpha.tobytes()
+        # alpha itself, frozen, and the columns the average's own column
+        # sums, to rounding of a plan of total mass 1
+        assert rows is o.alpha and not rows.flags.writeable
         assert np.abs(cols - ws.average().sum(axis=0)).max() <= 1e-15
+        # so the violation sums the column half alone, to the same bits
+        assert ws.constraint_violation_l1(rows, cols) == marginal_residual(rows.copy(), cols, o.alpha, o.beta)
     # reading the average does not change it
     assert ws.average().tobytes() == ws.average().tobytes()
 
@@ -680,6 +702,15 @@ def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):
 DUSTY = ((0, 32, 0.05, 4.0), (0, 32, 0.01, 1.0))  # (seed, n, epsilon, scale) whose kernels hold dust
 
 
+def scaled_oracle(seed, n, epsilon, scale):
+    """A random instance with its cost scaled, at ``epsilon``'s penalty, and the generator that drew it."""
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, n, 1.0)
+    cost = CostMatrix(scale * base.cost.entries)
+    eta, _ = derive_parameters(epsilon, cost)
+    return SemiDualOracle(OTInstance(cost, base.row_marginal, base.col_marginal, eta)), rng
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -693,11 +724,8 @@ def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
     # the argument of the semidual docstring: every row of the kernel has an
     # entry of 1 and e >= exp(-REBASE_SPAN), so the dropped dust lies below
     # half an ulp of r, and a column of dust alone is absorbed by beta
-    rng = np.random.default_rng(seed)
-    base = random_instance(rng, n, 1.0)
-    cost = CostMatrix(scale * base.cost.entries)
-    eta, _ = derive_parameters(epsilon, cost)
-    o = SemiDualOracle(OTInstance(cost, base.row_marginal, base.col_marginal, eta))
+    o, rng = scaled_oracle(seed, n, epsilon, scale)
+    eta = o.eta
     flushed, unflushed = o.workspace(), o.workspace()
     v0 = 5.0 * eta * rng.normal(size=n)
     flushed.snapshot(v0)
@@ -744,33 +772,53 @@ def test_rows_are_bitwise_the_four_pass_form(rng):
     n=st.integers(2, 16),
     b=st.sampled_from([2, 3, 4]),
     eta=st.sampled_from([1.0, 0.05, 0.01]),
+    dusty=st.sampled_from([None, *DUSTY]),
+    span=st.floats(0.0, 0.999 * REBASE_SPAN),
     spread=st.floats(0.0, 20.0),
     workspace=st.booleans(),
 )
-def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, spread, workspace):
-    # the kernel form e * (w @ S), from the drift and the b softmax rows at
-    # the anchor, against the mean of the b log-domain importance gradients
-    rng = np.random.default_rng(seed)
-    o = random_oracle(rng, n, eta)
-    anchor = 5.0 * eta * rng.normal(size=n)
+@example(0, 2, 2, 1.0, DUSTY[0], 0.999 * REBASE_SPAN, 20.0, True)
+@example(0, 2, 4, 1.0, DUSTY[1], 0.999 * REBASE_SPAN, 20.0, True)
+def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, dusty, span, spread, workspace):
+    # the kernel form e * (w @ K), from t = Lbar v + a' and the b raw kernel
+    # rows, against the mean of the b log-domain importance gradients; the
+    # workspace's anchor lies up to ``span`` from its kernel's base point,
+    # on a random instance or on one whose kernel held dust before its flush
+    if dusty is None:
+        rng = np.random.default_rng(seed)
+        o = random_oracle(rng, n, eta)
+    else:
+        o, rng = scaled_oracle(*dusty)
+        n, eta = o.n, o.eta
+    ws = o.workspace()
+    ws.snapshot(5.0 * eta * rng.normal(size=n))  # the kernel's base point
+    offset = rng.random(n)
+    anchor = ws.base + eta * span * (offset - offset.min()) / (np.ptp(offset) or 1.0)
     v = anchor + eta * spread * rng.uniform(-1.0, 1.0, size=n)
-    snap = o.workspace().snapshot(anchor) if workspace else o.snapshot(anchor)
     idx = rng.integers(n, size=2 * b)  # two steps' components, repeats allowed
-    rows, corrections = np.full((2 * b, n), np.nan), np.full((2, n), np.nan)
+    got = np.full((2, 6, n), np.nan)  # strided views, as the solver's block buffer hands them out
+    rows = np.full((2 * b, n), np.nan)
+    Lbar = o.average_smoothness()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert snap.batch_rows(idx, rows, corrections) is None
+        snap = ws.snapshot(anchor) if workspace else o.snapshot(anchor)
+        assert (snap.kernel is ws.kernel) == workspace  # no rebuild within the span
+        if dusty is not None:
+            assert dust(unflushed_kernel(ws)) > 0
+        assert snap.batch_rows(idx, got[:, 5], rows, got[:, 4]) is None
+        # the rows are the kernel's own, and every a' is -base/eta - c: the
+        # workspace's base point and the largest drift of the anchor from it,
+        # the reference's the anchor itself and 0
+        assert rows.tobytes() == snap.kernel[idx].tobytes()
+        base, c = (ws.base, ((anchor - ws.base) / eta).max()) if workspace else (anchor, 0.0)
+        assert got[:, 5].tobytes() == np.tile(-base / eta - c, (2, 1)).tobytes()
+        assert_batch_corrections(snap, idx, got[:, 4])
         anchors, _ = snapshot_rows(snap, idx, n)
-        # the rows are the softmax rows at the anchor, exp(a'_i + v~/eta),
-        # and each step's correction is u minus the mean of its b rows
-        assert rows.tobytes() == np.exp(anchors + snap.scaled).tobytes()
-        assert corrections.tobytes() == (snap.gradient - rows.reshape(2, b, n).mean(axis=1)).tobytes()
-        drift = o.average_smoothness() * v + (-o.average_smoothness() * anchor)  # as the solver forms it
         out, e, weights, scalar = np.empty(n), np.empty(n), np.empty(b), np.empty(())
         for step in range(2):
             batch = slice(step * b, (step + 1) * b)
-            assert o.batch_gradient(drift, rows[batch], out, e, weights) is out
-            mean = np.mean([
-                o.importance_gradient(a + o.average_smoothness() * v, np.empty(n), scalar) for a in anchors[batch]
-            ], axis=0)
-            np.testing.assert_allclose(out, mean, rtol=1e-12, atol=0)
+            t = Lbar * v + got[step, 5]  # as the solver forms it
+            assert o.batch_gradient(t, rows[batch], out, e, weights) is out
+            mean = np.mean([o.importance_gradient(a + Lbar * v, np.empty(n), scalar) for a in anchors[batch]], axis=0)
+            # entries below the smallest normal double hold fewer bits: those agree to its scale
+            np.testing.assert_allclose(out, mean, rtol=1e-12, atol=TINY)

@@ -1,15 +1,16 @@
 import math
 import warnings
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
-from conftest import QuadraticOracle, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
+from conftest import QuadraticOracle, assert_batch_corrections, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
 from conftest import captured_states, certify_every, never_stop
-from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, smooth_marginals
+from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, resolve_profile, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
 from pdasgd.rng import CategoricalSampler, SplitMix64
@@ -315,7 +316,7 @@ def test_batched_run_reproduces_the_reference_loop(seed, n, b, steps, random_sta
 def test_batched_steps_run_through_inner_step(rng, monkeypatch):
     # the module global sees every chunk of batched steps too, and each
     # step's block holds the mean correction of its b components, drawn in
-    # stream order
+    # stream order, to the rounding of the kernel and log-domain rows
     seen = []
     original = pdasgd.solver.inner_step
 
@@ -334,8 +335,7 @@ def test_batched_steps_run_through_inner_step(rng, monkeypatch):
     sampler = CategoricalSampler(oracle.sampling_weights())
     expected = iter([sampler.draw(stream) for _ in range(S * m)])
     for snapshot, corrections in seen:
-        _, singles = snapshot_rows(snapshot, [next(expected) for _ in range(b * len(corrections))], 6)
-        assert np.allclose(corrections, singles.reshape(-1, b, 6).mean(axis=1), rtol=0, atol=1e-15)
+        assert_batch_corrections(snapshot, [next(expected) for _ in range(b * len(corrections))], corrections)
 
 
 def test_run_draws_only_the_components(rng):
@@ -712,6 +712,42 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
     oracle.calls = Counter()
     run(oracle, options, certify_every)  # certifying reads the workspace's average only
     assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_gradient": S * m})
+
+
+@pytest.fixture
+def snapshot_reads(monkeypatch):
+    """A Counter of the ``value`` and ``lse`` that snapshots compute, each on its first read."""
+    counts = Counter()
+    for name in ("value", "lse"):
+        compute = getattr(KernelSnapshot, name).func
+
+        def counted(self, compute=compute, name=name):
+            counts[name] += 1
+            return compute(self)
+
+        read = cached_property(counted)
+        read.__set_name__(KernelSnapshot, name)
+        monkeypatch.setattr(KernelSnapshot, name, read)
+    return counts
+
+
+@pytest.mark.parametrize("profile", ["benchmark", "theory"])
+def test_snapshots_compute_value_and_lse_only_when_read(rng, snapshot_reads, profile):
+    # the value only to certify, once per certified record; lse only for
+    # the value and for the theory profile's log-domain rows, once per
+    # snapshot that reaches them
+    n, S = 16, 6
+    oracle = random_oracle(rng, n, eta=0.05)
+    m, multiplier, b = resolve_profile(profile, n)
+    options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=1, z_step_multiplier=multiplier, batch=b)
+    run(oracle, options, never_stop)
+    # the theory profile's rows read lse at the snapshots of outer iterations 0 to S - 1
+    assert snapshot_reads == Counter({"lse": S} if profile == "theory" else {})
+    snapshot_reads.clear()
+    run(oracle, options, certify_every)
+    # each of the S certified snapshots computes its value and lse once, and
+    # the theory profile's rows read the init snapshot's lse as well
+    assert snapshot_reads == Counter({"value": S, "lse": S + (profile == "theory")})
 
 
 def test_kernel_rebuilds_are_rare(monkeypatch):
