@@ -18,9 +18,10 @@ the small ``eta`` this package runs at.  One dense pass of it,
 ``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse
 (:func:`pdasgd.core.logsumexp`) as a :class:`KernelSnapshot`.  The solver
 reaches the same quantities through a :class:`KernelWorkspace`.  Both
-build the one snapshot type, which computes G(v), lse and v/eta from the
-same expressions on first read: a run reads G(v) only to certify, and
-lse and v/eta only for the log-domain rows below.
+build the one snapshot type, a slotted record whose ``value`` (G(v)),
+``lse`` and ``scaled`` (v/eta) are lazy: None until the first read
+computes them from the same expressions.  A run reads G(v) only to
+certify, and lse and v/eta only for the log-domain rows below.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
@@ -50,7 +51,9 @@ dropped terms, and a column sum of dust alone differs only before beta is
 subtracted.  The reference snapshot's K is its softmax matrix, with e = r
 = 1, v0 = v and c = 0.  A step on b components reads their raw rows K_i:
 softmax row i at v' is K_i E normalised, for ``E = exp(a' + v'/eta)`` and
-the one v-free row ``a' = -v0/eta - c``, so E's exponent is the drift
+the one v-free row ``a' = -v0/eta - c``, whose base row -v0/eta the
+workspace caches at each rebuild (the reference snapshot computes it
+from its v), so a' costs one subtraction.  E's exponent is the drift
 ``(v' - v)/eta`` plus d - c, in [-REBASE_SPAN, 0], and never a log-softmax
 entry in exp's subnormal range.  A snapshot's ``batch_rows`` gathers the
 rows and subtracts their mean at v, ``e * (w @ K_B)`` for ``w = 1 / (b
@@ -72,9 +75,6 @@ workspaces are caller-owned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .core import (
@@ -95,39 +95,49 @@ from .core import (
 PENDING_PAIRS = 32
 
 
-@dataclass(frozen=True)
 class KernelSnapshot:
     """G(v) and grad G(v), with the solver's anchor rows and corrections at v.
 
     Softmax row i at v is ``kernel_i * e / r_i`` for ``r = kernel @ e``, and
     at v' it is ``kernel_i * exp(a' + v'/eta)`` normalised, for the v-free
-    row ``a' = -base/eta - c``.  ``value``, ``lse`` (the row logsumexps,
-    ``offsets + c + log r``) and ``scaled`` (v/eta) are computed on first
-    read; v is kept, not copied, so its owner must not write it.
+    row ``a' = base_row - c``: ``base_row = -v0/eta`` for the kernel's base
+    point v0, which the workspace caches at each rebuild.  ``value``,
+    ``lse`` (the row logsumexps, ``offsets + c + log r``) and ``scaled``
+    (v/eta) are lazy, None in their ``_`` slots until their first read
+    computes them.  v is kept, not copied, so its owner must not write it.
     """
 
-    oracle: "SemiDualOracle"
-    v: np.ndarray
-    gradient: np.ndarray
-    kernel: np.ndarray
-    e: np.ndarray
-    r: np.ndarray
-    offsets: np.ndarray
-    c: float
-    base: np.ndarray
+    __slots__ = ("oracle", "v", "gradient", "kernel", "e", "r", "offsets", "c", "base_row", "_scaled", "_lse", "_value")
     shift = property(lambda self: self.oracle._shift)  # -C/eta - 1
-    scaled = cached_property(lambda self: self.v / self.oracle.eta)
-    lse = cached_property(lambda self: self.offsets + self.c + np.log(self.r))
 
-    @cached_property
+    def __init__(self, oracle: "SemiDualOracle", v, gradient, kernel, e, r, offsets, c: float, base_row):
+        self.oracle, self.v, self.gradient, self.kernel, self.e, self.r = oracle, v, gradient, kernel, e, r
+        self.offsets, self.c, self.base_row = offsets, c, base_row
+        self._scaled = self._lse = self._value = None
+
+    @property
+    def scaled(self) -> np.ndarray:
+        if self._scaled is None:
+            self._scaled = self.v / self.oracle.eta
+        return self._scaled
+
+    @property
+    def lse(self) -> np.ndarray:
+        if self._lse is None:
+            self._lse = self.offsets + self.c + np.log(self.r)
+        return self._lse
+
+    @property
     def value(self) -> float:
-        o = self.oracle
-        return float(o.eta * o.alpha @ (self.lse - o.log_alpha + 1.0) - o.beta @ self.v)
+        if self._value is None:
+            o = self.oracle
+            self._value = float(o.eta * o.alpha @ (self.lse - o.log_alpha + 1.0) - o.beta @ self.v)
+        return self._value
 
     def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
         """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
-        rows = self.shift[indices]  # a fresh contiguous array: the arithmetic runs in it
-        anchors[...] = np.subtract(rows, self.lse[indices, None], out=rows)
+        rows = self.shift.take(indices, 0)  # a fresh contiguous array: the arithmetic runs in it
+        anchors[...] = np.subtract(rows, self.lse[indices][:, None], out=rows)
         rows += self.scaled
         np.exp(rows, rows)
         np.subtract(self.gradient, rows, corrections)
@@ -139,9 +149,8 @@ class KernelSnapshot:
         len(indices) / len(corrections) consecutive rows, ``e * (w @
         kernel_B)`` for ``w = 1 / (b r_B)``; ``rows`` must be contiguous.
         """
-        np.take(self.kernel, indices, axis=0, out=rows, mode="clip")  # "clip" skips the buffered copy
-        np.divide(self.base, -self.oracle.eta, out=anchors)
-        anchors -= self.c
+        self.kernel.take(indices, 0, rows, "clip")  # the method skips np.take's wrapper, "clip" its buffered copy
+        np.subtract(self.base_row, self.c, out=anchors)
         steps = len(corrections)
         b = len(indices) // steps
         weights = 1.0 / (b * self.r[indices])
@@ -207,7 +216,7 @@ class SemiDualOracle:
         sm /= sm.sum(axis=-1, keepdims=True)
         gradient = sm.T @ self.alpha
         gradient -= self.beta
-        return KernelSnapshot(self, v, gradient, sm, self._ones, self._ones, lse, 0.0, v)
+        return KernelSnapshot(self, v, gradient, sm, self._ones, self._ones, lse, 0.0, np.divide(v, -self.eta))
 
     def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
         """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
@@ -319,7 +328,7 @@ class KernelWorkspace:
         n = oracle.n
         self.kernel = None
         self.offsets = None  # m0, the row maxima of (v0 - C)/eta - 1
-        self.base = None  # v0
+        self.base = self.base_row = None  # v0, and -v0/eta: the v-free part of its snapshots' a'
         self._dense = np.zeros((n, n))  # the pairs folded in so far
         # (w alpha / r, e) of the primal maps since the last fold, one per row
         self._left = np.empty((PENDING_PAIRS, n))
@@ -331,7 +340,8 @@ class KernelWorkspace:
     def rebuild(self, v: np.ndarray) -> None:
         """Fold the pending pairs into the dense sum and re-base the kernel at v."""
         self._fold()
-        kernel = v / self.oracle.eta + self.oracle._shift
+        self.base_row = np.divide(v, -self.oracle.eta)
+        kernel = self.oracle._shift - self.base_row  # v/eta + shift, bit for bit
         self.offsets = np.squeeze(max_subtracted_exp(kernel), axis=-1)
         self.kernel = flush_subnormals(kernel)
         self.base = v.copy()
@@ -340,8 +350,8 @@ class KernelWorkspace:
         """(e, c) of v against the base point, re-basing at v first if needed."""
         if self.base is not None:
             d = (v - self.base) / self.oracle.eta
-            c = d.max()
-        if self.base is None or c - d.min() > REBASE_SPAN:
+            c = np.maximum.reduce(d)
+        if self.base is None or c - np.minimum.reduce(d) > REBASE_SPAN:
             self.rebuild(v)
             d, c = np.zeros_like(v), 0.0
         d -= c
@@ -368,8 +378,8 @@ class KernelWorkspace:
         """
         o = self.oracle
         e, c = self._weights(v)
-        r = self.kernel @ e
-        gradient = (o.alpha / r) @ self.kernel
+        r = self.kernel.dot(e)
+        gradient = np.divide(o.alpha, r).dot(self.kernel)
         gradient *= e  # the column sums of the primal map of v
         if weight:
             k = self._pending_count
@@ -382,7 +392,7 @@ class KernelWorkspace:
             if self._pending_count == PENDING_PAIRS:
                 self._fold()
         gradient -= o.beta
-        return KernelSnapshot(o, v, gradient, self.kernel, e, r, self.offsets, c, self.base)
+        return KernelSnapshot(o, v, gradient, self.kernel, e, r, self.offsets, c, self.base_row)
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column sums of the average: the oracle's frozen alpha itself, and a fresh array."""

@@ -261,10 +261,10 @@ def step_matrix(out: np.ndarray, s: int, avg_smoothness: float, multiplier: floa
     y_coef = -1.0 / (9.0 * avg_smoothness)
     p_coef = -(tau1(s) * (multiplier * gamma(s, avg_smoothness) / 2.0))
     t_coef = avg_smoothness * (p_coef + w_y * y_coef)
-    out[...] = (
-        (w_y, 1.0, 0.0, y_coef, y_coef, 0.0),  # y = lambda - g / (9 Lbar)
-        (0.0, 1.0, 0.0, p_coef, p_coef, 0.0),  # p += p_coef g, the z step as it moves p
-        (avg_smoothness * (w_y * w_y), avg_smoothness * (1.0 + w_y), 0.0, t_coef, t_coef, 1.0),  # Lbar lambda + a'
+    out.flat = (  # row by row: a flat tuple skips parsing a nested one
+        w_y, 1.0, 0.0, y_coef, y_coef, 0.0,  # y = lambda - g / (9 Lbar)
+        0.0, 1.0, 0.0, p_coef, p_coef, 0.0,  # p += p_coef g, the z step as it moves p
+        avg_smoothness * (w_y * w_y), avg_smoothness * (1.0 + w_y), 0.0, t_coef, t_coef, 1.0,  # Lbar lambda + a'
     )
     return out
 
@@ -367,12 +367,12 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
             blocks[steps, A] = 0.0  # the next chunk adds its own first a'
             first[T] += blocks[0, A]
             inner_step(state, oracle, update, steps)
-            y_sum += blocks[2:steps + 2, Y].sum(axis=0)
+            y_sum += np.add.reduce(blocks[2:steps + 2, Y], 0)
             first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
         np.divide(first[P] - tau2_anchor, t1, out=state.z)
         y_sum *= 1.0 / steps_per_outer
     state.lambda_tilde, state.s = y_sum, s + 1
-    if not (np.isfinite(y_sum).all() and np.isfinite(state.z).all()):
+    if not (np.logical_and.reduce(np.isfinite(y_sum)) and np.logical_and.reduce(np.isfinite(state.z))):
         return False
     state.snapshot = state.workspace.snapshot(state.lambda_tilde, 1.0 / t1)
     return True

@@ -80,7 +80,7 @@ def assert_batch_corrections(snapshot, indices, corrections):
     softmax = snapshot.gradient - singles
     size = (
         1.0 + np.abs(snapshot.shift[indices]) + np.abs(snapshot.scaled) + np.abs(snapshot.lse[indices])[:, None]
-        + np.abs(snapshot.base) / snapshot.oracle.eta + np.abs(snapshot.offsets[indices])[:, None]
+        + np.abs(snapshot.base_row) + np.abs(snapshot.offsets[indices])[:, None]
     )
     want = snapshot.gradient - softmax.reshape(len(corrections), -1, d).mean(axis=1)
     bound = 1e-15 * ((softmax * size).reshape(len(corrections), -1, d).mean(axis=1) + 1.0)

@@ -213,13 +213,52 @@ def test_workspace_snapshot_value_and_lse_are_the_eager_formulas(rng):
     for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
         v = ws.base + eta * spread * rng.random(n)
         snap = ws.snapshot(v, 1.0)
-        assert not {"value", "lse", "scaled"} & set(vars(snap))
+        assert all(getattr(snap, "_" + name) is None for name in ("value", "lse", "scaled"))
         d = (v - ws.base) / eta
         c = d.max()
         lse = ws.offsets + c + np.log(ws.kernel @ np.exp(d - c))
         assert snap.lse.tobytes() == lse.tobytes()
         assert snap.value == float(eta * o.alpha @ (lse - np.log(o.alpha) + 1.0) - o.beta @ v)
         assert snap.scaled.tobytes() == (v / eta).tobytes()
+
+
+def test_batch_rows_anchor_follows_every_rebuild(rng):
+    # the workspace caches -v0/eta at each rebuild, forced here by moving v
+    # past REBASE_SPAN: every a' that batch_rows writes is -base/eta - c
+    # computed on the spot, for the base point of the snapshot's own kernel,
+    # at the rebuild, inside the span and after later rebuilds; the
+    # reference snapshot's base point is its v and its c is 0
+    n, eta, b = 12, 0.05, 2
+    o = random_oracle(rng, n, eta)
+    ws = o.workspace()
+    idx = rng.integers(n, size=2 * b)
+    rows, got = np.empty((2 * b, n)), np.full((2, 6, n), np.nan)
+
+    def anchors(snap):
+        snap.batch_rows(idx, got[:, 5], rows, got[:, 4])
+        return got[:, 5].tobytes()
+
+    def expected(base, c):
+        return np.tile(-base / eta - c, (2, 1)).tobytes()
+
+    v, taken = rng.normal(size=n), []
+    for _ in range(4):
+        kernel = ws.kernel
+        snap = ws.snapshot(v)
+        assert snap.kernel is not kernel and ws.base.tobytes() == v.tobytes()  # rebuilt at v
+        assert anchors(snap) == expected(v, 0.0)
+        inside = v + eta * REBASE_SPAN / 2 * rng.random(n)
+        within = ws.snapshot(inside)
+        assert within.kernel is snap.kernel
+        c = ((inside - v) / eta).max()
+        assert anchors(within) == expected(v, c)
+        taken.append((within, v, c))
+        v = v.copy()
+        v[rng.integers(n)] += 1.5 * eta * REBASE_SPAN
+    for snap, base, c in taken:
+        assert anchors(snap) == expected(base, c)
+    v = rng.normal(size=n)
+    assert anchors(o.snapshot(v)) == expected(v, 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,6 @@
 import math
 import warnings
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -719,15 +718,14 @@ def snapshot_reads(monkeypatch):
     """A Counter of the ``value`` and ``lse`` that snapshots compute, each on its first read."""
     counts = Counter()
     for name in ("value", "lse"):
-        compute = getattr(KernelSnapshot, name).func
+        read = getattr(KernelSnapshot, name).fget
 
-        def counted(self, compute=compute, name=name):
-            counts[name] += 1
-            return compute(self)
+        def counted(self, read=read, name=name):
+            if getattr(self, "_" + name) is None:  # this read computes it
+                counts[name] += 1
+            return read(self)
 
-        read = cached_property(counted)
-        read.__set_name__(KernelSnapshot, name)
-        monkeypatch.setattr(KernelSnapshot, name, read)
+        monkeypatch.setattr(KernelSnapshot, name, property(counted))
     return counts
 
 
@@ -789,3 +787,24 @@ def test_benchmark_profile_replay():
     assert result.op_counts == {"component_gradients": 23280, "inner_steps": 1164}
     assert result.records[-1].duality_gap == pytest.approx(-0.00013336497755036744, abs=1e-12)
     assert result.ot_value == pytest.approx(0.013548646420693838, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "profile, outer, op_counts, gap, ot_value",
+    [
+        ("benchmark", 539, {"component_gradients": 155232, "inner_steps": 2156}, -0.00020991904283577945, 0.026508447737091316),
+        ("theory", 736, {"component_gradients": 376832, "inner_steps": 188416}, -0.00021329153704113119, 0.026503800063175306),
+    ],
+)
+def test_profile_replay_at_the_dense_benchmark_size(profile, outer, op_counts, gap, ot_value):
+    # n = 256: the benchmark profile's b = 8 steps across 15 kernel rebuilds
+    # and the folds of pending pairs, and the theory profile's m = 256 steps
+    # in chunks of CHUNK_STEPS = 64
+    alpha, beta, cost = make_image_pair(0, 16, 0)
+    config = ApproxConfig(epsilon=0.05, solver_profile=profile, kappa=8, seed=0)
+    result = approx_ot(cost, alpha, beta, config)
+    assert result.stop_reason == "gap+marginal"
+    assert result.outer_iterations == outer
+    assert result.op_counts == op_counts
+    assert result.records[-1].duality_gap == pytest.approx(gap, abs=1e-12)
+    assert result.ot_value == pytest.approx(ot_value, abs=1e-12)
