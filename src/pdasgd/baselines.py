@@ -1,12 +1,13 @@
-"""Sinkhorn and Greenkhorn matrix-scaling baselines, stabilized in the log domain.
+"""Sinkhorn and Greenkhorn matrix-scaling baselines, safe from underflow.
 
 Both scale the kernel ``exp(-C/eta)`` toward the target marginals, whose
 naive form underflows at the penalties this package runs at.  Sinkhorn
-alternates full row and column updates on a kernel re-based at its log
-scalings; Greenkhorn keeps its scalings in the log domain and updates the
-single row or column with the worst marginal-violation score.  Both plug
-into the same smoothing and rounding pipeline as the stochastic solver so
-benchmark curves differ only in the solver.
+alternates full row and column updates on the solver's re-based kernel,
+:class:`~pdasgd.semidual.KernelWorkspace`; Greenkhorn keeps its scalings
+in the log domain and updates the single row or column with the worst
+marginal-violation score.  Both plug into the same smoothing and rounding
+pipeline as the stochastic solver so benchmark curves differ only in the
+solver.
 
 Both take the same contract as the stochastic solver's ``run``: an
 :class:`~pdasgd.core.OTInstance` with ``eta > 0`` and strictly positive
@@ -28,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, OTInstance, SolveResult, StoppingRule
-from .core import flush_subnormals, is_integer, logsumexp, marginal_residual
+from .core import is_integer, logsumexp, marginal_residual
+from .semidual import SemiDualOracle
 
 
 def _validate(instance: OTInstance, max_iter):
@@ -49,61 +51,52 @@ def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Check
     return point, stop(point) if math.isfinite(point.violation) else STOP_DIVERGED
 
 
-def _scaled_plan(log_k: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(log_k + log_u[:, None] + log_v[None, :]), written into ``out``."""
-    np.add(log_k, log_u[:, None], out=out)
-    out += log_v
-    return np.exp(out, out=out)
-
-
 def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveResult:
-    """Alternating row/column scaling of exp(-C/eta) on a re-based kernel.
+    """Alternating row/column scaling on the semi-dual's re-based kernel.
 
     After every sweep the rule is called as ``stop(checkpoint)``, with the
     sweep count as ``index``.  A non-finite violation stops the run with
     reason ``"diverged"``, and ``max_iter`` sweeps stop it with reason
     None.  The result's ``op_counts`` is ``{"sweeps": iterations}``.
 
-    The plan is diag(u) K diag(v), for ``K = exp(-C/eta + f + g)`` with the
-    log scalings f, g absorbed (Schmitzer 2019).  A sweep, ``u = alpha / Kv``
-    and ``v = beta / K^T u``, is two matrix-vector products and no exp; the
-    checkpoint's sums are ``u * Kv`` (Kv is reused next sweep) and ``v *
-    K^T u``.  Once u or v leaves exp(+-REBASE_SPAN), the next sweep is
-    log-domain: it absorbs v into g, scales both halves so that every row
-    of K sums to >= alpha_i min(beta) and every column to beta_j, clear of
-    underflow, and rebuilds K at u = v = 1 with one n^2 exp pass, zeroing its
-    entries below 2.2e-308 as :mod:`pdasgd.semidual` does.  The bits hold: with
-    u, v within exp(+-REBASE_SPAN), Kv and K^T u far exceed 2^53 n dropped terms.
+    The plan is diag(u) K diag(v) on the re-based kernel K of a
+    :class:`~pdasgd.semidual.KernelWorkspace` (Schmitzer 2019's
+    absorption): a sweep, ``u = alpha / Kv`` and ``v = beta / K^T u``, is
+    two matrix-vector products and no exp, and the checkpoint's sums are
+    ``u * Kv`` (Kv is reused next sweep) and ``v * K^T u``.  The first
+    sweep is log-domain, two n^2 logsumexps over ``-C/eta - 1`` at v = 0,
+    so that K, built at its dual with ``u = exp(f + m0)``, has no column of
+    zeros.  Once v leaves exp(+-REBASE_SPAN), K is re-based at the current
+    dual ``v0 + eta ln v`` (one n^2 exp pass and a flush) and v restarts
+    at 1; every row of K has an entry of 1, so a bounded v bounds u.  The
+    dual is ``v0 + eta ln v``.
     """
-    c, a, b, eta = _validate(instance, max_iter)
-    log_k = -c / eta
-    log_a, log_b = np.log(a), np.log(b)
-    f, g = np.zeros(a.size), np.zeros(b.size)  # the log scalings absorbed into the kernel
-    u, v = np.ones(a.size), np.ones(b.size)
-    kernel, work = np.empty_like(log_k), np.empty_like(log_k)
+    _, a, b, eta = _validate(instance, max_iter)
+    oracle = SemiDualOracle(instance)
+    ws = oracle.workspace()
+    f = np.log(a) - logsumexp(oracle.shift.copy(), axis=1)
+    ws.rebuild(eta * (np.log(b) - logsumexp(oracle.shift + f[:, None], axis=0)))
+    u, v = np.exp(f + ws.offsets), np.ones(b.size)
+    kt_u = u @ ws.kernel
     bound = math.exp(REBASE_SPAN)
-    iteration, reason, rebase = 0, None, True
-    while reason is None and iteration < max_iter:
-        if rebase:
-            g += np.log(v)  # the u half overwrites f
-            np.add(log_k, g, out=work)
-            f = log_a - logsumexp(work, axis=1)
-            np.add(log_k, f[:, None], out=work)
-            g = log_b - logsumexp(work, axis=0)
-            flush_subnormals(_scaled_plan(log_k, f, g, kernel))
-            u[:] = v[:] = 1.0
-            kt_u = u @ kernel
-        else:
-            np.divide(a, k_v, out=u)
-            kt_u = u @ kernel
-            np.divide(b, kt_u, out=v)
-        k_v = kernel @ v
-        iteration += 1
+    iteration = 1
+    while True:
+        k_v = ws.kernel @ v
         _, reason = _checkpoint(stop, iteration, u * k_v, v * kt_u, a, b)
-        rebase = max(u.max(), v.max()) > bound or min(u.min(), v.min()) * bound < 1.0
-    kernel *= u[:, None]
-    kernel *= v
-    return SolveResult(kernel, eta * (g + np.log(v)), reason, iteration, {"sweeps": iteration})
+        if reason is not None or iteration == max_iter:
+            break
+        if v.max() > bound or v.min() * bound < 1.0:
+            ws.rebuild(ws.base + eta * np.log(v))
+            v[:] = 1.0
+            k_v = ws.kernel @ v
+        np.divide(a, k_v, out=u)
+        kt_u = u @ ws.kernel
+        np.divide(b, kt_u, out=v)
+        iteration += 1
+    plan = ws.kernel  # the workspace ends with this call, so its kernel becomes the plan
+    plan *= u[:, None]
+    plan *= v
+    return SolveResult(plan, ws.base + eta * np.log(v), reason, iteration, {"sweeps": iteration})
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -137,7 +130,9 @@ def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> Solve
     shift = -logsumexp(log_k.flatten())
     log_u, log_v = np.full(n, shift), np.zeros(n)
     rounds = 0
-    plan = _scaled_plan(log_k, log_u, log_v, np.empty_like(log_k))
+    plan = log_k + log_u[:, None]
+    plan += log_v
+    np.exp(plan, out=plan)
     r, col = plan.sum(axis=1), plan.sum(axis=0)
     reason = None if math.isfinite(marginal_residual(r, col, a, b)) else STOP_DIVERGED
     while reason is None and rounds < max_iter:

@@ -170,7 +170,7 @@ class SolveResult:
 
 # The stop reason of every solver whose iterate became non-finite.
 STOP_DIVERGED = "diverged"
-REBASE_SPAN = 30.0  # log-domain drift past which the workspace's and Sinkhorn's kernels are rebuilt
+REBASE_SPAN = 30.0  # log-domain drift past which the semi-dual workspace's kernel is rebuilt, in pdasgd and Sinkhorn
 
 
 def is_integer(x, least: float = -math.inf) -> bool:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from pdasgd.approx import ApproxConfig, approx_ot
 from pdasgd.baselines import greenkhorn, sinkhorn
+from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, OTInstance, logsumexp, marginal_distance
 from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
+from pdasgd.semidual import KernelWorkspace
 
 from conftest import marginal_tol, never_stop
 
@@ -212,8 +215,8 @@ def log_domain_sinkhorn(c, a, b, eta, tol, max_iter):
 @pytest.mark.parametrize("eta", [1e-3, 2e-4, 1e-4])
 @pytest.mark.parametrize("n", [8, 16, 30])
 def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
-    # at these penalties u and v leave exp(+-30) every few dozen sweeps, so
-    # the kernel is rebuilt 8 to 45 times; the costlier column and row put
+    # at these penalties v leaves exp(+-30) every few dozen sweeps, so the
+    # kernel is built 8 to 47 times; the costlier column and row put
     # their scalings up to extra/eta away from the rest, and a rebuild that
     # rescaled only the rows lets a column product underflow, whose
     # RuntimeWarning fails the test
@@ -227,3 +230,29 @@ def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
     assert (res.iterations, res.stop_reason) == (sweeps, reason)
     assert np.allclose(res.plan, ref, rtol=0, atol=1e-10)
     assert np.allclose(res.dual, eta * log_v, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    ("epsilon", "pins"),
+    [(0.05, ((271, 4), (247, 4))), (0.01, ((1937, 21), (2427, 19)))],
+)
+def test_sinkhorn_rebuild_count(monkeypatch, epsilon, pins):
+    # (sweeps, kernel builds) on pairs 0 and 1 of the n = 256 bench images,
+    # the first build included: the kernel is re-based only when v leaves
+    # exp(+-REBASE_SPAN).  A test of u as well rebuilds more often here (5
+    # and 25 builds for pair 0), because u sits at alpha's scale after each
+    # rebuild, and cost about 11% in wall time at n = 256
+    builds = []
+    rebuild = KernelWorkspace.rebuild
+
+    def counting(ws, v):
+        builds.append(v)
+        rebuild(ws, v)
+
+    monkeypatch.setattr(KernelWorkspace, "rebuild", counting)
+    for pair, pin in enumerate(pins):
+        builds.clear()
+        alpha, beta, cost = make_image_pair(0, 16, pair)
+        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon, kappa=8.0), method="sinkhorn")
+        assert res.stop_reason == "gap+marginal"
+        assert (res.outer_iterations, len(builds)) == pin

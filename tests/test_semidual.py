@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import pdasgd.baselines
+import pdasgd.semidual
 from conftest import assert_batch_corrections, captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
@@ -715,8 +715,9 @@ def image_instance(side, epsilon):
 
 
 def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):
-    # at epsilon = 0.01 both methods' kernels, as built, hold subnormal
-    # entries; each build zeroes them, through the one shared helper
+    # at epsilon = 0.01 the kernels of both methods, as built, hold
+    # subnormal entries; each build zeroes them, through the workspace that
+    # both methods run on
     with captured_states() as states:
         run(SemiDualOracle(image_instance(16, 0.01)), SolverOptions(32, 30), never_stop)
     (state,) = states
@@ -732,7 +733,7 @@ def test_rebuilt_kernels_hold_no_subnormals(monkeypatch):
         builds.append((before, dust(kernel)))
         return kernel
 
-    monkeypatch.setattr(pdasgd.baselines, "flush_subnormals", spy)
+    monkeypatch.setattr(pdasgd.semidual, "flush_subnormals", spy)
     sinkhorn(image_instance(8, 0.01), 1000, never_stop)
     assert len(builds) > 1 and any(before for before, _ in builds)
     assert all(after == 0 for _, after in builds)
