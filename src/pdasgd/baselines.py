@@ -1,24 +1,23 @@
 """Sinkhorn and Greenkhorn matrix-scaling baselines, safe from underflow.
 
-Both scale the kernel ``exp(-C/eta)`` toward the target marginals, whose
-naive form underflows at the penalties this package runs at.  Sinkhorn
-alternates full row and column updates on the solver's re-based kernel,
-:class:`~pdasgd.semidual.KernelWorkspace`; Greenkhorn keeps its scalings
-in the log domain and updates the single row or column with the worst
-marginal-violation score.  Both plug into the same smoothing and rounding
-pipeline as the stochastic solver so benchmark curves differ only in the
-solver.
+Both scale the kernel ``exp(-C/eta)``, whose naive form underflows at the
+penalties this package runs at, in the re-based form the stochastic solver
+keeps (:class:`~pdasgd.semidual.KernelWorkspace`), from the same first
+sweep.  Sinkhorn alternates full row and column updates; Greenkhorn
+updates the single row or column with the worst marginal-violation score.
+Both plug into the same smoothing and rounding pipeline as the stochastic
+solver so benchmark curves differ only in the solver.
 
 Both take the same contract as the stochastic solver's ``run``: an
 :class:`~pdasgd.core.OTInstance` with ``eta > 0`` and strictly positive
 marginals, a budget ``max_iter`` counted in checkpoints (Sinkhorn's
 sweeps, Greenkhorn's rounds of n updates) and a required rule, called as
 ``stop(checkpoint)`` once per checkpoint, and both return a
-:class:`~pdasgd.core.SolveResult`.
-Before the rule, both stop with the solver's reason ``"diverged"`` when
-the violation is not finite: a kernel that overflows or underflows
-everywhere gives a NaN plan that no update can repair.  The stop reason
-is the only report of how a run ended; neither warns.
+:class:`~pdasgd.core.SolveResult`.  Before the rule, both stop with the
+solver's reason ``"diverged"`` when the violation is not finite: a kernel
+that overflows or underflows everywhere gives a NaN plan that no update
+can repair.  The stop reason is the only report of how a run ended;
+neither warns.
 """
 
 from __future__ import annotations
@@ -33,15 +32,21 @@ from .core import is_integer, logsumexp, marginal_residual
 from .semidual import SemiDualOracle
 
 
-def _validate(instance: OTInstance, max_iter):
-    """The instance's (cost, alpha, beta, eta), after the checks its types do not make."""
+def _start(instance: OTInstance, max_iter):
+    """(alpha, beta, eta, workspace, u, v) after the checks the instance's types do not make and the first sweep.
+
+    That sweep is two n^2 logsumexps over ``-C/eta - 1`` at v = 0, so that K, built at its dual ``eta g``
+    with ``u = exp(f + m0)`` and v = 1, has no column of zeros.  The oracle rejects eta <= 0.
+    """
     if not is_integer(max_iter, least=1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not (instance.row_marginal.strictly_positive and instance.col_marginal.strictly_positive):
         raise ValueError("scaling baselines require strictly positive marginals")
-    if instance.eta <= 0:
-        raise ValueError("eta must be positive")
-    return instance.cost.entries, instance.row_marginal.weights, instance.col_marginal.weights, instance.eta
+    a, b, eta = instance.row_marginal.weights, instance.col_marginal.weights, instance.eta
+    ws = SemiDualOracle(instance).workspace()
+    f = np.log(a) - logsumexp(ws.oracle.shift.copy(), axis=1)
+    ws.rebuild(eta * (np.log(b) - logsumexp(ws.oracle.shift + f[:, None], axis=0)))
+    return a, b, eta, ws, np.exp(f + ws.offsets), np.ones(b.size)
 
 
 def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Checkpoint, Optional[str]]:
@@ -55,28 +60,19 @@ def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveRe
     """Alternating row/column scaling on the semi-dual's re-based kernel.
 
     After every sweep the rule is called as ``stop(checkpoint)``, with the
-    sweep count as ``index``.  A non-finite violation stops the run with
-    reason ``"diverged"``, and ``max_iter`` sweeps stop it with reason
-    None.  The result's ``op_counts`` is ``{"sweeps": iterations}``.
+    sweep count as ``index``, and ``max_iter`` sweeps stop the run with
+    reason None.  The result's ``op_counts`` is ``{"sweeps": iterations}``.
 
-    The plan is diag(u) K diag(v) on the re-based kernel K of a
-    :class:`~pdasgd.semidual.KernelWorkspace` (Schmitzer 2019's
-    absorption): a sweep, ``u = alpha / Kv`` and ``v = beta / K^T u``, is
-    two matrix-vector products and no exp, and the checkpoint's sums are
-    ``u * Kv`` (Kv is reused next sweep) and ``v * K^T u``.  The first
-    sweep is log-domain, two n^2 logsumexps over ``-C/eta - 1`` at v = 0,
-    so that K, built at its dual with ``u = exp(f + m0)``, has no column of
-    zeros.  Once v leaves exp(+-REBASE_SPAN), K is re-based at the current
-    dual ``v0 + eta ln v`` (one n^2 exp pass and a flush) and v restarts
-    at 1; every row of K has an entry of 1, so a bounded v bounds u.  The
-    dual is ``v0 + eta ln v``.
+    The plan is diag(u) K diag(v) on the workspace's kernel K (Schmitzer
+    2019's absorption), after :func:`_start`'s first sweep: a sweep, ``u =
+    alpha / Kv`` and ``v = beta / K^T u``, is two matrix-vector products
+    and no exp, and the checkpoint's sums are ``u * Kv`` (Kv is reused
+    next sweep) and ``v * K^T u``.  Once v leaves exp(+-REBASE_SPAN), K is
+    re-based at the current dual ``v0 + eta ln v`` (one n^2 exp pass and a
+    flush) and v restarts at 1; every row of K has an entry of 1, so a
+    bounded v bounds u.
     """
-    _, a, b, eta = _validate(instance, max_iter)
-    oracle = SemiDualOracle(instance)
-    ws = oracle.workspace()
-    f = np.log(a) - logsumexp(oracle.shift.copy(), axis=1)
-    ws.rebuild(eta * (np.log(b) - logsumexp(oracle.shift + f[:, None], axis=0)))
-    u, v = np.exp(f + ws.offsets), np.ones(b.size)
+    a, b, eta, ws, u, v = _start(instance, max_iter)
     kt_u = u @ ws.kernel
     bound = math.exp(REBASE_SPAN)
     iteration = 1
@@ -120,41 +116,45 @@ def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> Solve
     ``index``; ``max_iter`` and ``iterations`` count rounds, and
     ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite plan
     stops the run before its first update.
+
+    A row update sets ``u_i = alpha_i / (K_i . v)`` and adds the change
+    times ``K_i * v`` to the column sums, a column update likewise, with no
+    exp; an updated v_j outside exp(+-REBASE_SPAN) re-bases K as Sinkhorn
+    does, and u absorbs the change ``exp(m0' - m0)`` of the row maxima.
     """
-    c, a, b, eta = _validate(instance, max_iter)
-    n = a.size
-    log_k = -c / eta
-    log_a = np.log(a)
-    log_b = np.log(b)
-    # Start from the mass-1 normalization of the kernel.
-    shift = -logsumexp(log_k.flatten())
-    log_u, log_v = np.full(n, shift), np.zeros(n)
+    a, b, eta, ws, u, v = _start(instance, max_iter)
     rounds = 0
-    plan = log_k + log_u[:, None]
-    plan += log_v
-    np.exp(plan, out=plan)
+    plan = ws.kernel * u[:, None]
+    plan *= v
     r, col = plan.sum(axis=1), plan.sum(axis=0)
     reason = None if math.isfinite(marginal_residual(r, col, a, b)) else STOP_DIVERGED
     while reason is None and rounds < max_iter:
-        for _ in range(n):
+        for _ in range(a.size):
             rows = _line_scores(r, a)
             cols = _line_scores(col, b)
             i = int(np.argmax(rows))
             j = int(np.argmax(cols))
             if rows[i] >= cols[j]:
-                log_u[i] = log_a[i] - logsumexp(log_k[i] + log_v)
-                new_row = np.exp(log_k[i] + log_u[i] + log_v)
-                col += new_row - plan[i]
-                plan[i] = new_row
-                r[i] = new_row.sum()
+                line = ws.kernel[i] * v
+                new = a[i] / line.sum()
+                col += (new - u[i]) * line
+                u[i] = new
+                r[i] = a[i]
             else:
-                log_v[j] = log_b[j] - logsumexp(log_k[:, j] + log_u)
-                new_col = np.exp(log_k[:, j] + log_u + log_v[j])
-                r += new_col - plan[:, j]
-                plan[:, j] = new_col
-                col[j] = new_col.sum()
+                line = ws.kernel[:, j] * u
+                new = b[j] / line.sum()
+                r += (new - v[j]) * line
+                v[j] = new
+                col[j] = b[j]
+                if abs(math.log(new)) > REBASE_SPAN:
+                    offsets = ws.offsets
+                    ws.rebuild(ws.base + eta * np.log(v))
+                    u *= np.exp(ws.offsets - offsets)
+                    v[:] = 1.0
         rounds += 1
+        plan = ws.kernel * u[:, None]
+        plan *= v
         # Re-summing sheds the incremental sums' drift; updates change copies.
         point, reason = _checkpoint(stop, rounds, plan.sum(axis=1), plan.sum(axis=0), a, b)
         r, col = point.rows.copy(), point.cols.copy()
-    return SolveResult(plan, eta * log_v, reason, rounds, {"updates": rounds * n})
+    return SolveResult(plan, ws.base + eta * np.log(v), reason, rounds, {"updates": rounds * a.size})

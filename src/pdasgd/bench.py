@@ -40,10 +40,10 @@ product that folds the pending primal maps into the average (per 32
 outer iterations and per rebuild), and the certificate's n^2 ``x ln x``
 gap, paid only where the marginal half passes (never under the accuracy
 rule).  Sinkhorn's sweep is charged 2n^2 and computes two matrix-vector
-products; not charged are its first sweep's two n^2 logsumexps, its
-rebuilds of the workspace's kernel (an n^2 exp pass and an n^2 flush
-each, only when the column scaling drifts) and Greenkhorn's re-summing
-of the plan once per round of n updates.
+products.  Not charged to either scaling method are the first sweep's two
+n^2 logsumexps, the rebuilds of the workspace's kernel (an n^2 exp pass
+and an n^2 flush each, only when the column scaling drifts) and
+Greenkhorn's n^2 plan, formed and re-summed once per round of n updates.
 
 Outputs in ``out_dir``:
 

@@ -161,7 +161,7 @@ class SolveResult:
     """What ``run``, ``sinkhorn`` and ``greenkhorn`` return: results only, never a solver's working state."""
 
     plan: Optional[np.ndarray]  # unrounded; None only when pdasgd's first outer iteration diverged
-    dual: np.ndarray  # the column dual in cost units: pdasgd's lambda_tilde, or eta log v
+    dual: np.ndarray  # the column dual in cost units: pdasgd's lambda_tilde, or v0 + eta ln v
     stop_reason: Optional[str]  # the rule's reason, STOP_DIVERGED, or None at the budget
     iterations: int  # checkpoints, the budget's unit; a diverged dense pass counts
     op_counts: dict
@@ -170,7 +170,7 @@ class SolveResult:
 
 # The stop reason of every solver whose iterate became non-finite.
 STOP_DIVERGED = "diverged"
-REBASE_SPAN = 30.0  # log-domain drift past which the semi-dual workspace's kernel is rebuilt, in pdasgd and Sinkhorn
+REBASE_SPAN = 30.0  # log-domain drift past which the semi-dual workspace's kernel is rebuilt, in every solver
 
 
 def is_integer(x, least: float = -math.inf) -> bool:

@@ -43,8 +43,8 @@ softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp is
 ``m0_i + c + log r_i``: a snapshot costs two matrix-vector products and n
 exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
 of d exceeds :data:`pdasgd.core.REBASE_SPAN`; below it e >=
-exp(-REBASE_SPAN), so r never underflows.  :func:`pdasgd.baselines.sinkhorn`
-scales the same kernel.  Each build zeroes K's subnormals, below 2.2e-308 and
+exp(-REBASE_SPAN), so r never underflows.  Both :mod:`pdasgd.baselines`
+methods scale it too.  Each build zeroes K's subnormals, below 2.2e-308 and
 slow on x86 (:func:`pdasgd.core.flush_subnormals`), and the bits hold: row
 i's entry of 1 puts r_i over exp(-REBASE_SPAN) ~ 1e-13, far above 2^53 n
 dropped terms, and a column sum of dust alone differs only before beta is

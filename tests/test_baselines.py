@@ -159,6 +159,24 @@ def test_greenkhorn_agrees_with_sinkhorn(rng):
         ps = sinkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
         pg = greenkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
         assert np.abs(ps - pg).sum() < 1e-6
+    # the costly-column instances of test_sinkhorn_absorption_matches_log_domain:
+    # Greenkhorn re-bases the kernel there too, and a rebuild that left u
+    # unscaled ends about 4e-6 away in L1; the duals agree up to a constant
+    n = 8
+    for eta in (1e-3, 2e-4, 1e-4):
+        for extra in (3.0, 10.0):
+            rng = np.random.default_rng(n)
+            c = rng.random((n, n))
+            c[:, 1] += extra
+            c[2] += extra / 2
+            a, b = positive_pair(rng, n)
+            instance = OTInstance.of(c, a, b, eta)
+            rs = sinkhorn(instance, max_iter=10**5, stop=marginal_tol(1e-6))
+            rg = greenkhorn(instance, max_iter=10**5, stop=marginal_tol(1e-6))
+            assert (rs.stop_reason, rg.stop_reason) == ("marginal-tol", "marginal-tol")
+            assert np.abs(rs.plan - rg.plan).sum() < 1e-6
+            gap = rg.dual - rs.dual
+            assert gap.max() - gap.min() < 1e-8
 
 
 def test_plans_strictly_positive(rng):
@@ -234,14 +252,20 @@ def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
 
 @pytest.mark.parametrize(
     ("epsilon", "pins"),
-    [(0.05, ((271, 4), (247, 4))), (0.01, ((1937, 21), (2427, 19)))],
+    [
+        (0.05, ("sinkhorn", 16, (271, 4), (247, 4))),
+        (0.01, ("sinkhorn", 16, (1937, 21), (2427, 19))),
+        (0.05, ("greenkhorn", 8, (296, 3), (382, 3))),
+        (0.05, ("greenkhorn", 16, (342, 5), (346, 4))),
+    ],
 )
 def test_sinkhorn_rebuild_count(monkeypatch, epsilon, pins):
-    # (sweeps, kernel builds) on pairs 0 and 1 of the n = 256 bench images,
-    # the first build included: the kernel is re-based only when v leaves
-    # exp(+-REBASE_SPAN).  A test of u as well rebuilds more often here (5
-    # and 25 builds for pair 0), because u sits at alpha's scale after each
-    # rebuild, and cost about 11% in wall time at n = 256
+    # (checkpoints, kernel builds) of a method on pairs 0 and 1 of the bench
+    # images of a side, the first build included: the kernel is re-based
+    # only when v leaves exp(+-REBASE_SPAN).  A test of u as well rebuilds
+    # Sinkhorn more often (5 and 25 builds for pair 0 at n = 256), because u
+    # sits at alpha's scale after each rebuild, and cost about 11% in wall
+    # time at n = 256
     builds = []
     rebuild = KernelWorkspace.rebuild
 
@@ -250,9 +274,10 @@ def test_sinkhorn_rebuild_count(monkeypatch, epsilon, pins):
         rebuild(ws, v)
 
     monkeypatch.setattr(KernelWorkspace, "rebuild", counting)
-    for pair, pin in enumerate(pins):
+    method, side = pins[:2]
+    for pair, pin in enumerate(pins[2:]):
         builds.clear()
-        alpha, beta, cost = make_image_pair(0, 16, pair)
-        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon, kappa=8.0), method="sinkhorn")
+        alpha, beta, cost = make_image_pair(0, side, pair)
+        res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon, kappa=8.0), method=method)
         assert res.stop_reason == "gap+marginal"
         assert (res.outer_iterations, len(builds)) == pin
