@@ -3,8 +3,9 @@
 Eliminating one dual block of the entropic transport dual leaves a smooth
 convex finite sum G(v) = (1/n) sum_i g_i(v) whose gradient is exactly the
 column-marginal residual of the recovered primal plan.  The solver reads
-all three through a workspace: one snapshot of v gives G(v) and its
-gradient, and a weighted snapshot adds the plan x(v) to a running average.
+all three through a workspace, whose kernel is built at the point it is
+given: one snapshot of v gives G(v) and its gradient, and a weighted
+snapshot adds the plan x(v) to a running average.
 """
 
 import numpy as np
@@ -21,8 +22,8 @@ inst = OTInstance(
     eta=0.2,
 )
 oracle = SemiDualOracle(inst)
-workspace = oracle.workspace()
 v = rng.normal(size=n)
+workspace = oracle.workspace(v)
 snapshot = workspace.snapshot(v)
 
 print(f"G(v)                = {snapshot.value:.8f}")

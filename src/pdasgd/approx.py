@@ -87,7 +87,7 @@ def derive_parameters(epsilon: float, cost) -> Optional[tuple[float, float]]:
     ``cost`` is validated as a :class:`CostMatrix`, which rejects a
     non-finite or negative entry by name, and n is its side.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     cost = cost if isinstance(cost, CostMatrix) else CostMatrix(cost)
     if cost.n < 2:
@@ -127,10 +127,10 @@ def theoretical_iteration_cap(epsilon: float, n: int, max_cost: float, kappa: fl
     iterations; ``approx_ot`` divides it by the inner loop length m.
     Raises when the cap is not a finite float.
     """
-    if epsilon <= 0 or n < 2 or max_cost <= 0:
+    if not epsilon > 0 or n < 2 or not max_cost > 0:
         raise ValueError("cap requires epsilon > 0, n >= 2 and a positive max cost")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     return _finite_cap(kappa * n * max_cost * math.sqrt(math.log(n)) / epsilon, max_cost, epsilon)
 
 

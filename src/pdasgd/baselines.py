@@ -35,17 +35,17 @@ from .semidual import SemiDualOracle
 def _start(instance: OTInstance, max_iter):
     """(alpha, beta, eta, workspace, u, v) after the checks the instance's types do not make and the first sweep.
 
-    That sweep is two n^2 logsumexps over ``-C/eta - 1`` at v = 0, so that K, built at its dual ``eta g``
-    with ``u = exp(f + m0)`` and v = 1, has no column of zeros.  The oracle rejects eta <= 0.
+    That sweep is two n^2 logsumexps over ``-C/eta - 1`` at v = 0, so that the workspace's K, built at its
+    dual ``eta g`` with ``u = exp(f + m0)`` and v = 1, has no column of zeros.  The oracle rejects eta <= 0.
     """
     if not is_integer(max_iter, least=1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not (instance.row_marginal.strictly_positive and instance.col_marginal.strictly_positive):
         raise ValueError("scaling baselines require strictly positive marginals")
     a, b, eta = instance.row_marginal.weights, instance.col_marginal.weights, instance.eta
-    ws = SemiDualOracle(instance).workspace()
-    f = np.log(a) - logsumexp(ws.oracle.shift.copy(), axis=1)
-    ws.rebuild(eta * (np.log(b) - logsumexp(ws.oracle.shift + f[:, None], axis=0)))
+    oracle = SemiDualOracle(instance)
+    f = np.log(a) - logsumexp(oracle.shift.copy(), axis=1)
+    ws = oracle.workspace(eta * (np.log(b) - logsumexp(oracle.shift + f[:, None], axis=0)))
     return a, b, eta, ws, np.exp(f + ws.offsets), np.ones(b.size)
 
 
@@ -95,66 +95,68 @@ def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveRe
     return SolveResult(plan, ws.base + eta * np.log(v), reason, iteration, {"sweeps": iteration})
 
 
-def _line_scores(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _line_scores(actual: np.ndarray, target: np.ndarray, out: np.ndarray) -> None:
     # Bregman-style distance rho(t, s) = s - t + t ln(t/s) of an actual
-    # marginal s to its target t, evaluated as t * (x - log1p(x)) with
+    # marginal s to its target t, written into out as t * (x - log1p(x)) with
     # x = (s - t)/t.  The naive form cancels catastrophically for small
     # violations and makes the greedy pick rounding noise; this form is
     # accurate down to the float floor.  An empty line scores +inf.
-    x = (actual - target) / target
+    x = np.subtract(actual, target, out=out)
+    x /= target
     with np.errstate(divide="ignore"):
-        return target * (x - np.log1p(x))
+        logs = np.log1p(x)
+    x -= logs
+    x *= target
 
 
 def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Greedy coordinate version of Sinkhorn.
 
-    Each update rescales the single row or column with the largest
-    distance-to-marginal score so that its sum matches the target exactly.
-    The rule is called as in :func:`sinkhorn`, but once per round of n
-    updates, on sums re-summed from the plan, with the round count as
-    ``index``; ``max_iter`` and ``iterations`` count rounds, and
+    Each update rescales the row or column with the largest of one vector of
+    2n distance-to-marginal scores, a row on a tie, so that its sum matches
+    the target exactly.  The rule is called as in :func:`sinkhorn`, but once
+    per round of n updates, on sums re-summed from the plan, with the round
+    count as ``index``; ``max_iter`` and ``iterations`` count rounds, and
     ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite plan
     stops the run before its first update.
 
-    A row update sets ``u_i = alpha_i / (K_i . v)`` and adds the change
-    times ``K_i * v`` to the column sums, a column update likewise, with no
-    exp; an updated v_j outside exp(+-REBASE_SPAN) re-bases K as Sinkhorn
-    does, and u absorbs the change ``exp(m0' - m0)`` of the row maxima.
+    A row update sets ``u_i = alpha_i / (K_i . v)``, adds the change times
+    ``K_i * v`` to the column sums and rescores them, columns likewise, with
+    no exp; a new v_j outside exp(+-REBASE_SPAN) re-bases K as Sinkhorn
+    does, and u absorbs the row maxima's change ``exp(m0' - m0)``.
     """
     a, b, eta, ws, u, v = _start(instance, max_iter)
+    n = a.size
     rounds = 0
     plan = ws.kernel * u[:, None]
     plan *= v
-    r, col = plan.sum(axis=1), plan.sum(axis=0)
-    reason = None if math.isfinite(marginal_residual(r, col, a, b)) else STOP_DIVERGED
+    sums = np.concatenate((plan.sum(axis=1), plan.sum(axis=0)))  # the n rows, then the n columns
+    targets, scores = np.concatenate((a, b)), np.empty(2 * n)
+    # per axis: its scalings, the other axis's, and the other axis's sums, targets and scores
+    axes = ((u, v, sums[n:], b, scores[n:]), (v, u, sums[:n], a, scores[:n]))
+    reason = None if math.isfinite(marginal_residual(sums[:n], sums[n:], a, b)) else STOP_DIVERGED
     while reason is None and rounds < max_iter:
-        for _ in range(a.size):
-            rows = _line_scores(r, a)
-            cols = _line_scores(col, b)
-            i = int(np.argmax(rows))
-            j = int(np.argmax(cols))
-            if rows[i] >= cols[j]:
-                line = ws.kernel[i] * v
-                new = a[i] / line.sum()
-                col += (new - u[i]) * line
-                u[i] = new
-                r[i] = a[i]
-            else:
-                line = ws.kernel[:, j] * u
-                new = b[j] / line.sum()
-                r += (new - v[j]) * line
-                v[j] = new
-                col[j] = b[j]
-                if abs(math.log(new)) > REBASE_SPAN:
-                    offsets = ws.offsets
-                    ws.rebuild(ws.base + eta * np.log(v))
-                    u *= np.exp(ws.offsets - offsets)
-                    v[:] = 1.0
+        _line_scores(sums, targets, scores)
+        for _ in range(n):
+            k = int(np.argmax(scores))  # the first maximum, so a row wins a tie
+            axis, i = divmod(k, n)
+            own, other, other_sums, other_targets, other_scores = axes[axis]
+            line = (ws.kernel.T if axis else ws.kernel)[i] * other
+            new = targets[k] / line.sum()
+            other_sums += (new - own[i]) * line
+            own[i] = new
+            sums[k] = targets[k]
+            _line_scores(other_sums, other_targets, other_scores)
+            scores[k] = 0.0  # the score of a line at its target
+            if axis and abs(math.log(new)) > REBASE_SPAN:
+                offsets = ws.offsets
+                ws.rebuild(ws.base + eta * np.log(v))
+                u *= np.exp(ws.offsets - offsets)
+                v[:] = 1.0
         rounds += 1
         plan = ws.kernel * u[:, None]
         plan *= v
-        # Re-summing sheds the incremental sums' drift; updates change copies.
+        # Re-summing sheds the incremental sums' drift; updates write sums, not the checkpoint's.
         point, reason = _checkpoint(stop, rounds, plan.sum(axis=1), plan.sum(axis=0), a, b)
-        r, col = point.rows.copy(), point.cols.copy()
-    return SolveResult(plan, ws.base + eta * np.log(v), reason, rounds, {"updates": rounds * a.size})
+        np.concatenate((point.rows, point.cols), out=sums)
+    return SolveResult(plan, ws.base + eta * np.log(v), reason, rounds, {"updates": rounds * n})

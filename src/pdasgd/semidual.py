@@ -36,12 +36,12 @@ exp overflows and the row is NaN, which it reports as divergence.
 A solver run's dual moves little on the eta scale between outer
 iterations, so the workspace keeps the kernel instead of the softmax
 (the absorption trick of stabilized log-domain scaling, Schmitzer 2019).
-At a base point v0 it holds the row maxima m0 of ``(v0 - C)/eta - 1`` and
-``K = exp((v0 - C)/eta - 1 - m0)``, whose rows each have an entry of 1.
-At v, with ``d = (v - v0)/eta``, ``c = max d`` and ``e = exp(d - c)``,
-softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp is
-``m0_i + c + log r_i``: a snapshot costs two matrix-vector products and n
-exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
+Built at its base point v0, it holds the row maxima m0 of ``(v0 - C)/eta -
+1`` and ``K = exp((v0 - C)/eta - 1 - m0)``, whose rows each have an entry
+of 1.  At v, with ``d = (v - v0)/eta``, ``c = max d`` and ``e = exp(d -
+c)``, softmax row i is ``K_i e / r_i`` for ``r = K e``, and its logsumexp
+is ``m0_i + c + log r_i``: a snapshot costs two matrix-vector products and
+n exponentials.  K is rebuilt at v, one n^2 exp pass, only when the spread
 of d exceeds :data:`pdasgd.core.REBASE_SPAN`; below it e >=
 exp(-REBASE_SPAN), so r never underflows.  Both :mod:`pdasgd.baselines`
 methods scale it too.  Each build zeroes K's subnormals, below 2.2e-308 and
@@ -108,7 +108,6 @@ class KernelSnapshot:
     """
 
     __slots__ = ("oracle", "v", "gradient", "kernel", "e", "r", "offsets", "c", "base_row", "_scaled", "_lse", "_value")
-    shift = property(lambda self: self.oracle._shift)  # -C/eta - 1
 
     def __init__(self, oracle: "SemiDualOracle", v, gradient, kernel, e, r, offsets, c: float, base_row):
         self.oracle, self.v, self.gradient, self.kernel, self.e, self.r = oracle, v, gradient, kernel, e, r
@@ -136,7 +135,7 @@ class KernelSnapshot:
 
     def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
         """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
-        rows = self.shift.take(indices, 0)  # a fresh contiguous array: the arithmetic runs in it
+        rows = self.oracle.shift.take(indices, 0)  # a fresh contiguous array: the arithmetic runs in it
         anchors[...] = np.subtract(rows, self.lse[indices][:, None], out=rows)
         rows += self.scaled
         np.exp(rows, rows)
@@ -167,8 +166,6 @@ class SemiDualOracle:
     with zero row mass must smooth the marginals first.
     """
 
-    shift = property(lambda self: self._shift)  # -C/eta - 1, frozen
-
     def __init__(self, instance: OTInstance):
         if instance.eta <= 0:
             raise ValueError("semi-dual oracle requires eta > 0")
@@ -184,9 +181,9 @@ class SemiDualOracle:
         self.cost = instance.cost.entries
         self.log_alpha = np.log(self.alpha)
         self.n = instance.n
-        # Row i of the softmax argument is v/eta + shift[i].
-        self._shift = -self.cost / self.eta - 1.0
-        self._shift.flags.writeable = False
+        # -C/eta - 1, frozen: row i of the softmax argument is v/eta + shift[i]
+        self.shift = -self.cost / self.eta - 1.0
+        self.shift.flags.writeable = False
         self._scale = self.n * self.alpha
         self._ones = np.ones(self.n)  # never written: a row sum's weights
 
@@ -204,7 +201,7 @@ class SemiDualOracle:
         """Value of the i-th component g_i at the dual point v."""
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
-        lse = logsumexp(v / self.eta + self._shift[i])
+        lse = logsumexp(v / self.eta + self.shift[i])
         return float(
             self.n
             * self.alpha[i]
@@ -213,7 +210,7 @@ class SemiDualOracle:
 
     def snapshot(self, v: np.ndarray) -> KernelSnapshot:
         """G(v), grad G(v) and the row logsumexps at v from one dense pass, with the softmax matrix as its kernel."""
-        sm = v / self.eta + self._shift
+        sm = v / self.eta + self.shift
         lse = logsumexp(sm)  # overwrites sm with its max-subtracted exp
         sm /= sm.sum(axis=-1, keepdims=True)
         gradient = sm.T @ self.alpha
@@ -262,16 +259,16 @@ class SemiDualOracle:
         if out is None:
             out = np.empty(self.n)
         np.divide(v, self.eta, out=out)
-        out += self._shift[i]
+        out += self.shift[i]
         max_subtracted_exp(out)
         out /= out.sum()
         out -= self.beta
         out *= self._scale[i, ...]
         return out
 
-    def workspace(self) -> "KernelWorkspace":
-        """A fresh :class:`KernelWorkspace` over this oracle, for one solver run."""
-        return KernelWorkspace(self)
+    def workspace(self, v0: np.ndarray) -> "KernelWorkspace":
+        """A fresh :class:`KernelWorkspace` over this oracle with its kernel built at v0, for one solver run."""
+        return KernelWorkspace(self, v0)
 
     def full_gradient(self, v: np.ndarray) -> np.ndarray:
         """Gradient of G at v: col_sums(x(v)) - beta."""
@@ -295,7 +292,7 @@ class SemiDualOracle:
 
         Returns a fresh array that the caller owns.
         """
-        x = v / self.eta + self._shift
+        x = v / self.eta + self.shift
         max_subtracted_exp(x)
         x /= x.sum(axis=-1, keepdims=True)
         x *= self.alpha[:, None]
@@ -319,18 +316,15 @@ class SemiDualOracle:
 class KernelWorkspace:
     """One solver run's re-based kernel and weighted primal average (see the module docstring).
 
-    ``snapshot(v, weight)`` re-bases the kernel at v first when v has
-    drifted more than :data:`REBASE_SPAN` on the eta scale from the base
-    point; the first call builds it.  A rebuild allocates a new kernel, so
+    The kernel is built at v0, and ``snapshot(v, weight)`` re-bases it at
+    v first when v has drifted more than :data:`REBASE_SPAN` on the eta
+    scale from the base point.  A rebuild allocates a new kernel, so
     snapshots taken before it stay valid.
     """
 
-    def __init__(self, oracle: SemiDualOracle):
+    def __init__(self, oracle: SemiDualOracle, v0: np.ndarray):
         self.oracle = oracle
         n = oracle.n
-        self.kernel = None
-        self.offsets = None  # m0, the row maxima of (v0 - C)/eta - 1
-        self.base = self.base_row = None  # v0, and -v0/eta: the v-free part of its snapshots' a'
         self._dense = np.zeros((n, n))  # the pairs folded in so far
         # (w alpha / r, e) of the primal maps since the last fold, one per row
         self._left = np.empty((PENDING_PAIRS, n))
@@ -338,22 +332,22 @@ class KernelWorkspace:
         self._pending_count = 0
         self._col_sums = np.zeros(n)
         self.weight = 0.0  # the total weight accumulated so far
+        self.rebuild(v0)  # last: a rebuild folds the pending pairs
 
     def rebuild(self, v: np.ndarray) -> None:
         """Fold the pending pairs into the dense sum and re-base the kernel at v."""
         self._fold()
-        self.base_row = np.divide(v, -self.oracle.eta)
-        kernel = self.oracle._shift - self.base_row  # v/eta + shift, bit for bit
-        self.offsets = np.squeeze(max_subtracted_exp(kernel), axis=-1)
+        self.base_row = np.divide(v, -self.oracle.eta)  # -v0/eta: the v-free part of its snapshots' a'
+        kernel = self.oracle.shift - self.base_row  # v/eta + shift, bit for bit
+        self.offsets = np.squeeze(max_subtracted_exp(kernel), axis=-1)  # m0, the row maxima of (v0 - C)/eta - 1
         self.kernel = flush_subnormals(kernel)
-        self.base = v.copy()
+        self.base = v.copy()  # v0
 
     def _weights(self, v: np.ndarray) -> tuple[np.ndarray, float]:
         """(e, c) of v against the base point, re-basing at v first if needed."""
-        if self.base is not None:
-            d = (v - self.base) / self.oracle.eta
-            c = np.maximum.reduce(d)
-        if self.base is None or c - np.minimum.reduce(d) > REBASE_SPAN:
+        d = (v - self.base) / self.oracle.eta
+        c = np.maximum.reduce(d)
+        if c - np.minimum.reduce(d) > REBASE_SPAN:
             self.rebuild(v)
             d, c = np.zeros_like(v), 0.0
         d -= c

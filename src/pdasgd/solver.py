@@ -2,7 +2,7 @@
 
 Minimizes a finite-sum dual objective ``phi(lam) = (1/h) sum_i phi_i(lam)``
 while averaging the associated primal iterates.  Each run owns a workspace
-from ``oracle.workspace()``, which keeps the run's dense state: it
+from ``oracle.workspace(lam0)``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
 after each reset, as a snapshot (the full gradient ``u = grad
 phi(lam_tilde)``, the batch rows below, and ``phi(lam_tilde)`` once a
@@ -145,8 +145,8 @@ class FiniteSumOracle(Protocol):
     writes the mean of b such gradients into ``out`` once per batched
     step, from ``t = a' + Lbar lam`` and the b components' snapshot
     ``rows``, with ``e`` a caller-owned d-vector and ``weights`` a
-    b-vector; ``workspace()`` returns a fresh
-    :class:`Workspace` for one run, which takes the snapshots and keeps
+    b-vector; ``workspace(lam)`` returns a fresh :class:`Workspace` for
+    one run that starts at lam, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0, which :func:`init_state`
     validates once as a :class:`~pdasgd.core.Distribution`;
@@ -161,7 +161,7 @@ class FiniteSumOracle(Protocol):
 
     def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray: ...
 
-    def workspace(self) -> Workspace: ...
+    def workspace(self, lam: np.ndarray) -> Workspace: ...
 
     def sampling_weights(self): ...
 
@@ -285,7 +285,7 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     chunk = min(options.inner_iterations // b, CHUNK_STEPS)
     blocks = np.zeros((chunk + 2, 6, d))
     blocks[1, Y] = lam0
-    workspace = oracle.workspace()
+    workspace = oracle.workspace(lam0)
     rows = np.empty((chunk * b, d)) if b > 1 else None
     return SolverState(
         lambda_tilde=lam0,

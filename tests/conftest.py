@@ -79,7 +79,7 @@ def assert_batch_corrections(snapshot, indices, corrections):
     _, singles = snapshot_rows(snapshot, indices, d)
     softmax = snapshot.gradient - singles
     size = (
-        1.0 + np.abs(snapshot.shift[indices]) + np.abs(snapshot.scaled) + np.abs(snapshot.lse[indices])[:, None]
+        1.0 + np.abs(snapshot.oracle.shift[indices]) + np.abs(snapshot.scaled) + np.abs(snapshot.lse[indices])[:, None]
         + np.abs(snapshot.base_row) + np.abs(snapshot.offsets[indices])[:, None]
     )
     want = snapshot.gradient - softmax.reshape(len(corrections), -1, d).mean(axis=1)
@@ -154,7 +154,7 @@ class QuadraticOracle:
     def primal_map(self, lam):
         return lam.copy()
 
-    def workspace(self):
+    def workspace(self, lam):
         return DenseWorkspace(self)
 
     def primal_objective(self, x):

@@ -55,6 +55,10 @@ def test_derive_parameters_errors_and_trivial():
         derive_parameters(0.1, np.ones((1, 1)))
     with pytest.raises(ValueError):
         derive_parameters(-0.1, np.ones((4, 4)))
+    # before: "cost scale ... is out of float range at epsilon = nan"
+    with pytest.raises(ValueError, match="^epsilon must be positive"):
+        derive_parameters(math.nan, np.ones((4, 4)))
+    assert derive_parameters(math.inf, np.ones((4, 4))) is None
     assert derive_parameters(0.1, np.zeros((4, 4))) is None
     # epsilon >= 48 |C|_inf: any feasible plan is within |C|_inf <= epsilon/48
     assert derive_parameters(0.048, np.full((4, 4), 1e-3)) is None
@@ -122,6 +126,13 @@ def test_iteration_cap_examples():
     # before: OverflowError from math.ceil of an infinite cap
     with pytest.raises(ValueError, match="overflows at"):
         theoretical_iteration_cap(0.05, 2, 1e306, kappa=8.0)
+    # before: "the iteration cap overflows ...; set max_outer"
+    for kappa in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="^kappa must be positive and finite"):
+            theoretical_iteration_cap(0.1, 100, 1.0, kappa=kappa)
+    for epsilon, max_cost in ((math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="^cap requires epsilon > 0"):
+            theoretical_iteration_cap(epsilon, 100, max_cost)
 
 
 def test_resolve_profile():
@@ -751,8 +762,8 @@ def test_pdasgd_state_released_before_rounding(monkeypatch):
     workspaces, released, checked = [], [], []
     workspace = SemiDualOracle.workspace
 
-    def tracked_workspace(oracle):
-        ws = workspace(oracle)
+    def tracked_workspace(oracle, v0):
+        ws = workspace(oracle, v0)
         workspaces.append(weakref.ref(ws))
         return ws
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import pdasgd.baselines
 from pdasgd.approx import ApproxConfig, approx_ot
-from pdasgd.baselines import greenkhorn, sinkhorn
+from pdasgd.baselines import _line_scores, greenkhorn, sinkhorn
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, OTInstance, logsumexp, marginal_distance
 from pdasgd.exact import exact_ot_oracle
@@ -150,6 +153,37 @@ def test_greenkhorn_updated_line_sums_exactly(rng):
     r = res.plan.sum(axis=1)
     col = res.plan.sum(axis=0)
     assert min(np.abs(r - a).max(), np.abs(col - b).max()) < 1e-9
+
+
+def test_line_scores_write_into_out(rng, monkeypatch):
+    # the scores of a slice go into that slice of the buffer, bit for bit the
+    # allocating formula; a line at its target scores +0.0, the value an
+    # update writes in place of a recompute, and an empty line +inf, silently
+    n = 64
+    target = rng.random(n) + 1e-3
+    actual = target * rng.uniform(0.5, 1.5, n)
+    buffer = np.full(2 * n, np.nan)
+    assert _line_scores(actual, target, buffer[n:]) is None
+    x = (actual - target) / target
+    assert buffer[n:].tobytes() == (target * (x - np.log1p(x))).tobytes()
+    assert np.isnan(buffer[:n]).all()
+    _line_scores(target, target, buffer[:n])
+    assert buffer[:n].tobytes() == np.zeros(n).tobytes()  # +0.0, not -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _line_scores(np.zeros(2), np.array([0.5, 0.5]), buffer[:2])
+    assert np.array_equal(buffer[:2], [np.inf, np.inf])
+    # Greenkhorn scores all 2n lines once per round and one axis per update
+    calls = []
+
+    def counting(actual, target, out):
+        calls.append(len(out))
+        _line_scores(actual, target, out)
+
+    monkeypatch.setattr(pdasgd.baselines, "_line_scores", counting)
+    a, b = positive_pair(rng, 4)
+    greenkhorn(OTInstance.of(rng.random((4, 4)), a, b, 0.3), max_iter=3, stop=never_stop)
+    assert calls == ([8] + [4] * 4) * 3
 
 
 def test_greenkhorn_agrees_with_sinkhorn(rng):

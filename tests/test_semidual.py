@@ -159,7 +159,7 @@ def test_snapshot_matches_oracle_bitwise(rng, n, eta):
             assert np.array_equal(anchors[i], ref_anchor)
             assert np.array_equal(rows[i], ref_row)
             # and to rounding the log-softmax and softmax rows
-            size = 1.0 + np.abs(snap.shift[i]) + np.abs(v) / eta + np.abs(snap.lse[i])
+            size = 1.0 + np.abs(snap.oracle.shift[i]) + np.abs(v) / eta + np.abs(snap.lse[i])
             assert np.all(np.abs(anchors[i] + v / eta - allocating_log_softmax_row(o, i, v)) <= 1e-15 * size)
             softmax = allocating_softmax_row(o, i, v)
             assert np.all(np.abs(snap.gradient - rows[i] - softmax) <= 1e-15 * (softmax * size + 1.0))
@@ -208,8 +208,7 @@ def test_workspace_snapshot_value_and_lse_are_the_eager_formulas(rng):
     # and the value from lse and v
     n, eta = 24, 0.05
     o = random_oracle(rng, n, eta)
-    ws = o.workspace()
-    ws.snapshot(rng.normal(size=n))
+    ws = o.workspace(rng.normal(size=n))
     for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
         v = ws.base + eta * spread * rng.random(n)
         snap = ws.snapshot(v, 1.0)
@@ -230,7 +229,6 @@ def test_batch_rows_anchor_follows_every_rebuild(rng):
     # reference snapshot's base point is its v and its c is 0
     n, eta, b = 12, 0.05, 2
     o = random_oracle(rng, n, eta)
-    ws = o.workspace()
     idx = rng.integers(n, size=2 * b)
     rows, got = np.empty((2 * b, n)), np.full((2, 6, n), np.nan)
 
@@ -242,6 +240,9 @@ def test_batch_rows_anchor_follows_every_rebuild(rng):
         return np.tile(-base / eta - c, (2, 1)).tobytes()
 
     v, taken = rng.normal(size=n), []
+    far = v.copy()
+    far[0] += 1.5 * eta * REBASE_SPAN
+    ws = o.workspace(far)  # a span away from v, so the first snapshot rebuilds as well
     for _ in range(4):
         kernel = ws.kernel
         snap = ws.snapshot(v)
@@ -301,10 +302,17 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
     rng = np.random.default_rng(seed)
     base = random_instance(rng, n, eta)
     o = SemiDualOracle(OTInstance(CostMatrix(scale * base.cost.entries), base.row_marginal, base.col_marginal, eta))
-    ws = o.workspace()
     v0 = scale * rng.normal(size=n)
-    ws.snapshot(v0)  # builds the kernel at v0
+    ws = o.workspace(v0)
     kernel = ws.kernel
+    # built at v0 as a rebuild there builds it, and a first snapshot at v0
+    # keeps that kernel, with e = 1
+    rebuilt = o.workspace(-v0)
+    rebuilt.rebuild(v0)
+    assert ws.base.tobytes() == v0.tobytes()
+    assert ws.kernel.tobytes() == rebuilt.kernel.tobytes() and ws.offsets.tobytes() == rebuilt.offsets.tobytes()
+    first = ws.snapshot(v0)
+    assert first.kernel is kernel and first.e.tobytes() == np.ones(n).tobytes()
     # drifts from v0 whose spread on the eta scale reaches the span, short
     # of it by more than the rounding of (v - v0) / eta
     for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
@@ -569,10 +577,9 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
     assert np.abs(drift).max() <= 50.0 * (1 + 1e-12)
     # anchor rows from the reference snapshot and from a workspace whose
     # kernel was built at another point within its span
-    ws = o.workspace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ws.snapshot(anchor + eta * rng.uniform(0.0, 10.0, size=n))
+        ws = o.workspace(anchor + eta * rng.uniform(0.0, 10.0, size=n))
         sources = (o.snapshot(anchor), ws.snapshot(anchor))
         rows = np.array([allocating_softmax_row(o, i, anchor) for i in range(n)])
         if far / eta > 800 and (cost == far).any():
@@ -587,7 +594,7 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
             assert np.isfinite(anchors).all()
             # exp turns the exponents' rounding into relative error, so the
             # rows agree to 1e-15 relative per unit of exponent
-            size = 1.0 + np.abs(snap.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None] + base
+            size = 1.0 + np.abs(snap.oracle.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None] + base
             normal = rows >= np.finfo(np.float64).tiny
             assert np.all(np.abs(np.exp(anchors + snap.scaled) - rows)[normal] <= 1e-15 * (rows * size)[normal])
             for i in range(n):
@@ -641,7 +648,7 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     anchors, rows = blocks[:-1, 5], blocks[1:, 4]
     assert snap.rows(idx, anchors, rows) is None
     for k, i in enumerate(idx):
-        anchor = snap.shift[i] - snap.lse[i]
+        anchor = snap.oracle.shift[i] - snap.lse[i]
         assert anchors[k].tobytes() == anchor.tobytes()
         assert rows[k].tobytes() == (snap.gradient - np.exp(anchor + snap.scaled)).tobytes()
         assert anchors[k].tobytes() == allocating_anchor_row(o, i, v)[0].tobytes()
@@ -672,8 +679,7 @@ def test_rows_equal_the_kernel_and_log_softmax_forms(seed, n, eta, scale):
     rng = np.random.default_rng(seed)
     base = random_instance(rng, n, eta)
     o = SemiDualOracle(OTInstance(CostMatrix(scale * base.cost.entries), base.row_marginal, base.col_marginal, eta))
-    ws = o.workspace()
-    ws.snapshot(scale * rng.normal(size=n))
+    ws = o.workspace(scale * rng.normal(size=n))
     v = ws.base + eta * REBASE_SPAN / 2 * rng.random(n)
     snap = ws.snapshot(v)
     idx = rng.integers(n, size=2 * n)
@@ -682,10 +688,10 @@ def test_rows_equal_the_kernel_and_log_softmax_forms(seed, n, eta, scale):
     e = np.exp(d - d.max())
     r = ws.kernel @ e
     rows = (ws.kernel * e / r[:, None])[idx]
-    logs = (snap.shift + snap.scaled - snap.lse[:, None])[idx] - o.average_smoothness() * v
+    logs = (snap.oracle.shift + snap.scaled - snap.lse[:, None])[idx] - o.average_smoothness() * v
     # the terms each form rounds, the kernel's also those at its base point
     size = (
-        1.0 + np.abs(snap.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None]
+        1.0 + np.abs(snap.oracle.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None]
         + np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None]
     )[idx]
     assert np.all(np.abs(anchors - logs) <= 1e-15 * size)
@@ -702,7 +708,7 @@ def dust(kernel):
 
 def unflushed_kernel(ws):
     """The workspace's kernel at its base point as built before the flush."""
-    kernel = ws.base / ws.oracle.eta + ws.oracle._shift
+    kernel = ws.base / ws.oracle.eta + ws.oracle.shift
     max_subtracted_exp(kernel)
     return kernel
 
@@ -766,10 +772,8 @@ def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
     # half an ulp of r, and a column of dust alone is absorbed by beta
     o, rng = scaled_oracle(seed, n, epsilon, scale)
     eta = o.eta
-    flushed, unflushed = o.workspace(), o.workspace()
     v0 = 5.0 * eta * rng.normal(size=n)
-    flushed.snapshot(v0)
-    unflushed.snapshot(v0)
+    flushed, unflushed = o.workspace(v0), o.workspace(v0)
     raw = unflushed.kernel = unflushed_kernel(unflushed)
     assert flushed.kernel.tobytes() == flush_subnormals(raw.copy()).tobytes()
     if (seed, n, epsilon, scale) in DUSTY:
@@ -785,7 +789,7 @@ def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
 
 def four_pass_rows(snap, indices, anchors, corrections):
     """The rows as four passes over the caller's views, the bitwise reference of :meth:`KernelSnapshot.rows`."""
-    np.subtract(snap.shift[indices], snap.lse[indices, None], out=anchors)
+    np.subtract(snap.oracle.shift[indices], snap.lse[indices, None], out=anchors)
     np.add(anchors, snap.scaled, out=corrections)
     np.exp(corrections, out=corrections)
     np.subtract(snap.gradient, corrections, out=corrections)
@@ -796,8 +800,7 @@ def test_rows_are_bitwise_the_four_pass_form(rng):
     # buffer as the solver's, against the in-place four-pass form
     n, m = 24, 40
     o = random_oracle(rng, n, eta=1e-3)
-    ws = o.workspace()
-    ws.snapshot(rng.normal(size=n) * 1e-3)
+    ws = o.workspace(rng.normal(size=n) * 1e-3)
     snap = ws.snapshot(ws.base + 1e-3 * REBASE_SPAN / 2 * rng.random(n))
     idx = rng.integers(n, size=m)
     got, ref = (np.full((m + 1, 6, n), np.nan) for _ in range(2))
@@ -830,8 +833,7 @@ def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, dus
     else:
         o, rng = scaled_oracle(*dusty)
         n, eta = o.n, o.eta
-    ws = o.workspace()
-    ws.snapshot(5.0 * eta * rng.normal(size=n))  # the kernel's base point
+    ws = o.workspace(5.0 * eta * rng.normal(size=n))  # the kernel's base point
     offset = rng.random(n)
     anchor = ws.base + eta * span * (offset - offset.min()) / (np.ptp(offset) or 1.0)
     v = anchor + eta * spread * rng.uniform(-1.0, 1.0, size=n)

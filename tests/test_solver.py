@@ -669,8 +669,8 @@ class CountingOracle(SemiDualOracle):
         super().__init__(instance)
         self.calls = Counter()
 
-    def workspace(self):
-        return CountingWorkspace(self)
+    def workspace(self, v0):
+        return CountingWorkspace(self, v0)
 
 
 for _name in (
