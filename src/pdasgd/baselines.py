@@ -138,7 +138,7 @@ def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> Solve
     while reason is None and rounds < max_iter:
         _line_scores(sums, targets, scores)
         for _ in range(n):
-            k = int(np.argmax(scores))  # the first maximum, so a row wins a tie
+            k = int(scores.argmax())  # the first maximum, so a row wins a tie
             axis, i = divmod(k, n)
             own, other, other_sums, other_targets, other_scores = axes[axis]
             line = (ws.kernel.T if axis else ws.kernel)[i] * other

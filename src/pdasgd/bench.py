@@ -74,7 +74,7 @@ import numpy as np
 
 from .approx import FLAGGED, METHODS as SOLVERS, ApproxConfig, approx_ot
 from .core import is_integer, marginal_distance
-from .images import foreground_side, gen_synthetic_image, image_to_instance, save_csv_matrix
+from .images import foreground_side, gen_synthetic_image, image_distribution, image_to_instance, save_csv_matrix
 from .rng import derive_seed
 
 # Columns of the CSV outputs.  The canonical runs.csv writes wall_ms as 0;
@@ -143,8 +143,7 @@ def make_image_pair(plan_seed: int, side: int, pair: int):
     img_a = gen_synthetic_image(side, seed_a)
     img_b = gen_synthetic_image(side, seed_b)
     alpha, cost = image_to_instance(img_a)
-    beta, _ = image_to_instance(img_b)
-    return alpha, beta, cost
+    return alpha, image_distribution(img_b), cost
 
 
 def cost_units(solver: str, n: int, op_counts: dict) -> int:

@@ -26,6 +26,7 @@ from .core import STOP_DIVERGED, marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
     gen_synthetic_image,
+    image_distribution,
     image_to_instance,
     load_image_file,
     save_csv_matrix,
@@ -54,8 +55,7 @@ def _instance_from_args(args):
         img_a = gen_synthetic_image(args.size, derive_seed(args.seed, "cli/a"))
         img_b = gen_synthetic_image(args.size, derive_seed(args.seed, "cli/b"))
     alpha, cost = image_to_instance(img_a)
-    beta, _ = image_to_instance(img_b)
-    return alpha, beta, cost
+    return alpha, image_distribution(img_b), cost
 
 
 def _cmd_gen(args) -> int:
@@ -120,7 +120,7 @@ def _cmd_oracle(args) -> int:
             )
 
         alpha, cost = image_to_instance(tiny("cli/oracle/a"))
-        beta, _ = image_to_instance(tiny("cli/oracle/b"))
+        beta = image_distribution(tiny("cli/oracle/b"))
     plan, value = exact_ot_oracle(cost, alpha, beta)
     print(f"n={alpha.n}")
     print(f"ot_value={value:.17g}")

@@ -30,16 +30,21 @@ def _frozen_f64(a, ndim: int) -> np.ndarray:
     return out
 
 
-def _frozen_square(a, matrix: str, entries: str) -> np.ndarray:
-    """A frozen square finite nonnegative matrix; the messages name the ``matrix`` and its ``entries``."""
-    x = _frozen_f64(a, 2)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"{matrix} must be square, got {x.shape}")
+def _finite_nonnegative(x: np.ndarray, entries: str) -> np.ndarray:
+    """``x`` itself, once its ``entries`` (named in the messages) are checked finite and nonnegative."""
     if not np.isfinite(x).all():
         raise ValueError(f"{entries} must be finite, got non-finite entries")
     if np.any(x < 0):
         raise ValueError(f"{entries} must be nonnegative")
     return x
+
+
+def _frozen_square(a, matrix: str, entries: str) -> np.ndarray:
+    """A frozen square finite nonnegative matrix; the messages name the ``matrix`` and its ``entries``."""
+    x = _frozen_f64(a, 2)
+    if x.shape[0] != x.shape[1]:
+        raise ValueError(f"{matrix} must be square, got {x.shape}")
+    return _finite_nonnegative(x, entries)
 
 
 @dataclass(frozen=True)
@@ -49,11 +54,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen_f64(self.weights, 1)
-        if not np.isfinite(w).all():
-            raise ValueError("distribution weights must be finite, got non-finite entries")
-        if np.any(w < 0):
-            raise ValueError("distribution weights must be nonnegative")
+        w = _finite_nonnegative(_frozen_f64(self.weights, 1), "distribution weights")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_ATOL:
             raise ValueError(f"distribution weights must sum to 1, got {total!r}")
@@ -252,11 +253,7 @@ def regularized_objective(plan, inst: OTInstance) -> float:
     """Entropy-penalized cost <C, X> + eta * sum X ln X = <C, X> - eta H(X)."""
     if inst.eta <= 0:
         raise ValueError("regularized_objective requires eta > 0")
-    x = as_matrix(plan)
-    c = inst.cost.entries
-    if x.shape != c.shape:
-        raise ValueError(f"shape mismatch: plan {x.shape}, cost {c.shape}")
-    return float(np.sum(c * x) + inst.eta * sum_xlogx(x))
+    return transport_cost(plan, inst.cost) + inst.eta * sum_xlogx(as_matrix(plan))
 
 
 def marginal_distance(plan, alpha, beta) -> float:
@@ -276,6 +273,5 @@ def marginal_distance(plan, alpha, beta) -> float:
 
 
 def marginal_residual(rows, cols, alpha, beta) -> float:
-    """``|rows - alpha|_1 + |cols - beta|_1`` for a plan's row and column sums; rows that are alpha itself add 0.0."""
-    cols = np.abs(cols - beta).sum()
-    return float(cols if rows is alpha else np.abs(rows - alpha).sum() + cols)
+    """``|rows - alpha|_1 + |cols - beta|_1`` for a plan's row and column sums."""
+    return float(np.abs(rows - alpha).sum() + np.abs(cols - beta).sum())

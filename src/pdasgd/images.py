@@ -52,12 +52,11 @@ class ImageInstance:
             raise ValueError("pixel intensities must be nonnegative")
         if float(p.max()) <= 0:
             raise ValueError("image must contain at least one positive pixel")
+        with np.errstate(over="ignore"):  # finite nonnegative pixels sum to a finite total or to inf
+            if not np.isfinite(total := p.sum()):
+                raise ValueError(f"pixel intensities must sum to a finite total, got {total}; rescale the image")
         p.flags.writeable = False
         object.__setattr__(self, "pixels", p)
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
 
 
 def foreground_side(side: int) -> int:
@@ -94,14 +93,14 @@ def grid_cost_matrix(height: int, width: int, normalize: bool = True) -> CostMat
     return CostMatrix(c)
 
 
+def image_distribution(img: ImageInstance) -> Distribution:
+    """The flattened intensities, normalized to total mass 1."""
+    return Distribution(img.pixels.ravel() / float(img.pixels.sum()))
+
+
 def image_to_instance(img: ImageInstance) -> tuple[Distribution, CostMatrix]:
     """Flattened, normalized intensity distribution plus the grid cost."""
-    total = float(img.pixels.sum())
-    if total <= 0:
-        raise ValueError("image has no mass")
-    weights = img.pixels.ravel() / total
-    h, w = img.pixels.shape
-    return Distribution(weights), grid_cost_matrix(h, w)
+    return image_distribution(img), grid_cost_matrix(*img.pixels.shape)
 
 
 # -- file loaders -------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, TransportPlan, as_matrix, as_weights, marginal_distance
+from .core import Distribution, TransportPlan, as_matrix, as_weights, marginal_residual
 
 _MASS_ATOL = 1e-6
 _ZERO_CORRECTION = 1e-15
@@ -42,9 +42,8 @@ def round_to_polytope(plan, alpha, beta) -> tuple[TransportPlan, RoundingReport]
     if abs(mass - 1.0) > _MASS_ATOL:
         raise ValueError(f"rounding input must have total mass 1 (got {mass!r})")
 
-    input_gap = marginal_distance(f, a, b)
-
     rows = f.sum(axis=1)
+    input_gap = marginal_residual(rows, f.sum(axis=0), a, b)
     # A zero row has no mass to shrink; leave its (zero) entries alone.
     scale_r = np.where(rows > 0, np.minimum(a / np.where(rows > 0, rows, 1.0), 1.0), 1.0)
     f *= scale_r[:, None]

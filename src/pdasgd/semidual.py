@@ -18,10 +18,10 @@ the small ``eta`` this package runs at.  One dense pass of it,
 ``snapshot(v)``, yields G(v), its gradient u and the row logsumexps lse
 (:func:`pdasgd.core.logsumexp`) as a :class:`KernelSnapshot`.  The solver
 reaches the same quantities through a :class:`KernelWorkspace`.  Both
-build the one snapshot type, a slotted record whose ``value`` (G(v)),
-``lse`` and ``scaled`` (v/eta) are lazy: None until the first read
-computes them from the same expressions.  A run reads G(v) only to
-certify, and lse and v/eta only for the log-domain rows below.
+build the one snapshot type, a slotted record whose ``value`` (G(v))
+and ``lse`` are lazy: None until the first read computes them from the
+same expressions.  A run reads G(v) only to certify, and lse only for
+the log-domain rows below.
 
 Component i is sampled with probability alpha_i, so the solver's per-step
 ``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
@@ -67,7 +67,7 @@ folded into a dense sum by one matrix product when K is rebuilt or
 that adding each map densely would cost; reading the sum leaves it
 unchanged, so the sum's bits do not depend on when it was read.  The
 workspace also keeps the sum's total weight, so it hands out the weighted
-average and its marginals.
+average, its marginals and their L1 violation.
 
 The oracle is immutable and shareable across threads; gradient buffers and
 workspaces are caller-owned.
@@ -84,7 +84,6 @@ from .core import (
     flush_subnormals,
     logsumexp,
     marginal_distance,
-    marginal_residual,
     max_subtracted_exp,
     regularized_objective,
 )
@@ -101,24 +100,18 @@ class KernelSnapshot:
     Softmax row i at v is ``kernel_i * e / r_i`` for ``r = kernel @ e``, and
     at v' it is ``kernel_i * exp(a' + v'/eta)`` normalised, for the v-free
     row ``a' = base_row - c``: ``base_row = -v0/eta`` for the kernel's base
-    point v0, which the workspace caches at each rebuild.  ``value``,
-    ``lse`` (the row logsumexps, ``offsets + c + log r``) and ``scaled``
-    (v/eta) are lazy, None in their ``_`` slots until their first read
-    computes them.  v is kept, not copied, so its owner must not write it.
+    point v0, which the workspace caches at each rebuild.  ``value`` and
+    ``lse`` (the row logsumexps, ``offsets + c + log r``) are lazy, None in
+    their ``_`` slots until their first read computes them.  v is kept,
+    not copied, so its owner must not write it.
     """
 
-    __slots__ = ("oracle", "v", "gradient", "kernel", "e", "r", "offsets", "c", "base_row", "_scaled", "_lse", "_value")
+    __slots__ = ("oracle", "v", "gradient", "kernel", "e", "r", "offsets", "c", "base_row", "_lse", "_value")
 
     def __init__(self, oracle: "SemiDualOracle", v, gradient, kernel, e, r, offsets, c: float, base_row):
         self.oracle, self.v, self.gradient, self.kernel, self.e, self.r = oracle, v, gradient, kernel, e, r
         self.offsets, self.c, self.base_row = offsets, c, base_row
-        self._scaled = self._lse = self._value = None
-
-    @property
-    def scaled(self) -> np.ndarray:
-        if self._scaled is None:
-            self._scaled = self.v / self.oracle.eta
-        return self._scaled
+        self._lse = self._value = None
 
     @property
     def lse(self) -> np.ndarray:
@@ -137,7 +130,7 @@ class KernelSnapshot:
         """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
         rows = self.oracle.shift.take(indices, 0)  # a fresh contiguous array: the arithmetic runs in it
         anchors[...] = np.subtract(rows, self.lse[indices][:, None], out=rows)
-        rows += self.scaled
+        rows += self.v / self.oracle.eta
         np.exp(rows, rows)
         np.subtract(self.gradient, rows, corrections)
 
@@ -390,13 +383,10 @@ class KernelWorkspace:
         gradient -= o.beta
         return KernelSnapshot(o, v, gradient, self.kernel, e, r, self.offsets, c, self.base_row)
 
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column sums of the average: the oracle's frozen alpha itself, and a fresh array."""
-        return self.oracle.alpha, self._col_sums / self.weight
-
-    def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float:
-        """L1 distance of a plan's row and column sums to the oracle's marginals."""
-        return marginal_residual(rows, cols, self.oracle.alpha, self.oracle.beta)
+    def marginals(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The average's row sums, the oracle's frozen alpha itself as every map's are; fresh column sums; and their violation, |cols - beta|_1."""
+        cols = self._col_sums / self.weight
+        return self.oracle.alpha, cols, float(np.abs(cols - self.oracle.beta).sum())
 
     def average(self) -> np.ndarray:
         """The weighted average of the primal maps, as a fresh array; the sum itself is unchanged."""

@@ -8,7 +8,7 @@ after each reset, as a snapshot (the full gradient ``u = grad
 phi(lam_tilde)``, the batch rows below, and ``phi(lam_tilde)`` once a
 record's gap reads it),
 and it keeps the weighted average of primal maps, its total weight and its
-row and column sums.  Each outer iteration s:
+row and column sums with their violation.  Each outer iteration s:
 
   * computes the constants its inner steps share, takes its m components
     from the drawn batch and has the snapshot write their rows per chunk,
@@ -28,8 +28,8 @@ row and column sums.  Each outer iteration s:
 
 x_s averages maps at the anchors, not at uniformly picked inner ``lam``
 values: the stop rule certifies it a posteriori, and the paper's a-priori
-bound is not claimed for it.  A checkpoint reads only x_s's row and
-column sums; x_s itself is built where the certificate needs it and for
+bound is not claimed for it.  A checkpoint reads only x_s's sums and
+their violation; x_s itself is built where the certificate needs it and for
 the result.  The semi-dual workspace keeps a re-based kernel, so its
 snapshots are matrix-vector products and the average costs O(n) each
 (see :mod:`pdasgd.semidual`).
@@ -117,9 +117,8 @@ class Workspace(Protocol):
     batched rows the inner steps read, and adds weight times the primal
     point attached to lam to a running weighted average and weight to its
     total ``weight``; ``marginals()`` returns the average's row and column
-    sums, arrays the caller must not write; ``constraint_violation_l1(rows,
-    cols)`` is the L1 distance of given row and column sums to the oracle's
-    marginals; ``average()`` returns the average as a fresh array, leaves it unchanged
+    sums, arrays the caller must not write, and their L1 distance to the
+    oracle's marginals; ``average()`` returns the average as a fresh array, leaves it unchanged
     and raises while nothing has been accumulated.
     """
 
@@ -127,9 +126,7 @@ class Workspace(Protocol):
 
     def snapshot(self, lam: np.ndarray, weight: float = 0.0) -> Snapshot: ...
 
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def constraint_violation_l1(self, rows: np.ndarray, cols: np.ndarray) -> float: ...
+    def marginals(self) -> tuple[np.ndarray, np.ndarray, float]: ...
 
     def average(self) -> np.ndarray: ...
 
@@ -427,8 +424,7 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
             stop_reason = STOP_DIVERGED
             break
         # x_s's sums come from the workspace without building x_s; certify adds f(x_s) and the gap
-        rows, cols = state.workspace.marginals()
-        violation = float(state.workspace.constraint_violation_l1(rows, cols))
+        rows, cols, violation = state.workspace.marginals()
         record = RunRecord(state.s, state.s * per_outer, None, violation, None)
         records.append(record)
         gap = partial(certify, record, state, oracle)

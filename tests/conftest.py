@@ -79,7 +79,7 @@ def assert_batch_corrections(snapshot, indices, corrections):
     _, singles = snapshot_rows(snapshot, indices, d)
     softmax = snapshot.gradient - singles
     size = (
-        1.0 + np.abs(snapshot.oracle.shift[indices]) + np.abs(snapshot.scaled) + np.abs(snapshot.lse[indices])[:, None]
+        1.0 + np.abs(snapshot.oracle.shift[indices]) + np.abs(snapshot.v / snapshot.oracle.eta) + np.abs(snapshot.lse[indices])[:, None]
         + np.abs(snapshot.base_row) + np.abs(snapshot.offsets[indices])[:, None]
     )
     want = snapshot.gradient - softmax.reshape(len(corrections), -1, d).mean(axis=1)
@@ -180,10 +180,7 @@ class DenseWorkspace:
         return self.oracle.snapshot(lam)
 
     def marginals(self):
-        return self.average(), self.average()
-
-    def constraint_violation_l1(self, rows, cols):
-        return 0.0
+        return self.average(), self.average(), 0.0
 
     def average(self):
         return np.array(self.total) / self.weight

@@ -5,6 +5,7 @@ import pytest
 
 import pdasgd.approx
 import pdasgd.bench
+import pdasgd.images
 
 from pdasgd.bench import (
     BenchPlan,
@@ -16,7 +17,8 @@ from pdasgd.bench import (
     sinkhorn_cost_units,
 )
 from pdasgd.core import marginal_distance, transport_cost
-from pdasgd.images import load_csv_matrix
+from pdasgd.images import gen_synthetic_image, image_to_instance, load_csv_matrix
+from pdasgd.rng import derive_seed
 from pdasgd.solver import SolverOptions, run
 from conftest import never_stop, random_oracle
 
@@ -80,6 +82,26 @@ def test_image_pair_shared_across_cells():
     assert np.array_equal(c1.entries, c2.entries)
     a3, _, _ = make_image_pair(5, 8, 1)
     assert not np.array_equal(a1.weights, a3.weights)
+
+
+def test_image_pair_builds_one_grid_cost(monkeypatch):
+    # before: the second image's n^2 cost was built and thrown away
+    calls = []
+    grid_cost_matrix = pdasgd.images.grid_cost_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid_cost_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(pdasgd.images, "grid_cost_matrix", counted)
+    alpha, beta, cost = make_image_pair(5, 8, 0)
+    assert calls == [(8, 8)]
+    seed_a, seed_b = (derive_seed(5, f"img/8/0/{k}") for k in "ab")
+    want_alpha, want_cost = image_to_instance(gen_synthetic_image(8, seed_a))
+    want_beta, _ = image_to_instance(gen_synthetic_image(8, seed_b))
+    assert alpha.weights.tobytes() == want_alpha.weights.tobytes()
+    assert beta.weights.tobytes() == want_beta.weights.tobytes()
+    assert cost.entries.tobytes() == want_cost.entries.tobytes()
 
 
 def test_execute_run_reaches_accuracy(tmp_path):

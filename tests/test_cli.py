@@ -123,6 +123,20 @@ def test_solve_rejects_non_finite_pixels(tmp_path, capsys, bad):
     assert err == f"error: pixel intensities must be finite, got non-finite pixels (row, col) (1, 2) = {bad}\n"
 
 
+def test_solve_rejects_pixels_summing_past_the_float_range(tmp_path, capsys):
+    # before: numpy's overflow RuntimeWarning, a traceback under warnings-as-errors
+    save_csv_matrix(tmp_path / "big.csv", np.full((4, 4), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "solve", "--image-a", str(tmp_path / "big.csv"), "--image-b", str(tmp_path / "big.csv"),
+            "--epsilon", "0.1",
+        )
+    assert code == 1
+    assert out == ""
+    assert err == "error: pixel intensities must sum to a finite total, got inf; rescale the image\n"
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--size", "2", "--seed", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -174,3 +175,9 @@ def test_image_instance_validation():
         ImageInstance(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         ImageInstance(np.array([[-1.0, 2.0], [0.0, 1.0]]))
+    # before: accepted, and image_to_instance warned of an overflow and then
+    # raised "distribution weights must sum to 1, got 0.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^pixel intensities must sum to a finite total, got inf; rescale the image$"):
+            ImageInstance(np.full((4, 4), 1e308))

@@ -53,6 +53,7 @@ def test_random_property_bound(rng):
             continue
         e, report = round_to_polytope(f, a, b)
         d_in = marginal_distance(f, a, b)
+        assert report.input_marginal_gap == d_in  # from the one row-sum pass, bit for bit
         assert marginal_distance(e, a, b) <= 1e-10
         assert np.abs(e.entries - f).sum() <= 2 * d_in + 1e-10
         assert e.entries.min() >= 0

@@ -212,13 +212,12 @@ def test_workspace_snapshot_value_and_lse_are_the_eager_formulas(rng):
     for spread in (0.0, 1.0, REBASE_SPAN / 2, 0.999 * REBASE_SPAN):
         v = ws.base + eta * spread * rng.random(n)
         snap = ws.snapshot(v, 1.0)
-        assert all(getattr(snap, "_" + name) is None for name in ("value", "lse", "scaled"))
+        assert all(getattr(snap, "_" + name) is None for name in ("value", "lse"))
         d = (v - ws.base) / eta
         c = d.max()
         lse = ws.offsets + c + np.log(ws.kernel @ np.exp(d - c))
         assert snap.lse.tobytes() == lse.tobytes()
         assert snap.value == float(eta * o.alpha @ (lse - np.log(o.alpha) + 1.0) - o.beta @ v)
-        assert snap.scaled.tobytes() == (v / eta).tobytes()
 
 
 def test_batch_rows_anchor_follows_every_rebuild(rng):
@@ -343,7 +342,7 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         total += weight * o.primal_map(v)
         weight_sum += weight
         assert ws.weight == weight_sum
-        rows, cols = ws.marginals()
+        rows, cols, violation = ws.marginals()
         assert_close(ws.average(), total / weight_sum, 1.0)
         assert_close(rows, total.sum(axis=1) / weight_sum, 1.0)
         assert_close(cols, total.sum(axis=0) / weight_sum, 1.0)
@@ -353,7 +352,7 @@ def test_workspace_matches_the_reference(seed, n, eta, scale):
         assert rows is o.alpha and not rows.flags.writeable
         assert np.abs(cols - ws.average().sum(axis=0)).max() <= 1e-15
         # so the violation sums the column half alone, to the same bits
-        assert ws.constraint_violation_l1(rows, cols) == marginal_residual(rows.copy(), cols, o.alpha, o.beta)
+        assert violation == marginal_residual(rows.copy(), cols, o.alpha, o.beta)
     # reading the average does not change it
     assert ws.average().tobytes() == ws.average().tobytes()
 
@@ -594,9 +593,9 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
             assert np.isfinite(anchors).all()
             # exp turns the exponents' rounding into relative error, so the
             # rows agree to 1e-15 relative per unit of exponent
-            size = 1.0 + np.abs(snap.oracle.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None] + base
+            size = 1.0 + np.abs(snap.oracle.shift) + np.abs(snap.v / snap.oracle.eta) + np.abs(snap.lse)[:, None] + base
             normal = rows >= np.finfo(np.float64).tiny
-            assert np.all(np.abs(np.exp(anchors + snap.scaled) - rows)[normal] <= 1e-15 * (rows * size)[normal])
+            assert np.all(np.abs(np.exp(anchors + snap.v / snap.oracle.eta) - rows)[normal] <= 1e-15 * (rows * size)[normal])
             for i in range(n):
                 ref = allocating_softmax_row(o, i, v)
                 # the component gradient, unscaled, is that same row
@@ -650,7 +649,7 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     for k, i in enumerate(idx):
         anchor = snap.oracle.shift[i] - snap.lse[i]
         assert anchors[k].tobytes() == anchor.tobytes()
-        assert rows[k].tobytes() == (snap.gradient - np.exp(anchor + snap.scaled)).tobytes()
+        assert rows[k].tobytes() == (snap.gradient - np.exp(anchor + snap.v / snap.oracle.eta)).tobytes()
         assert anchors[k].tobytes() == allocating_anchor_row(o, i, v)[0].tobytes()
     # nothing else in the buffer is written
     assert np.isnan(blocks[-1, 5]).all() and np.isnan(blocks[0, 4]).all()
@@ -688,10 +687,10 @@ def test_rows_equal_the_kernel_and_log_softmax_forms(seed, n, eta, scale):
     e = np.exp(d - d.max())
     r = ws.kernel @ e
     rows = (ws.kernel * e / r[:, None])[idx]
-    logs = (snap.oracle.shift + snap.scaled - snap.lse[:, None])[idx] - o.average_smoothness() * v
+    logs = (snap.oracle.shift + snap.v / snap.oracle.eta - snap.lse[:, None])[idx] - o.average_smoothness() * v
     # the terms each form rounds, the kernel's also those at its base point
     size = (
-        1.0 + np.abs(snap.oracle.shift) + np.abs(snap.scaled) + np.abs(snap.lse)[:, None]
+        1.0 + np.abs(snap.oracle.shift) + np.abs(snap.v / snap.oracle.eta) + np.abs(snap.lse)[:, None]
         + np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None]
     )[idx]
     assert np.all(np.abs(anchors - logs) <= 1e-15 * size)
@@ -790,7 +789,7 @@ def test_flushed_snapshots_are_bitwise_the_unflushed(seed, n, epsilon, scale):
 def four_pass_rows(snap, indices, anchors, corrections):
     """The rows as four passes over the caller's views, the bitwise reference of :meth:`KernelSnapshot.rows`."""
     np.subtract(snap.oracle.shift[indices], snap.lse[indices, None], out=anchors)
-    np.add(anchors, snap.scaled, out=corrections)
+    np.add(anchors, snap.v / snap.oracle.eta, out=corrections)
     np.exp(corrections, out=corrections)
     np.subtract(snap.gradient, corrections, out=corrections)
 
