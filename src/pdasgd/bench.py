@@ -94,10 +94,6 @@ def sinkhorn_cost_units(n: int, sweeps: int) -> int:
     return sweeps * 2 * n * n
 
 
-def greenkhorn_cost_units(n: int, updates: int) -> int:
-    return updates * 3 * n
-
-
 @dataclass(frozen=True)
 class BenchPlan:
     solvers: tuple = SOLVERS
@@ -152,7 +148,7 @@ def cost_units(solver: str, n: int, op_counts: dict) -> int:
         return pdasgd_cost_units(n, op_counts["component_gradients"], op_counts["inner_steps"])
     if solver == "sinkhorn":
         return sinkhorn_cost_units(n, op_counts["sweeps"])
-    return greenkhorn_cost_units(n, op_counts["updates"])
+    return op_counts["updates"] * 3 * n
 
 
 def execute_run(plan: BenchPlan, solver: str, side: int, accuracy: float, pair: int, dump_dir=None) -> dict:

@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 on success, 2 when any run hit its iteration cap before its
 target or diverged (flagged), 3 when ``solve``'s run stopped with reason
-``diverged``, whatever the solver, 1 on errors.  Each is decided by the
-result's stop reason alone.
+``diverged``, whatever the solver, 1 on errors, usage errors included.
+Each of 2 and 3 is decided by the result's stop reason alone.
 """
 
 from __future__ import annotations
@@ -34,12 +34,22 @@ from .images import (
 from .rng import derive_seed
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on every other error: 2 means a flagged run."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _comma_list(kind):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {kind.__name__}s, got {text!r}") from None
+
+    return parse
 
 
 def _instance_from_args(args):
@@ -150,7 +160,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdasgd",
         description="Approximate optimal transport solvers and benchmarks.",
     )
@@ -186,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the benchmark grid")
     defaults = bench_mod.BenchPlan  # the grid and run defaults live on the plan
-    bench.add_argument("--size", type=_parse_ints, default=defaults.sides, help="comma list of image sides")
-    bench.add_argument("--accuracy-grid", type=_parse_floats, default=defaults.accuracies)
+    bench.add_argument("--size", type=_comma_list(int), default=defaults.sides, help="comma list of image sides")
+    bench.add_argument("--accuracy-grid", type=_comma_list(float), default=defaults.accuracies)
     bench.add_argument("--pairs", type=int, default=defaults.pairs)
     bench.add_argument("--seed", type=int, default=defaults.seed)
     bench.add_argument("--solver", action="append", choices=bench_mod.SOLVERS, default=None, help="repeat to select solvers (default: all)")

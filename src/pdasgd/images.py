@@ -80,17 +80,14 @@ def gen_synthetic_image(side: int, seed: int) -> ImageInstance:
     return ImageInstance(pixels)
 
 
-def grid_cost_matrix(height: int, width: int, normalize: bool = True) -> CostMatrix:
-    """Squared Euclidean distances between pixel coordinates, row-major."""
+def grid_cost_matrix(height: int, width: int) -> CostMatrix:
+    """Squared Euclidean distances between pixel coordinates, row-major, normalized so the largest entry is 1."""
     rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     coords = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64)
     diff = coords[:, None, :] - coords[None, :, :]
     c = (diff**2).sum(axis=2)
-    if normalize:
-        peak = c.max()
-        if peak > 0:
-            c = c / peak
-    return CostMatrix(c)
+    peak = c.max()  # 0 only on a 1 x 1 grid, whose cost stays 0
+    return CostMatrix(c / peak if peak > 0 else c)
 
 
 def image_distribution(img: ImageInstance) -> Distribution:
@@ -146,7 +143,10 @@ def load_pgm(path) -> ImageInstance:
             pos += 1
         if start == pos:
             raise ValueError("truncated PGM header")
-        fields.append(int(raw[start:pos]))
+        try:
+            fields.append(int(raw[start:pos]))
+        except ValueError:
+            raise ValueError(f"PGM header field {raw[start:pos]!r} is not an integer") from None
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if width < 1 or height < 1:

@@ -100,13 +100,13 @@ class CategoricalSampler:
 
     def __init__(self, weights):
         self._cum = np.cumsum(weights.weights)
-        self._n = weights.n
+        self.n = weights.n
 
     def draw(self, rng: SplitMix64) -> int:
         u = rng.next_double()
-        return min(int(np.searchsorted(self._cum, u, side="right")), self._n - 1)
+        return min(int(np.searchsorted(self._cum, u, side="right")), self.n - 1)
 
     def draws(self, rng: SplitMix64, count: int) -> np.ndarray:
         """``count`` draws in one search; the same indices as ``count`` :meth:`draw` calls."""
         idx = np.searchsorted(self._cum, rng.doubles(count), side="right")
-        return np.minimum(idx, self._n - 1)
+        return np.minimum(idx, self.n - 1)

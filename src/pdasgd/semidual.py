@@ -177,14 +177,9 @@ class SemiDualOracle:
         # -C/eta - 1, frozen: row i of the softmax argument is v/eta + shift[i]
         self.shift = -self.cost / self.eta - 1.0
         self.shift.flags.writeable = False
-        self._scale = self.n * self.alpha
         self._ones = np.ones(self.n)  # never written: a row sum's weights
 
     # -- finite-sum structure ------------------------------------------------
-
-    @property
-    def component_count(self) -> int:
-        return self.n
 
     @property
     def dual_dimension(self) -> int:
@@ -239,25 +234,16 @@ class SemiDualOracle:
         out *= e
         return out
 
-    def component_gradient(self, i: int, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Gradient of g_i at v, written into ``out`` (allocated if None).
-
-        Equals ``n alpha_i (softmax_i(v) - beta)``; its entries sum to zero.
-        Every step works in ``out``, with the ops of the allocating form
-        ``exp(t - max t) / sum`` for ``t = v/eta + shift_i``, so the result
-        is the same bits.
-        """
+    def component_gradient(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Gradient of g_i at v, ``n alpha_i (softmax_i(v) - beta)``, as a fresh array; its entries sum to zero."""
         if not 0 <= i < self.n:
             raise IndexError(f"component index {i} out of range [0, {self.n})")
-        if out is None:
-            out = np.empty(self.n)
-        np.divide(v, self.eta, out=out)
-        out += self.shift[i]
-        max_subtracted_exp(out)
-        out /= out.sum()
-        out -= self.beta
-        out *= self._scale[i, ...]
-        return out
+        g = v / self.eta + self.shift[i]
+        max_subtracted_exp(g)
+        g /= g.sum()
+        g -= self.beta
+        g *= self.n * self.alpha[i]
+        return g
 
     def workspace(self, v0: np.ndarray) -> "KernelWorkspace":
         """A fresh :class:`KernelWorkspace` over this oracle with its kernel built at v0, for one solver run."""
@@ -268,11 +254,11 @@ class SemiDualOracle:
         return self.snapshot(v).gradient
 
     def sampling_weights(self) -> Distribution:
-        """Component sampling probabilities L_i / (h Lbar); here just alpha.
+        """Component sampling probabilities L_i / (h Lbar): the row marginal alpha itself.
 
         Component i is L_i-smooth with L_i = n alpha_i / eta.
         """
-        return Distribution(self.alpha)
+        return self.instance.row_marginal
 
     def average_smoothness(self) -> float:
         """Lbar = mean of the L_i = 1/eta."""

@@ -134,11 +134,12 @@ class Workspace(Protocol):
 class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
-    ``component_count`` components over duals of size ``dual_dimension``;
-    ``importance_gradient(t, out, scalar)`` writes grad phi_i(lam) / (h p_i)
-    plus any lam-free vector into ``out`` once per single inner step, from
-    ``t = a'_i + Lbar lam`` for i's snapshot row a'_i, with ``scalar``
-    a caller-owned 0-d buffer; ``batch_gradient(t, rows, out, e, weights)``
+    h components, one per entry of ``sampling_weights()``, over duals of
+    size ``dual_dimension``; ``importance_gradient(t, out, scalar)`` writes
+    grad phi_i(lam) / (h p_i) plus any lam-free vector into ``out`` once per
+    single inner step, from ``t = a'_i + Lbar lam`` for i's snapshot row
+    a'_i, with ``scalar`` a caller-owned 0-d buffer;
+    ``batch_gradient(t, rows, out, e, weights)``
     writes the mean of b such gradients into ``out`` once per batched
     step, from ``t = a' + Lbar lam`` and the b components' snapshot
     ``rows``, with ``e`` a caller-owned d-vector and ``weights`` a
@@ -151,7 +152,6 @@ class FiniteSumOracle(Protocol):
     records of certified checkpoints.
     """
 
-    component_count: int
     dual_dimension: int
 
     def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
@@ -269,8 +269,6 @@ def step_matrix(out: np.ndarray, s: int, avg_smoothness: float, multiplier: floa
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     """All-zero dual sequences unless an initial dual is supplied."""
     weights = Distribution(as_weights(oracle.sampling_weights()))
-    if weights.n != oracle.component_count:
-        raise ValueError("sampling weights must have one entry per component")
     d = oracle.dual_dimension
     if options.initial_dual is None:
         lam0 = np.zeros(d)
@@ -416,7 +414,7 @@ def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> 
     """
     state = init_state(oracle, options)
     m = options.inner_iterations
-    per_outer = oracle.component_count + m  # a snapshot's full gradient and the m steps' components
+    per_outer = state.sampler.n + m  # a snapshot's h components and the m steps' components
     records: list[RunRecord] = []
     stop_reason = None
     for _ in range(options.outer_iterations):

@@ -102,7 +102,7 @@ def estimator(oracle, snapshot, i, lam):
 
 def component_smoothness(oracle):
     """L_i = h Lbar p_i, read back from the sampling weights p_i = L_i / (h Lbar)."""
-    return oracle.component_count * oracle.average_smoothness() * oracle.sampling_weights().weights
+    return oracle.n * oracle.average_smoothness() * oracle.sampling_weights().weights
 
 
 class QuadraticSnapshot:
@@ -128,14 +128,10 @@ class QuadraticOracle:
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=np.float64)
-        self.component_count = 1
         self.dual_dimension = self.target.size
 
-    def component_gradient(self, i, lam, out=None):
-        if out is None:
-            out = np.empty_like(lam)
-        np.subtract(lam, self.target, out=out)
-        return out
+    def component_gradient(self, i, lam):
+        return lam - self.target
 
     def importance_gradient(self, t, out, scalar):
         # h = p_0 = Lbar = 1: t is the gradient at the anchor plus lam - anchor

@@ -9,8 +9,8 @@ import pdasgd.images
 
 from pdasgd.bench import (
     BenchPlan,
+    cost_units,
     execute_run,
-    greenkhorn_cost_units,
     make_image_pair,
     pdasgd_cost_units,
     run_benchmark,
@@ -71,7 +71,7 @@ def test_cost_model_matches_instrumented_counters(rng):
     units = pdasgd_cost_units(n, res.op_counts["component_gradients"], res.op_counts["inner_steps"])
     assert units == S * (n + m) * 4 * n + S * m * 6 * n
     assert sinkhorn_cost_units(4, 10) == 10 * 2 * 16
-    assert greenkhorn_cost_units(4, 10) == 10 * 3 * 4
+    assert cost_units("greenkhorn", 4, {"updates": 10}) == 10 * 3 * 4
 
 
 def test_image_pair_shared_across_cells():

@@ -155,6 +155,40 @@ def test_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--epsilon", "abc"], "pdasgd solve: error: argument --epsilon: invalid float value: 'abc'"),
+        (["solve", "--solver", "nope"], "pdasgd solve: error: argument --solver: invalid choice: 'nope'"),
+        (["bench", "--size", "x", "--out", "OUT"], "pdasgd bench: error: argument --size: expected a comma list of ints, got 'x'"),
+        (["bench", "--accuracy-grid", "0.01,z", "--out", "OUT"],
+         "pdasgd bench: error: argument --accuracy-grid: expected a comma list of floats, got '0.01,z'"),
+        ([], "pdasgd: error: the following arguments are required: command"),
+    ],
+    ids=["bad-float", "bad-choice", "bad-int-list", "bad-float-list", "no-command"],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # before: argparse exited 2, the code of a flagged run, and the list
+    # flags said "invalid _parse_ints value"
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "grid") if arg == "OUT" else arg for arg in argv])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == ""
+    assert lines[0].startswith("usage: pdasgd")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pdasgd solve")
+
+
 def test_bench_subcommand(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--size", "8", "--accuracy-grid", "0.02", "--pairs", "1",

