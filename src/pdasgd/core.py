@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,9 +134,8 @@ class OTInstance:
         return self.cost.n
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """What a solver's stopping rule sees once per dense pass.
+class Checkpoint(NamedTuple):
+    """What a solver's stopping rule sees once per dense pass, an immutable record read by field name.
 
     ``index`` counts the solver's checkpoints so far: pdasgd's outer
     iterations, Sinkhorn's sweeps or Greenkhorn's rounds of n updates, the

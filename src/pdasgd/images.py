@@ -81,13 +81,23 @@ def gen_synthetic_image(side: int, seed: int) -> ImageInstance:
 
 
 def grid_cost_matrix(height: int, width: int) -> CostMatrix:
-    """Squared Euclidean distances between pixel coordinates, row-major, normalized so the largest entry is 1."""
-    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    coords = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64)
-    diff = coords[:, None, :] - coords[None, :, :]
-    c = (diff**2).sum(axis=2)
+    """Squared Euclidean distances between pixel coordinates, row-major, normalized so the largest entry is 1.
+
+    The row and the column differences are squared and added separately:
+    every entry is an integer, so the sums are exact.
+    """
+    rows = np.repeat(np.arange(height, dtype=np.float64), width)
+    cols = np.tile(np.arange(width, dtype=np.float64), height)
+    c = np.subtract.outer(rows, rows)
+    c *= c
+    d = np.subtract.outer(cols, cols)
+    d *= d
+    c += d
     peak = c.max()  # 0 only on a 1 x 1 grid, whose cost stays 0
-    return CostMatrix(c / peak if peak > 0 else c)
+    if peak > 0:
+        c /= peak
+    c.flags.writeable = False  # CostMatrix keeps a read-only array as it is
+    return CostMatrix(c)
 
 
 def image_distribution(img: ImageInstance) -> Distribution:

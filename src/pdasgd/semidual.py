@@ -23,9 +23,10 @@ and ``lse`` are lazy: None until the first read computes them from the
 same expressions.  A run reads G(v) only to certify, and lse only for
 the log-domain rows below.
 
-Component i is sampled with probability alpha_i, so the solver's per-step
-``importance_gradient`` is softmax row i, ``grad g_i(v) / (n alpha_i) +
-beta``; ``component_gradient`` is that row, minus beta, times n alpha_i.
+Component i is sampled with probability alpha_i, so the importance
+gradient that ``importance_steps`` writes per solver step is softmax row
+i, ``grad g_i(v) / (n alpha_i) + beta``; ``component_gradient`` is that
+row, minus beta, times n alpha_i.
 A snapshot at v~ writes the v-free log rows ``a'_i = shift_i - lse_i``,
 finite where a softmax row underflows, and the corrections ``u - exp(a'_i
 + v~/eta)``.  Softmax row i at v is the softmax of ``a'_i + v/eta``, the
@@ -205,34 +206,41 @@ class SemiDualOracle:
         gradient -= self.beta
         return KernelSnapshot(self, v, gradient, sm, self._ones, self._ones, lse, 0.0, np.divide(v, -self.eta))
 
-    def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-        """Softmax row i at v into ``out``: grad g_i(v) / (n alpha_i) + beta.
+    def importance_steps(self, steps, product, scalar: np.ndarray) -> None:
+        """Run one chunk of single inner steps: softmax row i at v into each step's h, then ``product(block, after)``.
 
-        ``t`` is a snapshot's row ``a'_i`` plus v/eta; the sum, a dot with
-        ones (cheaper than a reduce on short rows), goes into ``scalar``, a
-        caller-owned 0-d buffer.
+        Each of ``steps`` is ``(t, h, block, after)``, where ``t`` is a
+        snapshot's row ``a'_i`` plus v/eta and h takes grad g_i(v) / (n
+        alpha_i) + beta; ``product`` then writes the next step's t from
+        ``block``.  The row sum, a dot with ones (cheaper than a reduce on
+        short rows), goes into ``scalar``, a caller-owned 0-d buffer.
         """
-        np.exp(t, out)
-        out.dot(self._ones, scalar)  # the bound method skips np.dot's dispatcher
-        np.divide(out, scalar, out)
-        return out
+        exp, divide, ones = np.exp, np.divide, self._ones
+        for t, h, block, after in steps:
+            exp(t, h)
+            h.dot(ones, scalar)  # the bound method skips np.dot's dispatcher
+            divide(h, scalar, h)
+            product(block, after)
 
-    def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The mean of softmax rows i at v over b components into ``out``, in kernel form.
+    def batch_steps(self, steps, product, e: np.ndarray, weights: np.ndarray) -> None:
+        """Run one chunk of batched inner steps: the mean softmax row of b components at v, in kernel form, into each step's h.
 
-        ``rows`` holds their snapshot's kernel rows K_i and ``t`` is ``a' +
-        v/eta``.  Softmax row i at v is ``K_i * e / r_i`` for ``e = exp(t)``
-        and ``r = K e``, so the mean is ``e * (w @ K)`` for ``w = 1 / (b
-        r)``: ``e`` and ``weights`` are caller-owned d- and b-vectors that
-        take e and w.
+        Each of ``steps`` is ``(t, h, block, after, rows)``, where ``rows``
+        holds the b components' snapshot kernel rows K_i and ``t`` is ``a'
+        + v/eta``; ``product(block, after)`` follows each step.  Softmax row
+        i at v is ``K_i * e / r_i`` for ``e = exp(t)`` and ``r = K e``, so
+        the mean is ``e * (w @ K)`` for ``w = 1 / (b r)``: ``e`` and
+        ``weights`` are caller-owned d- and b-vectors that take e and w.
         """
-        np.exp(t, e)
-        rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
-        weights *= len(rows)
-        np.reciprocal(weights, weights)
-        weights.dot(rows, out)
-        out *= e
-        return out
+        exp, reciprocal, b = np.exp, np.reciprocal, len(weights)
+        for t, h, block, after, rows in steps:
+            exp(t, e)
+            rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
+            weights *= b
+            reciprocal(weights, weights)
+            weights.dot(rows, h)
+            h *= e
+            product(block, after)
 
     def component_gradient(self, i: int, v: np.ndarray) -> np.ndarray:
         """Gradient of g_i at v, ``n alpha_i (softmax_i(v) - beta)``, as a fresh array; its entries sum to zero."""

@@ -10,8 +10,9 @@ record's gap reads it),
 and it keeps the weighted average of primal maps, its total weight and its
 row and column sums with their violation.  Each outer iteration s:
 
-  * computes the constants its inner steps share, takes its m components
-    from the drawn batch and has the snapshot write their rows per chunk,
+  * reads its m components, its step matrix, tau1_s and the weight of y
+    from the schedule of its draw batch, and has the snapshot write the
+    components' rows per chunk,
   * runs m / b inner steps of Katyusha-style momentum on the current
     snapshot, each on a mini-batch B of b = ``options.batch`` components
 
@@ -43,18 +44,24 @@ correction is u minus it at lam_tilde, so g is their sum.  A step owns a
 block ``[y, p, t, h, c, a']`` of a buffer of a leading block and up to
 :data:`CHUNK_STEPS` step blocks, with c its correction and a' the next
 step's row, both written by the snapshot (the first a' into the leading
-block; the last is 0, so the next chunk adds its own).  One oracle call
-writes h and one ``dot`` by a 3 x 6 matrix the next block's y, p and t.
+block; the last is 0, so the next chunk adds its own).  The views each
+chunk reads and writes, the snapshot's targets, the y rows it sums and the
+block that starts the next chunk, are built once per run.  The oracle runs
+a chunk's steps in one loop call (``importance_steps``): per step it
+writes h, then calls the solver's ``product(block, after)``, one ``dot``
+by the outer iteration's 3 x 6 step matrix that writes the next block's
+y, p and t.  So a step costs the oracle's few numpy calls and one product,
+with no Python frame of its own.
 
 A batched step (b > 1) keeps that layout and that matrix, in kernel form,
 the absorption trick of the semi-dual workspace.  The snapshot writes one
 a' into every block, the b components' rows into one contiguous (b *
 steps, d) buffer per chunk, and c, u minus the mean of their importance
-gradients at lam_tilde.  The oracle's ``batch_gradient`` reads h, the
-mean importance gradient at lam, from t and the step's b rows.  For the
-semi-dual the rows are its kernel's K_i, a' is ``-v0/eta`` minus the
-largest entry of ``(lam_tilde - v0)/eta`` for the kernel's base point
-v0, and h is ``e * (w @ K_B)`` with ``e = exp(t)``, ``r = K_B e`` and ``w
+gradients at lam_tilde.  The oracle's ``batch_steps`` loop reads each
+step's h, the mean importance gradient at lam, from t and the step's b
+rows.  For the semi-dual the rows are its kernel's K_i, a' is ``-v0/eta``
+minus the largest entry of ``(lam_tilde - v0)/eta`` for the kernel's base
+point v0, and h is ``e * (w @ K_B)`` with ``e = exp(t)``, ``r = K_B e`` and ``w
 = 1 / (b r)``, a fixed handful of numpy calls whatever b is.  t is the
 drift ``Lbar (lam - lam_tilde)`` plus a vector in [-REBASE_SPAN, 0], so
 its exp meets exp's subnormal range only where the drift does.  A drift
@@ -69,8 +76,12 @@ steps.
 Randomness: each run owns a SplitMix64 stream seeded from the options,
 used only for the categorical component draws, b per inner step, made in
 step order in batches of whole outer iterations within the budget, so
-batching changes no index.  Two runs with equal seeds and options
-produce bitwise-identical iterates and records.
+batching changes no index.  Each batch of k outer iterations is drawn as a
+(k, m) array, one row per outer iteration, and its schedule, the k step
+matrices with their tau1_s and ``1 - tau1_s - tau2``, is computed with it
+in one vectorised pass (:func:`step_matrices`) of the same IEEE operations
+on the same scalars as one outer index at a time.  Two runs with equal
+seeds and options produce bitwise-identical iterates and records.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -92,11 +103,11 @@ class Snapshot(Protocol):
     ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
     and ``rows(indices, anchors, corrections)`` writes row k of two
     caller-owned (len(indices), d) views for component i = ``indices[k]``:
-    a'_i, from which ``importance_gradient`` reads i's gradient at lam as
+    a'_i, from which ``importance_steps`` reads i's gradient at lam as
     ``t = a'_i + Lbar lam``, and u minus that gradient at lam_tilde.
     ``batch_rows(indices, anchors, rows, corrections)`` writes the one a'
     shared by a batched step's components into every row of ``anchors``,
-    row k of ``rows`` as the row of i that ``batch_gradient`` reads, and
+    row k of ``rows`` as the row of i that ``batch_steps`` reads, and
     row j of ``corrections`` as u minus the mean importance gradient at
     lam_tilde of the j-th run of b = len(indices) / len(corrections)
     consecutive components.  ``value`` may be computed on first read.
@@ -135,15 +146,18 @@ class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     h components, one per entry of ``sampling_weights()``, over duals of
-    size ``dual_dimension``; ``importance_gradient(t, out, scalar)`` writes
-    grad phi_i(lam) / (h p_i) plus any lam-free vector into ``out`` once per
-    single inner step, from ``t = a'_i + Lbar lam`` for i's snapshot row
-    a'_i, with ``scalar`` a caller-owned 0-d buffer;
-    ``batch_gradient(t, rows, out, e, weights)``
-    writes the mean of b such gradients into ``out`` once per batched
-    step, from ``t = a' + Lbar lam`` and the b components' snapshot
-    ``rows``, with ``e`` a caller-owned d-vector and ``weights`` a
-    b-vector; ``workspace(lam)`` returns a fresh :class:`Workspace` for
+    size ``dual_dimension``.  The oracle runs the inner steps, one chunk per
+    call, in order: each of ``steps`` is a tuple of views ``(t, h, block,
+    after)``, and for each the oracle writes into h and then calls
+    ``product(block, after)``, which writes the next step's t, so a step's
+    t is read only after the step before it has run.
+    ``importance_steps(steps, product, scalar)`` writes grad phi_i(lam) /
+    (h p_i) plus any lam-free vector into h, from ``t = a'_i + Lbar lam``
+    for i's snapshot row a'_i, with ``scalar`` a caller-owned 0-d buffer;
+    ``batch_steps(steps, product, e, weights)`` writes the mean of b such
+    gradients, from ``t = a' + Lbar lam`` and the b components' snapshot
+    ``rows``, the fifth view of each step, with ``e`` a caller-owned
+    d-vector and ``weights`` a b-vector; ``workspace(lam)`` returns a fresh :class:`Workspace` for
     one run that starts at lam, which takes the snapshots and keeps
     the primal sum; ``sampling_weights()`` returns a probability vector (or
     a Distribution) positive wherever L_i > 0, which :func:`init_state`
@@ -154,9 +168,9 @@ class FiniteSumOracle(Protocol):
 
     dual_dimension: int
 
-    def importance_gradient(self, t: np.ndarray, out: np.ndarray, scalar: np.ndarray) -> np.ndarray: ...
+    def importance_steps(self, steps: list, product: Callable, scalar: np.ndarray) -> None: ...
 
-    def batch_gradient(self, t: np.ndarray, rows: np.ndarray, out: np.ndarray, e: np.ndarray, weights: np.ndarray) -> np.ndarray: ...
+    def batch_steps(self, steps: list, product: Callable, e: np.ndarray, weights: np.ndarray) -> None: ...
 
     def workspace(self, lam: np.ndarray) -> Workspace: ...
 
@@ -173,15 +187,15 @@ CHUNK_STEPS = 64  # step blocks in the buffer: longer inner loops run in chunks,
 DRAW_BATCH = 4096  # at most this many component draws at once, or one outer iteration's m
 
 
-def tau1(s: int) -> float:
-    """Momentum weight 2/(s+4) of the s-th outer iteration."""
-    if s < 0:
+def tau1(s):
+    """Momentum weight 2/(s+4) of the s-th outer iteration, or of each in an array of indices."""
+    if np.min(s) < 0:
         raise ValueError("outer index must be nonnegative")
     return 2.0 / (s + 4)
 
 
-def gamma(s: int, avg_smoothness: float) -> float:
-    """z step size 1/(9 tau1_s Lbar) = (s+4) / (18 Lbar)."""
+def gamma(s, avg_smoothness: float):
+    """z step size 1/(9 tau1_s Lbar) = (s+4) / (18 Lbar), of one outer index or of each in an array."""
     if avg_smoothness <= 0:
         raise ValueError("average smoothness must be positive")
     return (s + 4) / (18.0 * avg_smoothness)
@@ -241,29 +255,36 @@ class SolverState:
     rng: SplitMix64
     sampler: CategoricalSampler
     avg_smoothness: float
-    _steps: list = None  # per step: views of its t, its h, its block and the next block's y, p and t
-    _scalar: np.ndarray = None  # 0-d, for the oracle's reduction
-    _update: np.ndarray = None  # (3, 6), the step matrix of the current outer iteration
-    _draws: np.ndarray = None  # the components drawn and not yet used, in stream order
+    _steps: list = None  # per step: views of its t, its h, its block, the next block's y, p and t, and (b > 1) its b rows
+    _chunks: list = None  # per chunk of an outer iteration: its draws' bounds, its step count and its views
+    _first: tuple = None  # block 1's y, p, t and rows y to t, and block 0's a'
+    _mean: float = None  # 1 / (m / b), the weight of a y iterate in lambda_tilde
+    _schedule: Iterator = None  # per outer iteration of the draw batch: its components, step matrix, tau1 and w_y
+    _scalar: np.ndarray = None  # batch 1: 0-d, for the oracle's reduction
     _rows: np.ndarray = None  # batch > 1: (b * steps in a chunk, d), the chunk's snapshot rows, b per step
-    _batches: list = None  # batch > 1: per step, its b rows
-    _e: np.ndarray = None  # (d,), exp of a batched step's t
-    _weights: np.ndarray = None  # (b,), a batched step's row weights
+    _e: np.ndarray = None  # batch > 1: (d,), exp of a step's t
+    _weights: np.ndarray = None  # batch > 1: (b,), a step's row weights
     y = property(lambda self: self.blocks[1, Y])
 
 
-def step_matrix(out: np.ndarray, s: int, avg_smoothness: float, multiplier: float) -> np.ndarray:
-    """Fill ``out`` with the (3, 6) map of a block of outer iteration s to the next block's y, p and t."""
-    w_y = 1.0 - tau1(s) - TAU2
+def step_matrices(s: np.ndarray, avg_smoothness: float, multiplier: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (len(s), 3, 6) maps of a block to the next block's y, p and t, one per outer index in s, with tau1 and w_y.
+
+    ``w_y = 1 - tau1 - tau2`` is the weight of y in lambda; each entry is
+    the same IEEE operations on the same scalars whatever s holds.
+    """
+    t1 = tau1(s)
+    w_y = 1.0 - t1 - TAU2
     y_coef = -1.0 / (9.0 * avg_smoothness)
-    p_coef = -(tau1(s) * (multiplier * gamma(s, avg_smoothness) / 2.0))
+    p_coef = -(t1 * (multiplier * gamma(s, avg_smoothness) / 2.0))
     t_coef = avg_smoothness * (p_coef + w_y * y_coef)
-    out.flat = (  # row by row: a flat tuple skips parsing a nested one
-        w_y, 1.0, 0.0, y_coef, y_coef, 0.0,  # y = lambda - g / (9 Lbar)
-        0.0, 1.0, 0.0, p_coef, p_coef, 0.0,  # p += p_coef g, the z step as it moves p
-        avg_smoothness * (w_y * w_y), avg_smoothness * (1.0 + w_y), 0.0, t_coef, t_coef, 1.0,  # Lbar lambda + a'
+    zero, one, y_col = np.zeros_like(t1), np.ones_like(t1), np.full_like(t1, y_coef)
+    columns = (  # row by row
+        w_y, one, zero, y_col, y_col, zero,  # y = lambda - g / (9 Lbar)
+        zero, one, zero, p_coef, p_coef, zero,  # p += p_coef g, the z step as it moves p
+        avg_smoothness * (w_y * w_y), avg_smoothness * (1.0 + w_y), zero, t_coef, t_coef, one,  # Lbar lambda + a'
     )
-    return out
+    return np.stack(columns, axis=-1).reshape(len(t1), 3, 6), t1, w_y
 
 
 def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
@@ -277,11 +298,24 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         if lam0.shape != (d,):
             raise ValueError(f"initial dual must have shape ({d},)")
     b = options.batch
-    chunk = min(options.inner_iterations // b, CHUNK_STEPS)
+    steps_per_outer = options.inner_iterations // b
+    chunk = min(steps_per_outer, CHUNK_STEPS)
     blocks = np.zeros((chunk + 2, 6, d))
     blocks[1, Y] = lam0
     workspace = oracle.workspace(lam0)
     rows = np.empty((chunk * b, d)) if b > 1 else None
+    steps = [(block[T], block[H], block, after[:H]) for block, after in zip(blocks[1:], blocks[2:])]
+    if rows is not None:
+        steps = [step + (batch,) for step, batch in zip(steps, rows.reshape(chunk, b, d))]
+    chunks = []
+    for start in range(0, steps_per_outer, chunk):
+        k = min(chunk, steps_per_outer - start)
+        # step j's a' lands in the block before its own, which forms its t; the
+        # a' after the last step is 0, so the next chunk adds its own first a'
+        chunks.append((
+            start * b, (start + k) * b, k, blocks[:k, A], blocks[1:k + 1, C],
+            None if rows is None else rows[:k * b], blocks[k, A], blocks[2:k + 2, Y], blocks[k + 1, :H],
+        ))
     return SolverState(
         lambda_tilde=lam0,
         z=lam0.copy(),
@@ -292,37 +326,32 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         rng=SplitMix64(options.seed),
         sampler=CategoricalSampler(weights),
         avg_smoothness=float(oracle.average_smoothness()),
-        _steps=[(block[T], block[H], block, after[:H]) for block, after in zip(blocks[1:], blocks[2:])],
-        _scalar=np.zeros(()),
-        _update=np.empty((3, 6)),
-        _draws=np.empty(0, dtype=np.intp),
+        _steps=steps,
+        _chunks=chunks,
+        _first=(blocks[1, Y], blocks[1, P], blocks[1, T], blocks[1, :H], blocks[0, A]),
+        _mean=1.0 / steps_per_outer,
+        _schedule=iter(()),
+        _scalar=np.zeros(()) if rows is None else None,
         _rows=rows,
-        _batches=None if rows is None else list(rows.reshape(chunk, b, d)),
-        _e=np.empty(d),
-        _weights=np.empty(b),
+        _e=None if rows is None else np.empty(d),
+        _weights=None if rows is None else np.empty(b),
     )
 
 
 def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, steps: int) -> None:
-    """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1.
+    """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1, in one oracle call.
 
     Each block's t, c and a' are set on entry; step k writes its h and then
-    block k+1's y, p and t.  A single step (batch 1) reads h from the
-    oracle's importance gradient at its t; a batched step reads the mean
-    of its b components' gradients from its t and its b snapshot rows.
-    :func:`run` charges the work.
+    block k+1's y, p and t through ``update.dot``.  A single step (batch 1)
+    reads h as the oracle's importance gradient at its t; a batched step
+    reads the mean of its b components' gradients from its t and its b
+    snapshot rows.  :func:`run` charges the work.
     """
-    scalar, product = state._scalar, update.dot  # the bound method skips np.dot's dispatcher
-    if state._batches is None:
-        importance_gradient = oracle.importance_gradient
-        for t, h, block, after in state._steps[:steps]:
-            importance_gradient(t, h, scalar)
-            product(block, after)
+    product = update.dot  # the bound method skips np.dot's dispatcher
+    if state._weights is None:
+        oracle.importance_steps(state._steps[:steps], product, state._scalar)
     else:
-        batch_gradient, e, weights = oracle.batch_gradient, state._e, state._weights
-        for (t, h, block, after), rows in zip(state._steps[:steps], state._batches):
-            batch_gradient(t, rows, h, e, weights)
-            product(block, after)
+        oracle.batch_steps(state._steps[:steps], product, state._e, state._weights)
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
@@ -331,42 +360,40 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     Returns False, before the workspace sees the iterate, when lambda_tilde
     (whose sum holds y) or z is non-finite, and True otherwise.
     """
-    s = state.s
-    m, b = options.inner_iterations, options.batch
-    steps_per_outer = m // b
-    t1 = tau1(s)
-    update = step_matrix(state._update, s, state.avg_smoothness, options.z_step_multiplier)
-    if not len(state._draws):
+    step = next(state._schedule, None)
+    if step is None:  # a new draw batch of whole outer iterations within the budget, and their schedule
+        s, m = state.s, options.inner_iterations
         outers = max(1, min(DRAW_BATCH // m, options.outer_iterations - s))
-        state._draws = state.sampler.draws(state.rng, outers * m)
-    components, state._draws = state._draws[:m], state._draws[m:]
-    blocks, anchor = state.blocks, state.lambda_tilde
-    chunk = len(blocks) - 2
-    tau2_anchor = TAU2 * anchor
-    y_sum = 0.0
-    first = blocks[1]
-    np.add(t1 * state.z, tau2_anchor, out=first[P])
+        components = state.sampler.draws(state.rng, outers * m).reshape(outers, m)
+        updates, t1, w_y = step_matrices(np.arange(s, s + outers), state.avg_smoothness, options.z_step_multiplier)
+        state._schedule = zip(components, updates, t1.tolist(), w_y.tolist())
+        step = next(state._schedule)
+    components, update, t1, w_y = step
+    y, p, t, first, lead = state._first
+    snapshot, tau2_anchor = state.snapshot, TAU2 * state.lambda_tilde
+    y_sum = None
+    np.add(t1 * state.z, tau2_anchor, out=p)
     # a step's exp overflows only past a drift of 709, and a batched step's row sum that
     # underflows to 0 divides by it; the inf or NaN left fails the finite check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # t = Lbar lambda + a'_i, where the chunk that runs the step adds a'_i
-        np.multiply(first[P] + (1.0 - t1 - TAU2) * first[Y], state.avg_smoothness, out=first[T])
-        for start in range(0, steps_per_outer, chunk):
-            steps = min(chunk, steps_per_outer - start)
-            # step k's a' lands in the block before its own, which forms its t
-            if b == 1:
-                state.snapshot.rows(components[start:start + steps], blocks[:steps, A], blocks[1:steps + 1, C])
+        np.multiply(p + w_y * y, state.avg_smoothness, out=t)
+        for lo, hi, steps, anchors, corrections, rows, tail, ys, last in state._chunks:
+            if rows is None:
+                snapshot.rows(components[lo:hi], anchors, corrections)
             else:
-                drawn = components[start * b:(start + steps) * b]
-                state.snapshot.batch_rows(drawn, blocks[:steps, A], state._rows[:steps * b], blocks[1:steps + 1, C])
-            blocks[steps, A] = 0.0  # the next chunk adds its own first a'
-            first[T] += blocks[0, A]
+                snapshot.batch_rows(components[lo:hi], anchors, rows, corrections)
+            tail.fill(0.0)
+            t += lead
             inner_step(state, oracle, update, steps)
-            y_sum += np.add.reduce(blocks[2:steps + 2, Y], 0)
-            first[:H] = blocks[steps + 1, :H]  # the last y, p and t start the next chunk
-        np.divide(first[P] - tau2_anchor, t1, out=state.z)
-        y_sum *= 1.0 / steps_per_outer
-    state.lambda_tilde, state.s = y_sum, s + 1
+            if y_sum is None:
+                y_sum = np.add.reduce(ys, 0)
+            else:
+                y_sum += np.add.reduce(ys, 0)
+            first[...] = last  # the last y, p and t start the next chunk
+        np.divide(p - tau2_anchor, t1, out=state.z)
+        y_sum *= state._mean
+    state.lambda_tilde, state.s = y_sum, state.s + 1
     if not (np.logical_and.reduce(np.isfinite(y_sum)) and np.logical_and.reduce(np.isfinite(state.z))):
         return False
     state.snapshot = state.workspace.snapshot(state.lambda_tilde, 1.0 / t1)

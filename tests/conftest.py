@@ -94,9 +94,26 @@ def estimator(oracle, snapshot, i, lam):
     lam``, for i's anchor row a'_i from ``snapshot``, plus i's correction.
     """
     (anchor_row,), (correction,) = snapshot_rows(snapshot, [i], lam.size)
-    t = anchor_row + oracle.average_smoothness() * lam
-    out = oracle.importance_gradient(t, np.empty_like(lam), np.empty(()))
+    out = importance_gradient(oracle, anchor_row + oracle.average_smoothness() * lam)
     out += correction
+    return out
+
+
+def no_product(block, after):
+    """A step product that writes nothing, for running an oracle's step loop on one step alone."""
+
+
+def importance_gradient(oracle, t):
+    """The oracle's importance gradient at ``t``, from its step loop run on one step, as a fresh array."""
+    out = np.empty_like(t)
+    oracle.importance_steps([(t, out, None, None)], no_product, np.empty(()))
+    return out
+
+
+def batch_gradient(oracle, t, rows):
+    """The oracle's mean importance gradient of a batched step at ``t`` with snapshot ``rows``, from its step loop run on that step alone."""
+    out = np.empty_like(t)
+    oracle.batch_steps([(t, out, None, None, rows)], no_product, np.empty_like(t), np.empty(len(rows)))
     return out
 
 
@@ -133,10 +150,11 @@ class QuadraticOracle:
     def component_gradient(self, i, lam):
         return lam - self.target
 
-    def importance_gradient(self, t, out, scalar):
+    def importance_steps(self, steps, product, scalar):
         # h = p_0 = Lbar = 1: t is the gradient at the anchor plus lam - anchor
-        np.copyto(out, t)
-        return out
+        for t, h, block, after in steps:
+            np.copyto(h, t)
+            product(block, after)
 
     def snapshot(self, lam):
         return QuadraticSnapshot(lam, lam - self.target)

@@ -10,6 +10,7 @@ from scipy.special import xlogy
 import pdasgd
 
 from pdasgd.core import (
+    Checkpoint,
     CostMatrix,
     Distribution,
     OTInstance,
@@ -24,6 +25,13 @@ from pdasgd.core import (
 
 HALF = np.array([0.5, 0.5])
 SWAP_COST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_checkpoint_is_immutable_and_read_by_field_name():
+    point = Checkpoint(3, HALF, HALF, 0.0)
+    assert (point.index, point.violation, point.gap) == (3, 0.0, None)
+    with pytest.raises(AttributeError):
+        point.index = 4
 
 
 def test_distribution_validation():

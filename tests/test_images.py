@@ -89,6 +89,20 @@ def test_grid_cost_two_by_two():
     assert cost.max_abs == 1.0
 
 
+@pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (3, 7), (5, 3), (8, 8), (16, 16), (20, 20)])
+def test_grid_cost_is_bitwise_the_broadcast_formula(height, width):
+    # the separable row and column squares against the (n, n, 2) difference
+    # tensor summed over its last axis: integer squared distances, so exact
+    rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    coords = np.stack([rows.ravel(), cols.ravel()], axis=1).astype(np.float64)
+    want = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    if want.max() > 0:
+        want = want / want.max()
+    got = grid_cost_matrix(height, width).entries
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
 def _idx_bytes(count, h, w, payload=None):
     header = struct.pack(">IIII", 0x00000803, count, h, w)
     if payload is None:

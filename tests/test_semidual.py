@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pdasgd.semidual
-from conftest import assert_batch_corrections, captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
+from conftest import assert_batch_corrections, batch_gradient, captured_states, component_smoothness, importance_gradient, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
@@ -576,7 +576,6 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
         rows = np.array([allocating_softmax_row(o, i, anchor) for i in range(n)])
         if far / eta > 800 and (cost == far).any():
             assert (rows == 0.0).any()  # softmax entries that underflowed
-        out, scalar = np.empty(n), np.empty(())
         # the size of the exponents each form of the row rounds, the
         # workspace's lse also those of its kernel at its base point
         kernel_exponents = (0.0, np.abs(ws.base) / eta + np.abs(ws.offsets)[:, None])
@@ -595,7 +594,7 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
                 assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
                 # t = a'_i + Lbar v, the anchor's log row plus the drift
                 t = anchors[i] + o.average_smoothness() * anchor + drift
-                assert o.importance_gradient(t, out, scalar) is out
+                out = importance_gradient(o, t)
                 assert np.abs(out - ref).max() <= 1e-13 * ref.max()
 
 
@@ -844,11 +843,10 @@ def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, dus
         assert got[:, 5].tobytes() == np.tile(-base / eta - c, (2, 1)).tobytes()
         assert_batch_corrections(snap, idx, got[:, 4])
         anchors, _ = snapshot_rows(snap, idx, n)
-        out, e, weights, scalar = np.empty(n), np.empty(n), np.empty(b), np.empty(())
         for step in range(2):
             batch = slice(step * b, (step + 1) * b)
             t = Lbar * v + got[step, 5]  # as the solver forms it
-            assert o.batch_gradient(t, rows[batch], out, e, weights) is out
-            mean = np.mean([o.importance_gradient(a + Lbar * v, np.empty(n), scalar) for a in anchors[batch]], axis=0)
+            out = batch_gradient(o, t, rows[batch])
+            mean = np.mean([importance_gradient(o, a + Lbar * v) for a in anchors[batch]], axis=0)
             # entries below the smallest normal double hold fewer bits: those agree to its scale
             np.testing.assert_allclose(out, mean, rtol=1e-12, atol=TINY)

@@ -24,7 +24,7 @@ from pdasgd.solver import (
     init_state,
     outer_iteration,
     run,
-    step_matrix,
+    step_matrices,
     tau1,
 )
 
@@ -398,9 +398,72 @@ def stacked_step_matrix(s, avg_smoothness, multiplier):
     avg_smoothness=st.sampled_from([1.0, 20.0, 1 / 1.13e-3]),
 )
 def test_step_matrix_is_bitwise_the_stacked_rows(s, multiplier, avg_smoothness):
-    out = np.full((3, 6), np.nan)
-    assert step_matrix(out, s, avg_smoothness, multiplier) is out
+    (out,), (t1,), (w_y,) = step_matrices(np.array([s]), avg_smoothness, multiplier)
     assert out.tobytes() == stacked_step_matrix(s, avg_smoothness, multiplier).tobytes()
+    assert (t1, w_y) == (tau1(s), 1.0 - tau1(s) - TAU2)
+
+
+@pytest.mark.parametrize("start", [0, 63, 127])
+@pytest.mark.parametrize("multiplier", [1.0, 15.0])
+def test_step_matrices_of_a_batch_are_bitwise_the_stacked_rows(start, multiplier):
+    # one vectorised pass over a draw batch's outer indices gives each row
+    # the bits of that index alone
+    s = np.arange(start, start + 64)
+    matrices, t1, w_y = step_matrices(s, 1 / 1.13e-3, multiplier)
+    assert matrices.shape == (64, 3, 6)
+    for j, index in enumerate(s.tolist()):
+        assert matrices[j].tobytes() == stacked_step_matrix(index, 1 / 1.13e-3, multiplier).tobytes()
+        assert (t1[j], w_y[j]) == (tau1(index), 1.0 - tau1(index) - TAU2)
+
+
+@pytest.mark.parametrize("outer_iterations", [150, 200])
+def test_each_outer_iteration_steps_with_its_own_step_matrix(rng, monkeypatch, outer_iterations):
+    # draw batches of 63 outer iterations start at 0, 63 and 126; the last
+    # is cut to a budget of 150, and a rule that stops at 140 ends the run
+    # inside a batch.  Every outer iteration's steps take the step matrix of
+    # its own index, and the batches draw only their outer iterations' m
+    # components each
+    m, seen, counts = 2, [], []
+    step, draws = pdasgd.solver.inner_step, CategoricalSampler.draws
+
+    def recording(state, oracle, update, steps):
+        seen.append((state.s, update.tobytes()))
+        return step(state, oracle, update, steps)
+
+    def counting(self, rng, count):
+        counts.append(count)
+        return draws(self, rng, count)
+
+    monkeypatch.setattr(pdasgd.solver, "inner_step", recording)
+    monkeypatch.setattr(CategoricalSampler, "draws", counting)
+    monkeypatch.setattr(pdasgd.solver, "DRAW_BATCH", 63 * m)
+    options = SolverOptions(inner_iterations=m, outer_iterations=outer_iterations, seed=3, z_step_multiplier=15.0)
+    oracle = random_oracle(rng, 4, eta=0.3)
+    res = run(oracle, options, lambda point: "enough" if point.index == 140 else None)
+    assert res.iterations == 140
+    assert counts == [63 * m, 63 * m, (24 if outer_iterations == 150 else 63) * m]
+    Lbar = oracle.average_smoothness()
+    assert seen == [(s, stacked_step_matrix(s, Lbar, 15.0).tobytes()) for s in range(140)]
+
+
+def test_chunk_views_share_the_state_buffers(rng, monkeypatch):
+    # every view an outer iteration reads or writes is built once, into the
+    # block buffer or the batched rows
+    monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)
+    m, b, n = 8, 2, 5  # 4 steps: chunks of 3 and 1
+    state = init_state(random_oracle(rng, n, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=2, batch=b))
+    assert [chunk[:3] for chunk in state._chunks] == [(0, 6, 3), (6, 8, 1)]
+    for lo, hi, steps, anchors, corrections, rows, tail, ys, last in state._chunks:
+        assert anchors.shape == corrections.shape == ys.shape == (steps, n)
+        assert rows.shape == (steps * b, n) and np.shares_memory(rows, state._rows)
+        for view in (anchors, corrections, tail, ys, last):
+            assert np.shares_memory(view, state.blocks)
+    for view in state._first:
+        assert np.shares_memory(view, state.blocks)
+    for *views, rows in state._steps:
+        assert all(np.shares_memory(view, state.blocks) for view in views)
+        assert rows.shape == (b, n) and np.shares_memory(rows, state._rows)
+    assert state._mean == 1.0 / 4
 
 
 def test_quadratic_oracle_converges():
@@ -534,9 +597,10 @@ def test_sampling_weights_are_validated_as_a_distribution(weights, message):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
-        def importance_gradient(self, t, out, scalar):
-            out[:] = np.inf
-            return out
+        def importance_steps(self, steps, product, scalar):
+            for t, h, block, after in steps:
+                h[:] = np.inf
+                product(block, after)
 
         def snapshot(self, lam):
             return QuadraticSnapshot(lam, np.full_like(lam, np.inf))
@@ -672,12 +736,21 @@ class CountingOracle(SemiDualOracle):
     def workspace(self, v0):
         return CountingWorkspace(self, v0)
 
+    def importance_steps(self, steps, product, scalar):
+        self.calls["importance_steps"] += 1
+        self.calls["inner steps"] += len(steps)
+        return super().importance_steps(steps, product, scalar)
+
+    def batch_steps(self, steps, product, e, weights):
+        self.calls["batch_steps"] += 1
+        self.calls["inner steps"] += len(steps)
+        return super().batch_steps(steps, product, e, weights)
+
 
 for _name in (
     "snapshot",
     "primal_map",
     "component_gradient",
-    "importance_gradient",
     "full_gradient",
     "dual_value",
     "constraint_violation_l1",
@@ -688,6 +761,7 @@ for _name in (
 def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
     monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)  # two chunks per outer iteration
     n, m, S = 6, 4, 5
+    per_outer = Counter({"workspace.snapshot": 1, "importance_steps": 2, "inner steps": m})  # one loop call per chunk
     oracle = CountingOracle(random_instance(rng, n, eta=0.3))
     options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=3)
     state = init_state(oracle, options)
@@ -697,20 +771,26 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
         before = oracle.calls.copy()
         outer_iteration(state, oracle, options)
         # no dense oracle pass: the workspace snapshots, which also accumulates
-        assert oracle.calls - before == Counter({"workspace.snapshot": 1, "importance_gradient": m})
+        assert oracle.calls - before == per_outer
 
     # nor in a run, whose records read the workspace's sums: the calls as each checkpoint sees them
     oracle.calls = Counter()
     seen = []
     run(oracle, options, lambda point: seen.append(oracle.calls.copy()))
     init = Counter({"workspace.snapshot": 1})
-    assert [after - before for before, after in zip([init] + seen, seen)] == [
-        Counter({"workspace.snapshot": 1, "importance_gradient": m})
-    ] * S
+    assert [after - before for before, after in zip([init] + seen, seen)] == [per_outer] * S
 
     oracle.calls = Counter()
     run(oracle, options, certify_every)  # certifying reads the workspace's average only
-    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_gradient": S * m})
+    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_steps": 2 * S, "inner steps": S * m})
+
+
+def test_batched_steps_run_one_oracle_loop_per_chunk(rng, monkeypatch):
+    monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)  # 4 batched steps: chunks of 3 and 1
+    m, b, S = 8, 2, 5
+    oracle = CountingOracle(random_instance(rng, 6, eta=0.3))
+    run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=3, batch=b), never_stop)
+    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "batch_steps": 2 * S, "inner steps": S * m // b})
 
 
 @pytest.fixture
