@@ -9,17 +9,14 @@ smoothed problem, and round its plan back onto the polytope of the
 (``pdasgd``) and the Sinkhorn and Greenkhorn matrix-scaling baselines, so
 comparisons between them differ only in the solver.
 
-Stopping: the named rule is built once, and every solver calls the same
-object as ``stop(checkpoint)`` once per dense pass.  The exact primal
-suboptimality is unobservable, so the default certificate is the L1
-marginal violation and, for pdasgd, the weak-duality surrogate
-``f(x_s) + G(lambda_tilde)``, an upper bound on ``f(x_s) - f*``.  The
-surrogate, an n^2 ``x ln x`` pass, is evaluated only where the violation
-passes, so the pdasgd records carry it only there.  A run ends certified
-(the rule's reason), capped, trivial or diverged, and its stop reason is
-the only report of which: no solver warns or raises.  A single run
-certifies its own realized iterate, not an expectation over seeds;
-benchmarks report per-seed spread instead.
+Stopping: the named rule is built once, one object for every solver
+(:func:`~pdasgd.core.drive`).  The exact primal suboptimality is
+unobservable, so the default certificate is the L1 marginal violation
+and, for pdasgd, the weak-duality surrogate ``f(x_s) + G(lambda_tilde)``,
+an upper bound on ``f(x_s) - f*``.  The surrogate, an n^2 ``x ln x``
+pass, is evaluated only where the violation passes, so the pdasgd records
+carry it only there.  A single run certifies its own realized iterate,
+not an expectation over seeds; benchmarks report per-seed spread instead.
 """
 
 from __future__ import annotations
@@ -247,8 +244,7 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
     of the original marginals.  The returned plan is feasible for
     (alpha, beta) to 1e-10.
 
-    ``stop`` names the rule, one object that every method calls at each
-    checkpoint: an outer iteration, a sweep, or a round of n updates.
+    ``stop`` names the rule, one object for every method:
 
     * ``"certificate"``: the plan is within eps'/2 in L1 of the smoothed
       marginals and, for pdasgd, the duality gap is at most epsilon/4.
@@ -258,18 +254,16 @@ def approx_ot(cost, alpha, beta, config: ApproxConfig, method: str = "pdasgd", s
 
     An instance with epsilon >= 48 |C|_inf is trivial (see
     :func:`derive_parameters`): the product plan is returned with reason
-    ``trivial``.  If the budget runs out first, the last plan is still
-    rounded and returned with ``stop_reason`` set to the cap.  If the
-    solver's iterate becomes non-finite, its reason is ``diverged``, passed
-    through as every method returns it: pdasgd's plan is the average of its
-    finite iterates, or the independent coupling if there is none.  Both
-    are ``flagged``.  The budget
-    is max(10^4, ceil(cap / m)) outer iterations for pdasgd, with cap from
-    :func:`theoretical_iteration_cap` and m the profile's inner loop length,
-    and max(10^4, ceil(kappa ln n |C|_inf^2 / epsilon^2)) Sinkhorn sweeps or
-    rounds of n Greenkhorn updates.  So every method gets at least 10^4
-    (:data:`MIN_BUDGET`) checkpoints, and ``config.max_outer`` overrides
-    that count for all three.
+    ``trivial``.  Otherwise the solver's stop reason
+    (:func:`~pdasgd.core.drive`) is passed through, the budget's None as
+    ``iteration-cap``; a capped or diverged run's last plan, or the
+    independent coupling if pdasgd has none, is still rounded, and the
+    result is ``flagged``.  The budget is max(10^4, ceil(cap / m)) outer
+    iterations for pdasgd, with cap from :func:`theoretical_iteration_cap`
+    and m the profile's inner loop length, and max(10^4, ceil(kappa ln n
+    |C|_inf^2 / epsilon^2)) Sinkhorn sweeps or rounds of n Greenkhorn
+    updates.  So every method gets at least 10^4 (:data:`MIN_BUDGET`)
+    checkpoints, and ``config.max_outer`` overrides that count for all three.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

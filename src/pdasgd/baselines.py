@@ -11,24 +11,20 @@ solver so benchmark curves differ only in the solver.
 Both take the same contract as the stochastic solver's ``run``: an
 :class:`~pdasgd.core.OTInstance` with ``eta > 0`` and strictly positive
 marginals, a budget ``max_iter`` counted in checkpoints (Sinkhorn's
-sweeps, Greenkhorn's rounds of n updates) and a required rule, called as
-``stop(checkpoint)`` once per checkpoint, and both return a
-:class:`~pdasgd.core.SolveResult`.  Before the rule, both stop with the
-solver's reason ``"diverged"`` when the violation is not finite: a kernel
-that overflows or underflows everywhere gives a NaN plan that no update
-can repair.  The stop reason is the only report of how a run ended;
-neither warns.
+sweeps, Greenkhorn's rounds of n updates) and a required rule, both
+applied by :func:`~pdasgd.core.drive`, and both return a
+:class:`~pdasgd.core.SolveResult`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from itertools import count
 
 import numpy as np
 
-from .core import REBASE_SPAN, STOP_DIVERGED, Checkpoint, OTInstance, SolveResult, StoppingRule
-from .core import is_integer, logsumexp, marginal_residual
+from .core import REBASE_SPAN, Checkpoint, OTInstance, SolveResult, StoppingRule
+from .core import drive, is_integer, logsumexp, marginal_residual
 from .semidual import SemiDualOracle
 
 
@@ -49,19 +45,16 @@ def _start(instance: OTInstance, max_iter):
     return a, b, eta, ws, np.exp(f + ws.offsets), np.ones(b.size)
 
 
-def _checkpoint(stop: StoppingRule, index: int, rows, cols, a, b) -> tuple[Checkpoint, Optional[str]]:
-    """The checkpoint of a plan's sums at checkpoint ``index`` and its stop reason, ``"diverged"`` before the rule's."""
-    point = Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
-    # written so that a NaN violation never reaches the rule
-    return point, stop(point) if math.isfinite(point.violation) else STOP_DIVERGED
+def _checkpoint(index: int, rows, cols, a, b) -> Checkpoint:
+    """The checkpoint ``index`` of a plan's row and column sums."""
+    return Checkpoint(index, rows, cols, marginal_residual(rows, cols, a, b))
 
 
 def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveResult:
     """Alternating row/column scaling on the semi-dual's re-based kernel.
 
-    After every sweep the rule is called as ``stop(checkpoint)``, with the
-    sweep count as ``index``, and ``max_iter`` sweeps stop the run with
-    reason None.  The result's ``op_counts`` is ``{"sweeps": iterations}``.
+    Every sweep is a checkpoint, with the sweep count as ``index``.  The
+    result's ``op_counts`` is ``{"sweeps": iterations}``.
 
     The plan is diag(u) K diag(v) on the workspace's kernel K (Schmitzer
     2019's absorption), after :func:`_start`'s first sweep: a sweep, ``u =
@@ -73,26 +66,26 @@ def sinkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> SolveRe
     bounded v bounds u.
     """
     a, b, eta, ws, u, v = _start(instance, max_iter)
-    kt_u = u @ ws.kernel
     bound = math.exp(REBASE_SPAN)
-    iteration = 1
-    while True:
-        k_v = ws.kernel @ v
-        _, reason = _checkpoint(stop, iteration, u * k_v, v * kt_u, a, b)
-        if reason is not None or iteration == max_iter:
-            break
-        if v.max() > bound or v.min() * bound < 1.0:
-            ws.rebuild(ws.base + eta * np.log(v))
-            v[:] = 1.0
-            k_v = ws.kernel @ v
-        np.divide(a, k_v, out=u)
+
+    def sweeps():
         kt_u = u @ ws.kernel
-        np.divide(b, kt_u, out=v)
-        iteration += 1
+        for index in count(1):
+            k_v = ws.kernel @ v
+            yield _checkpoint(index, u * k_v, v * kt_u, a, b)
+            if v.max() > bound or v.min() * bound < 1.0:
+                ws.rebuild(ws.base + eta * np.log(v))
+                v[:] = 1.0
+                k_v = ws.kernel @ v
+            np.divide(a, k_v, out=u)
+            kt_u = u @ ws.kernel
+            np.divide(b, kt_u, out=v)
+
+    reason, iterations = drive(sweeps(), max_iter, stop)
     plan = ws.kernel  # the workspace ends with this call, so its kernel becomes the plan
     plan *= u[:, None]
     plan *= v
-    return SolveResult(plan, ws.base + eta * np.log(v), reason, iteration, {"sweeps": iteration})
+    return SolveResult(plan, ws.base + eta * np.log(v), reason, iterations, {"sweeps": iterations})
 
 
 def _line_scores(actual: np.ndarray, target: np.ndarray, out: np.ndarray) -> None:
@@ -114,11 +107,10 @@ def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> Solve
 
     Each update rescales the row or column with the largest of one vector of
     2n distance-to-marginal scores, a row on a tie, so that its sum matches
-    the target exactly.  The rule is called as in :func:`sinkhorn`, but once
-    per round of n updates, on sums re-summed from the plan, with the round
-    count as ``index``; ``max_iter`` and ``iterations`` count rounds, and
-    ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite plan
-    stops the run before its first update.
+    the target exactly.  Every round of n updates is a checkpoint, on sums
+    re-summed from the plan, with the round count as ``index``, and
+    ``op_counts`` is ``{"updates": n * iterations}``.  A non-finite start
+    is checkpoint 0, so its run ends before its first update.
 
     A row update sets ``u_i = alpha_i / (K_i . v)``, adds the change times
     ``K_i * v`` to the column sums and rescores them, columns likewise, with
@@ -127,36 +119,41 @@ def greenkhorn(instance: OTInstance, max_iter: int, stop: StoppingRule) -> Solve
     """
     a, b, eta, ws, u, v = _start(instance, max_iter)
     n = a.size
-    rounds = 0
     plan = ws.kernel * u[:, None]
     plan *= v
     sums = np.concatenate((plan.sum(axis=1), plan.sum(axis=0)))  # the n rows, then the n columns
     targets, scores = np.concatenate((a, b)), np.empty(2 * n)
     # per axis: its scalings, the other axis's, and the other axis's sums, targets and scores
     axes = ((u, v, sums[n:], b, scores[n:]), (v, u, sums[:n], a, scores[:n]))
-    reason = None if math.isfinite(marginal_residual(sums[:n], sums[n:], a, b)) else STOP_DIVERGED
-    while reason is None and rounds < max_iter:
-        _line_scores(sums, targets, scores)
-        for _ in range(n):
-            k = int(scores.argmax())  # the first maximum, so a row wins a tie
-            axis, i = divmod(k, n)
-            own, other, other_sums, other_targets, other_scores = axes[axis]
-            line = (ws.kernel.T if axis else ws.kernel)[i] * other
-            new = targets[k] / line.sum()
-            other_sums += (new - own[i]) * line
-            own[i] = new
-            sums[k] = targets[k]
-            _line_scores(other_sums, other_targets, other_scores)
-            scores[k] = 0.0  # the score of a line at its target
-            if axis and abs(math.log(new)) > REBASE_SPAN:
-                offsets = ws.offsets
-                ws.rebuild(ws.base + eta * np.log(v))
-                u *= np.exp(ws.offsets - offsets)
-                v[:] = 1.0
-        rounds += 1
-        plan = ws.kernel * u[:, None]
-        plan *= v
-        # Re-summing sheds the incremental sums' drift; updates write sums, not the checkpoint's.
-        point, reason = _checkpoint(stop, rounds, plan.sum(axis=1), plan.sum(axis=0), a, b)
-        np.concatenate((point.rows, point.cols), out=sums)
-    return SolveResult(plan, ws.base + eta * np.log(v), reason, rounds, {"updates": rounds * n})
+
+    def rounds():
+        start = _checkpoint(0, sums[:n], sums[n:], a, b)
+        if not math.isfinite(start.violation):
+            yield start
+        for index in count(1):
+            _line_scores(sums, targets, scores)
+            for _ in range(n):
+                k = int(scores.argmax())  # the first maximum, so a row wins a tie
+                axis, i = divmod(k, n)
+                own, other, other_sums, other_targets, other_scores = axes[axis]
+                line = (ws.kernel.T if axis else ws.kernel)[i] * other
+                new = targets[k] / line.sum()
+                other_sums += (new - own[i]) * line
+                own[i] = new
+                sums[k] = targets[k]
+                _line_scores(other_sums, other_targets, other_scores)
+                scores[k] = 0.0  # the score of a line at its target
+                if axis and abs(math.log(new)) > REBASE_SPAN:
+                    offsets = ws.offsets
+                    ws.rebuild(ws.base + eta * np.log(v))
+                    np.multiply(u, np.exp(ws.offsets - offsets), out=u)
+                    v[:] = 1.0
+            np.multiply(ws.kernel, u[:, None], out=plan)
+            np.multiply(plan, v, out=plan)
+            # Re-summing sheds the incremental sums' drift; updates write sums, not the checkpoint's.
+            point = _checkpoint(index, plan.sum(axis=1), plan.sum(axis=0), a, b)
+            yield point
+            np.concatenate((point.rows, point.cols), out=sums)
+
+    reason, iterations = drive(rounds(), max_iter, stop)
+    return SolveResult(plan, ws.base + eta * np.log(v), reason, iterations, {"updates": iterations * n})

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -162,15 +162,31 @@ class SolveResult:
 
     plan: Optional[np.ndarray]  # unrounded; None only when pdasgd's first outer iteration diverged
     dual: np.ndarray  # the column dual in cost units: pdasgd's lambda_tilde, or v0 + eta ln v
-    stop_reason: Optional[str]  # the rule's reason, STOP_DIVERGED, or None at the budget
-    iterations: int  # checkpoints, the budget's unit; a diverged dense pass counts
+    stop_reason: Optional[str]  # drive's reason
+    iterations: int  # drive's index: checkpoints, the budget's unit; a diverged dense pass counts
     op_counts: dict
     records: list = field(default_factory=list)  # pdasgd's RunRecords; empty for the scaling methods
 
 
-# The stop reason of every solver whose iterate became non-finite.
-STOP_DIVERGED = "diverged"
+STOP_DIVERGED = "diverged"  # drive's reason for a non-finite checkpoint, in every solver
 REBASE_SPAN = 30.0  # log-domain drift past which the semi-dual workspace's kernel is rebuilt, in every solver
+
+
+def drive(points: Iterable[Checkpoint], max_iter: int, stop: StoppingRule) -> tuple[Optional[str], int]:
+    """Every solver's stop policy: ``(reason, index)`` of the first of a method's checkpoints that ends its run.
+
+    The method runs no further than that checkpoint.  A non-finite
+    ``violation`` marks a plan that no further pass repairs: it ends the
+    run as :data:`STOP_DIVERGED` before the rule sees it.  Otherwise
+    ``stop(checkpoint)``'s reason ends it, and otherwise index ``max_iter``,
+    the budget, ends it with reason None.  No solver warns or raises.
+    """
+    for point in points:
+        if not math.isfinite(point.violation):
+            return STOP_DIVERGED, point.index
+        reason = stop(point)
+        if reason is not None or point.index == max_iter:
+            return reason, point.index
 
 
 def is_integer(x, least: float = -math.inf) -> bool:

@@ -93,7 +93,7 @@ from typing import Callable, Iterator, Optional, Protocol
 
 import numpy as np
 
-from .core import STOP_DIVERGED, Checkpoint, Distribution, SolveResult, StoppingRule, as_weights, is_integer
+from .core import Checkpoint, Distribution, SolveResult, StoppingRule, as_weights, drive, is_integer
 from .rng import CategoricalSampler, SplitMix64
 
 
@@ -421,41 +421,34 @@ def certify(record: RunRecord, state: SolverState, oracle: FiniteSumOracle) -> f
 
 
 def run(oracle: FiniteSumOracle, options: SolverOptions, stop: StoppingRule) -> SolveResult:
-    """Run outer iterations until the budget, the stopping rule or a non-finite iterate ends the run.
+    """Outer iterations, one checkpoint each, to the budget ``options.outer_iterations`` under :func:`~pdasgd.core.drive`.
 
-    Every outer iteration whose iterates stay finite is a checkpoint: its record is appended and the rule is called as
-    ``stop(checkpoint)`` with the outer index, x_s's sums and violation,
-    and a ``gap`` that builds x_s and evaluates the duality gap
-    (:func:`certify`, n^2 passes) on its first call, which must come before
-    the next outer iteration.  A record carries ``primal_objective`` and
-    ``duality_gap`` only if the rule called ``gap``.  The result's ``plan``
-    is x_s of the last finite outer iteration, read from the workspace,
-    which owns the average and its total weight, or None if there is none,
-    and its ``dual`` is lambda_tilde.  Its ``stop_reason`` is the rule's
-    reason, None at the budget, or :data:`~pdasgd.core.STOP_DIVERGED`
-    after a non-finite iterate, whose outer iteration ``iterations`` counts
-    but records nothing.  ``op_counts`` charges each of them h + m component
-    gradients and the m / b inner steps it takes.  The run's state, with the
-    workspace's n^2 kernel, is freed on return.  Deterministic given (seed,
-    oracle, options).
+    A finite outer iteration appends its record, and its checkpoint carries
+    x_s's sums and violation and a ``gap`` that builds x_s and evaluates
+    the duality gap (:func:`certify`, n^2 passes) on its first call, which
+    must come before the next outer iteration; a record carries
+    ``primal_objective`` and ``duality_gap`` only then.  A non-finite
+    iterate's checkpoint has a NaN violation and no record.  The result's
+    ``plan`` is x_s of the last finite outer iteration, or None if there is
+    none, and its ``dual`` is lambda_tilde.  ``op_counts`` charges each
+    outer iteration h + m component gradients and m / b inner steps.  The
+    state, with the workspace's n^2 kernel, is freed on return.
+    Deterministic given (seed, oracle, options).
     """
     state = init_state(oracle, options)
     m = options.inner_iterations
     per_outer = state.sampler.n + m  # a snapshot's h components and the m steps' components
     records: list[RunRecord] = []
-    stop_reason = None
-    for _ in range(options.outer_iterations):
-        if not outer_iteration(state, oracle, options):
-            stop_reason = STOP_DIVERGED
-            break
-        # x_s's sums come from the workspace without building x_s; certify adds f(x_s) and the gap
-        rows, cols, violation = state.workspace.marginals()
-        record = RunRecord(state.s, state.s * per_outer, None, violation, None)
-        records.append(record)
-        gap = partial(certify, record, state, oracle)
-        stop_reason = stop(Checkpoint(state.s, rows, cols, violation, gap))
-        if stop_reason is not None:
-            break
+
+    def checkpoints():
+        while outer_iteration(state, oracle, options):
+            # x_s's sums come from the workspace without building x_s; certify adds f(x_s) and the gap
+            rows, cols, violation = state.workspace.marginals()
+            records.append(RunRecord(state.s, state.s * per_outer, None, violation, None))
+            yield Checkpoint(state.s, rows, cols, violation, partial(certify, records[-1], state, oracle))
+        yield Checkpoint(state.s, None, None, math.nan)  # lambda_tilde or z is not finite
+
+    stop_reason, _ = drive(checkpoints(), options.outer_iterations, stop)
     plan = state.workspace.average() if state.workspace.weight > 0 else None
     op_counts = {"component_gradients": state.s * per_outer, "inner_steps": state.s * (m // options.batch)}
     return SolveResult(plan, state.lambda_tilde.copy(), stop_reason, state.s, op_counts, records)

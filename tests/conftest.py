@@ -30,6 +30,12 @@ def never_stop(point):
     return None
 
 
+def finite_only(point):
+    """``never_stop``, failing the test if a checkpoint whose violation is not finite reaches the rule."""
+    assert np.isfinite(point.violation), f"checkpoint {point.index} reached the rule with violation {point.violation}"
+    return None
+
+
 def certify_every(point):
     """A stopping rule that runs pdasgd to its budget with every record certified (its gap evaluated)."""
     point.gap()

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
 import pdasgd.approx
+import pdasgd.baselines
 from pdasgd.approx import (
     DEFAULT_KAPPA,
     METHODS,
@@ -410,25 +411,54 @@ def _direct_solve(method, cost, a_s, b_s, eta, budget, rule, profile=ApproxConfi
 
 @pytest.mark.parametrize("method", METHODS)
 def test_one_stopping_rule_for_every_method(method):
-    # one rule object, called once per checkpoint with the plan's sums; it
-    # stops every method on its third call, whose index is 3 for every method
+    # one rule object, called once per checkpoint with the plan's sums, and
+    # one budget in checkpoints: a rule that stops on its third call stops
+    # every method at index 3, also when 3 is the budget, where the rule's
+    # reason wins over the cap; a rule that never stops runs every method to
+    # its budget, 1 included, with the indices 1..budget
     alpha, beta, cost = make_image_pair(0, 4, 0)
     eta, eps_prime = derive_parameters(0.05, cost)
     a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
-    seen = []
+    for budget, stop_at in ((100, 3), (3, 3), (3, None), (1, None), (1, 1)):
+        seen = []
+
+        def rule(point):
+            seen.append(point)
+            return "stop" if len(seen) == stop_at else None
+
+        res = _direct_solve(method, cost, a_s, b_s, eta, budget, rule)
+        end = stop_at or budget
+        assert (res.stop_reason, res.iterations) == ("stop" if stop_at else None, end)
+        assert [p.index for p in seen] == list(range(1, end + 1))
+        assert all(callable(p.gap) if method == "pdasgd" else p.gap is None for p in seen)
+        last = seen[-1]
+        assert np.allclose(last.rows, res.plan.sum(axis=1), rtol=0, atol=1e-15)
+        assert np.allclose(last.cols, res.plan.sum(axis=0), rtol=0, atol=1e-15)
+        assert last.violation == pytest.approx(marginal_distance(res.plan, a_s, b_s), abs=1e-14)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rule_runs_in_the_callers_numpy_error_state(method):
+    # numpy's error state is a context variable: an errstate block left open
+    # at a method's yield would be active in the rule, and in the caller,
+    # while the method is suspended; pdasgd's gap is evaluated under it too
+    alpha, beta, cost = make_image_pair(0, 4, 0)
+    eta, eps_prime = derive_parameters(0.05, cost)
+    a_s, b_s = smooth_marginals(alpha, beta, eps_prime)
+    caller, states = np.geterr(), []
 
     def rule(point):
-        seen.append(point)
-        return "third" if len(seen) == 3 else None
+        states.append(np.geterr())
+        if point.gap is not None:
+            point.gap()
+            states.append(np.geterr())
+        return None
 
-    res = _direct_solve(method, cost, a_s, b_s, eta, 100, rule)
-    assert (res.stop_reason, res.iterations) == ("third", 3)
-    assert [p.index for p in seen] == [1, 2, 3]
-    assert all(callable(p.gap) if method == "pdasgd" else p.gap is None for p in seen)
-    last = seen[-1]
-    assert np.allclose(last.rows, res.plan.sum(axis=1), rtol=0, atol=1e-15)
-    assert np.allclose(last.cols, res.plan.sum(axis=0), rtol=0, atol=1e-15)
-    assert last.violation == pytest.approx(marginal_distance(res.plan, a_s, b_s), abs=1e-14)
+    res = _direct_solve(method, cost, a_s, b_s, eta, 5, rule)
+    assert res.iterations == 5
+    assert len(states) == (10 if method == "pdasgd" else 5)
+    assert all(state == caller for state in states)
+    assert np.geterr() == caller
 
 
 def test_greenkhorn_max_outer_counts_rounds():
@@ -756,9 +786,12 @@ def test_pipeline_adds_nothing_to_the_solver(problem):
             assert res.unrounded.tobytes() == direct.plan.tobytes()
 
 
-def test_pdasgd_state_released_before_rounding(monkeypatch):
-    # the run's workspace holds an n^2 kernel and a dense primal sum; run
-    # must let it go when it returns, so it is gone before the rounding
+@pytest.mark.parametrize("method", METHODS)
+def test_solver_state_released_before_rounding(monkeypatch, method):
+    # the run's workspace holds an n^2 kernel (and, for pdasgd, a dense
+    # primal sum); the solver must let it go when it returns, with no
+    # generator of its checkpoints left to hold it, so it is gone before the
+    # rounding
     workspaces, released, checked = [], [], []
     workspace = SemiDualOracle.workspace
 
@@ -767,20 +800,26 @@ def test_pdasgd_state_released_before_rounding(monkeypatch):
         workspaces.append(weakref.ref(ws))
         return ws
 
-    def tracked(oracle, options, stop):
-        result = run(oracle, options, stop)
-        released.append(workspaces[-1]() is None)
-        return result
+    def tracked(solver):
+        def call(*args):
+            result = solver(*args)
+            released.append(workspaces[-1]() is None)
+            return result
+
+        return call
 
     def rounding(plan, alpha, beta):
         checked.append(workspaces[-1]() is None)
         return round_to_polytope(plan, alpha, beta)
 
     monkeypatch.setattr(SemiDualOracle, "workspace", tracked_workspace)
-    monkeypatch.setattr(pdasgd.approx, "run", tracked)
+    if method == "pdasgd":
+        monkeypatch.setattr(pdasgd.approx, "run", tracked(run))
+    else:
+        monkeypatch.setattr(pdasgd.baselines, method, tracked(getattr(pdasgd.baselines, method)))
     monkeypatch.setattr(pdasgd.approx, "round_to_polytope", rounding)
     alpha, beta, cost = make_image_pair(0, 4, 0)
-    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05))
+    res = approx_ot(cost, alpha, beta, ApproxConfig(epsilon=0.05), method=method)
     assert res.stop_reason == STOP_CONVERGED
     assert len(workspaces) == 1
     assert released == [True]

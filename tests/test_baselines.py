@@ -12,7 +12,7 @@ from pdasgd.exact import exact_ot_oracle
 from pdasgd.rounding import round_to_polytope
 from pdasgd.semidual import KernelWorkspace
 
-from conftest import marginal_tol, never_stop
+from conftest import finite_only, marginal_tol, never_stop
 
 
 def positive_pair(rng, n):
@@ -116,7 +116,7 @@ def test_greenkhorn_nan_distance_is_not_converged():
     # the NaN marginal distance must not pass the tolerance test, and the
     # run stops before its first update instead of running all 10^4 rounds
     half = np.array([0.5, 0.5])
-    res = greenkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
+    res = greenkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=finite_only)
     assert res.stop_reason == STOP_DIVERGED
     assert (res.iterations, res.op_counts) == (0, {"updates": 0})
 
@@ -126,7 +126,7 @@ def test_greenkhorn_nan_distance_is_not_converged():
 def test_sinkhorn_nan_distance_is_not_converged():
     # the same NaN plan stops Sinkhorn after its first sweep, not 10^4
     half = np.array([0.5, 0.5])
-    res = sinkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=never_stop)
+    res = sinkhorn(OTInstance.of(np.full((2, 2), 1e300), half, half, 1e-10), max_iter=10**4, stop=finite_only)
     assert res.stop_reason == STOP_DIVERGED
     assert (res.iterations, res.op_counts) == (1, {"sweeps": 1})
 

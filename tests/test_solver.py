@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdasgd.solver
 from conftest import QuadraticOracle, assert_batch_corrections, QuadraticSnapshot, estimator, random_instance, random_oracle, snapshot_rows
-from conftest import captured_states, certify_every, never_stop
+from conftest import captured_states, certify_every, finite_only, never_stop
 from pdasgd.approx import ApproxConfig, approx_ot, derive_parameters, resolve_profile, smooth_marginals
 from pdasgd.bench import make_image_pair
 from pdasgd.core import STOP_DIVERGED, CostMatrix, Distribution, OTInstance, as_weights
@@ -605,7 +605,7 @@ def test_divergence_detection(rng):
         def snapshot(self, lam):
             return QuadraticSnapshot(lam, np.full_like(lam, np.inf))
 
-    res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), never_stop)
+    res = run(ExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=3, seed=0), finite_only)
     assert res.stop_reason == STOP_DIVERGED
     assert res.iterations == 1
     assert res.records == []
@@ -624,7 +624,7 @@ def test_divergence_carries_the_run_so_far():
             self.snapshots += 1
             return QuadraticSnapshot(lam, lam - self.target if self.snapshots < 3 else np.full_like(lam, np.inf))
 
-    partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), never_stop)
+    partial = run(LateExplodingOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=5, seed=0), finite_only)
     assert partial.stop_reason == STOP_DIVERGED
     finished = run(QuadraticOracle([1.0, 2.0]), SolverOptions(inner_iterations=2, outer_iterations=2, seed=0), never_stop)
     assert partial.iterations == 3
