@@ -30,7 +30,10 @@ def exact_ot_oracle(cost, alpha, beta) -> tuple[TransportPlan, float]:
     Ties between equal-cost vertices are broken toward the lexicographically
     smallest support, so the output is deterministic.  Raw inputs are
     validated by their containers (:meth:`OTInstance.of`), so the marginals
-    must be probability vectors and the cost finite and nonnegative.
+    must be probability vectors and the cost finite and nonnegative.  The
+    enumeration grows fast with n: on a 2-CPU x86 host one call took 0.2-0.4
+    s at n = 4 and 30-52 s at n = 5, so tests that sweep many instances stay
+    at n <= 4.
     """
     instance = OTInstance.of(cost, alpha, beta)
     n = instance.n

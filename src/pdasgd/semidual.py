@@ -24,10 +24,11 @@ same expressions.  A run reads G(v) only to certify, and lse only for
 the log-domain rows below.
 
 Component i is sampled with probability alpha_i, so the importance
-gradient that ``importance_steps`` writes per solver step is softmax row
-i, ``grad g_i(v) / (n alpha_i) + beta``; ``component_gradient`` is that
-row, minus beta, times n alpha_i.
-A snapshot at v~ writes the v-free log rows ``a'_i = shift_i - lse_i``,
+gradient that ``steps`` writes per solver step on one component is softmax
+row i, ``grad g_i(v) / (n alpha_i) + beta``; ``component_gradient`` is that
+row, minus beta, times n alpha_i.  The solver's steps average b such
+rows, and the snapshot and the oracle pick their arithmetic from b.  At
+b = 1 a snapshot at v~ writes the v-free log rows ``a'_i = shift_i - lse_i``,
 finite where a softmax row underflows, and the corrections ``u - exp(a'_i
 + v~/eta)``.  Softmax row i at v is the softmax of ``a'_i + v/eta``, the
 log-softmax row at v~ plus the drift (v - v~)/eta: exp, a sum and a
@@ -50,15 +51,17 @@ slow on x86 (:func:`pdasgd.core.flush_subnormals`), and the bits hold: row
 i's entry of 1 puts r_i over exp(-REBASE_SPAN) ~ 1e-13, far above 2^53 n
 dropped terms, and a column sum of dust alone differs only before beta is
 subtracted.  The reference snapshot's K is its softmax matrix, with e = r
-= 1, v0 = v and c = 0.  A step on b components reads their raw rows K_i:
+= 1, v0 = v and c = 0.  A step on b > 1 components reads their raw rows K_i:
 softmax row i at v' is K_i E normalised, for ``E = exp(a' + v'/eta)`` and
 the one v-free row ``a' = -v0/eta - c``, whose base row -v0/eta the
 workspace caches at each rebuild (the reference snapshot computes it
 from its v), so a' costs one subtraction.  E's exponent is the drift
 ``(v' - v)/eta`` plus d - c, in [-REBASE_SPAN, 0], and never a log-softmax
-entry in exp's subnormal range.  A snapshot's ``batch_rows`` gathers the
-rows and subtracts their mean at v, ``e * (w @ K_B)`` for ``w = 1 / (b
-r_B)``, from u, with no exp.  The workspace also keeps the solver's
+entry in exp's subnormal range.  A snapshot's ``rows`` gathers them and
+subtracts their mean at v, ``e * (w @ K_B)`` for ``w = 1 / (b r_B)``, from
+u, with no exp.  A drift past 709 overflows E, and a row sum that
+underflows to 0 divides by it; the solver reports the inf or NaN either
+leaves as divergence.  The workspace also keeps the solver's
 weighted sum of primal maps in factors: a snapshot of v with weight w adds
 w times the map of v, ``K * outer(w alpha / r, e)``, as that pair, from
 the r and e it has just computed, and w (grad G(v) + beta) to the sum's
@@ -127,29 +130,31 @@ class KernelSnapshot:
             self._value = float(o.eta * o.alpha @ (self.lse - o.log_alpha + 1.0) - o.beta @ self.v)
         return self._value
 
-    def rows(self, indices, anchors: np.ndarray, corrections: np.ndarray) -> None:
-        """Write ``shift_i - lse_i`` and ``grad G(v) - softmax_i(v)``, i in ``indices``, into caller-owned views."""
-        rows = self.oracle.shift.take(indices, 0)  # a fresh contiguous array: the arithmetic runs in it
-        anchors[...] = np.subtract(rows, self.lse[indices][:, None], out=rows)
-        rows += self.v / self.oracle.eta
-        np.exp(rows, rows)
-        np.subtract(self.gradient, rows, corrections)
+    def rows(self, indices, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None:
+        """Write the solver's rows of ``indices`` into caller-owned views, step j on the j-th run of b = len(indices) / len(corrections).
 
-    def batch_rows(self, indices, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None:
-        """Write ``kernel_i``, i in ``indices``, into ``rows``, a' into every row of ``anchors`` and grad G(v) minus each run's mean softmax row into ``corrections``.
-
-        Row j of ``corrections`` takes the mean of the j-th run of b =
-        len(indices) / len(corrections) consecutive rows, ``e * (w @
-        kernel_B)`` for ``w = 1 / (b r_B)``; ``rows`` must be contiguous.
+        At b = 1 ``anchors`` takes ``shift_i - lse_i`` and ``corrections``
+        ``grad G(v) - softmax_i(v)``, with ``rows`` the buffer the
+        arithmetic runs in.  At b > 1 ``rows`` takes ``kernel_i``, every
+        row of ``anchors`` a', and row j of ``corrections`` grad G(v)
+        minus the run's mean softmax row, ``e * (w @ kernel_B)`` for ``w =
+        1 / (b r_B)``.  ``rows`` must be contiguous.
         """
-        self.kernel.take(indices, 0, rows, "clip")  # the method skips np.take's wrapper, "clip" its buffered copy
-        np.subtract(self.base_row, self.c, out=anchors)
         steps = len(corrections)
         b = len(indices) // steps
-        weights = 1.0 / (b * self.r[indices])
-        np.matmul(weights.reshape(steps, 1, b), rows.reshape(steps, b, -1), out=corrections[:, None])
-        corrections *= self.e
-        np.subtract(self.gradient, corrections, corrections)
+        if b == 1:
+            self.oracle.shift.take(indices, 0, rows, "clip")  # the method skips np.take's wrapper, "clip" its buffered copy
+            anchors[...] = np.subtract(rows, self.lse[indices][:, None], out=rows)
+            rows += self.v / self.oracle.eta
+            np.exp(rows, rows)
+            np.subtract(self.gradient, rows, corrections)
+        else:
+            self.kernel.take(indices, 0, rows, "clip")
+            np.subtract(self.base_row, self.c, out=anchors)
+            weights = 1.0 / (b * self.r[indices])
+            np.matmul(weights.reshape(steps, 1, b), rows.reshape(steps, b, -1), out=corrections[:, None])
+            corrections *= self.e
+            np.subtract(self.gradient, corrections, corrections)
 
 
 class SemiDualOracle:
@@ -206,41 +211,37 @@ class SemiDualOracle:
         gradient -= self.beta
         return KernelSnapshot(self, v, gradient, sm, self._ones, self._ones, lse, 0.0, np.divide(v, -self.eta))
 
-    def importance_steps(self, steps, product, scalar: np.ndarray) -> None:
-        """Run one chunk of single inner steps: softmax row i at v into each step's h, then ``product(block, after)``.
+    def steps(self, steps, product) -> None:
+        """Run one chunk of inner steps: the mean softmax row at v of each step's b components into its h, then ``product(block, after)``.
 
-        Each of ``steps`` is ``(t, h, block, after)``, where ``t`` is a
-        snapshot's row ``a'_i`` plus v/eta and h takes grad g_i(v) / (n
-        alpha_i) + beta; ``product`` then writes the next step's t from
-        ``block``.  The row sum, a dot with ones (cheaper than a reduce on
-        short rows), goes into ``scalar``, a caller-owned 0-d buffer.
+        Each of ``steps`` is ``(t, h, block, after, rows)``, with ``rows``
+        the (b, n) rows a snapshot's :meth:`~KernelSnapshot.rows` wrote, and
+        h takes the mean of grad g_i(v) / (n alpha_i) + beta.  At b = 1 t is
+        the log row ``a'_i + v/eta`` and h its exp over its sum, a dot with
+        ones (cheaper than a reduce on short rows); the rows are not read.
+        At b > 1 t is ``a' + v/eta`` and the rows are the kernel's K_i:
+        softmax row i at v is ``K_i * e / r_i`` for ``e = exp(t)`` and ``r =
+        K e``, so the mean is ``e * (w @ K)`` for ``w = 1 / (b r)``.  The
+        scratch of either form is allocated once per call.
         """
-        exp, divide, ones = np.exp, np.divide, self._ones
-        for t, h, block, after in steps:
-            exp(t, h)
-            h.dot(ones, scalar)  # the bound method skips np.dot's dispatcher
-            divide(h, scalar, h)
-            product(block, after)
-
-    def batch_steps(self, steps, product, e: np.ndarray, weights: np.ndarray) -> None:
-        """Run one chunk of batched inner steps: the mean softmax row of b components at v, in kernel form, into each step's h.
-
-        Each of ``steps`` is ``(t, h, block, after, rows)``, where ``rows``
-        holds the b components' snapshot kernel rows K_i and ``t`` is ``a'
-        + v/eta``; ``product(block, after)`` follows each step.  Softmax row
-        i at v is ``K_i * e / r_i`` for ``e = exp(t)`` and ``r = K e``, so
-        the mean is ``e * (w @ K)`` for ``w = 1 / (b r)``: ``e`` and
-        ``weights`` are caller-owned d- and b-vectors that take e and w.
-        """
-        exp, reciprocal, b = np.exp, np.reciprocal, len(weights)
-        for t, h, block, after, rows in steps:
-            exp(t, e)
-            rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
-            weights *= b
-            reciprocal(weights, weights)
-            weights.dot(rows, h)
-            h *= e
-            product(block, after)
+        b = len(steps[0][4])
+        if b == 1:
+            exp, divide, ones, scalar = np.exp, np.divide, self._ones, np.empty(())
+            for t, h, block, after, _ in steps:
+                exp(t, h)
+                h.dot(ones, scalar)  # the bound method skips np.dot's dispatcher
+                divide(h, scalar, h)
+                product(block, after)
+        else:
+            exp, reciprocal, e, weights = np.exp, np.reciprocal, np.empty(self.n), np.empty(b)
+            for t, h, block, after, rows in steps:
+                exp(t, e)
+                rows.dot(e, weights)  # the bound methods skip np.dot's dispatcher
+                weights *= b
+                reciprocal(weights, weights)
+                weights.dot(rows, h)
+                h *= e
+                product(block, after)
 
     def component_gradient(self, i: int, v: np.ndarray) -> np.ndarray:
         """Gradient of g_i at v, ``n alpha_i (softmax_i(v) - beta)``, as a fresh array; its entries sum to zero."""

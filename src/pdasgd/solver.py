@@ -5,7 +5,7 @@ while averaging the associated primal iterates.  Each run owns a workspace
 from ``oracle.workspace(lam0)``, which keeps the run's dense state: it
 evaluates the anchor ``lam_tilde`` once each time it is set, at init and
 after each reset, as a snapshot (the full gradient ``u = grad
-phi(lam_tilde)``, the batch rows below, and ``phi(lam_tilde)`` once a
+phi(lam_tilde)``, the step rows below, and ``phi(lam_tilde)`` once a
 record's gap reads it),
 and it keeps the weighted average of primal maps, its total weight and its
 row and column sums with their violation.  Each outer iteration s:
@@ -37,37 +37,24 @@ snapshots are matrix-vector products and the average costs O(n) each
 
 The inner steps run these lines in an equal, cheaper form.  With ``p =
 tau1_s z + tau2 lam_tilde`` in place of z, lam and a step's pre-activation
-``t = Lbar lam + a'_i`` are linear in y and p, for a'_i the snapshot's
-lam-free row of component i.  The oracle's importance gradient at t is
-``grad phi_i(lam) / (h p_i)`` plus a lam-free vector, and the snapshot's
-correction is u minus it at lam_tilde, so g is their sum.  A step owns a
-block ``[y, p, t, h, c, a']`` of a buffer of a leading block and up to
-:data:`CHUNK_STEPS` step blocks, with c its correction and a' the next
-step's row, both written by the snapshot (the first a' into the leading
-block; the last is 0, so the next chunk adds its own).  The views each
-chunk reads and writes, the snapshot's targets, the y rows it sums and the
-block that starts the next chunk, are built once per run.  The oracle runs
-a chunk's steps in one loop call (``importance_steps``): per step it
-writes h, then calls the solver's ``product(block, after)``, one ``dot``
-by the outer iteration's 3 x 6 step matrix that writes the next block's
-y, p and t.  So a step costs the oracle's few numpy calls and one product,
-with no Python frame of its own.
-
-A batched step (b > 1) keeps that layout and that matrix, in kernel form,
-the absorption trick of the semi-dual workspace.  The snapshot writes one
-a' into every block, the b components' rows into one contiguous (b *
-steps, d) buffer per chunk, and c, u minus the mean of their importance
-gradients at lam_tilde.  The oracle's ``batch_steps`` loop reads each
-step's h, the mean importance gradient at lam, from t and the step's b
-rows.  For the semi-dual the rows are its kernel's K_i, a' is ``-v0/eta``
-minus the largest entry of ``(lam_tilde - v0)/eta`` for the kernel's base
-point v0, and h is ``e * (w @ K_B)`` with ``e = exp(t)``, ``r = K_B e`` and ``w
-= 1 / (b r)``, a fixed handful of numpy calls whatever b is.  t is the
-drift ``Lbar (lam - lam_tilde)`` plus a vector in [-REBASE_SPAN, 0], so
-its exp meets exp's subnormal range only where the drift does.  A drift
-past 709 overflows, and a row sum that underflows to 0 divides by it;
-the inf or NaN either leaves fails the finite check.  At b = 1 the
-single step above runs, bit for bit.
+``t = Lbar lam + a'`` are linear in y and p, for a' the snapshot's
+lam-free row of the step.  The oracle's importance gradient at t is
+the mean over the step's b components of ``grad phi_i(lam) / (h p_i)``,
+plus a lam-free vector, and the snapshot's correction is u minus it at
+lam_tilde, so g is their sum.  A step owns a block ``[y, p, t, h, c,
+a']`` of a buffer of a leading block and up to :data:`CHUNK_STEPS` step
+blocks, with c its correction and a' the next step's row, both written
+by the snapshot (the first a' into the leading block; the last is 0, so
+the next chunk adds its own), and b rows of one contiguous (b * steps,
+d) buffer, which the snapshot writes and the oracle's step reads with
+t.  The views each chunk reads and writes, the snapshot's targets, the
+y rows it sums and the block that starts the next chunk, are built once
+per run.  The oracle runs a chunk's steps in one loop call (``steps``):
+per step it writes h, then calls the solver's ``product(block, after)``,
+one ``dot`` by the outer iteration's 3 x 6 step matrix that writes the
+next block's y, p and t.  So a step costs the oracle's few numpy calls
+and one product, with no Python frame of its own.  How the rows and h
+are computed is the oracle's choice (see :mod:`pdasgd.semidual`).
 
 The ``multiplier`` scales only the z step; 1 is the plain method, and the
 benchmark profile uses 15 b, the same z step per component as 15 single
@@ -101,31 +88,27 @@ class Snapshot(Protocol):
     """An oracle's evaluation at one anchor point lam_tilde.
 
     ``value`` is phi(lam_tilde), ``gradient`` is u = grad phi(lam_tilde),
-    and ``rows(indices, anchors, corrections)`` writes row k of two
-    caller-owned (len(indices), d) views for component i = ``indices[k]``:
-    a'_i, from which ``importance_steps`` reads i's gradient at lam as
-    ``t = a'_i + Lbar lam``, and u minus that gradient at lam_tilde.
-    ``batch_rows(indices, anchors, rows, corrections)`` writes the one a'
-    shared by a batched step's components into every row of ``anchors``,
-    row k of ``rows`` as the row of i that ``batch_steps`` reads, and
-    row j of ``corrections`` as u minus the mean importance gradient at
-    lam_tilde of the j-th run of b = len(indices) / len(corrections)
-    consecutive components.  ``value`` may be computed on first read.
+    and ``rows(indices, anchors, rows, corrections)`` writes the rows of
+    one chunk of steps, step j on the j-th run of b = len(indices) /
+    len(corrections) consecutive components: row j of ``anchors`` as the
+    step's a', from which ``steps`` reads its gradient at lam as ``t = a' +
+    Lbar lam``, rows jb to jb + b - 1 of ``rows``, a contiguous
+    (len(indices), d) buffer, as the rows that ``steps`` reads with t, and
+    row j of ``corrections`` as u minus the step's gradient at lam_tilde.
+    All four are caller-owned.  ``value`` may be computed on first read.
     """
 
     value: float
     gradient: np.ndarray
 
-    def rows(self, indices: np.ndarray, anchors: np.ndarray, corrections: np.ndarray) -> None: ...
-
-    def batch_rows(self, indices: np.ndarray, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None: ...
+    def rows(self, indices: np.ndarray, anchors: np.ndarray, rows: np.ndarray, corrections: np.ndarray) -> None: ...
 
 
 class Workspace(Protocol):
     """One run's dense state over an oracle, owned by the solver.
 
     ``snapshot(lam, weight)`` returns the :class:`Snapshot` of lam, whose
-    batched rows the inner steps read, and adds weight times the primal
+    rows the inner steps read, and adds weight times the primal
     point attached to lam to a running weighted average and weight to its
     total ``weight``; ``marginals()`` returns the average's row and column
     sums, arrays the caller must not write, and their L1 distance to the
@@ -146,31 +129,26 @@ class FiniteSumOracle(Protocol):
     """What the solver needs from a dual objective.
 
     h components, one per entry of ``sampling_weights()``, over duals of
-    size ``dual_dimension``.  The oracle runs the inner steps, one chunk per
-    call, in order: each of ``steps`` is a tuple of views ``(t, h, block,
-    after)``, and for each the oracle writes into h and then calls
-    ``product(block, after)``, which writes the next step's t, so a step's
-    t is read only after the step before it has run.
-    ``importance_steps(steps, product, scalar)`` writes grad phi_i(lam) /
-    (h p_i) plus any lam-free vector into h, from ``t = a'_i + Lbar lam``
-    for i's snapshot row a'_i, with ``scalar`` a caller-owned 0-d buffer;
-    ``batch_steps(steps, product, e, weights)`` writes the mean of b such
-    gradients, from ``t = a' + Lbar lam`` and the b components' snapshot
-    ``rows``, the fifth view of each step, with ``e`` a caller-owned
-    d-vector and ``weights`` a b-vector; ``workspace(lam)`` returns a fresh :class:`Workspace` for
-    one run that starts at lam, which takes the snapshots and keeps
-    the primal sum; ``sampling_weights()`` returns a probability vector (or
-    a Distribution) positive wherever L_i > 0, which :func:`init_state`
-    validates once as a :class:`~pdasgd.core.Distribution`;
-    ``average_smoothness()`` returns Lbar; ``primal_objective(x)`` fills the
-    records of certified checkpoints.
+    size ``dual_dimension``.  ``steps(steps, product)`` runs one chunk of
+    inner steps in order: each of ``steps`` is a tuple of views ``(t, h,
+    block, after, rows)``, and for each the oracle writes into h the mean
+    of grad phi_i(lam) / (h p_i) over the step's b components, plus any
+    lam-free vector, from ``t = a' + Lbar lam`` and the components'
+    snapshot ``rows``, and then calls ``product(block, after)``, which
+    writes the next step's t, so a step's t is read only after the step
+    before it has run.  ``workspace(lam)`` returns a fresh
+    :class:`Workspace` for one run that starts at lam, which takes the
+    snapshots and keeps the primal sum; ``sampling_weights()`` returns a
+    probability vector (or a Distribution) positive wherever L_i > 0,
+    which :func:`init_state` validates once as a
+    :class:`~pdasgd.core.Distribution`; ``average_smoothness()`` returns
+    Lbar; ``primal_objective(x)`` fills the records of certified
+    checkpoints.
     """
 
     dual_dimension: int
 
-    def importance_steps(self, steps: list, product: Callable, scalar: np.ndarray) -> None: ...
-
-    def batch_steps(self, steps: list, product: Callable, e: np.ndarray, weights: np.ndarray) -> None: ...
+    def steps(self, steps: list, product: Callable) -> None: ...
 
     def workspace(self, lam: np.ndarray) -> Workspace: ...
 
@@ -255,15 +233,12 @@ class SolverState:
     rng: SplitMix64
     sampler: CategoricalSampler
     avg_smoothness: float
-    _steps: list = None  # per step: views of its t, its h, its block, the next block's y, p and t, and (b > 1) its b rows
+    _steps: list = None  # per step: views of its t, its h, its block, the next block's y, p and t, and its b rows
     _chunks: list = None  # per chunk of an outer iteration: its draws' bounds, its step count and its views
     _first: tuple = None  # block 1's y, p, t and rows y to t, and block 0's a'
     _mean: float = None  # 1 / (m / b), the weight of a y iterate in lambda_tilde
     _schedule: Iterator = None  # per outer iteration of the draw batch: its components, step matrix, tau1 and w_y
-    _scalar: np.ndarray = None  # batch 1: 0-d, for the oracle's reduction
-    _rows: np.ndarray = None  # batch > 1: (b * steps in a chunk, d), the chunk's snapshot rows, b per step
-    _e: np.ndarray = None  # batch > 1: (d,), exp of a step's t
-    _weights: np.ndarray = None  # batch > 1: (b,), a step's row weights
+    _rows: np.ndarray = None  # (b * steps in a chunk, d): the chunk's snapshot rows, b per step
     y = property(lambda self: self.blocks[1, Y])
 
 
@@ -303,10 +278,11 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
     blocks = np.zeros((chunk + 2, 6, d))
     blocks[1, Y] = lam0
     workspace = oracle.workspace(lam0)
-    rows = np.empty((chunk * b, d)) if b > 1 else None
-    steps = [(block[T], block[H], block, after[:H]) for block, after in zip(blocks[1:], blocks[2:])]
-    if rows is not None:
-        steps = [step + (batch,) for step, batch in zip(steps, rows.reshape(chunk, b, d))]
+    rows = np.empty((chunk * b, d))
+    steps = [
+        (block[T], block[H], block, after[:H], batch)
+        for block, after, batch in zip(blocks[1:], blocks[2:], rows.reshape(chunk, b, d))
+    ]
     chunks = []
     for start in range(0, steps_per_outer, chunk):
         k = min(chunk, steps_per_outer - start)
@@ -314,7 +290,7 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         # a' after the last step is 0, so the next chunk adds its own first a'
         chunks.append((
             start * b, (start + k) * b, k, blocks[:k, A], blocks[1:k + 1, C],
-            None if rows is None else rows[:k * b], blocks[k, A], blocks[2:k + 2, Y], blocks[k + 1, :H],
+            rows[:k * b], blocks[k, A], blocks[2:k + 2, Y], blocks[k + 1, :H],
         ))
     return SolverState(
         lambda_tilde=lam0,
@@ -331,27 +307,19 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         _first=(blocks[1, Y], blocks[1, P], blocks[1, T], blocks[1, :H], blocks[0, A]),
         _mean=1.0 / steps_per_outer,
         _schedule=iter(()),
-        _scalar=np.zeros(()) if rows is None else None,
         _rows=rows,
-        _e=None if rows is None else np.empty(d),
-        _weights=None if rows is None else np.empty(b),
     )
 
 
 def inner_step(state: SolverState, oracle: FiniteSumOracle, update: np.ndarray, steps: int) -> None:
     """``steps`` momentum + variance-reduced updates, one chunk, from the state's block 1, in one oracle call.
 
-    Each block's t, c and a' are set on entry; step k writes its h and then
-    block k+1's y, p and t through ``update.dot``.  A single step (batch 1)
-    reads h as the oracle's importance gradient at its t; a batched step
-    reads the mean of its b components' gradients from its t and its b
-    snapshot rows.  :func:`run` charges the work.
+    Each block's t, c and a' and each step's rows are set on entry; step k
+    writes its h, the mean of its b components' importance gradients, and
+    then block k+1's y, p and t through ``update.dot``.  :func:`run`
+    charges the work.
     """
-    product = update.dot  # the bound method skips np.dot's dispatcher
-    if state._weights is None:
-        oracle.importance_steps(state._steps[:steps], product, state._scalar)
-    else:
-        oracle.batch_steps(state._steps[:steps], product, state._e, state._weights)
+    oracle.steps(state._steps[:steps], update.dot)  # the bound method skips np.dot's dispatcher
 
 
 def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: SolverOptions) -> bool:
@@ -373,16 +341,13 @@ def outer_iteration(state: SolverState, oracle: FiniteSumOracle, options: Solver
     snapshot, tau2_anchor = state.snapshot, TAU2 * state.lambda_tilde
     y_sum = None
     np.add(t1 * state.z, tau2_anchor, out=p)
-    # a step's exp overflows only past a drift of 709, and a batched step's row sum that
-    # underflows to 0 divides by it; the inf or NaN left fails the finite check
+    # a diverging drift can overflow or divide by zero in the oracle's steps;
+    # the inf or NaN left fails the finite check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # t = Lbar lambda + a'_i, where the chunk that runs the step adds a'_i
         np.multiply(p + w_y * y, state.avg_smoothness, out=t)
         for lo, hi, steps, anchors, corrections, rows, tail, ys, last in state._chunks:
-            if rows is None:
-                snapshot.rows(components[lo:hi], anchors, corrections)
-            else:
-                snapshot.batch_rows(components[lo:hi], anchors, rows, corrections)
+            snapshot.rows(components[lo:hi], anchors, rows, corrections)
             tail.fill(0.0)
             t += lead
             inner_step(state, oracle, update, steps)

@@ -66,9 +66,9 @@ def marginal_tol(tol):
 
 
 def snapshot_rows(snapshot, indices, d):
-    """A snapshot's (anchors, corrections) for ``indices``, written into fresh (len(indices), d) arrays."""
-    anchors, corrections = np.empty((len(indices), d)), np.empty((len(indices), d))
-    snapshot.rows(indices, anchors, corrections)
+    """A snapshot's single-step (b = 1) (anchors, corrections) for ``indices``, written into fresh (len(indices), d) arrays."""
+    anchors, rows, corrections = (np.empty((len(indices), d)) for _ in range(3))
+    snapshot.rows(indices, anchors, rows, corrections)
     return anchors, corrections
 
 
@@ -100,7 +100,7 @@ def estimator(oracle, snapshot, i, lam):
     lam``, for i's anchor row a'_i from ``snapshot``, plus i's correction.
     """
     (anchor_row,), (correction,) = snapshot_rows(snapshot, [i], lam.size)
-    out = importance_gradient(oracle, anchor_row + oracle.average_smoothness() * lam)
+    out = step_gradient(oracle, anchor_row + oracle.average_smoothness() * lam, np.empty((1, lam.size)))
     out += correction
     return out
 
@@ -109,17 +109,14 @@ def no_product(block, after):
     """A step product that writes nothing, for running an oracle's step loop on one step alone."""
 
 
-def importance_gradient(oracle, t):
-    """The oracle's importance gradient at ``t``, from its step loop run on one step, as a fresh array."""
-    out = np.empty_like(t)
-    oracle.importance_steps([(t, out, None, None)], no_product, np.empty(()))
-    return out
+def step_gradient(oracle, t, rows):
+    """The oracle's h of one step at ``t`` with its b snapshot ``rows``, from its step loop run on that step alone, as a fresh array.
 
-
-def batch_gradient(oracle, t, rows):
-    """The oracle's mean importance gradient of a batched step at ``t`` with snapshot ``rows``, from its step loop run on that step alone."""
+    h is the mean importance gradient of the step's b = len(rows)
+    components; at b = 1 the semi-dual reads t alone.
+    """
     out = np.empty_like(t)
-    oracle.batch_steps([(t, out, None, None, rows)], no_product, np.empty_like(t), np.empty(len(rows)))
+    oracle.steps([(t, out, None, None, rows)], no_product)
     return out
 
 
@@ -129,7 +126,7 @@ def component_smoothness(oracle):
 
 
 class QuadraticSnapshot:
-    """Value, gradient and batch rows of the quadratic at an anchor.
+    """Value, gradient and rows of the quadratic at an anchor.
 
     Its one component is the whole sum and Lbar = 1, so its anchor row is
     u itself, whose lam-free part is u - anchor, and every correction row
@@ -141,7 +138,7 @@ class QuadraticSnapshot:
         self.gradient = gradient
         self.value = 0.5 * float((gradient**2).sum())
 
-    def rows(self, indices, anchors, corrections):
+    def rows(self, indices, anchors, rows, corrections):
         anchors[...] = self.gradient - self.anchor
         corrections[...] = self.gradient - self.gradient
 
@@ -156,9 +153,9 @@ class QuadraticOracle:
     def component_gradient(self, i, lam):
         return lam - self.target
 
-    def importance_steps(self, steps, product, scalar):
+    def steps(self, steps, product):
         # h = p_0 = Lbar = 1: t is the gradient at the anchor plus lam - anchor
-        for t, h, block, after in steps:
+        for t, h, block, after, _ in steps:
             np.copyto(h, t)
             product(block, after)
 

@@ -149,6 +149,45 @@ def test_oracle_subcommand(capsys):
     assert "n <= 5" in err
 
 
+# The epsilon = 0.05 smoke solves and their pinned stop counts: each must
+# stop on its certificate at exactly that count, with no RuntimeWarning.
+# CI's solve step runs the same commands through the module's entry point
+# and checks their stop reasons and exit codes.
+SMOKE_PINS = [
+    (("--solver", "pdasgd", "--size", "4"), {"outer_iterations": "178"}),
+    (("--solver", "pdasgd", "--profile", "theory", "--size", "4"), {"outer_iterations": "467"}),
+    (("--solver", "pdasgd", "--size", "16"), {"outer_iterations": "430"}),
+    (("--solver", "pdasgd", "--profile", "theory", "--size", "16"), {"outer_iterations": "589"}),
+    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "3"), {"outer_iterations": "304"}),
+    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "7"), {"outer_iterations": "250"}),
+    (("--solver", "sinkhorn", "--size", "4"), {"sweeps": "257"}),
+    (("--solver", "greenkhorn", "--size", "4"), {"outer_iterations": "127", "updates": "2032"}),
+    (("--solver", "greenkhorn", "--size", "8"), {"outer_iterations": "238", "updates": "15232"}),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, pins", SMOKE_PINS, ids=["-".join(args[1::2]) for args, _ in SMOKE_PINS])
+def test_smoke_solves_stop_at_their_pinned_counts(capsys, args, pins):
+    code, out, _ = run_cli(capsys, "solve", *args, "--epsilon", "0.05")
+    kv = parse_kv(out)
+    assert (code, kv["stop_reason"]) == (0, "gap+marginal")
+    assert {key: kv[key] for key in pins} == pins
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_smoke_file_solves_and_oracle_at_their_pinned_values(tmp_path, capsys):
+    # every image pair builds one grid cost, from its first image
+    assert run_cli(capsys, "gen", "--size", "8", "--seed", "3", "--count", "2", "--out", str(tmp_path))[0] == 0
+    images = ("--image-a", str(tmp_path / "image_0.csv"), "--image-b", str(tmp_path / "image_1.csv"))
+    for solver, key, pinned in (("pdasgd", "outer_iterations", "473"), ("sinkhorn", "sweeps", "506")):
+        code, out, _ = run_cli(capsys, "solve", "--solver", solver, "--epsilon", "0.05", *images)
+        kv = parse_kv(out)
+        assert (code, kv["stop_reason"], kv[key]) == (0, "gap+marginal", pinned)
+    code, out, _ = run_cli(capsys, "oracle", "--size", "2", "--seed", "1")
+    assert (code, parse_kv(out)["ot_value"]) == (0, "0.069533775034554712")
+
+
 def test_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "gen", "--size", "2", "--seed", "0", "--out", "/tmp/nope.csv")
     assert code == 1

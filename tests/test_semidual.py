@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pdasgd.semidual
-from conftest import assert_batch_corrections, batch_gradient, captured_states, component_smoothness, importance_gradient, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows
+from conftest import assert_batch_corrections, captured_states, component_smoothness, marginal_tol, never_stop, random_instance, random_oracle, snapshot_rows, step_gradient
 from pdasgd.approx import derive_parameters, smooth_marginals
 from pdasgd.baselines import sinkhorn
 from pdasgd.bench import make_image_pair
@@ -213,7 +213,7 @@ def test_workspace_snapshot_value_and_lse_are_the_eager_formulas(rng):
 
 def test_batch_rows_anchor_follows_every_rebuild(rng):
     # the workspace caches -v0/eta at each rebuild, forced here by moving v
-    # past REBASE_SPAN: every a' that batch_rows writes is -base/eta - c
+    # past REBASE_SPAN: every a' that rows writes at b > 1 is -base/eta - c
     # computed on the spot, for the base point of the snapshot's own kernel,
     # at the rebuild, inside the span and after later rebuilds; the
     # reference snapshot's base point is its v and its c is 0
@@ -223,7 +223,7 @@ def test_batch_rows_anchor_follows_every_rebuild(rng):
     rows, got = np.empty((2 * b, n)), np.full((2, 6, n), np.nan)
 
     def anchors(snap):
-        snap.batch_rows(idx, got[:, 5], rows, got[:, 4])
+        snap.rows(idx, got[:, 5], rows, got[:, 4])
         return got[:, 5].tobytes()
 
     def expected(base, c):
@@ -594,7 +594,7 @@ def test_importance_gradient_is_the_max_subtracted_softmax_row(seed, n, eta, spr
                 assert np.abs(o.component_gradient(i, v) / (n * o.alpha[i]) + o.beta - ref).max() <= 1e-13 * ref.max()
                 # t = a'_i + Lbar v, the anchor's log row plus the drift
                 t = anchors[i] + o.average_smoothness() * anchor + drift
-                out = importance_gradient(o, t)
+                out = step_gradient(o, t, np.empty((1, n)))
                 assert np.abs(out - ref).max() <= 1e-13 * ref.max()
 
 
@@ -632,12 +632,12 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     idx = np.array([7, 2, 2, 0, 8, 7, 7, 3])  # repeated and unsorted
     # written into strided views, as the solver's block buffer hands them out
     blocks = np.full((idx.size + 1, 6, n), np.nan)
-    anchors, rows = blocks[:-1, 5], blocks[1:, 4]
-    assert snap.rows(idx, anchors, rows) is None
+    anchors, corrections = blocks[:-1, 5], blocks[1:, 4]
+    assert snap.rows(idx, anchors, np.empty((idx.size, n)), corrections) is None
     for k, i in enumerate(idx):
         anchor = snap.oracle.shift[i] - snap.lse[i]
         assert anchors[k].tobytes() == anchor.tobytes()
-        assert rows[k].tobytes() == (snap.gradient - np.exp(anchor + snap.v / snap.oracle.eta)).tobytes()
+        assert corrections[k].tobytes() == (snap.gradient - np.exp(anchor + snap.v / snap.oracle.eta)).tobytes()
         assert anchors[k].tobytes() == allocating_anchor_row(o, i, v)[0].tobytes()
     # nothing else in the buffer is written
     assert np.isnan(blocks[-1, 5]).all() and np.isnan(blocks[0, 4]).all()
@@ -646,7 +646,7 @@ def test_corrections_are_bitwise_the_per_row_formula(rng):
     for indices in (idx, list(idx)):
         again = snapshot_rows(snap, indices, n)
         assert again[0].tobytes() == np.ascontiguousarray(anchors).tobytes()
-        assert again[1].tobytes() == np.ascontiguousarray(rows).tobytes()
+        assert again[1].tobytes() == np.ascontiguousarray(corrections).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -791,7 +791,7 @@ def test_rows_are_bitwise_the_four_pass_form(rng):
     snap = ws.snapshot(ws.base + 1e-3 * REBASE_SPAN / 2 * rng.random(n))
     idx = rng.integers(n, size=m)
     got, ref = (np.full((m + 1, 6, n), np.nan) for _ in range(2))
-    snap.rows(idx, got[:-1, 5], got[1:, 4])
+    snap.rows(idx, got[:-1, 5], np.empty((m, n)), got[1:, 4])
     four_pass_rows(snap, idx, ref[:-1, 5], ref[1:, 4])
     assert got.tobytes() == ref.tobytes()
 
@@ -834,7 +834,7 @@ def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, dus
         assert (snap.kernel is ws.kernel) == workspace  # no rebuild within the span
         if dusty is not None:
             assert dust(unflushed_kernel(ws)) > 0
-        assert snap.batch_rows(idx, got[:, 5], rows, got[:, 4]) is None
+        assert snap.rows(idx, got[:, 5], rows, got[:, 4]) is None
         # the rows are the kernel's own, and every a' is -base/eta - c: the
         # workspace's base point and the largest drift of the anchor from it,
         # the reference's the anchor itself and 0
@@ -846,7 +846,7 @@ def test_batch_gradient_is_the_mean_of_importance_gradients(seed, n, b, eta, dus
         for step in range(2):
             batch = slice(step * b, (step + 1) * b)
             t = Lbar * v + got[step, 5]  # as the solver forms it
-            out = batch_gradient(o, t, rows[batch])
-            mean = np.mean([importance_gradient(o, a + Lbar * v) for a in anchors[batch]], axis=0)
+            out = step_gradient(o, t, rows[batch])
+            mean = np.mean([step_gradient(o, a + Lbar * v, np.empty((1, n))) for a in anchors[batch]], axis=0)
             # entries below the smallest normal double hold fewer bits: those agree to its scale
             np.testing.assert_allclose(out, mean, rtol=1e-12, atol=TINY)

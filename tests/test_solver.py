@@ -356,9 +356,9 @@ def test_component_draws_batch_across_outer_iterations(rng, monkeypatch, bound, 
     drawn, counts = [], []
     rows, draws = KernelSnapshot.rows, CategoricalSampler.draws
 
-    def recording(self, indices, anchors, corrections):
+    def recording(self, indices, *views):
         drawn.extend(int(i) for i in indices)
-        return rows(self, indices, anchors, corrections)
+        return rows(self, indices, *views)
 
     def counting(self, rng, count):
         counts.append(count)
@@ -446,24 +446,36 @@ def test_each_outer_iteration_steps_with_its_own_step_matrix(rng, monkeypatch, o
     assert seen == [(s, stacked_step_matrix(s, Lbar, 15.0).tobytes()) for s in range(140)]
 
 
-def test_chunk_views_share_the_state_buffers(rng, monkeypatch):
+@pytest.mark.parametrize("b", [1, 2])
+def test_chunk_views_share_the_state_buffers(rng, monkeypatch, b):
     # every view an outer iteration reads or writes is built once, into the
-    # block buffer or the batched rows
+    # block buffer or the rows buffer, which exists at every b
     monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)
-    m, b, n = 8, 2, 5  # 4 steps: chunks of 3 and 1
-    state = init_state(random_oracle(rng, n, eta=0.3), SolverOptions(inner_iterations=m, outer_iterations=2, batch=b))
-    assert [chunk[:3] for chunk in state._chunks] == [(0, 6, 3), (6, 8, 1)]
+    m, n = 8, 5  # 8 / b steps: chunks of 3, 3 and 2 at b = 1, of 3 and 1 at b = 2
+    oracle = random_oracle(rng, n, eta=0.3)
+    state = init_state(oracle, SolverOptions(inner_iterations=m, outer_iterations=2, batch=b))
+    bounds = [(0, 3, 3), (3, 6, 3), (6, 8, 2)] if b == 1 else [(0, 6, 3), (6, 8, 1)]
+    assert [chunk[:3] for chunk in state._chunks] == bounds
+    assert state._rows.shape == (3 * b, n)
+    snap = state.snapshot
     for lo, hi, steps, anchors, corrections, rows, tail, ys, last in state._chunks:
         assert anchors.shape == corrections.shape == ys.shape == (steps, n)
         assert rows.shape == (steps * b, n) and np.shares_memory(rows, state._rows)
         for view in (anchors, corrections, tail, ys, last):
             assert np.shares_memory(view, state.blocks)
+        # the snapshot writes the chunk's rows into the buffer: at b = 1 the
+        # log form's arithmetic, ending in the softmax rows at the anchor, at
+        # b = 2 the kernel rows the steps read
+        idx = rng.integers(n, size=hi - lo)
+        snap.rows(idx, anchors, rows, corrections)
+        want = np.exp(anchors + snap.v / oracle.eta) if b == 1 else snap.kernel[idx]
+        assert rows.tobytes() == want.tobytes()
     for view in state._first:
         assert np.shares_memory(view, state.blocks)
     for *views, rows in state._steps:
         assert all(np.shares_memory(view, state.blocks) for view in views)
         assert rows.shape == (b, n) and np.shares_memory(rows, state._rows)
-    assert state._mean == 1.0 / 4
+    assert state._mean == b / m
 
 
 def test_quadratic_oracle_converges():
@@ -597,8 +609,8 @@ def test_sampling_weights_are_validated_as_a_distribution(weights, message):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergence_detection(rng):
     class ExplodingOracle(QuadraticOracle):
-        def importance_steps(self, steps, product, scalar):
-            for t, h, block, after in steps:
+        def steps(self, steps, product):
+            for t, h, block, after, _ in steps:
                 h[:] = np.inf
                 product(block, after)
 
@@ -736,15 +748,10 @@ class CountingOracle(SemiDualOracle):
     def workspace(self, v0):
         return CountingWorkspace(self, v0)
 
-    def importance_steps(self, steps, product, scalar):
-        self.calls["importance_steps"] += 1
+    def steps(self, steps, product):
+        self.calls["steps"] += 1
         self.calls["inner steps"] += len(steps)
-        return super().importance_steps(steps, product, scalar)
-
-    def batch_steps(self, steps, product, e, weights):
-        self.calls["batch_steps"] += 1
-        self.calls["inner steps"] += len(steps)
-        return super().batch_steps(steps, product, e, weights)
+        return super().steps(steps, product)
 
 
 for _name in (
@@ -761,7 +768,7 @@ for _name in (
 def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
     monkeypatch.setattr(pdasgd.solver, "CHUNK_STEPS", 3)  # two chunks per outer iteration
     n, m, S = 6, 4, 5
-    per_outer = Counter({"workspace.snapshot": 1, "importance_steps": 2, "inner steps": m})  # one loop call per chunk
+    per_outer = Counter({"workspace.snapshot": 1, "steps": 2, "inner steps": m})  # one loop call per chunk
     oracle = CountingOracle(random_instance(rng, n, eta=0.3))
     options = SolverOptions(inner_iterations=m, outer_iterations=S, seed=3)
     state = init_state(oracle, options)
@@ -782,7 +789,7 @@ def test_one_snapshot_per_outer_iteration(rng, monkeypatch):
 
     oracle.calls = Counter()
     run(oracle, options, certify_every)  # certifying reads the workspace's average only
-    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "importance_steps": 2 * S, "inner steps": S * m})
+    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "steps": 2 * S, "inner steps": S * m})
 
 
 def test_batched_steps_run_one_oracle_loop_per_chunk(rng, monkeypatch):
@@ -790,7 +797,7 @@ def test_batched_steps_run_one_oracle_loop_per_chunk(rng, monkeypatch):
     m, b, S = 8, 2, 5
     oracle = CountingOracle(random_instance(rng, 6, eta=0.3))
     run(oracle, SolverOptions(inner_iterations=m, outer_iterations=S, seed=3, batch=b), never_stop)
-    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "batch_steps": 2 * S, "inner steps": S * m // b})
+    assert oracle.calls == Counter({"workspace.snapshot": S + 1, "steps": 2 * S, "inner steps": S * m // b})
 
 
 @pytest.fixture
