@@ -96,9 +96,11 @@ def _line_scores(actual: np.ndarray, target: np.ndarray, out: np.ndarray) -> Non
     # accurate down to the float floor.  An empty line scores +inf.
     x = np.subtract(actual, target, out=out)
     x /= target
-    with np.errstate(divide="ignore"):
-        logs = np.log1p(x)
-    x -= logs
+    if np.minimum.reduce(x) <= -1.0:  # only an empty line needs the block, which costs more than log1p
+        with np.errstate(divide="ignore"):
+            x -= np.log1p(x)
+    else:
+        x -= np.log1p(x)
     x *= target
 
 

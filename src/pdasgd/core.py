@@ -169,7 +169,13 @@ class SolveResult:
 
 
 STOP_DIVERGED = "diverged"  # drive's reason for a non-finite checkpoint, in every solver
-REBASE_SPAN = 30.0  # log-domain drift past which the semi-dual workspace's kernel is rebuilt, in every solver
+# The log-domain drift past which the semi-dual workspace's kernel is rebuilt, in every solver.  Two
+# bounds of the float range limit it.  Dust: every kernel row holds an entry of 1, so r_i >= e^-span,
+# and the n entries below 2.2e-308 = e^-708.4 that each build flushes stay under half an ulp of r_i,
+# at least e^-span 2^-54 = e^(-span - 37.4), while span < 708.4 - 37.4 - ln n (657 at n = 10^6).
+# Overflow: the scaling methods' u, v and u K v stay below e^(2 span), finite while span < 354.  At
+# 300, the kernel form's e and a b > 1 step's E >= e^(-300 - drift) stay normal doubles.
+REBASE_SPAN = 300.0
 
 
 def drive(points: Iterable[Checkpoint], max_iter: int, stop: StoppingRule) -> tuple[Optional[str], int]:

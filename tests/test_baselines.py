@@ -23,6 +23,16 @@ def positive_pair(rng, n):
     return a, b
 
 
+def costly_instance(n, extra):
+    """A random instance whose column 1 costs ``extra`` more and row 2 ``extra / 2`` more, and its marginals."""
+    rng = np.random.default_rng(n)
+    c = rng.random((n, n))
+    c[:, 1] += extra
+    c[2] += extra / 2
+    a, b = positive_pair(rng, n)
+    return c, a, b
+
+
 def test_sinkhorn_zero_cost_one_sweep(rng):
     n = 4
     a, b = positive_pair(rng, n)
@@ -193,18 +203,12 @@ def test_greenkhorn_agrees_with_sinkhorn(rng):
         ps = sinkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**6, stop=marginal_tol(1e-8)).plan
         pg = greenkhorn(OTInstance.of(c, a, b, 0.1), max_iter=10**7 // n, stop=marginal_tol(1e-8)).plan
         assert np.abs(ps - pg).sum() < 1e-6
-    # the costly-column instances of test_sinkhorn_absorption_matches_log_domain:
-    # Greenkhorn re-bases the kernel there too, and a rebuild that left u
-    # unscaled ends about 4e-6 away in L1; the duals agree up to a constant
-    n = 8
+    # costly_instance at n = 8: Greenkhorn re-bases the kernel at eta = 2e-4
+    # and 1e-4 (7 and 17 builds), and a rebuild that left u unscaled drives
+    # a line score's log1p invalid; the duals agree up to a constant
     for eta in (1e-3, 2e-4, 1e-4):
         for extra in (3.0, 10.0):
-            rng = np.random.default_rng(n)
-            c = rng.random((n, n))
-            c[:, 1] += extra
-            c[2] += extra / 2
-            a, b = positive_pair(rng, n)
-            instance = OTInstance.of(c, a, b, eta)
+            instance = OTInstance.of(*costly_instance(8, extra), eta)
             rs = sinkhorn(instance, max_iter=10**5, stop=marginal_tol(1e-6))
             rg = greenkhorn(instance, max_iter=10**5, stop=marginal_tol(1e-6))
             assert (rs.stop_reason, rg.stop_reason) == ("marginal-tol", "marginal-tol")
@@ -263,51 +267,76 @@ def log_domain_sinkhorn(c, a, b, eta, tol, max_iter):
     return plan, max_iter, None, log_v
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The base points of the kernel builds of the workspaces made in the test, the first build included."""
+    points = []
+    rebuild = KernelWorkspace.rebuild
+
+    def counting(ws, v):
+        points.append(v)
+        rebuild(ws, v)
+
+    monkeypatch.setattr(KernelWorkspace, "rebuild", counting)
+    return points
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("extra", [3.0, 10.0])
 @pytest.mark.parametrize("eta", [1e-3, 2e-4, 1e-4])
 @pytest.mark.parametrize("n", [8, 16, 30])
-def test_sinkhorn_absorption_matches_log_domain(n, eta, extra):
-    # at these penalties v leaves exp(+-30) every few dozen sweeps, so the
-    # kernel is built 8 to 47 times; the costlier column and row put
-    # their scalings up to extra/eta away from the rest, and a rebuild that
-    # rescaled only the rows lets a column product underflow, whose
-    # RuntimeWarning fails the test
-    rng = np.random.default_rng(n)
-    c = rng.random((n, n))
-    c[:, 1] += extra
-    c[2] += extra / 2
-    a, b = positive_pair(rng, n)
-    res = sinkhorn(OTInstance.of(c, a, b, eta), max_iter=1000, stop=marginal_tol(1e-6))
-    ref, sweeps, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-6, 1000)
+def test_sinkhorn_absorption_matches_log_domain(builds, n, eta, extra):
+    # at these penalties, on twice the cost, v leaves exp(+-REBASE_SPAN)
+    # every few hundred sweeps, so the kernel is built 2 to 12 times in
+    # 3000 sweeps, and n = 8 at 1e-3 stops on its rule at 1470; the
+    # costlier column and row put their scalings up to extra/eta away from
+    # the rest, and a rebuild that rescaled only the rows lets a column
+    # product underflow, whose RuntimeWarning fails the test
+    c, a, b = costly_instance(n, extra)
+    c *= 2.0
+    res = sinkhorn(OTInstance.of(c, a, b, eta), max_iter=3000, stop=marginal_tol(1e-6))
+    assert len(builds) >= 2
+    ref, sweeps, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-6, 3000)
     assert (res.iterations, res.stop_reason) == (sweeps, reason)
     assert np.allclose(res.plan, ref, rtol=0, atol=1e-10)
     assert np.allclose(res.dual, eta * log_v, rtol=0, atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("extra", [3.0, 10.0])
+def test_greenkhorn_rebuilds_reach_the_log_domain_fixed_point(builds, extra):
+    # Greenkhorn rescales u by the change of the row maxima only at a
+    # rebuild; here it builds its kernel 7 times on the way to a 1e-8
+    # marginal violation, and its plan and dual (up to a constant) land on
+    # the log-domain Sinkhorn fixed point
+    c, a, b = costly_instance(8, extra)
+    eta = 2e-4
+    res = greenkhorn(OTInstance.of(c, a, b, eta), max_iter=10**5, stop=marginal_tol(1e-8))
+    assert res.stop_reason == "marginal-tol"
+    assert len(builds) >= 2
+    ref, _, reason, log_v = log_domain_sinkhorn(c, a, b, eta, 1e-11, 10**5)
+    assert reason == "marginal-tol"
+    assert np.abs(res.plan - ref).sum() < 1e-7
+    gap = res.dual - eta * log_v
+    assert gap.max() - gap.min() < 1e-9
+
+
 @pytest.mark.parametrize(
     ("epsilon", "pins"),
     [
-        (0.05, ("sinkhorn", 16, (271, 4), (247, 4))),
-        (0.01, ("sinkhorn", 16, (1937, 21), (2427, 19))),
-        (0.05, ("greenkhorn", 8, (296, 3), (382, 3))),
-        (0.05, ("greenkhorn", 16, (342, 5), (346, 4))),
+        (0.05, ("sinkhorn", 16, (271, 1), (247, 1))),
+        (0.01, ("sinkhorn", 16, (1937, 2), (2427, 2))),
+        (0.05, ("greenkhorn", 8, (296, 1), (382, 1))),
+        (0.05, ("greenkhorn", 16, (342, 1), (346, 1))),
     ],
 )
-def test_sinkhorn_rebuild_count(monkeypatch, epsilon, pins):
+def test_sinkhorn_rebuild_count(builds, epsilon, pins):
     # (checkpoints, kernel builds) of a method on pairs 0 and 1 of the bench
     # images of a side, the first build included: the kernel is re-based
-    # only when v leaves exp(+-REBASE_SPAN).  A test of u as well rebuilds
-    # Sinkhorn more often (5 and 25 builds for pair 0 at n = 256), because u
-    # sits at alpha's scale after each rebuild, and cost about 11% in wall
-    # time at n = 256
-    builds = []
-    rebuild = KernelWorkspace.rebuild
-
-    def counting(ws, v):
-        builds.append(v)
-        rebuild(ws, v)
-
-    monkeypatch.setattr(KernelWorkspace, "rebuild", counting)
+    # only when v leaves exp(+-REBASE_SPAN), so at epsilon = 0.05 it is
+    # built once, and at 0.01 Sinkhorn rebuilds it once.  A test of u as
+    # well would rebuild Sinkhorn more often, because u sits at alpha's
+    # scale after each rebuild
     method, side = pins[:2]
     for pair, pin in enumerate(pins[2:]):
         builds.clear()

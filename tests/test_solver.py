@@ -884,7 +884,7 @@ def test_benchmark_profile_replay():
     ],
 )
 def test_profile_replay_at_the_dense_benchmark_size(profile, outer, op_counts, gap, ot_value):
-    # n = 256: the benchmark profile's b = 8 steps across 15 kernel rebuilds
+    # n = 256: the benchmark profile's b = 8 steps on its one kernel build
     # and the folds of pending pairs, and the theory profile's m = 256 steps
     # in chunks of CHUNK_STEPS = 64
     alpha, beta, cost = make_image_pair(0, 16, 0)
