@@ -116,13 +116,11 @@ class BenchPlan:
         for side in self.sides:
             if not (is_integer(side, least=2) and foreground_side(side) >= 1):
                 raise ValueError(f"sides must be integers large enough to hold the foreground square, got {side!r}")
-        for accuracy in self.accuracies:  # each is a cell's epsilon; checks profile and kappa too
-            ApproxConfig(epsilon=accuracy, solver_profile=self.profile, kappa=self.kappa)
+        for accuracy in self.accuracies:  # each is a cell's epsilon; checks profile, kappa and seed too
+            ApproxConfig(epsilon=accuracy, solver_profile=self.profile, seed=self.seed, kappa=self.kappa)
         for name in ("pairs", "workers"):
             if not is_integer(getattr(self, name), least=1):
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError(f"unknown solvers {sorted(unknown)}; choose from {SOLVERS}")

@@ -25,13 +25,14 @@ from .approx import DEFAULT_KAPPA, PROFILES, ApproxConfig, approx_ot
 from .core import STOP_DIVERGED, marginal_distance
 from .exact import exact_ot_oracle
 from .images import (
+    ImageInstance,
     gen_synthetic_image,
     image_distribution,
     image_to_instance,
     load_image_file,
     save_csv_matrix,
 )
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +53,8 @@ def _comma_list(kind):
     return parse
 
 
-def _instance_from_args(args):
-    """Image pair from files if given, else synthetic from (--size, --seed)."""
+def _instance_from_args(args, synthetic, labels):
+    """Image pair from files if given, else ``synthetic(side, seed)`` at the seeds of ``labels``."""
     if args.image_a or args.image_b:
         if not (args.image_a and args.image_b):
             raise ValueError("--image-a and --image-b must be given together")
@@ -62,10 +63,14 @@ def _instance_from_args(args):
         if img_a.pixels.shape != img_b.pixels.shape:
             raise ValueError("the two images must have identical shapes")
     else:
-        img_a = gen_synthetic_image(args.size, derive_seed(args.seed, "cli/a"))
-        img_b = gen_synthetic_image(args.size, derive_seed(args.seed, "cli/b"))
+        img_a, img_b = (synthetic(args.size, derive_seed(args.seed, label)) for label in labels)
     alpha, cost = image_to_instance(img_a)
     return alpha, image_distribution(img_b), cost
+
+
+def _random_grid(side: int, seed: int) -> ImageInstance:
+    """Plain random grid: the enumeration budget (n <= 5) rules out the 20%-square synthetic images."""
+    return ImageInstance(0.05 + SplitMix64(seed).doubles(side * side).reshape(side, side))
 
 
 def _cmd_gen(args) -> int:
@@ -83,7 +88,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    alpha, beta, cost = _instance_from_args(args)
+    alpha, beta, cost = _instance_from_args(args, gen_synthetic_image, ("cli/a", "cli/b"))
     config = ApproxConfig(
         epsilon=args.epsilon,
         solver_profile=args.profile,
@@ -115,22 +120,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.image_a or args.image_b:
-        alpha, beta, cost = _instance_from_args(args)
-    else:
-        # The enumeration budget (n <= 5) rules out the 20%-square synthetic
-        # images, so the oracle's synthetic instances are plain random grids.
-        from .images import ImageInstance
-        from .rng import SplitMix64
-
-        def tiny(label):
-            rng = SplitMix64(derive_seed(args.seed, label))
-            return ImageInstance(
-                0.05 + rng.doubles(args.size * args.size).reshape(args.size, args.size)
-            )
-
-        alpha, cost = image_to_instance(tiny("cli/oracle/a"))
-        beta = image_distribution(tiny("cli/oracle/b"))
+    alpha, beta, cost = _instance_from_args(args, _random_grid, ("cli/oracle/a", "cli/oracle/b"))
     plan, value = exact_ot_oracle(cost, alpha, beta)
     print(f"n={alpha.n}")
     print(f"ot_value={value:.17g}")

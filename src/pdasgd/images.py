@@ -113,8 +113,8 @@ def image_to_instance(img: ImageInstance) -> tuple[Distribution, CostMatrix]:
 # -- file loaders -------------------------------------------------------------
 
 
-def load_idx(path) -> list[ImageInstance]:
-    """Images from an IDX3-ubyte stack (magic 0x00000803, big-endian dims)."""
+def _idx_frames(path) -> np.ndarray:
+    """The uint8 (count, height, width) frames of an IDX3-ubyte stack (magic 0x00000803, big-endian dims), a view of its bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise IdxFormatError(f"IDX header needs 16 bytes, file has {len(raw)}")
@@ -129,9 +129,12 @@ def load_idx(path) -> list[ImageInstance]:
             f"truncated IDX payload: missing {expected - len(raw)} bytes "
             f"for {count} images of {height}x{width}"
         )
-    data = np.frombuffer(raw, dtype=np.uint8, count=count * height * width, offset=16)
-    stack = data.reshape(count, height, width).astype(np.float64)
-    return [ImageInstance(stack[k]) for k in range(count)]
+    return np.frombuffer(raw, dtype=np.uint8, count=count * height * width, offset=16).reshape(count, height, width)
+
+
+def load_idx(path) -> list[ImageInstance]:
+    """Images from an IDX3-ubyte stack, one per frame."""
+    return [ImageInstance(frame) for frame in _idx_frames(path)]
 
 
 def load_pgm(path) -> ImageInstance:
@@ -181,10 +184,10 @@ def save_csv_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_image_file(path) -> ImageInstance:
-    """Load a single image by extension: .csv, .pgm, or IDX (first image)."""
+    """Load a single image by extension: .csv, .pgm, or IDX (the first frame, the only one decoded)."""
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return ImageInstance(load_csv_matrix(path))
     if suffix == ".pgm":
         return load_pgm(path)
-    return load_idx(path)[0]
+    return ImageInstance(_idx_frames(path)[0])

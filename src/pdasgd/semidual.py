@@ -178,11 +178,10 @@ class SemiDualOracle:
         self.eta = float(instance.eta)
         self.alpha = instance.row_marginal.weights
         self.beta = instance.col_marginal.weights
-        self.cost = instance.cost.entries
         self.log_alpha = np.log(self.alpha)
         self.n = instance.n
         # -C/eta - 1, frozen: row i of the softmax argument is v/eta + shift[i]
-        self.shift = -self.cost / self.eta - 1.0
+        self.shift = -instance.cost.entries / self.eta - 1.0
         self.shift.flags.writeable = False
         self._ones = np.ones(self.n)  # never written: a row sum's weights
 

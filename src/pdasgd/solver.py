@@ -238,7 +238,6 @@ class SolverState:
     _first: tuple = None  # block 1's y, p, t and rows y to t, and block 0's a'
     _mean: float = None  # 1 / (m / b), the weight of a y iterate in lambda_tilde
     _schedule: Iterator = None  # per outer iteration of the draw batch: its components, step matrix, tau1 and w_y
-    _rows: np.ndarray = None  # (b * steps in a chunk, d): the chunk's snapshot rows, b per step
     y = property(lambda self: self.blocks[1, Y])
 
 
@@ -307,7 +306,6 @@ def init_state(oracle: FiniteSumOracle, options: SolverOptions) -> SolverState:
         _first=(blocks[1, Y], blocks[1, P], blocks[1, T], blocks[1, :H], blocks[0, A]),
         _mean=1.0 / steps_per_outer,
         _schedule=iter(()),
-        _rows=rows,
     )
 
 

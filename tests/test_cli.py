@@ -12,7 +12,8 @@ import pdasgd.approx
 import pdasgd.baselines
 from pdasgd.cli import main
 from pdasgd.core import STOP_DIVERGED
-from pdasgd.images import load_csv_matrix, save_csv_matrix
+from pdasgd.exact import exact_ot_oracle
+from pdasgd.images import image_to_instance, load_csv_matrix, load_image_file, save_csv_matrix
 
 
 def run_cli(capsys, *argv):
@@ -84,13 +85,15 @@ def test_solve_with_baseline(capsys):
     assert "sweeps" in kv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_flagged_exit_code(capsys):
-    code, out, _ = run_cli(
-        capsys, "solve", "--size", "6", "--seed", "3", "--epsilon", "0.02",
-        "--solver", "pdasgd", "--max-outer", "2",
-    )
-    assert code == 2
-    assert parse_kv(out)["stop_reason"] == "iteration-cap"
+    # every method stops at its cap of 2 checkpoints, exits 2 and says so
+    # through its stop reason alone; Greenkhorn's 2 rounds at n = 16 are 32 updates
+    for solver in ("pdasgd", "sinkhorn", "greenkhorn"):
+        code, out, _ = run_cli(capsys, "solve", "--solver", solver, "--size", "4", "--epsilon", "0.05", "--max-outer", "2")
+        kv = parse_kv(out)
+        assert (code, kv["stop_reason"], kv["outer_iterations"]) == (2, "iteration-cap", "2"), solver
+    assert (solver, kv["updates"]) == ("greenkhorn", "32")
 
 
 def test_solve_with_image_files(tmp_path, capsys):
@@ -151,15 +154,17 @@ def test_oracle_subcommand(capsys):
 
 # The epsilon = 0.05 smoke solves and their pinned stop counts: each must
 # stop on its certificate at exactly that count, with no RuntimeWarning.
-# CI's solve step runs the same commands through the module's entry point
-# and checks their stop reasons and exit codes.
+# The benchmark profile (the default) takes 4 batched steps per outer
+# iteration, also at the odd sides 3 and 7, whose b = 2 and 4 give m = 8
+# and 16.  The theory profile runs pdasgd's m = n inner loop.  CI's solve
+# step runs only the size-4 solves again, through the module's entry point.
 SMOKE_PINS = [
-    (("--solver", "pdasgd", "--size", "4"), {"outer_iterations": "178"}),
+    (("--solver", "pdasgd", "--size", "4"), {"outer_iterations": "178", "inner_steps": "712"}),
     (("--solver", "pdasgd", "--profile", "theory", "--size", "4"), {"outer_iterations": "467"}),
-    (("--solver", "pdasgd", "--size", "16"), {"outer_iterations": "430"}),
+    (("--solver", "pdasgd", "--size", "16"), {"outer_iterations": "430", "inner_steps": "1720"}),
     (("--solver", "pdasgd", "--profile", "theory", "--size", "16"), {"outer_iterations": "589"}),
-    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "3"), {"outer_iterations": "304"}),
-    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "7"), {"outer_iterations": "250"}),
+    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "3"), {"outer_iterations": "304", "inner_steps": "1216"}),
+    (("--solver", "pdasgd", "--profile", "benchmark", "--size", "7"), {"outer_iterations": "250", "inner_steps": "1000"}),
     (("--solver", "sinkhorn", "--size", "4"), {"sweeps": "257"}),
     (("--solver", "greenkhorn", "--size", "4"), {"outer_iterations": "127", "updates": "2032"}),
     (("--solver", "greenkhorn", "--size", "8"), {"outer_iterations": "238", "updates": "15232"}),
@@ -186,6 +191,17 @@ def test_smoke_file_solves_and_oracle_at_their_pinned_values(tmp_path, capsys):
         assert (code, kv["stop_reason"], kv[key]) == (0, "gap+marginal", pinned)
     code, out, _ = run_cli(capsys, "oracle", "--size", "2", "--seed", "1")
     assert (code, parse_kv(out)["ot_value"]) == (0, "0.069533775034554712")
+
+
+def test_oracle_with_image_files(tmp_path, capsys):
+    # the oracle builds its instance from files through solve's builder
+    save_csv_matrix(tmp_path / "a.csv", [[1.0, 2.0], [0.0, 3.0]])
+    save_csv_matrix(tmp_path / "b.csv", [[0.5, 0.0], [4.0, 1.0]])
+    code, out, _ = run_cli(capsys, "oracle", "--image-a", str(tmp_path / "a.csv"), "--image-b", str(tmp_path / "b.csv"))
+    alpha, cost = image_to_instance(load_image_file(tmp_path / "a.csv"))
+    beta, _ = image_to_instance(load_image_file(tmp_path / "b.csv"))
+    _, value = exact_ot_oracle(cost, alpha, beta)
+    assert (code, parse_kv(out)) == (0, {"n": "4", "ot_value": f"{value:.17g}"})
 
 
 def test_error_exit_code(capsys):

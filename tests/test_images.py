@@ -143,6 +143,18 @@ def test_load_idx_dimension_overflow(tmp_path):
         load_idx(path)
 
 
+def test_idx_file_decodes_its_first_frame_only(tmp_path):
+    # before: load_image_file converted and checked every frame of the stack,
+    # so a blank frame 2 failed the load of frame 0
+    frames = np.arange(1, 13, dtype=np.uint8).reshape(3, 2, 2)
+    frames[2] = 0
+    path = tmp_path / "stack.idx"
+    path.write_bytes(struct.pack(">IIII", 0x00000803, 3, 2, 2) + frames.tobytes())
+    assert load_image_file(path).pixels.tobytes() == frames[0].astype(np.float64).tobytes()
+    with pytest.raises(ValueError, match="^image must contain at least one positive pixel"):
+        load_idx(path)
+
+
 def test_csv_roundtrip(tmp_path):
     img = gen_synthetic_image(6, seed=3)
     path = tmp_path / "img.csv"

@@ -25,13 +25,13 @@ def symmetric_2x2(eta=1.0):
 def eliminated_row_dual(oracle, v):
     """Row block of the 2n-variable dual at its optimum for v (test-only):
     u_i = eta (ln alpha_i - logsumexp_j((v_j - C_ij - eta) / eta))."""
-    lse = logsumexp((v - oracle.cost - oracle.eta) / oracle.eta)
+    lse = logsumexp((v - oracle.instance.cost.entries - oracle.eta) / oracle.eta)
     return oracle.eta * (np.log(oracle.alpha) - lse)
 
 
 def full_dual_value(oracle, u, v):
     """The 2n-variable dual objective, summed exhaustively (test-only)."""
-    expo = (u[:, None] + v[None, :] - oracle.cost - oracle.eta) / oracle.eta
+    expo = (u[:, None] + v[None, :] - oracle.instance.cost.entries - oracle.eta) / oracle.eta
     return float(
         -oracle.alpha @ u - oracle.beta @ v + oracle.eta * np.exp(expo).sum()
     )
@@ -187,7 +187,7 @@ def test_snapshot_lse_is_bitwise_the_allocating_formula(t):
     v = padded.max(axis=0) + 2.0
     uniform = Distribution(np.full(n, 1.0 / n))
     o = SemiDualOracle(OTInstance(CostMatrix(v - 1.0 - padded), uniform, uniform, eta=1.0))
-    ref_lse, ref_sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
+    ref_lse, ref_sm = allocating_lse_softmax(v / o.eta + (-o.instance.cost.entries / o.eta - 1.0))
     snap = o.snapshot(v)
     assert snap.lse.tobytes() == ref_lse.tobytes()
     assert snap.gradient.tobytes() == (ref_sm.T @ o.alpha - o.beta).tobytes()
@@ -266,7 +266,7 @@ def test_primal_map_is_bitwise_the_allocating_formula(seed, n, eta, scale):
     rng = np.random.default_rng(seed)
     o = SemiDualOracle(random_instance(rng, n, eta))
     v = scale * rng.normal(size=n)
-    _, sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
+    _, sm = allocating_lse_softmax(v / o.eta + (-o.instance.cost.entries / o.eta - 1.0))
     ref = o.alpha[:, None] * sm
     x = o.primal_map(v)
     assert x.tobytes() == ref.tobytes()
@@ -423,7 +423,7 @@ def test_u_from_v_dual_consistency(rng):
         v = rng.normal(size=n)
         u = eliminated_row_dual(o, v)
         # x(v) written via the eliminated block matches the primal map
-        x_direct = np.exp((u[:, None] + v[None, :] - o.cost - o.eta) / o.eta)
+        x_direct = np.exp((u[:, None] + v[None, :] - o.instance.cost.entries - o.eta) / o.eta)
         assert np.allclose(x_direct, o.primal_map(v), atol=1e-13)
 
 
@@ -527,21 +527,21 @@ def test_extreme_eta_stability():
 
 def allocating_softmax_row(o, i, v):
     """Softmax row i of ``(v - C)/eta - 1``, max-subtracted, with fresh temporaries."""
-    t = v / o.eta + (-o.cost[i] / o.eta - 1.0)
+    t = v / o.eta + (-o.instance.cost.entries[i] / o.eta - 1.0)
     w = np.exp(t - t.max())
     return w / w.sum()
 
 
 def allocating_log_softmax_row(o, i, v):
     """Log-softmax row i of ``(v - C)/eta - 1``, ``t - lse(t)``, with fresh temporaries."""
-    t = v / o.eta + (-o.cost[i] / o.eta - 1.0)
+    t = v / o.eta + (-o.instance.cost.entries[i] / o.eta - 1.0)
     return t - (t.max() + np.log(np.exp(t - t.max()).sum()))
 
 
 def allocating_anchor_row(o, i, v):
     """Snapshot row i at v with fresh temporaries: ``a' = shift_i - lse_i`` and ``u - exp(a' + v/eta)``."""
-    lse, sm = allocating_lse_softmax(v / o.eta + (-o.cost / o.eta - 1.0))
-    anchor = (-o.cost[i] / o.eta - 1.0) - lse[i]
+    lse, sm = allocating_lse_softmax(v / o.eta + (-o.instance.cost.entries / o.eta - 1.0))
+    anchor = (-o.instance.cost.entries[i] / o.eta - 1.0) - lse[i]
     return anchor, (sm.T @ o.alpha - o.beta) - np.exp(anchor + v / o.eta)
 
 
